@@ -216,6 +216,29 @@ BENCHMARK(BM_ControllerRound)
     ->Args({100, 4})
     ->Args({100, 8});
 
+// The same round with the engine's default options: warm start, partial
+// repair and removed-edge prefix reuse on (docs/SOLVERS.md §1.3), so
+// consolidation trials resume from the plan they test. A fresh engine per
+// round keeps iterations independent.
+void BM_ControllerRoundDefaults(benchmark::State& state) {
+  const ControllerRoundFixture fixture(static_cast<int>(state.range(0)));
+  exec::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
+  core::ControllerOptions options;
+  options.pool = &pool;
+  std::uint64_t evaluations = 0;
+  for (auto _ : state) {
+    const te::McfTe engine;
+    core::DynamicCapacityController controller(
+        fixture.g, optical::ModulationTable::standard(), engine, options);
+    const auto report = controller.run_round(fixture.snr, fixture.demands);
+    evaluations = report.stats.evaluations;
+    benchmark::DoNotOptimize(report.total_routed.value);
+  }
+  state.SetLabel(std::to_string(state.range(1)) + " threads, " +
+                 std::to_string(evaluations) + " evals");
+}
+BENCHMARK(BM_ControllerRoundDefaults)->Args({50, 1});
+
 // Warm-started vs cold min-cost solves across repeated controller rounds at
 // pool size 1: the engine (and its replay cache) persists across
 // iterations, so every round after the first hits recorded augmenting-path

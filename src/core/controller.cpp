@@ -73,9 +73,9 @@ struct SolverCounters {
   std::uint64_t mincost_paths;
   std::uint64_t simplex_solves;
   std::uint64_t simplex_iterations;
-  /// Partial-tier activity (docs/SOLVERS.md): verified min-cost repairs
-  /// plus LP warm-basis replays and memo hits. Their per-round delta
-  /// drives RoundStats.partial_resolve.
+  /// Partial-tier activity (docs/SOLVERS.md): verified min-cost repairs,
+  /// McfTe prefix resumes, LP warm-basis replays and memo hits. Their
+  /// per-round delta drives RoundStats.partial_resolve.
   std::uint64_t partial_reuses;
 
   static SolverCounters read() {
@@ -87,26 +87,17 @@ struct SolverCounters {
         registry.counter("lp.simplex.iterations");
     static auto& partial_repairs =
         registry.counter("solver.partial_repairs");
+    static auto& trace_resumes = registry.counter("solver.trace_resumes");
     static auto& basis_hits = registry.counter("lp.basis_reuse_hits");
     static auto& basis_memo_hits =
         registry.counter("lp.basis_reuse_memo_hits");
     return SolverCounters{mincost_runs.value(), mincost_paths.value(),
                           simplex_solves.value(),
                           simplex_iterations.value(),
-                          partial_repairs.value() + basis_hits.value() +
-                              basis_memo_hits.value()};
+                          partial_repairs.value() + trace_resumes.value() +
+                              basis_hits.value() + basis_memo_hits.value()};
   }
 };
-
-/// Folds the stage timings and evaluation count of one candidate trial
-/// into the round's stats. Only the fields evaluate() touches.
-void merge_eval_stats(DynamicCapacityController::RoundStats& into,
-                      const DynamicCapacityController::RoundStats& from) {
-  into.augment_seconds += from.augment_seconds;
-  into.solve_seconds += from.solve_seconds;
-  into.translate_seconds += from.translate_seconds;
-  into.evaluations += from.evaluations;
-}
 
 }  // namespace
 
@@ -247,11 +238,15 @@ void DynamicCapacityController::consolidate(
            trial.upgrades.size() < report.plan.upgrades.size();
   };
 
+  // Trials time into consolidate_seconds alone: each gets scratch stats
+  // and only its evaluation count reaches the round's.
   if (pool.thread_count() <= 1) {
     for (const CapacityChange& candidate : by_traffic) {
       if (report.plan.upgrades.size() <= 1) break;
+      RoundStats trial_stats;
       ReconfigurationPlan trial =
-          evaluate(current, reduced_links(candidate), demands, report.stats);
+          evaluate(current, reduced_links(candidate), demands, trial_stats);
+      report.stats.evaluations += trial_stats.evaluations;
       if (accept(trial)) report.plan = std::move(trial);
     }
     return;
@@ -287,7 +282,7 @@ void DynamicCapacityController::consolidate(
       }
     }
     for (const RoundStats& s : trial_stats)
-      merge_eval_stats(report.stats, s);
+      report.stats.evaluations += s.evaluations;
     if (accepted == wave) {
       next += wave;  // whole window rejected; move on to the next one
       continue;

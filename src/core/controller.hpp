@@ -114,23 +114,22 @@ class DynamicCapacityController {
 
   /// Per-round performance statistics, filled by every run_round call.
   ///
-  /// Stage timings are wall-clock seconds. The augment/solve/translate
-  /// buckets sum over EVERY evaluation of the round, including the
-  /// re-evaluations the consolidation pass performs; `consolidate_seconds`
-  /// additionally covers the whole consolidation pass (so it overlaps the
-  /// per-stage buckets — the stage buckets answer "where does solver time
-  /// go", consolidate answers "what does the post-pass cost on top").
+  /// Stage timings are wall-clock seconds and exclusive: no interval is
+  /// counted in two buckets, so augment + solve + translate + consolidate
+  /// + transition + update <= total. The augment/solve/translate buckets
+  /// cover the round's primary evaluation only; `consolidate_seconds`
+  /// covers the whole consolidation pass, its trial evaluations included.
   /// The same values are recorded into the global `obs::Registry` under the
   /// `controller.round.*` histograms; names and units are contractual —
   /// see docs/OBSERVABILITY.md.
   struct RoundStats {
-    /// Algorithm-1 topology augmentation time (all evaluations).
+    /// Algorithm-1 topology augmentation time (primary evaluation).
     double augment_seconds = 0.0;
-    /// TE engine solve time on the augmented graph (all evaluations).
+    /// TE engine solve time on the augmented graph (primary evaluation).
     double solve_seconds = 0.0;
-    /// Assignment-to-plan translation time (all evaluations).
+    /// Assignment-to-plan translation time (primary evaluation).
     double translate_seconds = 0.0;
-    /// Consolidation post-pass, including its nested evaluations.
+    /// Consolidation post-pass, trial evaluations included.
     double consolidate_seconds = 0.0;
     /// Consistent-update transition planning + validation time.
     double transition_seconds = 0.0;
@@ -152,7 +151,8 @@ class DynamicCapacityController {
     /// (edge_count on the first/cold round; 0 on a memo hit).
     std::uint64_t dirty_links = 0;
     /// Whether any solver-tier partial re-solve served work this round:
-    /// a verified min-cost repair (solver.partial_repairs) or an LP
+    /// a verified min-cost repair (solver.partial_repairs), an McfTe
+    /// removed-edge prefix resume (solver.trace_resumes) or an LP
     /// warm-basis reuse (lp.basis_reuse_hits / lp.basis_reuse_memo_hits)
     /// moved during the round. The middle rung of the escalation ladder
     /// (docs/SOLVERS.md: memo -> partial -> full). Work accounting only —

@@ -16,9 +16,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Marks the arc pair of `arc` in the caller's improved-label flags.
+inline void mark_improved(std::uint8_t* improved, int arc) {
+  if (improved != nullptr) improved[static_cast<std::size_t>(arc) / 2] = 1;
+}
+
 /// Bellman-Ford distances from `source` over positive-residual arcs; used to
 /// initialize potentials when negative costs are present.
-std::vector<double> bellman_ford(const ResidualNetwork& net, int source) {
+std::vector<double> bellman_ford(const ResidualNetwork& net, int source,
+                                 std::uint8_t* improved) {
   std::vector<double> dist(net.node_count(), kInf);
   dist[static_cast<std::size_t>(source)] = 0.0;
   const auto n = net.node_count();
@@ -34,6 +40,7 @@ std::vector<double> bellman_ford(const ResidualNetwork& net, int source) {
       if (candidate < dist[static_cast<std::size_t>(to)] - 1e-12) {
         dist[static_cast<std::size_t>(to)] = candidate;
         changed = true;
+        mark_improved(improved, static_cast<int>(arc));
       }
     }
     if (!changed) break;
@@ -50,7 +57,8 @@ struct DijkstraResult {
 /// Dijkstra over reduced costs cost(arc) + pot[src] - pot[dst] (>= 0).
 DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
                                 int sink,
-                                const std::vector<double>& potential) {
+                                const std::vector<double>& potential,
+                                std::uint8_t* improved) {
   DijkstraResult result;
   result.distance.assign(net.node_count(), kInf);
   result.parent_arc.assign(net.node_count(), -1);
@@ -82,6 +90,7 @@ DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
         result.distance[static_cast<std::size_t>(next)] = candidate;
         result.parent_arc[static_cast<std::size_t>(next)] = arc;
         heap.emplace(candidate, next);
+        mark_improved(improved, arc);
       }
     }
   }
@@ -98,6 +107,27 @@ inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
   value ^= value >> 33;
   hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
   return hash ^ (hash >> 29);
+}
+
+/// Initial residuals as a recording keeps them: forward arcs only when
+/// every reverse arc starts at exactly +0.0 (any freshly built network),
+/// else every arc. Residuals are most of a recording, so this halves a
+/// warm cache's memory.
+std::vector<double> recorded_residuals(const std::vector<double>& residuals) {
+  for (std::size_t arc = 1; arc < residuals.size(); arc += 2)
+    if (std::bit_cast<std::uint64_t>(residuals[arc]) != 0) return residuals;
+  std::vector<double> forward(residuals.size() / 2);
+  for (std::size_t pair = 0; pair < forward.size(); ++pair)
+    forward[pair] = residuals[2 * pair];
+  return forward;
+}
+
+/// Arc `arc`'s initial residual in `recorded` (from recorded_residuals)
+/// for a network of `arc_count` arcs.
+double recorded_residual(const std::vector<double>& recorded, std::size_t arc,
+                         std::size_t arc_count) {
+  if (recorded.size() == arc_count) return recorded[arc];
+  return (arc & 1) != 0 ? 0.0 : recorded[arc / 2];
 }
 
 }  // namespace
@@ -136,9 +166,14 @@ NetworkFingerprints network_fingerprints(const ResidualNetwork& net,
 MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
                                     int sink, double flow_limit,
                                     MinCostWarmStart* warm,
-                                    std::uint64_t max_augmentations) {
+                                    std::uint64_t max_augmentations,
+                                    const NetworkFingerprints* known_prints,
+                                    std::vector<std::uint8_t>* improved) {
   RWC_EXPECTS(source != sink);
   RWC_EXPECTS(flow_limit >= 0.0);
+  RWC_EXPECTS(improved == nullptr || improved->size() == net.arc_count() / 2);
+  std::uint8_t* const improved_flags =
+      improved != nullptr ? improved->data() : nullptr;
 
   // One registry flush per solve keeps the augmenting loop atomic-free
   // (docs/OBSERVABILITY.md: flow.mincost.*, solver.warm_*).
@@ -160,7 +195,9 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
   // so injected budgets hit the same solves at every pool size.
   const bool fault_armed = fault::Registry::global().armed();
   NetworkFingerprints prints;
-  if (warm != nullptr || fault_armed)
+  if (known_prints != nullptr)
+    prints = *known_prints;
+  else if (warm != nullptr || fault_armed)
     prints = network_fingerprints(net, source, sink);
   const std::uint64_t fingerprint = prints.exact;
   std::uint64_t budget = max_augmentations;
@@ -178,12 +215,13 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
   bool budget_exhausted = false;
   bool replay_complete = false;  // replay alone satisfied this solve
   bool resumed = false;          // replay done, continue live from potentials
+  bool from_recording = false;   // some paths came from a recording
 
   // Resets *warm to a fresh about-to-record state for this network.
   const auto start_fresh_recording = [&]() {
     warm->fingerprint = fingerprint;
     warm->struct_fingerprint = prints.structural;
-    warm->initial_residuals = net.residuals();
+    warm->initial_residuals = recorded_residuals(net.residuals());
     warm->augmentations.clear();
     warm->exhausted = false;
     warm->final_potential.clear();
@@ -192,6 +230,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
   if (warm != nullptr) {
     if (!warm->empty() && warm->fingerprint == fingerprint) {
       warm_hits.add();
+      from_recording = true;
       // Replay: push the recorded augmenting paths. The sequence is
       // limit-independent (see header), so only the truncation of the
       // final push depends on flow_limit.
@@ -244,7 +283,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
       }
     } else if (!warm->empty() && warm->repairable() &&
                warm->struct_fingerprint == prints.structural &&
-               warm->initial_residuals.size() == net.arc_count()) {
+               (warm->initial_residuals.size() == net.arc_count() ||
+                warm->initial_residuals.size() * 2 == net.arc_count())) {
       // ---- Partial repair: same structure/costs/terminals, perturbed
       // residuals. Dijkstra over Johnson-reduced costs reads residual
       // SUPPORT (residual > kFlowEps per arc), costs, structure and
@@ -257,11 +297,14 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
       // before consuming each path. Any mismatch rolls the network back to
       // the pre-repair snapshot and escalates to a cold solve.
       const std::vector<double>& live0 = net.residuals();
-      const std::vector<double>& rec0 = warm->initial_residuals;
+      const auto rec0 = [&](std::size_t arc) {
+        return recorded_residual(warm->initial_residuals, arc,
+                                 net.arc_count());
+      };
       std::size_t dirty = 0;
       for (std::size_t i = 0; i < live0.size(); ++i)
         if (std::bit_cast<std::uint64_t>(live0[i]) !=
-            std::bit_cast<std::uint64_t>(rec0[i]))
+            std::bit_cast<std::uint64_t>(rec0(i)))
           ++dirty;
       if (dirty == 0 ||
           static_cast<double>(dirty) >
@@ -276,8 +319,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         shadow.reserve(dirty * 4);
         for (std::size_t i = 0; i < live0.size(); ++i)
           if (std::bit_cast<std::uint64_t>(live0[i]) !=
-              std::bit_cast<std::uint64_t>(rec0[i]))
-            shadow.emplace(static_cast<int>(i), rec0[i]);
+              std::bit_cast<std::uint64_t>(rec0(i)))
+            shadow.emplace(static_cast<int>(i), rec0(i));
         const auto support_equal = [&]() {
           for (const auto& [arc, rec_res] : shadow)
             if ((rec_res > kFlowEps) != (net.residual(arc) > kFlowEps))
@@ -377,6 +420,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
           start_fresh_recording();
         } else {
           partial_repairs.add();
+          from_recording = true;
           if (consumed_all && !limit_bound && !budget_exhausted) {
             // Every recorded path was verified and replayed: rewrite the
             // recording against this network (same paths and costs, live
@@ -384,7 +428,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
             // final_potential carries over — potentials after the last
             // successful Dijkstra are identical by the support argument.
             warm->fingerprint = fingerprint;
-            warm->initial_residuals = std::move(snapshot);
+            warm->initial_residuals = recorded_residuals(snapshot);
             for (std::size_t t = 0; t < live_bottlenecks.size(); ++t)
               warm->augmentations[t].bottleneck = live_bottlenecks[t];
             warm->exhausted = exhausted_verified;
@@ -428,7 +472,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
           has_negative = true;
       potential.assign(net.node_count(), 0.0);
       if (has_negative) {
-        potential = bellman_ford(net, source);
+        potential = bellman_ford(net, source, improved_flags);
         // Unreachable nodes keep an infinite potential; dijkstra skips them.
       }
     }
@@ -439,7 +483,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         budget_exhausted = true;
         break;
       }
-      const auto sp = dijkstra_reduced(net, source, sink, potential);
+      const auto sp =
+          dijkstra_reduced(net, source, sink, potential, improved_flags);
       if (!sp.reached_sink) {
         exhausted = true;
         break;
@@ -499,6 +544,10 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
     result.status = SolveStatus::kBudgetExhausted;
     budget_stops.add();
   }
+  // Recorded paths stand in for searches this solve never ran, so nothing
+  // proves any pair was a no-op.
+  if (improved != nullptr && from_recording)
+    std::fill(improved->begin(), improved->end(), std::uint8_t{1});
   result.augmenting_paths = augmenting_paths;
   runs.add();
   paths.add(augmenting_paths);

@@ -108,10 +108,13 @@ struct MinCostWarmStart {
 
   /// Structural fingerprint (structure + costs + terminals, residual
   /// magnitudes excluded) and the initial residuals the recording was made
-  /// against. Together they enable the partial-repair path: a solve whose
-  /// exact fingerprint misses but whose structural fingerprint matches can
-  /// diff its residuals against `initial_residuals` and replay the recorded
-  /// paths under support verification (see min_cost_max_flow). Zero /
+  /// against: one per arc, or one per forward arc (arc_count() / 2
+  /// entries) when every reverse arc started at +0.0, as in any freshly
+  /// built network. Together they enable the partial-repair path: a solve
+  /// whose exact fingerprint misses but whose structural fingerprint
+  /// matches can diff its residuals against `initial_residuals` and replay
+  /// the recorded paths under support verification (see
+  /// min_cost_max_flow). Zero /
   /// empty on recordings restored from checkpoints — the fields are
   /// deliberately never serialized (docs/REPLAY.md: warm bases are
   /// observational; restored recordings are repair-ineligible, so the first
@@ -155,11 +158,25 @@ struct MinCostWarmStart {
 /// network, so warm results stay bit-identical to cold ones. The
 /// `flow.mincost` fault site (docs/FAULTS.md) can clamp the budget further,
 /// keyed by the network fingerprint.
+///
+/// `prints`, when non-null, must equal network_fingerprints(net, source,
+/// sink); a caller that already hashed the network passes them in so the
+/// solve does not hash it again.
+///
+/// `improved`, when non-null, holds one flag per arc pair (arc_count() / 2
+/// entries; pair i is arcs 2i and 2i+1). The solve sets pair i's flag when
+/// a Bellman-Ford or Dijkstra relaxation on either arc improved a label.
+/// A pair whose flag stays clear was a no-op in every search: the same
+/// network without that pair runs the same searches (docs/SOLVERS.md,
+/// "Removed-edge prefix reuse"). A solve served from a recording (replay,
+/// repair or resume) ran no full search, so it sets every flag.
 MinCostFlowResult min_cost_max_flow(
     ResidualNetwork& net, int source, int sink,
     double flow_limit = std::numeric_limits<double>::infinity(),
     MinCostWarmStart* warm = nullptr,
-    std::uint64_t max_augmentations = kDefaultMaxAugmentations);
+    std::uint64_t max_augmentations = kDefaultMaxAugmentations,
+    const NetworkFingerprints* prints = nullptr,
+    std::vector<std::uint8_t>* improved = nullptr);
 
 /// Thread-safe fingerprint-keyed store of warm-start recordings with FIFO
 /// eviction. Shared by repeated solves (e.g. one per TE demand per round);

@@ -1,8 +1,12 @@
 #include "te/mcf_te.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
+#include "fault/registry.hpp"
 #include "flow/decompose.hpp"
 #include "flow/mincost.hpp"
 #include "flow/network.hpp"
@@ -13,11 +17,119 @@ namespace rwc::te {
 
 using util::Gbps;
 
+namespace {
+
+/// first_touch of an edge no search improved a label through.
+constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Equal in every field a solve reads, compared bit for bit.
+bool same_edge(const graph::Edge& a, const graph::Edge& b) {
+  return a.src == b.src && a.dst == b.dst &&
+         same_bits(a.capacity.value, b.capacity.value) &&
+         same_bits(a.cost, b.cost) && same_bits(a.weight, b.weight);
+}
+
+}  // namespace
+
+/// What prefix reuse needs from one finished solve.
+struct McfTe::SolveTrace {
+  std::size_t node_count = 0;
+  std::vector<graph::Edge> edges;
+  TrafficMatrix demands;
+  /// The solve's routing, by input demand index.
+  std::vector<FlowAssignment::DemandRouting> routings;
+  /// Per edge: the first serve-order position whose search improved a
+  /// label through it, or kNever.
+  std::vector<std::size_t> first_touch;
+};
+
+/// How a solve resumes from a trace: it copies the routing of the first
+/// `positions` demands in serve order, mapping traced edge t to graph edge
+/// edge_map[t] (-1 where the graph lacks it).
+struct McfTe::Resume {
+  std::size_t positions = 0;
+  std::vector<std::int32_t> edge_map;
+};
+
+std::shared_ptr<const McfTe::SolveTrace> McfTe::find_resume(
+    const graph::Graph& graph, const TrafficMatrix& demands,
+    Resume& resume) const {
+  std::vector<std::shared_ptr<const SolveTrace>> stored;
+  {
+    std::lock_guard lock(trace_mutex_);
+    stored = traces_;
+  }
+  // The resume a trace allows; positions == 0 when the solve does not
+  // qualify. It qualifies when the demands are equal and the graph is the
+  // traced graph with at least one edge removed: same node count, its
+  // edges an order-preserving subsequence of the traced ones. The prefix
+  // ends at the first position that improved a label through a removed
+  // edge, and at 0 when a removed edge has negative cost (its absence
+  // could flip the solver's negative-cost potential set-up).
+  const auto resume_from = [&](const SolveTrace& trace) {
+    if (trace.node_count != graph.node_count() ||
+        graph.edge_count() >= trace.edges.size() || trace.demands != demands)
+      return Resume{};
+    std::size_t positions = demands.size();
+    const auto remove = [&](std::size_t t) {
+      positions = trace.edges[t].cost < 0.0
+                      ? 0
+                      : std::min(positions, trace.first_touch[t]);
+    };
+    std::vector<std::int32_t> edge_map(trace.edges.size(), -1);
+    std::size_t t = 0;
+    for (std::size_t i = 0; i < graph.edge_count(); ++i) {
+      const graph::Edge& edge =
+          graph.edge(graph::EdgeId{static_cast<std::int32_t>(i)});
+      while (t < trace.edges.size() && !same_edge(trace.edges[t], edge))
+        remove(t++);
+      if (t == trace.edges.size()) return Resume{};
+      edge_map[t++] = static_cast<std::int32_t>(i);
+    }
+    while (t < trace.edges.size()) remove(t++);
+    if (positions == 0) return Resume{};
+    return Resume{positions, std::move(edge_map)};
+  };
+
+  std::shared_ptr<const SolveTrace> best;
+  for (const auto& trace : stored) {
+    Resume candidate = resume_from(*trace);
+    if (candidate.positions > resume.positions) {
+      resume = std::move(candidate);
+      best = trace;
+    }
+  }
+  if (best != nullptr) {
+    std::lock_guard lock(trace_mutex_);
+    const auto it = std::find(traces_.begin(), traces_.end(), best);
+    if (it != traces_.end()) std::rotate(traces_.begin(), it, it + 1);
+  }
+  return best;
+}
+
+void McfTe::keep_trace(std::shared_ptr<const SolveTrace> trace) const {
+  std::shared_ptr<const SolveTrace> evicted;  // freed outside the lock
+  std::lock_guard lock(trace_mutex_);
+  traces_.insert(traces_.begin(), std::move(trace));
+  if (traces_.size() > kTraceSlots) {
+    evicted = std::move(traces_.back());
+    traces_.pop_back();
+  }
+}
+
 FlowAssignment McfTe::solve(const graph::Graph& graph,
                             const TrafficMatrix& demands) const {
   static auto& solves = obs::Registry::global().counter("te.mcf.solves");
   static auto& seconds =
       obs::Registry::global().histogram("te.mcf.solve_seconds");
+  static auto& trace_resumes =
+      obs::Registry::global().counter("solver.trace_resumes");
+  static auto& trace_reused_demands =
+      obs::Registry::global().counter("solver.trace_reused_demands");
   solves.add();
   obs::ScopedTimer timer(seconds);
 
@@ -39,22 +151,66 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
     remaining[static_cast<std::size_t>(edge.value)] =
         graph.edge(edge).capacity.value;
 
-  for (std::size_t index : order) {
+  // Prefix reuse rides the partial rung's switches and stays off under an
+  // armed fault plan, so every fault test runs the plain ladder.
+  const bool tracing = options_.warm_start && options_.partial_repair &&
+                       !fault::Registry::global().armed();
+  std::shared_ptr<SolveTrace> trace;
+  std::size_t reused = 0;
+  if (tracing) {
+    trace = std::make_shared<SolveTrace>();
+    trace->first_touch.assign(graph.edge_count(), kNever);
+    Resume resume;
+    if (const auto source = find_resume(graph, demands, resume)) {
+      // Copy the untouched prefix: paths in decomposition order, their
+      // amounts taken off `remaining` in the cold loop's order, weights
+      // re-summed from this graph. Every search in it saw the same labels
+      // as this graph's would, so its first touches carry over.
+      reused = resume.positions;
+      for (std::size_t position = 0; position < reused; ++position) {
+        const std::size_t index = order[position];
+        auto& routing = result.routings[index];
+        for (const auto& [traced, amount] : source->routings[index].paths) {
+          graph::Path path;
+          for (const graph::EdgeId traced_edge : traced.edges) {
+            const std::int32_t mapped =
+                resume.edge_map[static_cast<std::size_t>(traced_edge.value)];
+            RWC_CHECK_MSG(mapped >= 0, "reused path crosses a removed edge");
+            const graph::EdgeId edge{mapped};
+            path.edges.push_back(edge);
+            path.weight += graph.edge(edge).weight;
+            remaining[static_cast<std::size_t>(mapped)] -= amount.value;
+          }
+          routing.paths.emplace_back(std::move(path), amount);
+        }
+      }
+      for (std::size_t t = 0; t < resume.edge_map.size(); ++t)
+        if (resume.edge_map[t] >= 0 && source->first_touch[t] < reused)
+          trace->first_touch[static_cast<std::size_t>(resume.edge_map[t])] =
+              source->first_touch[t];
+      trace_resumes.add();
+      trace_reused_demands.add(reused);
+    }
+  }
+
+  std::vector<std::uint8_t> improved(tracing ? graph.edge_count() : 0);
+  std::vector<std::uint8_t>* const touched = tracing ? &improved : nullptr;
+  for (std::size_t position = reused; position < order.size(); ++position) {
+    const std::size_t index = order[position];
     const Demand& demand = demands[index];
     RWC_EXPECTS(demand.volume.value >= 0.0);
     if (demand.volume.value <= flow::kFlowEps) continue;
     RWC_EXPECTS(demand.src != demand.dst);
 
-    // Fresh network against the remaining capacities.
+    // Fresh network against the remaining capacities. Arc 2*i is edge i.
     flow::ResidualNetwork net(graph.node_count());
-    std::vector<int> arc_of_edge(graph.edge_count());
     for (graph::EdgeId edge : graph.edge_ids()) {
       const graph::Edge& e = graph.edge(edge);
-      arc_of_edge[static_cast<std::size_t>(edge.value)] = net.add_arc(
-          e.src.value, e.dst.value,
-          remaining[static_cast<std::size_t>(edge.value)], e.cost);
+      net.add_arc(e.src.value, e.dst.value,
+                  remaining[static_cast<std::size_t>(edge.value)], e.cost);
     }
-    if (options_.warm_start) {
+    // A resumed solve skips the warm cache: its networks are new to it.
+    if (options_.warm_start && reused == 0) {
       // Exact record/replay keyed by the network fingerprint; replay is
       // bit-identical to the cold solve (see flow/mincost.hpp). On an
       // exact miss, a structurally matching recording (same arcs, costs,
@@ -73,7 +229,8 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
       flow::MinCostWarmStart warm;
       if (cached != nullptr) warm = *cached;
       min_cost_max_flow(net, demand.src.value, demand.dst.value,
-                        demand.volume.value, &warm);
+                        demand.volume.value, &warm,
+                        flow::kDefaultMaxAugmentations, &prints, touched);
       // Re-store when the recording now describes THIS network (cold
       // re-record, verified repair, or resumed extension) and is new or
       // changed; a pure replay and a prefix-bound repair (the recording
@@ -87,10 +244,17 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
       }
     } else {
       min_cost_max_flow(net, demand.src.value, demand.dst.value,
-                        demand.volume.value);
+                        demand.volume.value, nullptr,
+                        flow::kDefaultMaxAugmentations, nullptr, touched);
+    }
+    if (tracing) {
+      for (std::size_t i = 0; i < improved.size(); ++i) {
+        if (improved[i] != 0 && trace->first_touch[i] == kNever)
+          trace->first_touch[i] = position;
+      }
+      std::fill(improved.begin(), improved.end(), std::uint8_t{0});
     }
 
-    // Arc index order matches edge id order: arc 2*i is edge i.
     const auto decomposition =
         flow::decompose_flow(net, demand.src.value, demand.dst.value);
     auto& routing = result.routings[index];
@@ -106,6 +270,16 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
     }
   }
   finalize_assignment(graph, result);
+
+  if (tracing) {
+    trace->node_count = graph.node_count();
+    trace->edges.reserve(graph.edge_count());
+    for (graph::EdgeId edge : graph.edge_ids())
+      trace->edges.push_back(graph.edge(edge));
+    trace->demands = demands;
+    trace->routings = result.routings;
+    keep_trace(std::move(trace));
+  }
   return result;
 }
 

@@ -13,7 +13,19 @@
 // solves; on any change the fingerprint misses and the solve runs cold
 // (docs/CONCURRENCY.md, "Warm starts"). Safe under concurrent solve()
 // calls: the cache is thread-safe and only affects timing, never results.
+//
+// Removed-edge prefix reuse: every solve also keeps a trace of its graph,
+// demands, routing and, per edge, the first demand whose search improved a
+// label through it. A later solve of the same demands on that graph with
+// edges removed (a consolidation trial drops fake links) copies the routing
+// of every demand served before the first one that touched a removed edge
+// and solves only the rest. The result is bit-identical to a cold solve
+// (docs/SOLVERS.md, "Removed-edge prefix reuse").
 #pragma once
+
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include "flow/mincost.hpp"
 #include "te/algorithm.hpp"
@@ -34,6 +46,8 @@ class McfTe final : public TeAlgorithm {
     /// recording and let the solver attempt a verified partial repair
     /// (docs/SOLVERS.md). Bit-identical to a cold solve by construction;
     /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection.
+    /// Removed-edge prefix reuse runs only while this and warm_start are
+    /// both on.
     bool partial_repair = util::env_flag("RWC_PARTIAL_RESOLVE", true);
   };
 
@@ -54,8 +68,28 @@ class McfTe final : public TeAlgorithm {
   flow::WarmStartCache& warm_cache() const { return warm_cache_; }
 
  private:
+  struct SolveTrace;
+  struct Resume;
+
+  /// Traces kept for prefix reuse, least recently used evicted. Enough for
+  /// a consolidation wave at pool size 8 (16 trials) to keep the plan they
+  /// all test.
+  static constexpr std::size_t kTraceSlots = 16;
+
+  /// The stored trace this solve can resume from with the longest prefix
+  /// (marked most recently used), or nullptr; fills `resume`.
+  std::shared_ptr<const SolveTrace> find_resume(const graph::Graph& graph,
+                                                const TrafficMatrix& demands,
+                                                Resume& resume) const;
+  void keep_trace(std::shared_ptr<const SolveTrace> trace) const;
+
   Options options_;
   mutable flow::WarmStartCache warm_cache_;
+  /// Traces are never checkpointed. One that outlives a restore stays
+  /// usable: reuse checks demands and graph, not the round.
+  mutable std::mutex trace_mutex_;
+  /// Most recently used first; a trace is immutable once stored.
+  mutable std::vector<std::shared_ptr<const SolveTrace>> traces_;
 };
 
 }  // namespace rwc::te

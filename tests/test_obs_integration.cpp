@@ -119,6 +119,13 @@ TEST(ObsIntegration, ConsolidationTimeIsAttributed) {
   // ...but its trial evaluations are visible in the stats.
   EXPECT_GT(report.stats.evaluations, 1u);
   EXPECT_GT(report.stats.consolidate_seconds, 0.0);
+  // Trial time counts under consolidate only, so the stage buckets are
+  // exclusive and never sum past the round's wall time.
+  const auto& stats = report.stats;
+  EXPECT_LE(stats.augment_seconds + stats.solve_seconds +
+                stats.translate_seconds + stats.consolidate_seconds +
+                stats.transition_seconds + stats.update_seconds,
+            stats.total_seconds);
 }
 
 }  // namespace
