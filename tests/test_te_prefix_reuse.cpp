@@ -359,7 +359,8 @@ std::vector<prop::RoundSignature> weather_rounds(const McfTe& engine,
       snr[2 * link] = snr[2 * link + 1] = util::Db{weather.uniform(5.0, 10.0)};
       dipped.push_back(link);
     }
-    signatures.push_back(prop::signature_of(controller.run_round(snr, demands)));
+    signatures.push_back(
+        prop::signature_of(controller.run_round(snr, demands)));
   }
   return signatures;
 }
