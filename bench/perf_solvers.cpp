@@ -90,19 +90,34 @@ void BM_Augmentation(benchmark::State& state) {
 }
 BENCHMARK(BM_Augmentation)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_McfTeRound(benchmark::State& state) {
+void mcf_te_round(benchmark::State& state, const te::McfTe::Options& options) {
   const auto g = make_topology(static_cast<int>(state.range(0)), 6);
   util::Rng rng(7);
   sim::GravityParams gravity;
   gravity.total = util::Gbps{g.total_capacity().value / 3.0};
   gravity.sparsity = 0.9;  // a few dozen demands
   const auto demands = sim::gravity_matrix(g, gravity, rng);
-  const te::McfTe engine;
+  const te::McfTe engine(options);
   for (auto _ : state)
     benchmark::DoNotOptimize(engine.solve(g, demands));
   state.SetLabel(std::to_string(demands.size()) + " demands");
 }
+
+// The engine's default options: from the second iteration on, every
+// demand is an exact replay of the first iteration's recording.
+void BM_McfTeRound(benchmark::State& state) {
+  mcf_te_round(state, te::McfTe::Options{});
+}
 BENCHMARK(BM_McfTeRound)->Arg(25)->Arg(50)->Arg(100);
+
+// The same round with warm starts off, so every iteration times the cold
+// min-cost kernel (docs/SOLVERS.md §1.5).
+void BM_McfTeRoundCold(benchmark::State& state) {
+  te::McfTe::Options options;
+  options.warm_start = false;
+  mcf_te_round(state, options);
+}
+BENCHMARK(BM_McfTeRoundCold)->Arg(25)->Arg(50)->Arg(100);
 
 void BM_AugmentSolveTranslate(benchmark::State& state) {
   const auto g = make_topology(static_cast<int>(state.range(0)), 8);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
-#include <unordered_map>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "fault/registry.hpp"
@@ -21,11 +21,41 @@ inline void mark_improved(std::uint8_t* improved, int arc) {
   if (improved != nullptr) improved[static_cast<std::size_t>(arc) / 2] = 1;
 }
 
-/// Bellman-Ford distances from `source` over positive-residual arcs; used to
-/// initialize potentials when negative costs are present.
-std::vector<double> bellman_ford(const ResidualNetwork& net, int source,
-                                 std::uint8_t* improved) {
-  std::vector<double> dist(net.node_count(), kInf);
+/// Scratch every min-cost solve on one thread reuses, so the SSP loop
+/// allocates nothing once the buffers have grown to the largest network
+/// seen. Thread-local: concurrent solves (consolidation trials on pool
+/// workers) never share it, and no reference to it escapes the solve
+/// that fills it. Each user re-initialises what it reads on entry, so a
+/// solve that threw halfway leaves nothing a later one can see
+/// (docs/CONCURRENCY.md §4, "Kernel scratch").
+struct Scratch {
+  /// dijkstra_reduced's labels and heap.
+  std::vector<double> distance;
+  std::vector<int> parent_arc;
+  std::vector<std::pair<double, int>> heap;
+  /// Johnson potentials of the solve in progress.
+  std::vector<double> potential;
+  /// Partial repair: the pre-repair residuals, and the shadow of recorded
+  /// residuals on arcs whose recorded and live trajectories may differ
+  /// (value per arc, membership flag per arc, member arcs in insertion
+  /// order).
+  std::vector<double> snapshot;
+  std::vector<double> shadow_value;
+  std::vector<std::uint8_t> in_shadow;
+  std::vector<int> shadow_arcs;
+  std::vector<double> live_bottlenecks;
+};
+
+Scratch& thread_scratch() {
+  thread_local Scratch instance;
+  return instance;
+}
+
+/// Bellman-Ford distances from `source` over positive-residual arcs, into
+/// `dist`; used to initialize potentials when negative costs are present.
+void bellman_ford(const ResidualNetwork& net, int source,
+                  std::uint8_t* improved, std::vector<double>& dist) {
+  dist.assign(net.node_count(), kInf);
   dist[static_cast<std::size_t>(source)] = 0.0;
   const auto n = net.node_count();
   for (std::size_t round = 0; round + 1 < n || round == 0; ++round) {
@@ -45,33 +75,33 @@ std::vector<double> bellman_ford(const ResidualNetwork& net, int source,
     }
     if (!changed) break;
   }
-  return dist;
 }
 
-struct DijkstraResult {
-  std::vector<double> distance;
-  std::vector<int> parent_arc;
-  bool reached_sink = false;
-};
-
-/// Dijkstra over reduced costs cost(arc) + pot[src] - pot[dst] (>= 0).
-DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
-                                int sink,
-                                const std::vector<double>& potential,
-                                std::uint8_t* improved) {
-  DijkstraResult result;
-  result.distance.assign(net.node_count(), kInf);
-  result.parent_arc.assign(net.node_count(), -1);
-  result.distance[static_cast<std::size_t>(source)] = 0.0;
+/// Dijkstra over reduced costs cost(arc) + pot[src] - pot[dst] (>= 0),
+/// into scratch.distance and scratch.parent_arc. Returns whether the sink
+/// was reached. The heap is the binary heap std::priority_queue keeps,
+/// driven directly, and every entry is a distinct (distance, node) pair
+/// (a push needs a strict improvement), so the pop order is fixed by the
+/// entries alone.
+bool dijkstra_reduced(const ResidualNetwork& net, int source, int sink,
+                      const std::vector<double>& potential,
+                      std::uint8_t* improved, Scratch& scratch) {
+  std::vector<double>& distance = scratch.distance;
+  std::vector<int>& parent_arc = scratch.parent_arc;
+  distance.assign(net.node_count(), kInf);
+  parent_arc.assign(net.node_count(), -1);
+  distance[static_cast<std::size_t>(source)] = 0.0;
 
   using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  heap.emplace(0.0, source);
+  const std::greater<Entry> later;
+  std::vector<Entry>& heap = scratch.heap;
+  heap.clear();
+  heap.emplace_back(0.0, source);
   while (!heap.empty()) {
-    const auto [dist, node] = heap.top();
-    heap.pop();
-    if (dist > result.distance[static_cast<std::size_t>(node)] + 1e-12)
-      continue;
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [dist, node] = heap.back();
+    heap.pop_back();
+    if (dist > distance[static_cast<std::size_t>(node)] + 1e-12) continue;
     for (int arc : net.arcs_from(node)) {
       if (net.residual(arc) <= kFlowEps) continue;
       const int next = net.target(arc);
@@ -85,18 +115,16 @@ DijkstraResult dijkstra_reduced(const ResidualNetwork& net, int source,
         reduced = 0.0;
       }
       const double candidate = dist + reduced;
-      if (candidate <
-          result.distance[static_cast<std::size_t>(next)] - 1e-12) {
-        result.distance[static_cast<std::size_t>(next)] = candidate;
-        result.parent_arc[static_cast<std::size_t>(next)] = arc;
-        heap.emplace(candidate, next);
+      if (candidate < distance[static_cast<std::size_t>(next)] - 1e-12) {
+        distance[static_cast<std::size_t>(next)] = candidate;
+        parent_arc[static_cast<std::size_t>(next)] = arc;
+        heap.emplace_back(candidate, next);
+        std::push_heap(heap.begin(), heap.end(), later);
         mark_improved(improved, arc);
       }
     }
   }
-  result.reached_sink =
-      result.distance[static_cast<std::size_t>(sink)] != kInf;
-  return result;
+  return distance[static_cast<std::size_t>(sink)] != kInf;
 }
 
 /// Word-at-a-time mixer (murmur3-finalizer style). The fingerprint runs
@@ -208,9 +236,10 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
           budget, static_cast<std::uint64_t>(std::max(action.magnitude, 0.0)));
   }
 
+  Scratch& scratch = thread_scratch();
   MinCostFlowResult result;
   std::uint64_t augmenting_paths = 0;
-  std::vector<double> potential;
+  std::vector<double>& potential = scratch.potential;
   const bool recording = warm != nullptr;
   bool budget_exhausted = false;
   bool replay_complete = false;  // replay alone satisfied this solve
@@ -278,7 +307,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         // The recording ended on its own flow limit; resume live SSP from
         // the recorded potentials to route the remainder (and extend the
         // recording for next time).
-        potential = warm->final_potential;
+        potential.assign(warm->final_potential.begin(),
+                         warm->final_potential.end());
         resumed = true;
       }
     } else if (!warm->empty() && warm->repairable() &&
@@ -291,9 +321,9 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
       // potentials — never residual magnitudes — so as long as the support
       // pattern every recorded Dijkstra could have observed is unchanged,
       // the cold solve on this network would choose the exact same
-      // augmenting paths. Replay them while tracking, in a shadow map, the
+      // augmenting paths. Replay them while tracking, in a shadow, the
       // recorded-trajectory residuals of every arc whose recorded and live
-      // trajectories may differ; verify support equality over that map
+      // trajectories may differ; verify support equality over the shadow
       // before consuming each path. Any mismatch rolls the network back to
       // the pre-repair snapshot and escalates to a cold solve.
       const std::vector<double>& live0 = net.residuals();
@@ -314,16 +344,44 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         warm_misses.add();
         start_fresh_recording();
       } else {
-        std::vector<double> snapshot = live0;  // rollback + new recording
-        std::unordered_map<int, double> shadow;
-        shadow.reserve(dirty * 4);
+        // Rollback + new recording.
+        std::vector<double>& snapshot = scratch.snapshot;
+        snapshot.assign(live0.begin(), live0.end());
+        // The shadow as flat per-arc buffers. Membership flags are cleared
+        // through the member list here, on entry, so an earlier repair that
+        // threw cannot leave stale members behind.
+        std::vector<double>& shadow_value = scratch.shadow_value;
+        std::vector<std::uint8_t>& in_shadow = scratch.in_shadow;
+        std::vector<int>& shadow_arcs = scratch.shadow_arcs;
+        for (const int arc : shadow_arcs)
+          in_shadow[static_cast<std::size_t>(arc)] = 0;
+        shadow_arcs.clear();
+        if (in_shadow.size() < net.arc_count()) {
+          in_shadow.resize(net.arc_count(), 0);
+          shadow_value.resize(net.arc_count());
+        }
+        const auto in_shadow_at = [&](int arc) {
+          return in_shadow[static_cast<std::size_t>(arc)] != 0;
+        };
+        // Adds `arc` holding `value` unless it is a member already; either
+        // way returns its shadow value.
+        const auto shadow_at = [&](int arc, double value) -> double& {
+          const auto index = static_cast<std::size_t>(arc);
+          if (in_shadow[index] == 0) {
+            in_shadow[index] = 1;
+            shadow_value[index] = value;
+            shadow_arcs.push_back(arc);
+          }
+          return shadow_value[index];
+        };
         for (std::size_t i = 0; i < live0.size(); ++i)
           if (std::bit_cast<std::uint64_t>(live0[i]) !=
               std::bit_cast<std::uint64_t>(rec0(i)))
-            shadow.emplace(static_cast<int>(i), rec0(i));
+            shadow_at(static_cast<int>(i), rec0(i));
         const auto support_equal = [&]() {
-          for (const auto& [arc, rec_res] : shadow)
-            if ((rec_res > kFlowEps) != (net.residual(arc) > kFlowEps))
+          for (const int arc : shadow_arcs)
+            if ((shadow_value[static_cast<std::size_t>(arc)] > kFlowEps) !=
+                (net.residual(arc) > kFlowEps))
               return false;
           return true;
         };
@@ -331,8 +389,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         bool diverged = false;
         bool limit_bound = false;
         std::size_t replayed = 0;
-        std::vector<double> live_bottlenecks;
-        live_bottlenecks.reserve(warm->augmentations.size());
+        std::vector<double>& live_bottlenecks = scratch.live_bottlenecks;
+        live_bottlenecks.clear();
         for (const MinCostWarmStart::Augmentation& aug :
              warm->augmentations) {
           // Same check order as the cold loop (flow limit, then budget) so
@@ -368,16 +426,14 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
               std::bit_cast<std::uint64_t>(residual_bottleneck) !=
               std::bit_cast<std::uint64_t>(aug.bottleneck);
           for (int arc : aug.arcs) {
-            if (divergent_amount || shadow.contains(arc) ||
-                shadow.contains(arc ^ 1)) {
+            if (divergent_amount || in_shadow_at(arc) ||
+                in_shadow_at(arc ^ 1)) {
               // This arc pair's recorded and live trajectories (now)
               // differ: track the recorded side. A missing entry means the
               // trajectories were equal until this push, so the live
               // pre-push residual doubles as the recorded one.
-              double& fwd = shadow.try_emplace(arc, net.residual(arc))
-                                .first->second;
-              double& rev = shadow.try_emplace(arc ^ 1, net.residual(arc ^ 1))
-                                .first->second;
+              double& fwd = shadow_at(arc, net.residual(arc));
+              double& rev = shadow_at(arc ^ 1, net.residual(arc ^ 1));
               fwd -= aug.bottleneck;
               if (fwd < 0.0) fwd = 0.0;  // mirror ResidualNetwork::push
               rev += aug.bottleneck;
@@ -413,7 +469,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         if (diverged) {
           partial_rollbacks.add();
           warm_misses.add();
-          net.restore_residuals(std::move(snapshot));
+          net.restore_residuals(snapshot);
           result = MinCostFlowResult{};
           augmenting_paths = 0;
           budget_exhausted = false;
@@ -436,7 +492,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
               // More flow requested than the recording covers: resume live
               // SSP from the recorded potentials, extending the rewritten
               // recording exactly as an exact-fingerprint resume would.
-              potential = warm->final_potential;
+              potential.assign(warm->final_potential.begin(),
+                               warm->final_potential.end());
               resumed = true;
             } else {
               replay_complete = true;
@@ -470,10 +527,11 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         if (net.cost(static_cast<int>(arc)) < 0.0 &&
             net.residual(static_cast<int>(arc)) > kFlowEps)
           has_negative = true;
-      potential.assign(net.node_count(), 0.0);
       if (has_negative) {
-        potential = bellman_ford(net, source, improved_flags);
+        bellman_ford(net, source, improved_flags, potential);
         // Unreachable nodes keep an infinite potential; dijkstra skips them.
+      } else {
+        potential.assign(net.node_count(), 0.0);
       }
     }
 
@@ -483,17 +541,18 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
         budget_exhausted = true;
         break;
       }
-      const auto sp =
-          dijkstra_reduced(net, source, sink, potential, improved_flags);
-      if (!sp.reached_sink) {
+      if (!dijkstra_reduced(net, source, sink, potential, improved_flags,
+                            scratch)) {
         exhausted = true;
         break;
       }
+      const std::vector<double>& distance = scratch.distance;
+      const std::vector<int>& parent_arc = scratch.parent_arc;
 
       // Update potentials with the new distances.
       for (std::size_t node = 0; node < net.node_count(); ++node) {
-        if (sp.distance[node] == kInf || potential[node] == kInf) continue;
-        potential[node] += sp.distance[node];
+        if (distance[node] == kInf || potential[node] == kInf) continue;
+        potential[node] += distance[node];
       }
 
       // Bottleneck along the shortest path. The residual-only minimum is
@@ -501,8 +560,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
       // (the flow limit of a future replay may differ).
       double residual_bottleneck = kInf;
       for (int node = sink; node != source;
-           node = net.source(sp.parent_arc[static_cast<std::size_t>(node)])) {
-        const int arc = sp.parent_arc[static_cast<std::size_t>(node)];
+           node = net.source(parent_arc[static_cast<std::size_t>(node)])) {
+        const int arc = parent_arc[static_cast<std::size_t>(node)];
         residual_bottleneck = std::min(residual_bottleneck, net.residual(arc));
       }
       const double bottleneck =
@@ -515,8 +574,8 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
       MinCostWarmStart::Augmentation aug;
       double path_cost = 0.0;
       for (int node = sink; node != source;
-           node = net.source(sp.parent_arc[static_cast<std::size_t>(node)])) {
-        const int arc = sp.parent_arc[static_cast<std::size_t>(node)];
+           node = net.source(parent_arc[static_cast<std::size_t>(node)])) {
+        const int arc = parent_arc[static_cast<std::size_t>(node)];
         path_cost += net.cost(arc);
         net.push(arc, bottleneck);
         if (recording) aug.arcs.push_back(arc);
@@ -536,7 +595,7 @@ MinCostFlowResult min_cost_max_flow(ResidualNetwork& net, int source,
       // A budget-truncated recording is stored non-exhausted: a later
       // replay with a larger budget resumes live SSP from the potentials.
       warm->exhausted = exhausted;
-      warm->final_potential = std::move(potential);
+      warm->final_potential = potential;
     }
   }
 

@@ -1,5 +1,7 @@
 #include "flow/network.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace rwc::flow {
@@ -25,6 +27,16 @@ int ResidualNetwork::add_arc(int src, int dst, double capacity, double cost) {
   return forward;
 }
 
+void ResidualNetwork::set_capacities(std::span<const double> capacities) {
+  RWC_EXPECTS(capacities.size() * 2 == targets_.size());
+  for (std::size_t pair = 0; pair < capacities.size(); ++pair) {
+    const double capacity = capacities[pair];
+    RWC_EXPECTS(capacity >= 0.0);
+    residuals_[2 * pair] = initial_[2 * pair] = capacity;
+    residuals_[2 * pair + 1] = initial_[2 * pair + 1] = 0.0;
+  }
+}
+
 void ResidualNetwork::push(int arc, double amount) {
   auto& fwd = residuals_[static_cast<std::size_t>(arc)];
   auto& rev = residuals_[static_cast<std::size_t>(arc ^ 1)];
@@ -36,9 +48,9 @@ void ResidualNetwork::push(int arc, double amount) {
 
 void ResidualNetwork::reset() { residuals_ = initial_; }
 
-void ResidualNetwork::restore_residuals(std::vector<double> residuals) {
+void ResidualNetwork::restore_residuals(std::span<const double> residuals) {
   RWC_EXPECTS(residuals.size() == residuals_.size());
-  residuals_ = std::move(residuals);
+  std::copy(residuals.begin(), residuals.end(), residuals_.begin());
 }
 
 double ResidualNetwork::total_cost() const {

@@ -22,6 +22,14 @@ class ResidualNetwork {
   /// paired reverse arc is (index ^ 1). Requires capacity >= 0.
   int add_arc(int src, int dst, double capacity, double cost = 0.0);
 
+  /// Re-initialises every arc for new capacities without rebuilding the
+  /// network: forward arc 2i gets capacities[i], every reverse arc +0.0,
+  /// both as residual and as initial capacity. Structure, costs and
+  /// adjacency stay, so the network equals, bit for bit, one freshly built
+  /// by the same add_arc calls with these capacities. Requires one
+  /// capacity per arc pair (arc_count() / 2), each >= 0.
+  void set_capacities(std::span<const double> capacities);
+
   std::size_t node_count() const { return adjacency_.size(); }
   std::size_t arc_count() const { return targets_.size(); }
 
@@ -59,12 +67,12 @@ class ResidualNetwork {
   /// All residuals in arc-index order. Pair with restore_residuals() for
   /// exact rollback of a partially applied solve (the min-cost repair path
   /// snapshots before replaying: re-deriving residuals by inverse pushes is
-  /// not bitwise-safe in floating point, restoring the saved vector is).
+  /// not bitwise-safe in floating point, restoring the saved copy is).
   const std::vector<double>& residuals() const { return residuals_; }
 
-  /// Restores residuals previously obtained from residuals(). The vector
-  /// must come from this network (same arc count).
-  void restore_residuals(std::vector<double> residuals);
+  /// Copies back residuals previously obtained from residuals(). They must
+  /// come from this network (same arc count).
+  void restore_residuals(std::span<const double> residuals);
 
   /// Sum over forward arcs of flow * cost.
   double total_cost() const;

@@ -146,10 +146,12 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
                      return demands[a].priority > demands[b].priority;
                    });
 
+  const auto edge_at = [&](std::size_t i) -> const graph::Edge& {
+    return graph.edge(graph::EdgeId{static_cast<std::int32_t>(i)});
+  };
   std::vector<double> remaining(graph.edge_count());
-  for (graph::EdgeId edge : graph.edge_ids())
-    remaining[static_cast<std::size_t>(edge.value)] =
-        graph.edge(edge).capacity.value;
+  for (std::size_t i = 0; i < graph.edge_count(); ++i)
+    remaining[i] = edge_at(i).capacity.value;
 
   // Prefix reuse rides the partial rung's switches and stays off under an
   // armed fault plan, so every fault test runs the plain ladder.
@@ -195,6 +197,13 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
 
   std::vector<std::uint8_t> improved(tracing ? graph.edge_count() : 0);
   std::vector<std::uint8_t>* const touched = tracing ? &improved : nullptr;
+  // One network per solve, reset to the remaining capacities before each
+  // demand. Arc 2*i is edge i.
+  flow::ResidualNetwork net(graph.node_count());
+  for (std::size_t i = 0; i < graph.edge_count(); ++i) {
+    const graph::Edge& e = edge_at(i);
+    net.add_arc(e.src.value, e.dst.value, 0.0, e.cost);
+  }
   for (std::size_t position = reused; position < order.size(); ++position) {
     const std::size_t index = order[position];
     const Demand& demand = demands[index];
@@ -202,13 +211,7 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
     if (demand.volume.value <= flow::kFlowEps) continue;
     RWC_EXPECTS(demand.src != demand.dst);
 
-    // Fresh network against the remaining capacities. Arc 2*i is edge i.
-    flow::ResidualNetwork net(graph.node_count());
-    for (graph::EdgeId edge : graph.edge_ids()) {
-      const graph::Edge& e = graph.edge(edge);
-      net.add_arc(e.src.value, e.dst.value,
-                  remaining[static_cast<std::size_t>(edge.value)], e.cost);
-    }
+    net.set_capacities(remaining);
     // A resumed solve skips the warm cache: its networks are new to it.
     if (options_.warm_start && reused == 0) {
       // Exact record/replay keyed by the network fingerprint; replay is
@@ -274,8 +277,8 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
   if (tracing) {
     trace->node_count = graph.node_count();
     trace->edges.reserve(graph.edge_count());
-    for (graph::EdgeId edge : graph.edge_ids())
-      trace->edges.push_back(graph.edge(edge));
+    for (std::size_t i = 0; i < graph.edge_count(); ++i)
+      trace->edges.push_back(edge_at(i));
     trace->demands = demands;
     trace->routings = result.routings;
     keep_trace(std::move(trace));

@@ -5,7 +5,6 @@
 // compares the resumed solve bit for bit with a cold engine.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -19,6 +18,7 @@
 #include "prop/invariants.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
+#include "support/assignment_bits.hpp"
 #include "te/mcf_te.hpp"
 #include "util/rng.hpp"
 
@@ -58,43 +58,6 @@ graph::Graph without(const graph::Graph& graph,
     out.add_edge(e.src, e.dst, e.capacity, e.cost, e.weight);
   }
   return out;
-}
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-void expect_bitwise_equal(const FlowAssignment& expected,
-                          const FlowAssignment& got,
-                          const std::string& context) {
-  ASSERT_EQ(expected.routings.size(), got.routings.size()) << context;
-  for (std::size_t d = 0; d < expected.routings.size(); ++d) {
-    const auto& want = expected.routings[d];
-    const auto& have = got.routings[d];
-    EXPECT_EQ(want.demand, have.demand) << context << ", demand " << d;
-    EXPECT_TRUE(same_bits(want.routed.value, have.routed.value))
-        << context << ", demand " << d;
-    ASSERT_EQ(want.paths.size(), have.paths.size())
-        << context << ", demand " << d;
-    for (std::size_t p = 0; p < want.paths.size(); ++p) {
-      EXPECT_EQ(want.paths[p].first.edges, have.paths[p].first.edges)
-          << context << ", demand " << d << ", path " << p;
-      EXPECT_TRUE(same_bits(want.paths[p].first.weight,
-                            have.paths[p].first.weight))
-          << context << ", demand " << d << ", path " << p;
-      EXPECT_TRUE(same_bits(want.paths[p].second.value,
-                            have.paths[p].second.value))
-          << context << ", demand " << d << ", path " << p;
-    }
-  }
-  ASSERT_EQ(expected.edge_load_gbps.size(), got.edge_load_gbps.size())
-      << context;
-  for (std::size_t e = 0; e < expected.edge_load_gbps.size(); ++e)
-    EXPECT_TRUE(same_bits(expected.edge_load_gbps[e], got.edge_load_gbps[e]))
-        << context << ", edge " << e;
-  EXPECT_TRUE(same_bits(expected.total_routed.value, got.total_routed.value))
-      << context;
-  EXPECT_TRUE(same_bits(expected.total_cost, got.total_cost)) << context;
 }
 
 /// Two demands into B: the cheap A->B edge saturates during the second,
