@@ -1,9 +1,9 @@
 // Differential tests of the dataplane against the solver allocation
 // (docs/DATAPLANE.md §5): the gap oracle for both TE engines over two
 // seeds, capacity safety, bitwise determinism across thread-pool sizes
-// and fleet shard counts, checkpoint restore-then-continue, and the
-// dataplane-backed demand counter source certifying exact recovery on a
-// clean round.
+// and fleet shard counts, checkpoint restore-then-continue, the pinned
+// kDataplane wire format, and the dataplane-backed demand counter source
+// certifying exact recovery on a clean round.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -137,6 +137,87 @@ TEST(DataplaneDifferential, SimStateRoundTripsThroughSaveRestore) {
   // Mismatched shape (different OD count) is rejected too.
   dataplane::DataplaneSim other(topology, 13, config);
   EXPECT_THROW(other.restore_state(state), util::CheckError);
+}
+
+/// FNV-1a over a save_state() payload.
+std::uint64_t payload_hash(const std::vector<std::byte>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const std::byte b : bytes) {
+    hash ^= std::to_integer<std::uint64_t>(b);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Pins the kDataplane wire format and the transition paths behind it: a
+// re-install that migrates flowlets with bytes still in flight (draining
+// pipelines), then a round with one OD's routing emptied (its sources stop
+// and its active pipelines retire to draining). The final payload's hash
+// was recorded from the reference kernel; any change to the encoding, the
+// field order or the tick arithmetic moves it.
+TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
+  util::Rng topo_rng = util::Rng::stream(43, 810);
+  const graph::Graph topology = sim::waxman(8, topo_rng);
+  util::Rng demand_rng = util::Rng::stream(43, 811);
+  sim::GravityParams gravity;
+  gravity.total = util::Gbps{topology.total_capacity().value * 0.5};
+  const te::TrafficMatrix demands =
+      sim::gravity_matrix(topology, gravity, demand_rng);
+
+  const te::McfTe engine;
+  core::DynamicCapacityController controller(
+      topology, optical::ModulationTable::standard(), engine, {});
+  std::vector<util::Db> snr(topology.edge_count(), util::Db{20.0});
+  controller.run_round(snr, demands);
+  const te::FlowAssignment first = controller.last_assignment();
+  const std::span<const util::Gbps> configured =
+      controller.configured_capacities();
+  const std::vector<util::Gbps> caps(configured.begin(), configured.end());
+
+  dataplane::DataplaneConfig dp_config;
+  dataplane::DataplaneSim sim(topology, demands.size(), dp_config);
+  const dataplane::CapacityTimeline steady = dataplane::build_timeline(
+      caps, caps, nullptr, dp_config.ticks_per_round, dp_config.tick_seconds);
+  sim.run_round(first, steady);
+
+  // Fade the busiest link so the controller re-routes around it.
+  const std::vector<double>& load = first.edge_load_gbps;
+  std::size_t busiest = 0;
+  for (std::size_t e = 1; e < load.size(); ++e)
+    if (load[e] > load[busiest]) busiest = e;
+  snr[busiest] = util::Db{8.0};
+  controller.run_round(snr, demands);
+  const te::FlowAssignment second = controller.last_assignment();
+  const std::span<const util::Gbps> faded_span =
+      controller.configured_capacities();
+  const std::vector<util::Gbps> faded(faded_span.begin(), faded_span.end());
+  const dataplane::RoundResult migrated = sim.run_round(
+      second,
+      dataplane::build_timeline(caps, faded, nullptr,
+                                dp_config.ticks_per_round,
+                                dp_config.tick_seconds));
+  ASSERT_GT(migrated.migrations, 0u) << "the re-install must migrate";
+  ASSERT_GT(migrated.inflight_bytes, 0.0);
+
+  te::FlowAssignment unrouted = second;
+  std::size_t emptied = unrouted.routings.size();
+  for (std::size_t i = 0; i < unrouted.routings.size(); ++i)
+    if (!unrouted.routings[i].paths.empty()) {
+      emptied = i;
+      break;
+    }
+  ASSERT_LT(emptied, unrouted.routings.size());
+  unrouted.routings[emptied].paths.clear();
+  const dataplane::RoundResult last = sim.run_round(
+      unrouted,
+      dataplane::build_timeline(faded, faded, nullptr,
+                                dp_config.ticks_per_round,
+                                dp_config.tick_seconds));
+  EXPECT_EQ(last.od_goodput_gbps[emptied], 0.0);
+
+  const std::vector<std::byte> state = sim.save_state();
+  EXPECT_EQ(payload_hash(state), 0x6138734a4c636e55ull)
+      << std::hex << payload_hash(state);
 }
 
 TEST(DataplaneDifferential, CheckpointCarriesTheDataplaneSection) {

@@ -8,6 +8,12 @@
 // HPCC controller, the timeline builder or the controller plan upstream
 // shows up here first.
 //
+// The two seed fixtures cover fault-free rounds that never drop a byte. A
+// third input pins the kernel's edge paths: a longer run with a dark
+// unscheduled downshift, a load heavy enough to overflow link buffers and
+// an armed dataplane.packet / dataplane.hash plan. Its lines also carry
+// the delivered/dropped/peak-queue byte ledgers.
+//
 // Regenerating after an INTENDED behavior change:
 //   RWC_GOLDEN_REGEN=1 ./build/tests/rwc_tests --gtest_filter='GoldenDataplane.*'
 // then commit the rewritten tests/golden/dataplane-*.golden files
@@ -25,6 +31,8 @@
 #include <vector>
 
 #include "dataplane/xcheck.hpp"
+#include "fault/plan.hpp"
+#include "fault/registry.hpp"
 
 #ifndef RWC_GOLDEN_DIR
 #error "RWC_GOLDEN_DIR must point at the committed fixture directory"
@@ -56,8 +64,10 @@ std::string hex_of(std::uint64_t value) {
 }
 
 /// One fixture line per dataplane round (plus a trailing chain line).
-std::string serialize(std::size_t index,
-                      const dataplane::XcheckRound& round) {
+/// `ledger` appends the round's byte ledger (edge-path fixture only, so
+/// the seed fixtures keep their format).
+std::string serialize(std::size_t index, const dataplane::XcheckRound& round,
+                      bool ledger) {
   std::ostringstream out;
   out << "round-" << index << ' ' << bits_of(round.max_shortfall) << ' '
       << bits_of(round.max_overshoot) << ' '
@@ -66,6 +76,10 @@ std::string serialize(std::size_t index,
       << round.rate_cuts << ' ' << round.capacity_violations << ' '
       << round.window_violations << ' ' << (round.scheduled ? 1 : 0) << ' '
       << hex_of(round.signature);
+  if (ledger)
+    out << ' ' << bits_of(round.delivered_bytes) << ' '
+        << bits_of(round.dropped_bytes) << ' '
+        << bits_of(round.max_queued_bytes);
   return out.str();
 }
 
@@ -81,7 +95,8 @@ std::vector<GoldenField> diff_line(const std::string& expected,
       "name",       "max_shortfall",       "max_overshoot",
       "alloc_gbps", "goodput_gbps",        "migrations",
       "rate_cuts",  "capacity_violations", "window_violations",
-      "scheduled",  "signature"};
+      "scheduled",  "signature",           "delivered_bytes",
+      "dropped_bytes", "max_queued_bytes"};
   std::istringstream expected_in(expected), got_in(got);
   std::vector<GoldenField> diffs;
   for (const char* field : kFields) {
@@ -91,6 +106,7 @@ std::vector<GoldenField> diff_line(const std::string& expected,
     if (expected_token == got_token) continue;
     GoldenField diff{field, expected_token, got_token};
     const bool is_bits = std::string(field).find("_gbps") != std::string::npos ||
+                         std::string(field).find("_bytes") != std::string::npos ||
                          std::string(field).find("shortfall") != std::string::npos ||
                          std::string(field).find("overshoot") != std::string::npos;
     if (is_bits && expected_token.size() == 16 && got_token.size() == 16) {
@@ -102,20 +118,16 @@ std::vector<GoldenField> diff_line(const std::string& expected,
   return diffs;
 }
 
-void check_against_golden(std::uint64_t seed) {
+/// Compares `outcome` line by line against tests/golden/dataplane-<stem>.
+void check_against_golden(const std::string& stem,
+                          const dataplane::XcheckOutcome& outcome,
+                          bool ledger) {
   const std::filesystem::path path =
-      std::filesystem::path(RWC_GOLDEN_DIR) /
-      ("dataplane-" + std::to_string(seed) + ".golden");
-
-  dataplane::XcheckConfig config;
-  config.seed = seed;
-  config.rounds = 3;
-  const dataplane::XcheckOutcome outcome = dataplane::run_xcheck(config);
-  ASSERT_TRUE(outcome.pass) << outcome.failure;
+      std::filesystem::path(RWC_GOLDEN_DIR) / ("dataplane-" + stem + ".golden");
 
   std::vector<std::string> lines;
   for (std::size_t r = 0; r < outcome.rounds.size(); ++r)
-    lines.push_back(serialize(r, outcome.rounds[r]));
+    lines.push_back(serialize(r, outcome.rounds[r], ledger));
   lines.push_back("chain " + hex_of(outcome.chain));
 
   if (std::getenv("RWC_GOLDEN_REGEN") != nullptr) {
@@ -151,9 +163,62 @@ void check_against_golden(std::uint64_t seed) {
   }
 }
 
-TEST(GoldenDataplane, XcheckSeed20170701) { check_against_golden(20170701); }
+void check_seed_against_golden(std::uint64_t seed) {
+  dataplane::XcheckConfig config;
+  config.seed = seed;
+  config.rounds = 3;
+  const dataplane::XcheckOutcome outcome = dataplane::run_xcheck(config);
+  ASSERT_TRUE(outcome.pass) << outcome.failure;
+  check_against_golden(std::to_string(seed), outcome, false);
+}
 
-TEST(GoldenDataplane, XcheckSeed20250808) { check_against_golden(20250808); }
+TEST(GoldenDataplane, XcheckSeed20170701) {
+  check_seed_against_golden(20170701);
+}
+
+TEST(GoldenDataplane, XcheckSeed20250808) {
+  check_seed_against_golden(20250808);
+}
+
+// Edge paths the seed fixtures never reach: tail drops at an overflowing
+// buffer, a link going dark mid-round with no schedule, HPCC cuts, WCMP
+// migrations under hash faults, and source drop/duplicate/delay. Source
+// drops can push goodput below the oracle's gap, so this input pins the
+// per-round fields without asserting outcome.pass.
+TEST(GoldenDataplane, XcheckEdgePathsUnderFaults) {
+  dataplane::XcheckConfig config;
+  config.seed = 20171130;
+  config.rounds = 6;
+  config.demand_load = 0.9;
+  config.downshift_round = 3;
+  config.downshift_factor = 0.0;
+  const fault::FaultPlan plan = fault::FaultPlan::parse(
+      "dataplane.packet%53@3:drop;dataplane.packet%59@7:duplicate;"
+      "dataplane.packet%61@11:delay;dataplane.hash%13@5:garbage=7;"
+      "dataplane.hash%17@2:stale");
+
+  dataplane::XcheckOutcome outcome;
+  {
+    fault::ScopedPlan armed(plan);
+    outcome = dataplane::run_xcheck(config);
+    // Vacuity guards: both sites fired ...
+    EXPECT_GT(fault::Registry::global().injected("dataplane.packet"), 0u);
+    EXPECT_GT(fault::Registry::global().injected("dataplane.hash"), 0u);
+  }
+  // ... and the run reached every edge path it is meant to pin.
+  bool dropped = false, cut = false, migrated = false;
+  for (const dataplane::XcheckRound& round : outcome.rounds) {
+    dropped = dropped || round.dropped_bytes > 0.0;
+    cut = cut || round.rate_cuts > 0;
+    migrated = migrated || round.migrations > 0;
+  }
+  EXPECT_TRUE(dropped) << "no round dropped a byte";
+  EXPECT_TRUE(cut) << "no round cut a rate";
+  EXPECT_TRUE(migrated) << "no round migrated a flowlet";
+  ASSERT_EQ(outcome.rounds.size(), config.rounds);
+
+  check_against_golden("edge-paths", outcome, true);
+}
 
 }  // namespace
 }  // namespace rwc
