@@ -7,10 +7,9 @@
 #include <utility>
 
 #include "dataplane/wcmp.hpp"
-#include "exec/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
+#include "obs/timer.hpp"
 #include "replay/wire.hpp"
 #include "util/check.hpp"
 
@@ -51,6 +50,7 @@ struct Metrics {
   obs::Counter& dropped_bytes;
   obs::Counter& capacity_violations;
   obs::Gauge& inflight_bytes;
+  obs::Histogram& round_seconds;
 
   static Metrics& get() {
     static Metrics metrics{
@@ -62,6 +62,7 @@ struct Metrics {
         obs::Registry::global().counter("dataplane.dropped_bytes"),
         obs::Registry::global().counter("dataplane.capacity_violations"),
         obs::Registry::global().gauge("dataplane.inflight_bytes"),
+        obs::Registry::global().histogram("dataplane.round.seconds"),
     };
     return metrics;
   }
@@ -83,6 +84,8 @@ DataplaneSim::DataplaneSim(const graph::Graph& topology, std::size_t ods,
   RWC_CHECK_MSG(is_pow2(config_.flowlets_per_od),
                 "dataplane: flowlets_per_od must be a power of two");
   flowlets_.resize(ods_ * config_.flowlets_per_od);
+  RWC_CHECK_MSG(flowlets_.size() < (std::size_t{1} << 31),
+                "dataplane: too many flowlets");
   for (std::size_t i = 0; i < ods_; ++i)
     for (std::size_t j = 0; j < config_.flowlets_per_od; ++j)
       flowlets_[i * config_.flowlets_per_od + j].od =
@@ -101,6 +104,23 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
   std::vector<const graph::Path*> paths;
   std::vector<std::uint32_t> counts;
   std::vector<std::size_t> picks(kF);
+
+  // The round's active hops, rebuilt in flowlet order: a flowlet that keeps
+  // its path carries its hops over, a migrated one starts an empty path.
+  std::vector<Hop> hops;
+  hops.reserve(hops_.size());
+  // A replaced active path keeps draining while it still holds bytes.
+  auto retire = [this](Flowlet& fl) {
+    const std::span<const Hop> active = active_hops(fl);
+    if (inflight(active) > 0.0)
+      fl.draining.push_back(
+          Pipeline{{active.begin(), active.end()}, fl.path_id});
+  };
+  auto place = [&hops](Flowlet& fl, std::span<const Hop> active) {
+    fl.hops_begin = static_cast<std::uint32_t>(hops.size());
+    hops.insert(hops.end(), active.begin(), active.end());
+    fl.hops_end = static_cast<std::uint32_t>(hops.size());
+  };
 
   for (std::size_t i = 0; i < ods_; ++i) {
     const te::FlowAssignment::DemandRouting& routing = assignment.routings[i];
@@ -122,11 +142,11 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
         Flowlet& fl = base[j];
         fl.offered_gbps = 0.0;
         fl.rate_gbps = 0.0;
-        if (!fl.active.hops.empty()) {
-          if (fl.active.inflight() > 0.0)
-            fl.draining.push_back(std::move(fl.active));
-          fl.active = Pipeline{};
+        if (fl.hops_end != fl.hops_begin) {
+          retire(fl);
+          fl.path_id = 0;
         }
+        place(fl, {});
       }
       continue;
     }
@@ -148,9 +168,9 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
           flowlet_key(static_cast<std::uint32_t>(i),
                       static_cast<std::uint32_t>(j), salt),
           weights, identities);
-      if (stale && fl.active.path_id != 0) {
+      if (stale && fl.path_id != 0) {
         for (std::size_t p = 0; p < identities.size(); ++p)
-          if (identities[p] == fl.active.path_id) {
+          if (identities[p] == fl.path_id) {
             pick = p;
             break;
           }
@@ -186,34 +206,39 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
       const double offered =
           weights[pick] / static_cast<double>(counts[pick]);
       const std::uint64_t path_id = identities[pick];
-      if (fl.active.path_id != path_id) {
-        if (fl.active.path_id != 0) ++result.migrations;
-        if (fl.active.inflight() > 0.0)
-          fl.draining.push_back(std::move(fl.active));
-        fl.active = Pipeline{};
-        fl.active.path_id = path_id;
-        fl.active.hops.reserve(paths[pick]->edges.size());
-        for (const graph::EdgeId edge : paths[pick]->edges)
-          fl.active.hops.push_back(Hop{edge.value, 0.0, 0.0, 0.0});
+      if (fl.path_id != path_id) {
+        if (fl.path_id != 0) ++result.migrations;
+        retire(fl);
+        fl.path_id = path_id;
+        fl.hops_begin = static_cast<std::uint32_t>(hops.size());
+        for (const graph::EdgeId edge : paths[pick]->edges) {
+          Hop hop;
+          hop.edge = edge.value;
+          hop.flowlet = static_cast<std::uint32_t>(i * kF + j);
+          hops.push_back(hop);
+        }
+        hops.back().last = 1;
+        fl.hops_end = static_cast<std::uint32_t>(hops.size());
         fl.rate_gbps = offered;
-      } else if (fl.offered_gbps != offered) {
+      } else {
+        place(fl, active_hops(fl));
         // Same path, new allocation: the controller re-shapes the source.
-        fl.rate_gbps = offered;
+        if (fl.offered_gbps != offered) fl.rate_gbps = offered;
       }
       fl.offered_gbps = offered;
     }
   }
+  hops_ = std::move(hops);
 }
 
 RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
                                     const CapacityTimeline& timeline) {
+  const obs::StopWatch watch;
   RWC_CHECK_MSG(timeline.edges.size() == edge_count_,
                 "dataplane: timeline edge count mismatch");
   RWC_CHECK_MSG(timeline.ticks == config_.ticks_per_round &&
                     timeline.tick_seconds == config_.tick_seconds,
                 "dataplane: timeline tick geometry mismatch");
-  exec::ThreadPool& pool =
-      config_.pool != nullptr ? *config_.pool : exec::ThreadPool::global();
   Metrics& metrics = Metrics::get();
 
   const std::size_t ticks = config_.ticks_per_round;
@@ -244,7 +269,6 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   for (Flowlet& fl : flowlets_) {
     fl.measured_bytes = 0.0;
     fl.round_delivered = 0.0;
-    fl.cuts_scratch = 0;
   }
 
   const std::size_t nf = flowlets_.size();
@@ -253,11 +277,97 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   std::vector<double> frac(edge_count_, 1.0);
   std::vector<double> tick_serviced(edge_count_, 0.0);
   std::vector<std::size_t> event_cursor(edge_count_, 0);
+  std::vector<unsigned char> landed(edge_count_, 0);
+  // Per flowlet: the rate-control signal (max utilization over the active
+  // path, in hop order; sweep 2 refreshes it for the next tick) and the
+  // bytes its pipelines delivered but have not yet credited.
+  std::vector<double> path_util(nf, 0.0);
+  std::vector<double> delivered(nf, 0.0);
+  for (const Hop& hop : hops_)
+    path_util[hop.flowlet] = std::max(
+        path_util[hop.flowlet], link_util_[static_cast<std::size_t>(hop.edge)]);
+  // Flowlets with draining pipelines, ascending: the sweeps over hops_
+  // stop after each one's active hops to visit its pipelines, which keeps
+  // the flowlet order on every per-link accumulator.
+  std::vector<std::uint32_t> drainers;
+  for (std::size_t f = 0; f < nf; ++f)
+    if (!flowlets_[f].draining.empty())
+      drainers.push_back(static_cast<std::uint32_t>(f));
 
   const bool faults_armed = fault::Registry::global().armed();
+  bool measuring = false;
 
+  // Arrivals land against the per-link buffer budgets; tail-drop beyond.
+  // When everything fits, min(incoming, max(0, room)) is incoming itself,
+  // so the common case keeps the clamps off the per-link dependency chain.
+  auto land = [&](std::span<Hop> hops) {
+    for (Hop& hop : hops) {
+      const double incoming = hop.arriving;
+      hop.arriving = 0.0;
+      if (incoming <= 0.0) continue;
+      const std::size_t e = static_cast<std::size_t>(hop.edge);
+      const double room = buffer_bytes[e] - link_queued_[e];
+      double accepted = incoming;
+      if (!(incoming <= room)) {
+        accepted = std::min(incoming, std::max(0.0, room));
+        const double dropped = incoming - accepted;
+        if (dropped > 0.0) {
+          flowlets_[hop.flowlet].dropped_bytes += dropped;
+          result.links[e].dropped_bytes += dropped;
+          if (measuring) result.links[e].measured_dropped_bytes += dropped;
+        }
+      }
+      hop.queued += accepted;
+      link_queued_[e] += accepted;
+      landed[e] = 1;
+    }
+  };
+  // Proportional service, store-and-forward to the next hop (the bytes
+  // land next tick), and the per-link / per-OD accounting of what left.
+  // A last hop adds +0.0 to its own arrivals and a forwarding hop +0.0 to
+  // its flowlet's delivery: both sides hold non-negative byte counts, so
+  // the additions are exact and the sweep needs no per-path branch.
+  auto serve = [&](std::span<Hop> hops, bool active) {
+    for (std::size_t k = 0; k < hops.size(); ++k) {
+      Hop& hop = hops[k];
+      const std::size_t e = static_cast<std::size_t>(hop.edge);
+      const std::uint32_t f = hop.flowlet;
+      if (active) path_util[f] = std::max(path_util[f], link_util_[e]);
+      if (hop.queued <= 0.0) continue;
+      const double s = hop.queued * frac[e];
+      hop.queued -= s;
+      const bool last = hop.last != 0;
+      hops[last ? k : k + 1].arriving += last ? 0.0 : s;
+      delivered[f] += last ? s : 0.0;
+      if (s <= 0.0) continue;
+      double queued = link_queued_[e] - s;
+      if (!(0.0 < queued)) queued = 0.0;
+      link_queued_[e] = queued;
+      tick_serviced[e] += s;
+      result.links[e].serviced_bytes += s;
+      if (measuring) {
+        result.links[e].measured_bytes += s;
+        result.link_od_measured_bytes[e * ods_ + flowlets_[f].od] += s;
+      }
+    }
+  };
+  // Credits what flowlet f's pipelines delivered on a (`measured`) tick to
+  // its ledgers. A flowlet whose only pipeline is active credits at its
+  // next rate-control step; one with draining pipelines credits after each
+  // pipeline, so its ledgers see the deliveries in pipeline order.
+  auto credit = [&](std::size_t f, bool measured) {
+    Flowlet& fl = flowlets_[f];
+    const double d = delivered[f];
+    delivered[f] = 0.0;
+    fl.delivered_bytes += d;
+    fl.round_delivered += d;
+    if (measured) fl.measured_bytes += d;
+  };
+
+  bool was_measuring = false;
   for (std::size_t tick = 0; tick < ticks; ++tick) {
-    const bool measuring = tick >= result.measure_begin;
+    was_measuring = measuring;
+    measuring = tick >= result.measure_begin;
     const bool in_window = timeline.in_window(tick);
 
     // Capacity breakpoints for this tick.
@@ -274,14 +384,16 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
           buffer_seconds * 1e9 / 8.0;
     }
 
-    // Phase A (parallel): HPCC-style rate control + injection amounts.
-    exec::parallel_for(pool, nf, [&](std::size_t f) {
+    // Sweep 1: credit, rate control and injection per flowlet, then every
+    // hop lands. Rate control reads only path_util and the flowlet's own
+    // state, and injection only adds to the flowlet's first hop, so every
+    // flowlet may inject before the first one lands.
+    for (std::size_t f = 0; f < nf; ++f) {
       Flowlet& fl = flowlets_[f];
-      if (fl.offered_gbps > 0.0 && !fl.active.hops.empty()) {
-        double util = 0.0;
-        for (const Hop& hop : fl.active.hops)
-          util = std::max(util,
-                          link_util_[static_cast<std::size_t>(hop.edge)]);
+      credit(f, was_measuring);
+      const bool routed = fl.hops_end != fl.hops_begin;
+      if (fl.offered_gbps > 0.0 && routed) {
+        const double util = path_util[f];
         // Congested when some path link's standing queue exceeds 1/eta
         // ticks' worth of service. util == 1 is the steady state of a
         // link the solver fills to capacity (each tick's arrivals are
@@ -290,7 +402,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
         if (util * eta > 1.0) {
           fl.rate_gbps = std::max(fl.rate_gbps * (eta / util),
                                   fl.offered_gbps * kMinRateFraction);
-          ++fl.cuts_scratch;
+          ++result.rate_cuts;
         } else {
           fl.rate_gbps =
               std::min(fl.offered_gbps,
@@ -300,10 +412,10 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       } else {
         fl.rate_gbps = 0.0;
       }
-      double attempt =
+      const double attempt =
           fl.rate_gbps * bytes_per_gbps_tick + fl.deferred_bytes;
       fl.deferred_bytes = 0.0;
-      fl.inject_scratch = attempt;
+      double inject = attempt;
       // The ledger charges bytes when the source GENERATES them (bytes
       // pulled back out of deferred were charged on their original
       // tick), so kDelay parking balances against the inflight term:
@@ -319,65 +431,50 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
               // Lost before entering the network: dropped at the source
               // (the generation charge above keeps the ledger balanced).
               fl.dropped_bytes += attempt;
-              fl.inject_scratch = 0.0;
+              inject = 0.0;
               break;
             case fault::Kind::kDuplicate:
               // The duplicated copies are new bytes on the wire.
               fl.injected_bytes += attempt;
-              fl.inject_scratch = attempt * 2.0;
+              inject = attempt * 2.0;
               break;
             case fault::Kind::kDelay:
               fl.deferred_bytes = attempt;
-              fl.inject_scratch = 0.0;
+              inject = 0.0;
               break;
             default:
               break;
           }
         }
       }
-    });
-
-    // Phase B (serial, flowlet order): arrivals + injections land against
-    // per-link buffer budgets; tail-drop beyond. The landing order is the
-    // flowlet index order — deterministic at every pool size.
-    for (std::size_t f = 0; f < nf; ++f) {
-      Flowlet& fl = flowlets_[f];
-      auto land = [&](Pipeline& pipeline, double inject) {
-        for (std::size_t h = 0; h < pipeline.hops.size(); ++h) {
-          Hop& hop = pipeline.hops[h];
-          double incoming = hop.arriving;
-          hop.arriving = 0.0;
-          if (h == 0) incoming += inject;
-          if (incoming <= 0.0) continue;
-          const std::size_t e = static_cast<std::size_t>(hop.edge);
-          const double room =
-              std::max(0.0, buffer_bytes[e] - link_queued_[e]);
-          const double accepted = std::min(incoming, room);
-          const double dropped = incoming - accepted;
-          hop.queued += accepted;
-          link_queued_[e] += accepted;
-          if (dropped > 0.0) {
-            fl.dropped_bytes += dropped;
-            result.links[e].dropped_bytes += dropped;
-            if (measuring)
-              result.links[e].measured_dropped_bytes += dropped;
-          }
-          result.links[e].max_queued_bytes =
-              std::max(result.links[e].max_queued_bytes, link_queued_[e]);
-        }
-      };
       // Already charged at generation; a flowlet with no installed path
-      // parks its bytes back at the source instead of leaking them.
-      if (fl.active.hops.empty() && fl.inject_scratch > 0.0)
-        fl.deferred_bytes += fl.inject_scratch;
-      land(fl.active, fl.active.hops.empty() ? 0.0 : fl.inject_scratch);
-      fl.inject_scratch = 0.0;
-      for (Pipeline& pipeline : fl.draining) land(pipeline, 0.0);
+      // parks its bytes back at the source instead of leaking them. The
+      // first hop's arrivals and the injection add in either order.
+      if (routed)
+        hops_[fl.hops_begin].arriving += inject;
+      else if (inject > 0.0)
+        fl.deferred_bytes += inject;
+    }
+    std::size_t k = 0;
+    for (const std::uint32_t f : drainers) {
+      Flowlet& fl = flowlets_[f];
+      land({hops_.data() + k, hops_.data() + fl.hops_end});
+      k = fl.hops_end;
+      for (Pipeline& pipeline : fl.draining) land(pipeline.hops);
+    }
+    land({hops_.data() + k, hops_.data() + hops_.size()});
+    // A link's queue only grows while bytes land, so its peak over the
+    // landings is its total after them.
+    for (std::size_t e = 0; e < edge_count_; ++e) {
+      if (!landed[e]) continue;
+      landed[e] = 0;
+      result.links[e].max_queued_bytes =
+          std::max(result.links[e].max_queued_bytes, link_queued_[e]);
     }
 
-    // Phase C (parallel over links): proportional service fraction and
-    // the utilization signal the NEXT tick's rate control reads.
-    exec::parallel_for(pool, edge_count_, [&](std::size_t e) {
+    // Links: proportional service fraction and the utilization signal the
+    // NEXT tick's rate control reads.
+    for (std::size_t e = 0; e < edge_count_; ++e) {
       const double queued = link_queued_[e];
       frac[e] = queued > cap_bytes[e] && queued > 0.0
                     ? cap_bytes[e] / queued
@@ -385,63 +482,33 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       link_util_[e] = cap_bytes[e] > 0.0
                           ? queued / cap_bytes[e]
                           : (queued > 0.0 ? kDarkUtilization : 0.0);
-    });
+    }
 
-    // Phase D (parallel over flowlets): apply service, store-and-forward
-    // serviced bytes to the next hop (they land next tick in phase B).
-    exec::parallel_for(pool, nf, [&](std::size_t f) {
-      Flowlet& fl = flowlets_[f];
-      auto service = [&](Pipeline& pipeline) {
-        for (std::size_t h = 0; h < pipeline.hops.size(); ++h) {
-          Hop& hop = pipeline.hops[h];
-          if (hop.queued <= 0.0) {
-            hop.serviced = 0.0;
-            continue;
-          }
-          const double serviced =
-              hop.queued * frac[static_cast<std::size_t>(hop.edge)];
-          hop.queued -= serviced;
-          hop.serviced = serviced;
-          if (h + 1 < pipeline.hops.size()) {
-            pipeline.hops[h + 1].arriving += serviced;
-          } else {
-            fl.delivered_bytes += serviced;
-            fl.round_delivered += serviced;
-            if (measuring) fl.measured_bytes += serviced;
-          }
-        }
-      };
-      service(fl.active);
-      for (Pipeline& pipeline : fl.draining) service(pipeline);
-    });
-
-    // Phase E (serial, flowlet order): per-link and per-OD accounting,
-    // drained-pipeline retirement, capacity-safety audit.
+    // Sweep 2: service and accounting for every hop in flowlet order,
+    // drained-pipeline retirement. Service reads only frac and the hop's
+    // own pipeline.
     std::fill(tick_serviced.begin(), tick_serviced.end(), 0.0);
-    for (std::size_t f = 0; f < nf; ++f) {
+    std::fill(path_util.begin(), path_util.end(), 0.0);
+    k = 0;
+    for (const std::uint32_t f : drainers) {
       Flowlet& fl = flowlets_[f];
-      auto account = [&](Pipeline& pipeline) {
-        for (std::size_t h = 0; h < pipeline.hops.size(); ++h) {
-          Hop& hop = pipeline.hops[h];
-          const double s = hop.serviced;
-          if (s <= 0.0) continue;
-          hop.serviced = 0.0;
-          const std::size_t e = static_cast<std::size_t>(hop.edge);
-          link_queued_[e] = std::max(0.0, link_queued_[e] - s);
-          tick_serviced[e] += s;
-          result.links[e].serviced_bytes += s;
-          if (measuring) {
-            result.links[e].measured_bytes += s;
-            result.link_od_measured_bytes[e * ods_ + fl.od] += s;
-          }
-        }
-      };
-      account(fl.active);
-      for (Pipeline& pipeline : fl.draining) account(pipeline);
+      serve({hops_.data() + k, hops_.data() + fl.hops_end}, true);
+      k = fl.hops_end;
+      credit(f, measuring);
+      for (Pipeline& pipeline : fl.draining) {
+        serve(pipeline.hops, false);
+        credit(f, measuring);
+      }
       std::erase_if(fl.draining, [](const Pipeline& pipeline) {
-        return pipeline.inflight() <= 0.0;
+        return inflight(pipeline.hops) <= 0.0;
       });
     }
+    serve({hops_.data() + k, hops_.data() + hops_.size()}, true);
+    std::erase_if(drainers, [this](std::uint32_t f) {
+      return flowlets_[f].draining.empty();
+    });
+
+    // Capacity-safety audit.
     for (std::size_t e = 0; e < edge_count_; ++e) {
       if (tick_serviced[e] >
           cap_bytes[e] * (1.0 + kServiceRelTol) + kServiceAbsTolBytes) {
@@ -453,20 +520,21 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     }
   }
 
-  // Round aggregation (serial, flowlet order).
-  double inflight = 0.0;
+  for (std::size_t f = 0; f < nf; ++f) credit(f, measuring);
+
+  // Round aggregation (flowlet order).
+  double inflight_bytes = 0.0;
   for (const Flowlet& fl : flowlets_) {
     result.od_goodput_gbps[fl.od] += fl.measured_bytes;
     result.od_delivered_bytes[fl.od] += fl.round_delivered;
     result.injected_bytes += fl.injected_bytes;
     result.delivered_bytes += fl.delivered_bytes;
     result.dropped_bytes += fl.dropped_bytes;
-    result.rate_cuts += fl.cuts_scratch;
-    inflight += fl.active.inflight() + fl.deferred_bytes;
+    inflight_bytes += inflight(active_hops(fl)) + fl.deferred_bytes;
     for (const Pipeline& pipeline : fl.draining)
-      inflight += pipeline.inflight();
+      inflight_bytes += inflight(pipeline.hops);
   }
-  result.inflight_bytes = inflight;
+  result.inflight_bytes = inflight_bytes;
   for (double& goodput : result.od_goodput_gbps)
     goodput = goodput * 8.0 / result.measure_seconds / 1e9;
   result.signature = state_signature();
@@ -482,12 +550,23 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       static_cast<std::uint64_t>(result.dropped_bytes));
   metrics.capacity_violations.add(result.capacity_violations);
   metrics.inflight_bytes.set(result.inflight_bytes);
+  metrics.round_seconds.observe(watch.seconds());
   return result;
 }
 
 std::uint64_t DataplaneSim::state_signature() const {
   std::uint64_t hash = 0x64617461706c616eull;  // "dataplan"
   hash = mix64(hash, round_);
+  auto fold_pipeline = [&hash](std::uint64_t path_id,
+                               std::span<const Hop> hops) {
+    hash = mix64(hash, path_id);
+    for (const Hop& hop : hops) {
+      hash = mix64(hash, static_cast<std::uint64_t>(
+                             static_cast<std::uint32_t>(hop.edge)));
+      hash = mix64(hash, hop.queued);
+      hash = mix64(hash, hop.arriving);
+    }
+  };
   for (const Flowlet& fl : flowlets_) {
     hash = mix64(hash, static_cast<std::uint64_t>(fl.od));
     hash = mix64(hash, fl.offered_gbps);
@@ -496,37 +575,28 @@ std::uint64_t DataplaneSim::state_signature() const {
     hash = mix64(hash, fl.injected_bytes);
     hash = mix64(hash, fl.delivered_bytes);
     hash = mix64(hash, fl.dropped_bytes);
-    auto fold_pipeline = [&hash](const Pipeline& pipeline) {
-      hash = mix64(hash, pipeline.path_id);
-      for (const Hop& hop : pipeline.hops) {
-        hash = mix64(hash, static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(hop.edge)));
-        hash = mix64(hash, hop.queued);
-        hash = mix64(hash, hop.arriving);
-      }
-    };
-    fold_pipeline(fl.active);
+    fold_pipeline(fl.path_id, active_hops(fl));
     hash = mix64(hash, static_cast<std::uint64_t>(fl.draining.size()));
-    for (const Pipeline& pipeline : fl.draining) fold_pipeline(pipeline);
+    for (const Pipeline& pipeline : fl.draining)
+      fold_pipeline(pipeline.path_id, pipeline.hops);
   }
   for (const double queued : link_queued_) hash = mix64(hash, queued);
   for (const double util : link_util_) hash = mix64(hash, util);
   return hash;
 }
 
-void DataplaneSim::encode_pipeline(const Pipeline& pipeline,
-                                   replay::wire::ByteWriter& writer) const {
-  writer.u64(pipeline.path_id);
-  writer.u32(static_cast<std::uint32_t>(pipeline.hops.size()));
-  for (const Hop& hop : pipeline.hops) {
-    writer.i32(hop.edge);
-    writer.f64(hop.queued);
-    writer.f64(hop.arriving);
-  }
-}
-
 std::vector<std::byte> DataplaneSim::save_state() const {
   replay::wire::ByteWriter writer;
+  auto encode_pipeline = [&writer](std::uint64_t path_id,
+                                   std::span<const Hop> hops) {
+    writer.u64(path_id);
+    writer.u32(static_cast<std::uint32_t>(hops.size()));
+    for (const Hop& hop : hops) {
+      writer.i32(hop.edge);
+      writer.f64(hop.queued);
+      writer.f64(hop.arriving);
+    }
+  };
   writer.u32(kStateMagic);
   writer.u32(kStateVersion);
   writer.u64(static_cast<std::uint64_t>(edge_count_));
@@ -541,10 +611,10 @@ std::vector<std::byte> DataplaneSim::save_state() const {
     writer.f64(fl.injected_bytes);
     writer.f64(fl.delivered_bytes);
     writer.f64(fl.dropped_bytes);
-    encode_pipeline(fl.active, writer);
+    encode_pipeline(fl.path_id, active_hops(fl));
     writer.u32(static_cast<std::uint32_t>(fl.draining.size()));
     for (const Pipeline& pipeline : fl.draining)
-      encode_pipeline(pipeline, writer);
+      encode_pipeline(pipeline.path_id, pipeline.hops);
   }
   for (const double queued : link_queued_) writer.f64(queued);
   for (const double util : link_util_) writer.f64(util);
@@ -564,31 +634,48 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
                 "dataplane: state payload shape mismatch");
   const std::uint64_t round = reader.u64();
   std::vector<Flowlet> flowlets(flowlets_.size());
-  auto read_pipeline = [&reader](Pipeline& pipeline) {
-    pipeline.path_id = reader.u64();
-    const std::uint32_t hops = reader.u32();
-    pipeline.hops.resize(hops);
-    for (Hop& hop : pipeline.hops) {
+  std::vector<Hop> hops;
+  // Every count is checked against the remaining payload before anything
+  // is sized by it, and every hop edge against the topology, because
+  // run_round indexes per-link state with them. A truncated payload reads
+  // zeros from here on and is rejected by the final check.
+  auto read_pipeline = [&](std::vector<Hop>& out, std::size_t flowlet) {
+    const std::uint64_t path_id = reader.u64();
+    const std::uint32_t count = reader.u32();
+    RWC_CHECK_MSG(reader.fits(count), "dataplane: corrupt state payload");
+    for (std::uint32_t h = 0; h < count; ++h) {
+      Hop hop;
       hop.edge = reader.i32();
       hop.queued = reader.f64();
       hop.arriving = reader.f64();
-      hop.serviced = 0.0;
+      RWC_CHECK_MSG(hop.edge >= 0 && static_cast<std::size_t>(hop.edge) <
+                                         edge_count_,
+                    "dataplane: state payload hop edge out of range");
+      hop.flowlet = static_cast<std::uint32_t>(flowlet);
+      out.push_back(hop);
     }
+    if (count > 0) out.back().last = 1;
+    return path_id;
   };
-  for (Flowlet& fl : flowlets) {
+  for (std::size_t f = 0; f < flowlets.size(); ++f) {
+    Flowlet& fl = flowlets[f];
     fl.od = reader.u32();
+    RWC_CHECK_MSG(reader.failed() || fl.od == f / config_.flowlets_per_od,
+                  "dataplane: state payload flowlet under the wrong OD");
     fl.offered_gbps = reader.f64();
     fl.rate_gbps = reader.f64();
     fl.deferred_bytes = reader.f64();
     fl.injected_bytes = reader.f64();
     fl.delivered_bytes = reader.f64();
     fl.dropped_bytes = reader.f64();
-    read_pipeline(fl.active);
+    fl.hops_begin = static_cast<std::uint32_t>(hops.size());
+    fl.path_id = read_pipeline(hops, f);
+    fl.hops_end = static_cast<std::uint32_t>(hops.size());
     const std::uint32_t draining = reader.u32();
-    RWC_CHECK_MSG(!reader.failed() && draining <= 1u << 20,
-                  "dataplane: corrupt state payload");
+    RWC_CHECK_MSG(reader.fits(draining), "dataplane: corrupt state payload");
     fl.draining.resize(draining);
-    for (Pipeline& pipeline : fl.draining) read_pipeline(pipeline);
+    for (Pipeline& pipeline : fl.draining)
+      pipeline.path_id = read_pipeline(pipeline.hops, f);
   }
   std::vector<double> link_queued(edge_count_);
   std::vector<double> link_util(edge_count_);
@@ -600,12 +687,14 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
   std::uint64_t restored_round = round;
   std::swap(round_, restored_round);
   std::swap(flowlets_, flowlets);
+  std::swap(hops_, hops);
   std::swap(link_queued_, link_queued);
   std::swap(link_util_, link_util);
   if (state_signature() != stored_signature) {
     // Strong guarantee: put the pre-restore state back before rejecting.
     std::swap(round_, restored_round);
     std::swap(flowlets_, flowlets);
+    std::swap(hops_, hops);
     std::swap(link_queued_, link_queued);
     std::swap(link_util_, link_util);
     RWC_CHECK_MSG(false, "dataplane: state payload signature mismatch");

@@ -9,25 +9,28 @@
 // reconfig dark windows included), and runs an HPCC-style end-host rate
 // controller per flowlet: sources shape to their allocated share, cut
 // multiplicatively when a path link's utilization exceeds the target, and
-// recover additively. The per-tick schedule is
+// recover additively. Each tick is two ordered sweeps around one pass
+// over the links:
 //
-//   A (parallel over flowlets)  rate control + injection amounts
-//                               (`dataplane.packet` faults fire here);
-//   B (serial, flowlet order)   arrivals + injections land, tail-drop
-//                               against per-link buffer budgets;
-//   C (parallel over links)     service fraction min(1, cap*dt / queued)
-//                               + the next tick's utilization signal;
-//   D (parallel over flowlets)  proportional service, store-and-forward
-//                               to the next hop;
-//   E (serial, flowlet order)   per-link/per-OD accounting + the
-//                               capacity-safety audit.
+//   sweep 1   rate control + injection per flowlet (`dataplane.packet`
+//             faults fire here), then every hop's arrivals land in
+//             flowlet order, tail-drop against per-link buffers;
+//   links     service fraction min(1, cap*dt / queued) + the next tick's
+//             utilization signal;
+//   sweep 2   every hop in flowlet order: proportional service,
+//             store-and-forward to the next hop, per-link and per-OD
+//             accounting, the next tick's per-path utilization;
+//             drained-pipeline retirement;
+//   audit     per-link capacity safety.
 //
-// Parallel phases write only flowlet-owned state and read only serial-
-// phase outputs, and every serial reduction runs in flowlet index order —
-// so a round is bit-identical at every pool size (the {1,2,8} gate of
-// bench/dataplane_xcheck --selfcheck). No RNG runs in the tick loop:
-// randomness is hashing (wcmp.hpp), so determinism needs no stream
-// bookkeeping. save_state()/restore_state() capture everything that
+// All active hops sit in one flat array in flowlet order, so both sweeps
+// walk hops rather than flowlets, stopping only at flowlets that still
+// drain pre-migration pipelines. Flowlets couple only through per-link
+// state, and both sweeps update it in flowlet order, then hop order
+// (active pipeline before draining ones), so every floating-point
+// accumulation has one fixed order (docs/DATAPLANE.md §2). No RNG runs in
+// the tick loop: randomness is hashing (wcmp.hpp), so determinism needs no
+// stream bookkeeping. save_state()/restore_state() capture everything that
 // carries across rounds (the kDataplane checkpoint section,
 // docs/REPLAY.md): restore-then-continue is bit-identical.
 #pragma once
@@ -43,10 +46,6 @@
 
 namespace rwc::exec {
 class ThreadPool;
-}
-
-namespace rwc::replay::wire {
-class ByteWriter;
 }
 
 namespace rwc::dataplane {
@@ -77,7 +76,10 @@ struct DataplaneConfig {
   double additive_increase = 0.05;
   /// Flowlet hash family (per-run WCMP salt).
   std::uint64_t hash_salt = 0x52574321ull;
-  /// Pool for the parallel phases; nullptr = exec::ThreadPool::global().
+  /// Ignored: the tick loop runs inline on the calling thread, because
+  /// per-tick pool dispatch cost more than the work it split
+  /// (docs/DATAPLANE.md §2). Kept so existing callers that set it still
+  /// compile.
   exec::ThreadPool* pool = nullptr;
 
   friend bool operator==(const DataplaneConfig&,
@@ -149,7 +151,9 @@ class DataplaneSim {
   /// Wire-encoded evolving state (the kDataplane checkpoint payload).
   std::vector<std::byte> save_state() const;
   /// Restores a save_state() payload; throws util::CheckError on corrupt
-  /// or mismatched (topology/OD/config) payloads.
+  /// or mismatched (topology/OD/config) payloads, including counts that
+  /// overrun the payload, hop edges outside the topology and flowlets
+  /// filed under the wrong OD. The sim is untouched on throw.
   void restore_state(std::span<const std::byte> payload);
 
   /// Fold of the live flowlet/queue state — equal iff bitwise-equal.
@@ -163,30 +167,30 @@ class DataplaneSim {
  private:
   struct Hop {
     std::int32_t edge = -1;
+    /// Owning flowlet, and whether this hop ends its path (it delivers
+    /// instead of forwarding), so a sweep over hops needs no per-path
+    /// loop. Derived from the layout; not part of the wire format.
+    std::uint32_t flowlet : 31 = 0;
+    std::uint32_t last : 1 = 0;
     double queued = 0.0;    ///< bytes awaiting service
     double arriving = 0.0;  ///< store-and-forward: lands next tick
-    double serviced = 0.0;  ///< scratch: bytes serviced this tick
   };
 
+  /// A pre-migration path still flushing its in-flight bytes.
   struct Pipeline {
     std::vector<Hop> hops;
     std::uint64_t path_id = 0;  ///< wcmp::path_identity of the edge seq
-
-    double inflight() const {
-      double total = 0.0;
-      for (const Hop& hop : hops) total += hop.queued + hop.arriving;
-      return total;
-    }
   };
 
   struct Flowlet {
     std::uint32_t od = 0;
+    /// Active path: hops_[hops_begin, hops_end), rebuilt by install().
+    std::uint32_t hops_begin = 0;
+    std::uint32_t hops_end = 0;
+    std::uint64_t path_id = 0;  ///< active path identity (0 = none)
     double offered_gbps = 0.0;  ///< allocated share (rate ceiling)
     double rate_gbps = 0.0;     ///< HPCC-controlled current rate
-    double inject_scratch = 0.0;
     double deferred_bytes = 0.0;  ///< kDelay faults park bytes here
-    std::uint64_t cuts_scratch = 0;
-    Pipeline active;
     std::vector<Pipeline> draining;  ///< pre-migration paths, flushing
     double injected_bytes = 0.0;
     double delivered_bytes = 0.0;
@@ -197,16 +201,29 @@ class DataplaneSim {
     double round_delivered = 0.0;
   };
 
+  static double inflight(std::span<const Hop> hops) {
+    double total = 0.0;
+    for (const Hop& hop : hops) total += hop.queued + hop.arriving;
+    return total;
+  }
+
+  std::span<Hop> active_hops(const Flowlet& fl) {
+    return {hops_.data() + fl.hops_begin, hops_.data() + fl.hops_end};
+  }
+  std::span<const Hop> active_hops(const Flowlet& fl) const {
+    return {hops_.data() + fl.hops_begin, hops_.data() + fl.hops_end};
+  }
+
   void install(const te::FlowAssignment& assignment, RoundResult& result);
-  void encode_pipeline(const Pipeline& pipeline,
-                       replay::wire::ByteWriter& writer) const;
 
   DataplaneConfig config_;
   std::size_t edge_count_ = 0;
   std::size_t ods_ = 0;
   std::uint64_t round_ = 0;
   std::vector<Flowlet> flowlets_;  ///< ods * flowlets_per_od, fixed order
-  /// Per link: live queued-byte total (maintained by the serial phases).
+  /// Every flowlet's active-path hops, contiguous in flowlet order.
+  std::vector<Hop> hops_;
+  /// Per link: live queued-byte total (maintained by the sweeps).
   std::vector<double> link_queued_;
   /// Per link: previous tick's utilization signal for rate control.
   std::vector<double> link_util_;

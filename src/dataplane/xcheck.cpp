@@ -101,8 +101,7 @@ XcheckOutcome run_xcheck(const XcheckConfig& config) {
       fixture.topology, optical::ModulationTable::standard(), engine,
       options);
 
-  DataplaneConfig dp_config = config.dataplane;
-  dp_config.pool = config.pool;
+  const DataplaneConfig& dp_config = config.dataplane;
   auto sim = std::make_unique<DataplaneSim>(
       fixture.topology, fixture.demands.size(), dp_config);
 

@@ -17,9 +17,10 @@
 // Rounds with a forced unscheduled downshift (`downshift_round`) exempt
 // the shortfall clause — capacity vanished mid-round with no schedule —
 // and instead require the HPCC reaction to have fired (rate cuts > 0)
-// with capacity safety intact. Everything is a pure function of
-// (config, pool-independent): bench/dataplane_xcheck --selfcheck pins
-// bit-identity across pool sizes {1,2,8} and checkpoint restore.
+// with capacity safety intact. Everything is a pure function of the
+// config, independent of the controller's pool: bench/dataplane_xcheck
+// --selfcheck pins bit-identity across pool sizes {1,2,8} and checkpoint
+// restore.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +67,8 @@ struct XcheckConfig {
   /// gate of bench/dataplane_xcheck --selfcheck.
   std::size_t checkpoint_round = static_cast<std::size_t>(-1);
   DataplaneConfig dataplane;
-  /// Pool for controller + dataplane; nullptr = exec::ThreadPool::global().
+  /// Pool for the controller; nullptr = exec::ThreadPool::global(). The
+  /// dataplane runs inline on the calling thread (DataplaneConfig::pool).
   exec::ThreadPool* pool = nullptr;
 };
 

@@ -20,8 +20,10 @@
 #include "exec/thread_pool.hpp"
 #include "fault/registry.hpp"
 #include "fleet/dataplane_sweep.hpp"
+#include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "replay/checkpoint.hpp"
+#include "replay/wire.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
@@ -218,6 +220,157 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
   const std::vector<std::byte> state = sim.save_state();
   EXPECT_EQ(payload_hash(state), 0x6138734a4c636e55ull)
       << std::hex << payload_hash(state);
+}
+
+std::uint64_t fold(std::uint64_t hash, std::uint64_t value) {
+  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
+  hash *= 0xff51afd7ed558ccdull;
+  hash ^= hash >> 33;
+  return hash;
+}
+
+/// Rewrites a save_state() payload's trailing integrity fold, walking the
+/// fields in state_signature() order, so a tampered payload gets past the
+/// signature check and reaches restore_state's field checks.
+void resign(std::vector<std::byte>& payload) {
+  replay::wire::ByteReader reader(payload);
+  reader.u32();  // magic
+  reader.u32();  // version
+  const std::uint64_t edges = reader.u64();
+  const std::uint64_t flowlets = reader.u64() * reader.u64();
+  std::uint64_t hash = fold(0x64617461706c616eull, reader.u64());
+  auto fold_pipeline = [&] {
+    hash = fold(hash, reader.u64());  // path id
+    const std::uint32_t hops = reader.u32();
+    for (std::uint32_t h = 0; h < hops; ++h) {
+      hash = fold(hash, reader.u32());  // edge
+      hash = fold(hash, reader.u64());  // queued
+      hash = fold(hash, reader.u64());  // arriving
+    }
+  };
+  for (std::uint64_t f = 0; f < flowlets; ++f) {
+    hash = fold(hash, reader.u32());  // od
+    for (int field = 0; field < 6; ++field) hash = fold(hash, reader.u64());
+    fold_pipeline();
+    const std::uint32_t draining = reader.u32();
+    hash = fold(hash, draining);
+    for (std::uint32_t d = 0; d < draining; ++d) fold_pipeline();
+  }
+  for (std::uint64_t e = 0; e < 2 * edges; ++e) hash = fold(hash, reader.u64());
+  ASSERT_FALSE(reader.failed());
+  for (int b = 0; b < 8; ++b)
+    payload[payload.size() - 8 + b] =
+        std::byte{static_cast<std::uint8_t>(hash >> (8 * b))};
+}
+
+void put_u32(std::vector<std::byte>& payload, std::size_t at,
+             std::uint32_t value) {
+  for (int b = 0; b < 4; ++b)
+    payload[at + b] = std::byte{static_cast<std::uint8_t>(value >> (8 * b))};
+}
+
+// Payload layout (docs/DATAPLANE.md §9): a 40-byte header (magic, version,
+// edge/OD/flowlet counts, round), then per flowlet its u32 od, six f64
+// ledgers and the active pipeline (u64 path id, u32 hop count, hops).
+constexpr std::size_t kFirstOd = 40;
+constexpr std::size_t kFirstHopCount = kFirstOd + 4 + 6 * 8 + 8;
+constexpr std::size_t kFirstHopEdge = kFirstHopCount + 4;
+
+/// A seeded Waxman WAN with gravity demands, the controller's first
+/// assignment, and a steady timeline at its configured capacities.
+struct FirstRound {
+  graph::Graph topology;
+  te::TrafficMatrix demands;
+  te::FlowAssignment assignment;
+  dataplane::DataplaneConfig config;
+  dataplane::CapacityTimeline timeline;
+
+  explicit FirstRound(std::uint64_t seed) {
+    util::Rng topo_rng = util::Rng::stream(seed, 810);
+    topology = sim::waxman(8, topo_rng);
+    util::Rng demand_rng = util::Rng::stream(seed, 811);
+    sim::GravityParams gravity;
+    gravity.total = util::Gbps{topology.total_capacity().value * 0.4};
+    demands = sim::gravity_matrix(topology, gravity, demand_rng);
+    const te::McfTe engine;
+    core::DynamicCapacityController controller(
+        topology, optical::ModulationTable::standard(), engine, {});
+    controller.run_round(
+        std::vector<util::Db>(topology.edge_count(), util::Db{20.0}),
+        demands);
+    assignment = controller.last_assignment();
+    const std::span<const util::Gbps> configured =
+        controller.configured_capacities();
+    const std::vector<util::Gbps> caps(configured.begin(), configured.end());
+    timeline = dataplane::build_timeline(caps, caps, nullptr,
+                                         config.ticks_per_round,
+                                         config.tick_seconds);
+  }
+};
+
+// restore_state must reject a malformed payload with CheckError before it
+// allocates or indexes anything with the decoded values, and leave the
+// sim untouched.
+TEST(DataplaneDifferential, RestoreRejectsMalformedCountsEdgesAndOds) {
+  const FirstRound fixture(47);
+  const graph::Graph& topology = fixture.topology;
+  dataplane::DataplaneSim sim(topology, fixture.demands.size(),
+                              fixture.config);
+  sim.run_round(fixture.assignment, fixture.timeline);
+  const std::vector<std::byte> state = sim.save_state();
+
+  // The test-local fold reproduces the real one on an untampered payload.
+  std::vector<std::byte> resigned = state;
+  resign(resigned);
+  ASSERT_EQ(resigned, state);
+
+  dataplane::DataplaneSim victim(topology, fixture.demands.size(),
+                                 fixture.config);
+  const std::uint64_t before = victim.state_signature();
+  auto expect_rejected = [&](const std::vector<std::byte>& payload,
+                             const char* what) {
+    EXPECT_THROW(victim.restore_state(payload), util::CheckError) << what;
+    EXPECT_EQ(victim.state_signature(), before) << what;
+  };
+
+  // A hop count the payload cannot hold: no allocation is attempted.
+  std::vector<std::byte> huge = state;
+  ASSERT_GT(huge[kFirstHopCount], std::byte{0}) << "flowlet 0 has no path";
+  put_u32(huge, kFirstHopCount, 0xFFFFFFFFu);
+  expect_rejected(huge, "hop count 0xFFFFFFFF");
+
+  // Hop edges outside the topology, behind a valid signature.
+  for (const std::int32_t edge :
+       {std::int32_t{-1}, static_cast<std::int32_t>(topology.edge_count())}) {
+    std::vector<std::byte> bad_edge = state;
+    put_u32(bad_edge, kFirstHopEdge, static_cast<std::uint32_t>(edge));
+    resign(bad_edge);
+    expect_rejected(bad_edge, "out-of-range hop edge");
+  }
+
+  // Flowlet 0 filed under OD 1, behind a valid signature.
+  std::vector<std::byte> bad_od = state;
+  put_u32(bad_od, kFirstOd, 1);
+  resign(bad_od);
+  expect_rejected(bad_od, "flowlet under the wrong OD");
+
+  // The untampered payload still restores.
+  victim.restore_state(state);
+  EXPECT_EQ(victim.state_signature(), sim.state_signature());
+}
+
+// dataplane.round.seconds times every run_round exactly once.
+TEST(DataplaneDifferential, EveryRoundObservesTheRoundHistogram) {
+  const FirstRound fixture(53);
+  dataplane::DataplaneSim sim(fixture.topology, fixture.demands.size(),
+                              fixture.config);
+  const obs::Histogram& seconds =
+      obs::Registry::global().histogram("dataplane.round.seconds");
+  const std::uint64_t before = seconds.count();
+  constexpr std::uint64_t kRounds = 3;
+  for (std::uint64_t r = 0; r < kRounds; ++r)
+    sim.run_round(fixture.assignment, fixture.timeline);
+  EXPECT_EQ(seconds.count() - before, kRounds);
 }
 
 TEST(DataplaneDifferential, CheckpointCarriesTheDataplaneSection) {
