@@ -12,6 +12,8 @@
 #include "core/augment.hpp"
 #include "core/controller.hpp"
 #include "core/translate.hpp"
+#include "dataplane/dataplane.hpp"
+#include "dataplane/timeline.hpp"
 #include "exec/thread_pool.hpp"
 #include "flow/graph_adapter.hpp"
 #include "flow/maxflow.hpp"
@@ -326,6 +328,53 @@ void BM_ScenarioSweep(benchmark::State& state) {
                  std::to_string(state.range(0)) + " threads");
 }
 BENCHMARK(BM_ScenarioSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// One steady-state flowlet dataplane round (docs/DATAPLANE.md §2) on a
+// run_xcheck-like fixture: a Waxman WAN, gravity demands at 0.4 load, the
+// controller's first assignment and a flat capacity timeline, everything
+// on an inline pool. An untimed round first fills the pipelines, so each
+// timed round replays the same installed plan over live queues.
+void BM_DataplaneRound(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  util::Rng topo_rng = util::Rng::stream(1, 810);
+  const graph::Graph topology = sim::waxman(nodes, topo_rng);
+  util::Rng demand_rng = util::Rng::stream(1, 811);
+  sim::GravityParams gravity;
+  gravity.total = util::Gbps{topology.total_capacity().value * 0.4};
+  const te::TrafficMatrix demands =
+      sim::gravity_matrix(topology, gravity, demand_rng);
+
+  exec::ThreadPool pool(0);
+  core::ControllerOptions options;
+  options.pool = &pool;
+  const te::McfTe engine;
+  core::DynamicCapacityController controller(
+      topology, optical::ModulationTable::standard(), engine, options);
+  controller.run_round(
+      std::vector<util::Db>(topology.edge_count(), util::Db{20.0}), demands);
+  const te::FlowAssignment& assignment = controller.last_assignment();
+  const std::span<const util::Gbps> configured =
+      controller.configured_capacities();
+  const std::vector<util::Gbps> caps(configured.begin(), configured.end());
+
+  dataplane::DataplaneConfig config;
+  config.pool = &pool;
+  const dataplane::CapacityTimeline timeline = dataplane::build_timeline(
+      caps, caps, nullptr, config.ticks_per_round, config.tick_seconds);
+  dataplane::DataplaneSim sim(topology, demands.size(), config);
+  benchmark::DoNotOptimize(sim.run_round(assignment, timeline).signature);
+  for (auto _ : state) {
+    const dataplane::RoundResult result = sim.run_round(assignment, timeline);
+    benchmark::DoNotOptimize(result.signature);
+    benchmark::DoNotOptimize(result.delivered_bytes);
+  }
+  const std::size_t flowlets = demands.size() * config.flowlets_per_od;
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(flowlets *
+                                                    config.ticks_per_round));
+  state.SetLabel(std::to_string(flowlets) + " flowlets");
+}
+BENCHMARK(BM_DataplaneRound)->Arg(10)->Arg(24);
 
 /// Solver-ladder microbenchmark (docs/SOLVERS.md): one recorded mincost
 /// solve, re-served three ways. kReplay replays it exactly on the pristine
