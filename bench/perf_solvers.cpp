@@ -331,8 +331,8 @@ BENCHMARK(BM_ScenarioSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // One steady-state flowlet dataplane round (docs/DATAPLANE.md §2) on a
 // run_xcheck-like fixture: a Waxman WAN, gravity demands at 0.4 load, the
-// controller's first assignment and a flat capacity timeline, everything
-// on an inline pool. An untimed round first fills the pipelines, so each
+// controller's first assignment (solved on an inline pool) and a flat
+// capacity timeline. An untimed round first fills the pipelines, so each
 // timed round replays the same installed plan over live queues.
 void BM_DataplaneRound(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
@@ -357,8 +357,7 @@ void BM_DataplaneRound(benchmark::State& state) {
       controller.configured_capacities();
   const std::vector<util::Gbps> caps(configured.begin(), configured.end());
 
-  dataplane::DataplaneConfig config;
-  config.pool = &pool;
+  const dataplane::DataplaneConfig config;
   const dataplane::CapacityTimeline timeline = dataplane::build_timeline(
       caps, caps, nullptr, config.ticks_per_round, config.tick_seconds);
   dataplane::DataplaneSim sim(topology, demands.size(), config);

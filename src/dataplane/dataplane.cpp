@@ -106,7 +106,8 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
   std::vector<std::size_t> picks(kF);
 
   // The round's active hops, rebuilt in flowlet order: a flowlet that keeps
-  // its path carries its hops over, a migrated one starts an empty path.
+  // its path carries its hops over, a migrated one starts its new path
+  // empty.
   std::vector<Hop> hops;
   hops.reserve(hops_.size());
   // A replaced active path keeps draining while it still holds bytes.
@@ -340,6 +341,8 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       hops[last ? k : k + 1].arriving += last ? 0.0 : s;
       delivered[f] += last ? s : 0.0;
       if (s <= 0.0) continue;
+      // std::max(0.0, queued) as a branch: the clamp almost never fires,
+      // and a predicted branch keeps it off the per-link dependency chain.
       double queued = link_queued_[e] - s;
       if (!(0.0 < queued)) queued = 0.0;
       link_queued_[e] = queued;

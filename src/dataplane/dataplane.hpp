@@ -207,9 +207,6 @@ class DataplaneSim {
     return total;
   }
 
-  std::span<Hop> active_hops(const Flowlet& fl) {
-    return {hops_.data() + fl.hops_begin, hops_.data() + fl.hops_end};
-  }
   std::span<const Hop> active_hops(const Flowlet& fl) const {
     return {hops_.data() + fl.hops_begin, hops_.data() + fl.hops_end};
   }

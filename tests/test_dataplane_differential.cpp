@@ -269,9 +269,10 @@ void put_u32(std::vector<std::byte>& payload, std::size_t at,
     payload[at + b] = std::byte{static_cast<std::uint8_t>(value >> (8 * b))};
 }
 
-// Payload layout (docs/DATAPLANE.md §9): a 40-byte header (magic, version,
-// edge/OD/flowlet counts, round), then per flowlet its u32 od, six f64
-// ledgers and the active pipeline (u64 path id, u32 hop count, hops).
+// Payload layout (DataplaneSim::save_state): a 40-byte header (magic,
+// version, edge/OD/flowlet counts, round), then per flowlet its u32 od,
+// six f64 ledgers and the active pipeline (u64 path id, u32 hop count,
+// hops).
 constexpr std::size_t kFirstOd = 40;
 constexpr std::size_t kFirstHopCount = kFirstOd + 4 + 6 * 8 + 8;
 constexpr std::size_t kFirstHopEdge = kFirstHopCount + 4;
