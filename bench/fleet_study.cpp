@@ -27,10 +27,9 @@
 //   --study-json PATH  dump the DeploymentStudy JSON (EXPERIMENTS.md table)
 //   --selfcheck      differential + speedup gate (exits non-zero on any
 //                    divergence between incremental and full re-solve, on
-//                    shard-count variance, when the median stable-round
-//                    speedup falls below 2x, or when the partial tier
-//                    leaves perturbed rounds more than 2x slower than
-//                    stable memo rounds); used by the tier2 ctest
+//                    shard-count or reuse-flag variance, or when the median
+//                    stable-round speedup falls below 2x); used by the
+//                    tier2 ctest
 //
 // The --selfcheck fixture is deliberately small so the registered ctest
 // stays in seconds; the full study is the default invocation.
@@ -51,7 +50,6 @@
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -68,23 +66,24 @@ double median(std::vector<double> values) {
 
 /// Round-resolved probe of the re-solve ladder (docs/SOLVERS.md): one
 /// instance-shaped replay run twice over identical inputs — full re-solve,
-/// then incremental with the partial tier — comparing every round's wall
-/// time and result. Rounds split three ways in the warm arm: stable
-/// (memo-served), perturbed (missed the memo with few dirty links — the
-/// partial tier's case, classified at <= 5% dirty), and reconfigured
-/// (everything else). `identical` reports whether every round's signature
-/// content matched bitwise.
+/// then incremental with prefix reuse — comparing every round's wall time
+/// and result. Rounds split three ways in the incremental arm: stable
+/// (memo-served), perturbed (missed the memo with few dirty links,
+/// classified at <= 5% dirty), and reconfigured (everything else).
+/// `identical` reports whether every round's signature content matched
+/// bitwise.
 struct ProbeResult {
   double stable_round_speedup = 0.0;
   std::uint64_t stable_rounds = 0;
-  /// Median full-arm / warm-arm wall time over the perturbed rounds: what
-  /// the dirty-subgraph re-solve saves versus solving those rounds cold.
+  /// Median full-arm / incremental-arm wall time over the perturbed
+  /// rounds: what reuse saves versus solving those rounds cold.
   double perturbed_round_speedup = 0.0;
   /// Median perturbed-round latency over median stable-round latency in
-  /// the warm arm: how close "little changed" comes to "nothing changed".
+  /// the incremental arm: how close "little changed" comes to "nothing
+  /// changed".
   double perturbed_vs_stable_ratio = 0.0;
   std::uint64_t perturbed_rounds = 0;
-  /// Perturbed rounds whose solve engaged the partial tier.
+  /// Perturbed rounds whose solve reused earlier work (prefix resume).
   std::uint64_t partial_rounds = 0;
   std::uint64_t rounds = 0;
   bool identical = true;
@@ -116,7 +115,7 @@ ProbeResult probe_speedup(std::uint64_t seed, std::uint64_t rounds) {
     rwc::replay::ReplayConfig arm_config = config;
     arm_config.incremental = incremental;
     rwc::te::McfTe::Options options;
-    options.partial_repair = incremental;  // the warm arm carries the tier
+    options.prefix_reuse = incremental;  // the incremental arm reuses
     rwc::te::McfTe engine(options);
     rwc::replay::ReplayDriver driver(topology, engine, demands, arm_config);
     std::vector<Round> out;
@@ -163,95 +162,6 @@ ProbeResult probe_speedup(std::uint64_t seed, std::uint64_t rounds) {
     result.perturbed_round_speedup = median(full_perturbed) / perturbed_median;
   if (incremental_median > 0.0)
     result.perturbed_vs_stable_ratio = perturbed_median / incremental_median;
-  return result;
-}
-
-/// Solver-level ladder probe (docs/SOLVERS.md): the same TE round solved
-/// three ways — exact memo replay (nothing changed), dirty-solve through
-/// the partial tier (one link's capacity moved, <5% of links dirty), and
-/// fully cold. The acceptance bar lives here: a perturbed round's solve
-/// must land within 2x of the memo replay, because the partial tier
-/// replays the recorded augmenting paths and only pays a verification
-/// overlay on the dirty arcs.
-struct SolverProbe {
-  double memo_seconds = 0.0;
-  double perturbed_seconds = 0.0;
-  double cold_seconds = 0.0;
-  double dirty_fraction = 0.0;
-  std::uint64_t repairs = 0;
-  std::uint64_t rollbacks = 0;
-
-  double perturbed_vs_memo() const {
-    return memo_seconds > 0.0 ? perturbed_seconds / memo_seconds : 0.0;
-  }
-  double perturbed_speedup() const {
-    return perturbed_seconds > 0.0 ? cold_seconds / perturbed_seconds : 0.0;
-  }
-};
-
-SolverProbe probe_solver_ladder(std::uint64_t seed) {
-  rwc::util::Rng rng = rwc::util::Rng::stream(seed, 3);
-  rwc::graph::Graph topology = rwc::sim::waxman(48, rng);
-  rwc::sim::GravityParams gravity;
-  gravity.total = rwc::util::Gbps{topology.total_capacity().value * 0.5};
-  const rwc::te::TrafficMatrix demands =
-      rwc::sim::gravity_matrix(topology, gravity, rng);
-
-  // One link's capacity steps UP 25% — the walk->run upgrade a capacity
-  // flip produces, and well under the 5% dirty bar. A step up is
-  // support-preserving on arcs the recorded paths left slack, so the
-  // repair path verifies without rollbacks; step-downs exercise the
-  // divergent-bottleneck and rollback branches instead
-  // (tests/test_flow_partial.cpp covers those).
-  rwc::graph::Graph perturbed = topology;
-  rwc::graph::Edge& edge = perturbed.edge(rwc::graph::EdgeId{0});
-  edge.capacity = rwc::util::Gbps{edge.capacity.value * 1.25};
-
-  const rwc::te::McfTe engine;
-  engine.solve(topology, demands);  // cold: records every demand's paths
-  const auto recordings = engine.warm_cache().snapshot();
-  rwc::te::McfTe::Options cold_options;
-  cold_options.warm_start = false;
-  const rwc::te::McfTe cold_engine(cold_options);
-
-  auto& registry = rwc::obs::Registry::global();
-  const std::uint64_t repairs0 =
-      registry.counter("solver.partial_repairs").value();
-  const std::uint64_t rollbacks0 =
-      registry.counter("solver.partial_rollbacks").value();
-  // The three arms take turns within every rep, so a slow phase of the
-  // host lands on all of them rather than on one arm's whole series.
-  // Restoring the recordings before the memo and perturbed solves keeps
-  // the first an exact replay and the second on the repair path (a repair
-  // rewrites its recording for the perturbed network). The restore is
-  // harness bookkeeping, so it stays outside the watch.
-  constexpr int kReps = 9;
-  std::vector<double> memo;
-  std::vector<double> perturbed_solves;
-  std::vector<double> cold;
-  const auto timed = [](std::vector<double>& seconds, auto&& body) {
-    const rwc::obs::StopWatch watch;
-    body();
-    seconds.push_back(watch.seconds());
-  };
-  for (int rep = 0; rep < kReps; ++rep) {
-    engine.warm_cache().restore(recordings);
-    timed(memo, [&] { engine.solve(topology, demands); });
-    engine.warm_cache().restore(recordings);
-    timed(perturbed_solves, [&] { engine.solve(perturbed, demands); });
-    timed(cold, [&] { cold_engine.solve(perturbed, demands); });
-  }
-
-  SolverProbe result;
-  result.dirty_fraction =
-      1.0 / static_cast<double>(topology.edge_count());
-  result.memo_seconds = median(std::move(memo));
-  result.perturbed_seconds = median(std::move(perturbed_solves));
-  result.cold_seconds = median(std::move(cold));
-  result.repairs = registry.counter("solver.partial_repairs").value() -
-                   repairs0;
-  result.rollbacks = registry.counter("solver.partial_rollbacks").value() -
-                     rollbacks0;
   return result;
 }
 
@@ -346,25 +256,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(probe.rounds),
               probe.stable_round_speedup,
               probe.identical ? "bit-identical" : "DIVERGED");
-  std::printf("perturbed rounds   %llu (<=5%% dirty; %llu partial-tier), "
+  std::printf("perturbed rounds   %llu (<=5%% dirty; %llu prefix reuse), "
               "median speedup %.2fx vs full, %.2fx stable-round latency\n",
               static_cast<unsigned long long>(probe.perturbed_rounds),
               static_cast<unsigned long long>(probe.partial_rounds),
               probe.perturbed_round_speedup,
               probe.perturbed_vs_stable_ratio);
-
-  // Solver-level ladder: where the 2x perturbed-vs-memo contract is
-  // provable (controller rounds add consolidation trials on top, which
-  // dominate any memo-miss round regardless of how the solve was served).
-  const SolverProbe ladder = probe_solver_ladder(config.seed);
-  std::printf("solver ladder      memo %.0fus, perturbed %.0fus (%.2fx memo, "
-              "%.1f%% dirty), cold %.0fus (%.2fx speedup), %llu repairs / "
-              "%llu rollbacks\n",
-              ladder.memo_seconds * 1e6, ladder.perturbed_seconds * 1e6,
-              ladder.perturbed_vs_memo(), 100.0 * ladder.dirty_fraction,
-              ladder.cold_seconds * 1e6, ladder.perturbed_speedup(),
-              static_cast<unsigned long long>(ladder.repairs),
-              static_cast<unsigned long long>(ladder.rollbacks));
 
   const rwc::obs::StopWatch watch;
   const FleetResult fleet = rwc::fleet::run_fleet(config);
@@ -383,10 +280,6 @@ int main(int argc, char** argv) {
   registry.gauge("fleet.study.stable_round_speedup")
       .set(probe.stable_round_speedup);
   registry.gauge("fleet.study.partial_hit_rate").set(fleet.partial_hit_rate());
-  registry.gauge("fleet.study.perturbed_round_speedup")
-      .set(ladder.perturbed_speedup());
-  registry.gauge("fleet.study.perturbed_vs_memo_ratio")
-      .set(ladder.perturbed_vs_memo());
 
   if (const auto v = arg_value(argc, argv, "--study-json")) {
     std::ofstream out(*v);
@@ -409,17 +302,6 @@ int main(int argc, char** argv) {
   expect(probe.stable_round_speedup >= 2.0,
          "median stable-round speedup >= 2x");
   expect(probe.perturbed_rounds > 0, "probe saw perturbed rounds");
-  // The ladder's latency gate is part of the partial tier's contract, so
-  // it only applies while the tier is on; with RWC_PARTIAL_RESOLVE=0 the
-  // perturbed arm deliberately solves cold (docs/SOLVERS.md §4) and the
-  // selfcheck must still pass — the flag changes timing, never verdicts.
-  if (rwc::util::env_flag("RWC_PARTIAL_RESOLVE", true)) {
-    expect(ladder.repairs > 0,
-           "solver ladder probe exercised the repair path");
-    expect(ladder.perturbed_vs_memo() <= 2.0,
-           "perturbed solves (<=5% dirty) within 2x of memo replay latency");
-  }
-
   // The partial flag must be invisible to results, like the incremental
   // flag below.
   FleetConfig no_partial = config;

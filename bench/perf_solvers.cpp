@@ -3,12 +3,9 @@
 // layer adds negligible cost on top of the TE solve itself.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench_common.hpp"
-#include "obs/registry.hpp"
 #include "core/augment.hpp"
 #include "core/controller.hpp"
 #include "core/translate.hpp"
@@ -92,34 +89,23 @@ void BM_Augmentation(benchmark::State& state) {
 }
 BENCHMARK(BM_Augmentation)->Arg(25)->Arg(50)->Arg(100)->Arg(200);
 
-void mcf_te_round(benchmark::State& state, const te::McfTe::Options& options) {
+// One MCF TE round with prefix reuse off, so every iteration times the
+// cold min-cost kernel (docs/SOLVERS.md §1.4).
+void BM_McfTeRound(benchmark::State& state) {
   const auto g = make_topology(static_cast<int>(state.range(0)), 6);
   util::Rng rng(7);
   sim::GravityParams gravity;
   gravity.total = util::Gbps{g.total_capacity().value / 3.0};
   gravity.sparsity = 0.9;  // a few dozen demands
   const auto demands = sim::gravity_matrix(g, gravity, rng);
+  te::McfTe::Options options;
+  options.prefix_reuse = false;
   const te::McfTe engine(options);
   for (auto _ : state)
     benchmark::DoNotOptimize(engine.solve(g, demands));
   state.SetLabel(std::to_string(demands.size()) + " demands");
 }
-
-// The engine's default options: from the second iteration on, every
-// demand is an exact replay of the first iteration's recording.
-void BM_McfTeRound(benchmark::State& state) {
-  mcf_te_round(state, te::McfTe::Options{});
-}
 BENCHMARK(BM_McfTeRound)->Arg(25)->Arg(50)->Arg(100);
-
-// The same round with warm starts off, so every iteration times the cold
-// min-cost kernel (docs/SOLVERS.md §1.5).
-void BM_McfTeRoundCold(benchmark::State& state) {
-  te::McfTe::Options options;
-  options.warm_start = false;
-  mcf_te_round(state, options);
-}
-BENCHMARK(BM_McfTeRoundCold)->Arg(25)->Arg(50)->Arg(100);
 
 void BM_AugmentSolveTranslate(benchmark::State& state) {
   const auto g = make_topology(static_cast<int>(state.range(0)), 8);
@@ -147,7 +133,10 @@ void BM_SwanLpRound(benchmark::State& state) {
   gravity.total = util::Gbps{g.total_capacity().value / 3.0};
   gravity.sparsity = 0.93;
   const auto demands = sim::gravity_matrix(g, gravity, rng);
-  const te::SwanTe engine;
+  // Memo off: every iteration times the LP solves, not memo hits.
+  te::SwanTe::Options options;
+  options.lp_memo = false;
+  const te::SwanTe engine(options);
   for (auto _ : state) benchmark::DoNotOptimize(engine.solve(g, demands));
   state.SetLabel(std::to_string(demands.size()) + " demands");
 }
@@ -183,7 +172,7 @@ void BM_AnalyzeLinkStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeLinkStreaming)->Arg(30)->Arg(180)->Arg(912);
 
-// Controller-round setup shared by the pool-sweep and warm-start variants:
+// Controller-round setup shared by the pool-sweep and reuse variants:
 // a loaded Waxman WAN with SNR headroom everywhere, so every round has
 // variable links, upgrades and a real consolidation pass.
 struct ControllerRoundFixture {
@@ -202,12 +191,12 @@ struct ControllerRoundFixture {
 };
 
 // Full controller round (augment -> solve -> translate -> consolidate) at
-// pool sizes 1..8. Warm starts off so the timing isolates the speculative-
+// pool sizes 1..8. Prefix reuse off so the timing isolates the speculative-
 // wave consolidation scaling; the chosen plan is identical at every size.
 void BM_ControllerRound(benchmark::State& state) {
   const ControllerRoundFixture fixture(static_cast<int>(state.range(0)));
   te::McfTe::Options engine_options;
-  engine_options.warm_start = false;
+  engine_options.prefix_reuse = false;
   const te::McfTe engine(engine_options);
   exec::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
   core::ControllerOptions options;
@@ -233,10 +222,9 @@ BENCHMARK(BM_ControllerRound)
     ->Args({100, 4})
     ->Args({100, 8});
 
-// The same round with the engine's default options: warm start, partial
-// repair and removed-edge prefix reuse on (docs/SOLVERS.md §1.3), so
-// consolidation trials resume from the plan they test. A fresh engine per
-// round keeps iterations independent.
+// The same round with the engine's default options: removed-edge prefix
+// reuse on (docs/SOLVERS.md §1.1), so consolidation trials resume from the
+// plan they test. A fresh engine per round keeps iterations independent.
 void BM_ControllerRoundDefaults(benchmark::State& state) {
   const ControllerRoundFixture fixture(static_cast<int>(state.range(0)));
   exec::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
@@ -256,45 +244,26 @@ void BM_ControllerRoundDefaults(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerRoundDefaults)->Args({50, 1});
 
-// Warm-started vs cold min-cost solves across repeated controller rounds at
-// pool size 1: the engine (and its replay cache) persists across
-// iterations, so every round after the first hits recorded augmenting-path
-// sequences. Identical plans either way; only the time differs.
-// Consolidation is off so the rounds exercise the steady-state re-solve
-// path the warm start targets (recurring per-demand networks); trial
-// evaluations during consolidation each build one-shot networks that no
-// bounded cache can usefully retain (docs/CONCURRENCY.md, "Warm starts").
-void BM_ControllerRoundWarm(benchmark::State& state) {
+// A controller round without consolidation at pool size 1: augment, one
+// solve and translate. The baseline the consolidation gate divides by
+// (ROADMAP); prefix reuse is off, and it has no trials to serve anyway.
+void BM_ControllerRoundUnconsolidated(benchmark::State& state) {
   const ControllerRoundFixture fixture(static_cast<int>(state.range(0)));
   te::McfTe::Options engine_options;
-  engine_options.warm_start = state.range(1) != 0;
+  engine_options.prefix_reuse = false;
   const te::McfTe engine(engine_options);
   exec::ThreadPool pool(1);
   core::ControllerOptions options;
   options.pool = &pool;
   options.consolidate = false;
-  {
-    // Untimed warm-up round: populates the engine's replay cache with this
-    // round's augmenting-path recordings (steady-state controller rounds
-    // re-solve recurring networks). A no-op for the cold arm.
-    core::DynamicCapacityController controller(
-        fixture.g, optical::ModulationTable::standard(), engine, options);
-    benchmark::DoNotOptimize(
-        controller.run_round(fixture.snr, fixture.demands).total_routed);
-  }
   for (auto _ : state) {
     core::DynamicCapacityController controller(
         fixture.g, optical::ModulationTable::standard(), engine, options);
     benchmark::DoNotOptimize(
         controller.run_round(fixture.snr, fixture.demands).total_routed);
   }
-  state.SetLabel(state.range(1) != 0 ? "warm" : "cold");
 }
-BENCHMARK(BM_ControllerRoundWarm)
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
+BENCHMARK(BM_ControllerRoundUnconsolidated)->Arg(50)->Arg(100);
 
 // Four-policy simulator sweep through sim::run_scenarios at pool sizes
 // 1..8. Scenario results are positionally ordered and identical at every
@@ -375,94 +344,6 @@ void BM_DataplaneRound(benchmark::State& state) {
 }
 BENCHMARK(BM_DataplaneRound)->Arg(10)->Arg(24);
 
-/// Solver-ladder microbenchmark (docs/SOLVERS.md): one recorded mincost
-/// solve, re-served three ways. kReplay replays it exactly on the pristine
-/// network (the memo rung). kRepair steps `dirty` forward arcs OFF the
-/// recorded augmenting paths up 25% — support-preserving, so every
-/// iteration verifies on the repair rung with zero rollbacks — and solves
-/// the perturbed network warm. kCold solves the same perturbed network
-/// with the warm path disabled (the full rung).
-enum class RepairArm { kReplay, kRepair, kCold };
-
-void partial_repair_bench(benchmark::State& state, std::size_t dirty,
-                          RepairArm arm) {
-  auto g = make_topology(100, 17);
-  util::Rng rng(18);
-  for (graph::EdgeId e : g.edge_ids()) g.edge(e).cost = rng.uniform(0.0, 5.0);
-  const int sink = static_cast<int>(g.node_count()) - 1;
-
-  auto view = flow::make_network(g);
-  const std::vector<double> pristine = view.net.residuals();
-  flow::MinCostWarmStart recorded;
-  flow::min_cost_max_flow(view.net, 0, sink,
-                          std::numeric_limits<double>::infinity(), &recorded);
-
-  std::vector<bool> on_path(view.net.arc_count(), false);
-  for (const auto& aug : recorded.augmentations)
-    for (const int arc : aug.arcs) {
-      on_path[static_cast<std::size_t>(arc)] = true;
-      on_path[static_cast<std::size_t>(arc ^ 1)] = true;
-    }
-  std::vector<double> perturbed = pristine;
-  std::size_t dirtied = 0;
-  for (std::size_t arc = 0; arc + 1 < perturbed.size() && dirtied < dirty;
-       arc += 2) {
-    if (on_path[arc] || on_path[arc + 1] || perturbed[arc] <= 0.0) continue;
-    perturbed[arc] *= 1.25;
-    ++dirtied;
-  }
-
-  const std::vector<double>& start =
-      arm == RepairArm::kReplay ? pristine : perturbed;
-  auto& registry = obs::Registry::global();
-  const std::uint64_t repairs0 =
-      registry.counter("solver.partial_repairs").value();
-  const std::uint64_t rollbacks0 =
-      registry.counter("solver.partial_rollbacks").value();
-
-  flow::MinCostWarmStart warm;
-  for (auto _ : state) {
-    // A successful repair rewrites the recording for the perturbed
-    // network, so the pre-iteration reset (untimed) is what keeps every
-    // iteration on the same ladder rung.
-    state.PauseTiming();
-    view.net.restore_residuals(start);
-    if (arm != RepairArm::kCold) warm = recorded;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(flow::min_cost_max_flow(
-        view.net, 0, sink, std::numeric_limits<double>::infinity(),
-        arm == RepairArm::kCold ? nullptr : &warm));
-  }
-
-  const auto per_iter = [&](std::uint64_t delta) {
-    return static_cast<double>(delta) /
-           static_cast<double>(state.iterations());
-  };
-  state.counters["dirty_arcs"] = static_cast<double>(dirtied);
-  state.counters["repairs/iter"] =
-      per_iter(registry.counter("solver.partial_repairs").value() - repairs0);
-  state.counters["rollbacks/iter"] = per_iter(
-      registry.counter("solver.partial_rollbacks").value() - rollbacks0);
-  state.SetLabel(std::to_string(view.net.arc_count()) + " arcs");
-}
-
-void BM_MinCostExactReplay(benchmark::State& state) {
-  partial_repair_bench(state, 0, RepairArm::kReplay);
-}
-BENCHMARK(BM_MinCostExactReplay);
-
-void BM_MinCostPartialRepair(benchmark::State& state) {
-  partial_repair_bench(state, static_cast<std::size_t>(state.range(0)),
-                       RepairArm::kRepair);
-}
-BENCHMARK(BM_MinCostPartialRepair)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_MinCostPerturbedCold(benchmark::State& state) {
-  partial_repair_bench(state, static_cast<std::size_t>(state.range(0)),
-                       RepairArm::kCold);
-}
-BENCHMARK(BM_MinCostPerturbedCold)->Arg(4);
-
 void BM_SimplexDense(benchmark::State& state) {
   // Random feasible LP: n variables, n/2 constraints.
   const int n = static_cast<int>(state.range(0));
@@ -490,27 +371,6 @@ BENCHMARK(BM_SimplexDense)->Arg(50)->Arg(100)->Arg(200);
 // as machine-readable JSON for perf-trajectory tracking.
 int main(int argc, char** argv) {
   rwc::bench::JsonExportGuard json_guard(argc, argv);
-  // `--perturb k`: register an extra BM_MinCostPartialRepair instance at
-  // exactly k dirty links, alongside the built-in 1/2/4/8 sweep. Stripped
-  // before google-benchmark sees the argument list.
-  int perturb = 0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--perturb") != 0) continue;
-    perturb = std::atoi(argv[i + 1]);
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-    break;
-  }
-  static std::string perturb_name;
-  if (perturb > 0) {
-    perturb_name = "BM_MinCostPartialRepair/perturb:" + std::to_string(perturb);
-    benchmark::RegisterBenchmark(
-        perturb_name.c_str(),
-        [perturb](benchmark::State& state) {
-          partial_repair_bench(state, static_cast<std::size_t>(perturb),
-                               RepairArm::kRepair);
-        });
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

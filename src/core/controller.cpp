@@ -73,9 +73,8 @@ struct SolverCounters {
   std::uint64_t mincost_paths;
   std::uint64_t simplex_solves;
   std::uint64_t simplex_iterations;
-  /// Partial-tier activity (docs/SOLVERS.md): verified min-cost repairs,
-  /// McfTe prefix resumes, LP warm-basis replays and memo hits. Their
-  /// per-round delta drives RoundStats.partial_resolve.
+  /// Solver-rung reuse (docs/SOLVERS.md): McfTe prefix resumes and LP
+  /// memo hits. Their per-round delta drives RoundStats.partial_resolve.
   std::uint64_t partial_reuses;
 
   static SolverCounters read() {
@@ -85,17 +84,12 @@ struct SolverCounters {
     static auto& simplex_solves = registry.counter("lp.simplex.solves");
     static auto& simplex_iterations =
         registry.counter("lp.simplex.iterations");
-    static auto& partial_repairs =
-        registry.counter("solver.partial_repairs");
     static auto& trace_resumes = registry.counter("solver.trace_resumes");
-    static auto& basis_hits = registry.counter("lp.basis_reuse_hits");
-    static auto& basis_memo_hits =
-        registry.counter("lp.basis_reuse_memo_hits");
+    static auto& memo_hits = registry.counter("lp.memo_hits");
     return SolverCounters{mincost_runs.value(), mincost_paths.value(),
                           simplex_solves.value(),
                           simplex_iterations.value(),
-                          partial_repairs.value() + trace_resumes.value() +
-                              basis_hits.value() + basis_memo_hits.value()};
+                          trace_resumes.value() + memo_hits.value()};
   }
 };
 

@@ -150,13 +150,11 @@ class DynamicCapacityController {
     /// Base links whose inputs changed since the previous augmentation
     /// (edge_count on the first/cold round; 0 on a memo hit).
     std::uint64_t dirty_links = 0;
-    /// Whether any solver-tier partial re-solve served work this round:
-    /// a verified min-cost repair (solver.partial_repairs), an McfTe
-    /// removed-edge prefix resume (solver.trace_resumes) or an LP
-    /// warm-basis reuse (lp.basis_reuse_hits / lp.basis_reuse_memo_hits)
-    /// moved during the round. The middle rung of the escalation ladder
-    /// (docs/SOLVERS.md: memo -> partial -> full). Work accounting only —
-    /// never part of a round's result signature.
+    /// Whether any solver-rung reuse served work this round: an McfTe
+    /// removed-edge prefix resume (solver.trace_resumes) or an LP memo hit
+    /// (lp.memo_hits) moved during the round. The middle rung of the
+    /// ladder (docs/SOLVERS.md: memo -> prefix -> full). Work accounting
+    /// only — never part of a round's result signature.
     bool partial_resolve = false;
     /// dirty_links / edge_count: 0.0 on a memo hit, 1.0 on a cold or
     /// fully-perturbed round. Only meaningful with options.incremental.

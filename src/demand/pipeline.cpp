@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/registry.hpp"
+#include "obs/timer.hpp"
 #include "util/check.hpp"
 
 namespace rwc::demand {
@@ -27,6 +28,9 @@ DemandPipeline::DemandPipeline(std::size_t edge_count, DemandConfig config)
 DemandPipeline::Result DemandPipeline::round(
     const te::TrafficMatrix& intent, const te::FlowAssignment& previous) {
   static auto& rounds_counter = obs::Registry::global().counter("demand.rounds");
+  static auto& round_seconds =
+      obs::Registry::global().histogram("demand.round.seconds");
+  const obs::StopWatch watch;
   rounds_counter.add();
 
   std::vector<double> intent_volumes;
@@ -76,6 +80,7 @@ DemandPipeline::Result DemandPipeline::round(
   last_estimated_ = result.demands;
   last_stats_ = result.stats;
   ++round_;
+  round_seconds.observe(watch.seconds());
   return result;
 }
 

@@ -114,12 +114,12 @@ InstanceResult run_instance(const FleetConfig& config, std::size_t instance) {
   if (config.demand.estimated())
     replay_config.demand.seed = config.demand.seed ^ trace_seed;
 
-  // Engines are per-instance: their warm/path caches never alias across
-  // instances (and caches are timing-only anyway).
+  // Engines are per-instance: their prefix traces and LP memo never alias
+  // across instances (and both are timing-only anyway).
   te::McfTe::Options mcf_options;
-  mcf_options.partial_repair = config.partial;
+  mcf_options.prefix_reuse = config.partial;
   te::SwanTe::Options swan_options;
-  swan_options.warm_basis = config.partial;
+  swan_options.lp_memo = config.partial;
   te::McfTe mcf(mcf_options);
   te::SwanTe swan(swan_options);
   const te::TeAlgorithm& engine =

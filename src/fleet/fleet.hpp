@@ -23,10 +23,10 @@
 //     round's signature content) is equal with the flag on or off.
 //   * Fault plans armed around a fleet run must target parallel-keyed
 //     sites only (core.snr by edge id, flow.mincost by network
-//     fingerprint, cache.* by entry key): their keys derive from per-
-//     instance inputs, so injections are independent of scheduling. Plans
-//     matching serial (hit-counter) sites would see an interleaving-
-//     dependent counter and void the determinism contract — docs/FLEET.md.
+//     fingerprint): their keys derive from per-instance inputs, so
+//     injections are independent of scheduling. Plans matching serial
+//     (hit-counter) sites would see an interleaving-dependent counter and
+//     void the determinism contract — docs/FLEET.md.
 //
 // Memory stays bounded per shard: a shard owns one live instance at a
 // time (engine + driver + chunked SNR stream), so peak memory is
@@ -73,11 +73,11 @@ struct FleetConfig {
   /// Controller incremental re-solve hot path (docs/FLEET.md). Changes
   /// timing and work counters only, never results.
   bool incremental = true;
-  /// Solver partial tier (docs/SOLVERS.md): verified warm-start repair in
-  /// the mincost engine and pivot-replay warm bases in the SWAN LPs.
-  /// Bit-identical to cold solves by construction — changes timing and
-  /// work counters only, never results or the fleet chain.
-  /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection.
+  /// Solver-rung reuse (docs/SOLVERS.md): McfTe::Options::prefix_reuse
+  /// and SwanTe::Options::lp_memo. Bit-identical to cold solves by
+  /// construction — changes timing and work counters only, never results
+  /// or the fleet chain. RWC_PARTIAL_RESOLVE=0 flips the default off for
+  /// bisection.
   bool partial = util::env_flag("RWC_PARTIAL_RESOLVE", true);
   /// Diurnal demand scaling. Off by default so stable-SNR rounds repeat
   /// their solve inputs exactly — the case the incremental path serves.
@@ -121,9 +121,9 @@ struct InstanceResult {
   std::uint64_t rounds = 0;
   /// Rounds served by the controller's memo without a re-solve.
   std::uint64_t incremental_hits = 0;
-  /// Rounds whose solve engaged the partial tier (a warm-start repair or
-  /// an LP basis replay) instead of running fully cold — the middle rung
-  /// of the memo -> partial -> full ladder (docs/SOLVERS.md).
+  /// Rounds whose solve reused earlier work (an McfTe prefix resume or an
+  /// LP memo hit) instead of running fully cold — the middle rung of the
+  /// memo -> prefix -> full ladder (docs/SOLVERS.md).
   std::uint64_t partial_rounds = 0;
   sim::SimulationMetrics metrics;
   /// Per directed edge: highest ladder rate the link's SNR supported at
@@ -158,7 +158,7 @@ struct FleetResult {
                : 0.0;
   }
   /// Fraction of the rounds that missed the memo but were still served by
-  /// the partial tier — how often "something changed" cost less than a
+  /// solver-rung reuse — how often "something changed" cost less than a
   /// full re-solve (docs/SOLVERS.md).
   double partial_hit_rate() const {
     const std::uint64_t misses = total_rounds - incremental_hits;

@@ -48,7 +48,7 @@ struct DeploymentStudy {
   std::uint64_t total_rounds = 0;
   std::uint64_t incremental_hits = 0;
   double incremental_hit_rate = 0.0;
-  /// Rounds served by the solver partial tier (docs/SOLVERS.md) and the
+  /// Rounds served by solver-rung reuse (docs/SOLVERS.md) and the
   /// fraction of memo-miss rounds it covered.
   std::uint64_t partial_rounds = 0;
   double partial_hit_rate = 0.0;

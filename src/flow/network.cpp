@@ -1,7 +1,5 @@
 #include "flow/network.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace rwc::flow {
@@ -47,11 +45,6 @@ void ResidualNetwork::push(int arc, double amount) {
 }
 
 void ResidualNetwork::reset() { residuals_ = initial_; }
-
-void ResidualNetwork::restore_residuals(std::span<const double> residuals) {
-  RWC_EXPECTS(residuals.size() == residuals_.size());
-  std::copy(residuals.begin(), residuals.end(), residuals_.begin());
-}
 
 double ResidualNetwork::total_cost() const {
   double total = 0.0;

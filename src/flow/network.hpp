@@ -64,16 +64,6 @@ class ResidualNetwork {
   /// Resets all arcs to their initial capacities (drops all flow).
   void reset();
 
-  /// All residuals in arc-index order. Pair with restore_residuals() for
-  /// exact rollback of a partially applied solve (the min-cost repair path
-  /// snapshots before replaying: re-deriving residuals by inverse pushes is
-  /// not bitwise-safe in floating point, restoring the saved copy is).
-  const std::vector<double>& residuals() const { return residuals_; }
-
-  /// Copies back residuals previously obtained from residuals(). They must
-  /// come from this network (same arc count).
-  void restore_residuals(std::span<const double> residuals);
-
   /// Sum over forward arcs of flow * cost.
   double total_cost() const;
 

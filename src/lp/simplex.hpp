@@ -8,20 +8,10 @@
 // Model: optimize c'x subject to linear constraints, x >= 0. Finite upper
 // bounds are lowered to explicit constraints at solve time.
 //
-// Warm starts (docs/SOLVERS.md): an optimal solve can record its pivot
-// sequence into a PivotRecording keyed by two fingerprints — exact (every
-// input bit) and structural (everything EXCEPT right-hand-side magnitudes;
-// rhs signs are included because the tableau's sign normalization flips row
-// cells on negative rhs). In the dense tableau, every non-rhs cell and
-// every reduced cost evolve independently of rhs values, so across an
-// RHS-ONLY perturbation — exactly what capacity/demand changes produce in
-// the SWAN LPs — the entering-column choices are provably identical and
-// only the ratio test (leaving row) can differ. Replay therefore
-// re-executes the recorded pivots on a tableau restricted to the columns
-// that ever pivot (O(m · pivots²) instead of O(m · n · pivots)), verifying
-// each leaving row by replicating the exact ratio test; any mismatch falls
-// back to a cold dense solve. Replayed results are bit-identical to cold
-// solves by construction.
+// Memo (docs/SOLVERS.md): an optimal solve can be stored in an LpMemo
+// keyed by an exact fingerprint of every input bit, and a later solve of a
+// bit-identical problem returns it instead of pivoting. The simplex is
+// deterministic, so a memoized solution is the cold solve's.
 #pragma once
 
 #include <cstdint>
@@ -56,58 +46,27 @@ struct LpSolution {
   bool optimal() const { return status == LpStatus::kOptimal; }
 };
 
-/// Exact + structural fingerprints of an LpProblem (see header comment).
-struct LpFingerprints {
-  std::uint64_t exact = 0;
-  std::uint64_t structural = 0;
-};
-
-/// Recording of one optimal solve's pivot sequence plus its solution.
-/// Immutable once stored in an LpWarmCache; safe to share across threads.
-struct PivotRecording {
-  enum class PivotKind : std::uint8_t {
-    kPhase1,           ///< phase-1 iterate pivot (ratio test verified)
-    kDriveArtificial,  ///< post-feasibility artificial drive-out
-    kPhase2,           ///< phase-2 iterate pivot (ratio test verified)
-  };
-  struct Pivot {
-    int row = -1;
-    int col = -1;
-    PivotKind kind = PivotKind::kPhase1;
-  };
-
-  std::uint64_t exact_fingerprint = 0;
-  std::uint64_t structural_fingerprint = 0;
-  std::vector<Pivot> pivots;
-  /// The recorded solve's optimal solution — returned directly on an
-  /// exact-fingerprint match (whole-solution memo).
-  LpSolution solution;
-
-  bool empty() const { return exact_fingerprint == 0; }
-};
-
-/// Thread-safe store of pivot recordings keyed by STRUCTURAL fingerprint
-/// (one recording per structure, latest wins) with FIFO eviction. Shared
-/// by repeated solves of rhs-perturbed problems (SwanTe across controller
-/// rounds); safe under concurrent solvers because replay output is
-/// bit-identical to a cold solve — the cache only changes timing.
-class LpWarmCache {
+/// Thread-safe store of optimal solutions keyed by LpProblem::fingerprint,
+/// with FIFO eviction. Shared by repeated solves (SwanTe across controller
+/// rounds); safe under concurrent solvers because a stored solution is
+/// bit-identical to a cold solve of the same problem — the memo only
+/// changes timing.
+class LpMemo {
  public:
-  explicit LpWarmCache(std::size_t max_entries = 512);
+  explicit LpMemo(std::size_t max_entries = 512);
 
-  /// The recording for `structural_fingerprint`, or nullptr.
-  std::shared_ptr<const PivotRecording> find(
-      std::uint64_t structural_fingerprint) const;
+  /// The solution stored under `fingerprint`, or nullptr.
+  std::shared_ptr<const LpSolution> find(std::uint64_t fingerprint) const;
 
-  /// Stores (or replaces) the recording under its structural fingerprint.
-  void store(std::shared_ptr<const PivotRecording> recording);
+  /// Stores (or replaces) `solution` under `fingerprint`.
+  void store(std::uint64_t fingerprint, LpSolution solution);
 
   std::size_t size() const;
 
  private:
   mutable std::mutex mutex_;
   std::size_t max_entries_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const PivotRecording>>
+  std::unordered_map<std::uint64_t, std::shared_ptr<const LpSolution>>
       entries_;
   std::deque<std::uint64_t> insertion_order_;  // FIFO eviction queue
 };
@@ -115,8 +74,8 @@ class LpWarmCache {
 /// Linear program builder. Variables are implicitly >= 0.
 class LpProblem {
  public:
-  /// A stored constraint row (public so solver helpers can share the
-  /// tableau-construction logic between the cold and replay paths).
+  /// A stored constraint row (public so the solver's tableau set-up can
+  /// read it).
   struct Row {
     std::vector<Term> terms;
     Relation relation = Relation::kLessEqual;
@@ -145,28 +104,20 @@ class LpProblem {
   double objective_coefficient(int v) const;
   double upper_bound(int v) const;
 
-  /// Fingerprints of this problem (names excluded; they never affect the
-  /// solve). Structural hashes rhs SIGNS but not magnitudes.
-  LpFingerprints fingerprints() const;
+  /// Fingerprint of every input bit of this problem (names excluded; they
+  /// never affect the solve).
+  std::uint64_t fingerprint() const;
 
   /// Solves with the two-phase primal simplex.
   LpSolution solve() const;
 
-  /// Warm-started solve: exact-fingerprint memo, then verified pivot
-  /// replay on a structural match, then cold (recording into `cache` when
-  /// optimal). Results are bit-identical to solve() on every path; the
-  /// cache only changes timing (counted under lp.basis_reuse_* —
-  /// docs/OBSERVABILITY.md). nullptr cache degrades to solve().
-  LpSolution solve(LpWarmCache* cache) const;
+  /// solve() through `memo`: returns the stored solution of a bit-identical
+  /// problem, else solves and stores the result when optimal. Counted
+  /// under lp.memo_hits / lp.memo_misses (docs/OBSERVABILITY.md). A
+  /// nullptr memo degrades to solve().
+  LpSolution solve(LpMemo* memo) const;
 
  private:
-  LpSolution solve_cold(PivotRecording* recording) const;
-  /// Replays `recording` with ratio-test verification. Returns true and
-  /// fills `out` when the replay completes (kOptimal, or kInfeasible when
-  /// the perturbed rhs fails the phase-1 feasibility check exactly as a
-  /// cold solve would); false on any divergence (caller solves cold).
-  bool try_replay(const PivotRecording& recording, LpSolution& out) const;
-
   Sense sense_;
   std::vector<double> objective_;
   std::vector<double> upper_bounds_;

@@ -30,8 +30,10 @@ enum class SectionId : std::uint32_t {
   kController = 2,
   kCursors = 3,
   kRng = 4,
-  kWarmCache = 5,
-  kPathCache = 6,
+  /// Retired: min-cost warm-start recordings. Decoders skip it.
+  kRetiredWarmStarts = 5,
+  /// Retired: SWAN k-shortest-path cache. Decoders skip it.
+  kRetiredKspTunnels = 6,
   kObs = 7,
   kServe = 8,
   kUpdate = 9,
@@ -284,92 +286,6 @@ bool decode_rng(std::span<const std::byte> payload, Checkpoint& out) {
   return !reader.failed() && reader.exhausted();
 }
 
-std::vector<std::byte> encode_warm_cache(const Checkpoint& checkpoint) {
-  ByteWriter writer;
-  writer.u64(checkpoint.warm_recordings.size());
-  for (const auto& recording : checkpoint.warm_recordings) {
-    writer.u64(recording.fingerprint);
-    writer.u64(recording.augmentations.size());
-    for (const auto& aug : recording.augmentations) {
-      writer.u64(aug.arcs.size());
-      for (int arc : aug.arcs) writer.i32(arc);
-      writer.f64(aug.bottleneck);
-      writer.f64(aug.path_cost);
-    }
-    writer.u8(recording.exhausted ? 1 : 0);
-    writer.u64(recording.final_potential.size());
-    for (double potential : recording.final_potential) writer.f64(potential);
-  }
-  return writer.take();
-}
-
-bool decode_warm_cache(std::span<const std::byte> payload, Checkpoint& out) {
-  ByteReader reader(payload);
-  const std::uint64_t count = reader.u64();
-  if (!reader.fits(count)) return false;
-  out.warm_recordings.reserve(count);
-  for (std::uint64_t r = 0; r < count && !reader.failed(); ++r) {
-    flow::MinCostWarmStart recording;
-    recording.fingerprint = reader.u64();
-    const std::uint64_t augmentations = reader.u64();
-    if (!reader.fits(augmentations)) return false;
-    recording.augmentations.reserve(augmentations);
-    for (std::uint64_t a = 0; a < augmentations && !reader.failed(); ++a) {
-      flow::MinCostWarmStart::Augmentation aug;
-      const std::uint64_t arcs = reader.u64();
-      if (!reader.fits(arcs)) return false;
-      aug.arcs.reserve(arcs);
-      for (std::uint64_t i = 0; i < arcs; ++i) aug.arcs.push_back(reader.i32());
-      aug.bottleneck = reader.f64();
-      aug.path_cost = reader.f64();
-      recording.augmentations.push_back(std::move(aug));
-    }
-    recording.exhausted = reader.u8() != 0;
-    const std::uint64_t potentials = reader.u64();
-    if (!reader.fits(potentials)) return false;
-    recording.final_potential.reserve(potentials);
-    for (std::uint64_t i = 0; i < potentials; ++i)
-      recording.final_potential.push_back(reader.f64());
-    out.warm_recordings.push_back(std::move(recording));
-  }
-  return !reader.failed() && reader.exhausted();
-}
-
-std::vector<std::byte> encode_path_cache(const Checkpoint& checkpoint) {
-  ByteWriter writer;
-  writer.u64(checkpoint.path_entries.size());
-  for (const auto& entry : checkpoint.path_entries) {
-    writer.u64(entry.fingerprint);
-    writer.i32(entry.source);
-    writer.i32(entry.target);
-    writer.u64(entry.k);
-    writer.u64(entry.paths.size());
-    for (const graph::Path& path : entry.paths) write_path(writer, path);
-  }
-  return writer.take();
-}
-
-bool decode_path_cache(std::span<const std::byte> payload, Checkpoint& out) {
-  ByteReader reader(payload);
-  const std::uint64_t count = reader.u64();
-  if (!reader.fits(count)) return false;
-  out.path_entries.reserve(count);
-  for (std::uint64_t e = 0; e < count && !reader.failed(); ++e) {
-    graph::PathCache::ExportedEntry entry;
-    entry.fingerprint = reader.u64();
-    entry.source = reader.i32();
-    entry.target = reader.i32();
-    entry.k = reader.u64();
-    const std::uint64_t paths = reader.u64();
-    if (!reader.fits(paths)) return false;
-    entry.paths.reserve(paths);
-    for (std::uint64_t p = 0; p < paths && !reader.failed(); ++p)
-      entry.paths.push_back(read_path(reader));
-    out.path_entries.push_back(std::move(entry));
-  }
-  return !reader.failed() && reader.exhausted();
-}
-
 std::vector<std::byte> encode_obs(const Checkpoint& checkpoint) {
   ByteWriter writer;
   writer.u64(checkpoint.obs_counters.size());
@@ -504,10 +420,6 @@ std::vector<std::byte> encode(const Checkpoint& checkpoint) {
   sections.emplace_back(SectionId::kController, encode_controller(checkpoint));
   sections.emplace_back(SectionId::kCursors, encode_cursors(checkpoint));
   sections.emplace_back(SectionId::kRng, encode_rng(checkpoint));
-  if (checkpoint.caches_present) {
-    sections.emplace_back(SectionId::kWarmCache, encode_warm_cache(checkpoint));
-    sections.emplace_back(SectionId::kPathCache, encode_path_cache(checkpoint));
-  }
   if (checkpoint.obs_present)
     sections.emplace_back(SectionId::kObs, encode_obs(checkpoint));
   if (checkpoint.serve_present)
@@ -574,14 +486,6 @@ Error decode(std::span<const std::byte> bytes, Checkpoint& out) {
         ok = decode_rng(payload, out);
         saw_rng = true;
         break;
-      case SectionId::kWarmCache:
-        ok = decode_warm_cache(payload, out);
-        out.caches_present = true;
-        break;
-      case SectionId::kPathCache:
-        ok = decode_path_cache(payload, out);
-        out.caches_present = true;
-        break;
       case SectionId::kObs:
         ok = decode_obs(payload, out);
         out.obs_present = true;
@@ -609,7 +513,8 @@ Error decode(std::span<const std::byte> bytes, Checkpoint& out) {
         out.dataplane_present = true;
         break;
       default:
-        // Unknown id within a known version: skip (forward compatibility).
+        // Unknown or retired id within a known version: skip (forward and
+        // backward compatibility).
         break;
     }
     if (!ok) return Error::kMalformed;

@@ -4,7 +4,7 @@
 // ReplayDriver — controller hysteresis/round state, the SNR trace cursor
 // positions at the current chunk base, the analytic-accounting Rng stream,
 // cumulative metrics, a rolling round-signature digest, and (optionally)
-// the TE engine's warm-start / path caches and the global obs counters.
+// the global obs counters.
 // A driver built with the same inputs and restored from a checkpoint
 // continues bit-identically to the uninterrupted run (docs/REPLAY.md states
 // the contract; tests/test_replay_driver.cpp proves it at pool sizes
@@ -20,9 +20,10 @@
 // All integers are little-endian; doubles/floats travel as their IEEE-754
 // bit patterns (bit-exactness is the whole point). Unknown section ids are
 // skipped (forward compatibility within a format version); the meta,
-// controller, cursors and rng sections are mandatory. The cache and obs
-// sections are optional — their absence is the explicit cold-cache /
-// no-obs marker, and restore clears the corresponding live state.
+// controller, cursors and rng sections are mandatory. The obs section is
+// optional — its absence is the explicit no-obs marker. Ids 5 and 6 held
+// engine caches in earlier builds; they are retired, and a checkpoint that
+// still carries them decodes with the sections skipped.
 //
 // docs/REPLAY.md documents the format, versioning policy and the recovery
 // workflow; docs/FAULTS.md documents the `replay.restore` fault site that
@@ -39,8 +40,6 @@
 
 #include "core/controller.hpp"
 #include "demand/pipeline.hpp"
-#include "flow/mincost.hpp"
-#include "graph/path_cache.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/snr_model.hpp"
 #include "util/rng.hpp"
@@ -94,13 +93,6 @@ struct Checkpoint {
   // Rng section: the analytic latency-accounting stream.
   util::RngState latency_rng;
 
-  // Cache sections (optional). Absent == explicit cold-cache marker:
-  // restore clears the live caches, which only changes timing, never
-  // results.
-  bool caches_present = false;
-  std::vector<flow::MinCostWarmStart> warm_recordings;        ///< FIFO order
-  std::vector<graph::PathCache::ExportedEntry> path_entries;  ///< FIFO order
-
   // Obs section (optional): cumulative counters/gauges of the global
   // registry. Histograms are not captured — a restore resets them
   // (documented limitation, docs/REPLAY.md).
@@ -135,7 +127,7 @@ struct Checkpoint {
   // Demand section (present exactly when the run estimates demands from
   // link counters, core::ControllerOptions::demand): the DemandPipeline's
   // cross-round state — round index, EWMA prior, last observed counters,
-  // capacity peaks (docs/DEMAND.md). Unlike the cache/obs sections it
+  // capacity peaks (docs/DEMAND.md). Unlike the obs section it
   // CHANGES RESULTS, so restore() treats it as mandatory whenever the
   // restoring driver runs estimated and rejects its absence with
   // kMissingSection.

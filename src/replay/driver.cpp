@@ -9,8 +9,6 @@
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
 #include "sim/workload.hpp"
-#include "te/mcf_te.hpp"
-#include "te/swan.hpp"
 #include "util/check.hpp"
 
 namespace rwc::replay {
@@ -40,8 +38,8 @@ struct DriverMetrics {
   }
 };
 
-/// Word-at-a-time mixer (murmur3-finalizer style), same construction as the
-/// fingerprints in graph::PathCache / flow::network_fingerprint.
+/// Word-at-a-time mixer (murmur3-finalizer style), same construction as
+/// flow::network_fingerprint.
 std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
   value *= 0xff51afd7ed558ccdULL;
   value ^= value >> 33;
@@ -361,15 +359,6 @@ Checkpoint ReplayDriver::checkpoint() const {
     out.demand_present = true;
     out.demand_state = pipeline->save_state();
   }
-  if (config_.checkpoint_caches) {
-    out.caches_present = true;
-    if (const auto* mcf = dynamic_cast<const te::McfTe*>(&engine_)) {
-      for (const auto& recording : mcf->warm_cache().snapshot())
-        out.warm_recordings.push_back(*recording);
-    }
-    if (const auto* swan = dynamic_cast<const te::SwanTe*>(&engine_))
-      out.path_entries = swan->path_cache().snapshot();
-  }
   if (config_.checkpoint_obs) {
     out.obs_present = true;
     auto& registry = obs::Registry::global();
@@ -459,20 +448,6 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
   // generation is pure, so the chunk is bit-identical to the one the
   // checkpointed run was consuming.
   fill_chunk_from_cursors();
-
-  // Engine caches: restore the persisted contents, or reset to the
-  // explicit cold state. Either way results are unchanged — caches only
-  // affect timing (docs/CONCURRENCY.md).
-  if (const auto* mcf = dynamic_cast<const te::McfTe*>(&engine_)) {
-    std::vector<std::shared_ptr<const flow::MinCostWarmStart>> recordings;
-    recordings.reserve(checkpoint.warm_recordings.size());
-    for (const auto& recording : checkpoint.warm_recordings)
-      recordings.push_back(
-          std::make_shared<const flow::MinCostWarmStart>(recording));
-    mcf->warm_cache().restore(std::move(recordings));
-  }
-  if (const auto* swan = dynamic_cast<const te::SwanTe*>(&engine_))
-    swan->path_cache().restore(checkpoint.path_entries);
 
   driver_metrics.restores.add();
   driver_metrics.restore_seconds.observe(watch.seconds());

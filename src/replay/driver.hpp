@@ -11,9 +11,9 @@
 // captures the full deterministic state (see replay/checkpoint.hpp) and
 // restore() resumes BIT-IDENTICALLY — the remaining rounds produce the
 // same RoundReports, metrics and signature chain as the uninterrupted run,
-// at every thread-pool size, whether or not the engine caches were
-// persisted (caches only affect timing). tests/test_replay_driver.cpp
-// proves the contract; docs/REPLAY.md states it.
+// at every thread-pool size, whatever the engine's reuse state (it only
+// affects timing). tests/test_replay_driver.cpp proves the contract;
+// docs/REPLAY.md states it.
 //
 // Accounting matches WanSimulator's analytic dynamic-policy path exactly
 // (device_backed is out of scope for replay v1): each capacity change
@@ -60,10 +60,6 @@ struct ReplayConfig {
   /// config fingerprint: chunk boundaries decide which cursor states a
   /// checkpoint carries.
   std::uint64_t chunk_rounds = 256;
-  /// Persist the TE engine's warm-start / path caches in checkpoints.
-  /// Either way restore is bit-identical — caches only change timing — so
-  /// this trades checkpoint size against post-restore warm-up.
-  bool checkpoint_caches = true;
   /// Persist (and restore) the global obs counters/gauges. Off by default:
   /// the registry is process-global, so restoring it rewinds metrics of
   /// everything else in the process too. Histograms are reset on restore

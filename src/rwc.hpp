@@ -33,7 +33,6 @@
 #include "graph/dot.hpp"
 #include "graph/graph.hpp"
 #include "graph/ksp.hpp"
-#include "graph/path_cache.hpp"
 
 // flow — max-flow / min-cost-flow solvers
 #include "flow/cycle_cancel.hpp"

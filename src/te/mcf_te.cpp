@@ -153,10 +153,10 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
   for (std::size_t i = 0; i < graph.edge_count(); ++i)
     remaining[i] = edge_at(i).capacity.value;
 
-  // Prefix reuse rides the partial rung's switches and stays off under an
-  // armed fault plan, so every fault test runs the plain ladder.
-  const bool tracing = options_.warm_start && options_.partial_repair &&
-                       !fault::Registry::global().armed();
+  // Prefix reuse stays off under an armed fault plan, so every fault test
+  // runs the plain solver.
+  const bool tracing =
+      options_.prefix_reuse && !fault::Registry::global().armed();
   std::shared_ptr<SolveTrace> trace;
   std::size_t reused = 0;
   if (tracing) {
@@ -212,44 +212,9 @@ FlowAssignment McfTe::solve(const graph::Graph& graph,
     RWC_EXPECTS(demand.src != demand.dst);
 
     net.set_capacities(remaining);
-    // A resumed solve skips the warm cache: its networks are new to it.
-    if (options_.warm_start && reused == 0) {
-      // Exact record/replay keyed by the network fingerprint; replay is
-      // bit-identical to the cold solve (see flow/mincost.hpp). On an
-      // exact miss, a structurally matching recording (same arcs, costs,
-      // terminals; perturbed residuals — the dirty-link case) feeds the
-      // solver's verified partial-repair path instead of solving cold.
-      const flow::NetworkFingerprints prints = flow::network_fingerprints(
-          net, demand.src.value, demand.dst.value);
-      auto cached = warm_cache_.find(prints.exact);
-      if (cached == nullptr && options_.partial_repair) {
-        cached = warm_cache_.find_structural(prints.structural);
-        // A structural hit that resolves to this exact network would turn
-        // a forced exact-miss into a replay; treat it as absent.
-        if (cached != nullptr && cached->fingerprint == prints.exact)
-          cached = nullptr;
-      }
-      flow::MinCostWarmStart warm;
-      if (cached != nullptr) warm = *cached;
-      min_cost_max_flow(net, demand.src.value, demand.dst.value,
-                        demand.volume.value, &warm,
-                        flow::kDefaultMaxAugmentations, &prints, touched);
-      // Re-store when the recording now describes THIS network (cold
-      // re-record, verified repair, or resumed extension) and is new or
-      // changed; a pure replay and a prefix-bound repair (the recording
-      // still carries the old fingerprint) leave the cache untouched.
-      if (warm.fingerprint == prints.exact &&
-          (cached == nullptr || cached->fingerprint != prints.exact ||
-           warm.augmentations.size() != cached->augmentations.size() ||
-           warm.exhausted != cached->exhausted)) {
-        warm_cache_.store(
-            std::make_shared<flow::MinCostWarmStart>(std::move(warm)));
-      }
-    } else {
-      min_cost_max_flow(net, demand.src.value, demand.dst.value,
-                        demand.volume.value, nullptr,
-                        flow::kDefaultMaxAugmentations, nullptr, touched);
-    }
+    min_cost_max_flow(net, demand.src.value, demand.dst.value,
+                      demand.volume.value, flow::kDefaultMaxAugmentations,
+                      touched);
     if (tracing) {
       for (std::size_t i = 0; i < improved.size(); ++i) {
         if (improved[i] != 0 && trace->first_touch[i] == kNever)

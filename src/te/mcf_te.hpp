@@ -4,30 +4,21 @@
 // the min-cost route maximizes throughput while minimizing activation
 // penalty for each demand in turn.
 //
-// Warm starts: every per-demand solve is keyed by an exact fingerprint of
-// its residual network (capacities after earlier demands, costs,
-// terminals). Across controller rounds where little changed — the common
-// steady state — most per-demand networks recur bit-identically and the
-// min-cost solver replays its recorded augmenting paths instead of running
-// Dijkstra per path. Replay is exact, so results are bit-identical to cold
-// solves; on any change the fingerprint misses and the solve runs cold
-// (docs/CONCURRENCY.md, "Warm starts"). Safe under concurrent solve()
-// calls: the cache is thread-safe and only affects timing, never results.
-//
 // Removed-edge prefix reuse: every solve also keeps a trace of its graph,
 // demands, routing and, per edge, the first demand whose search improved a
 // label through it. A later solve of the same demands on that graph with
 // edges removed (a consolidation trial drops fake links) copies the routing
 // of every demand served before the first one that touched a removed edge
 // and solves only the rest. The result is bit-identical to a cold solve
-// (docs/SOLVERS.md, "Removed-edge prefix reuse").
+// (docs/SOLVERS.md, "Removed-edge prefix reuse"). Every other demand runs
+// the min-cost solver cold. Safe under concurrent solve() calls: the trace
+// store is thread-safe and only affects timing, never results.
 #pragma once
 
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "flow/mincost.hpp"
 #include "te/algorithm.hpp"
 #include "util/env.hpp"
 
@@ -36,24 +27,14 @@ namespace rwc::te {
 class McfTe final : public TeAlgorithm {
  public:
   struct Options {
-    /// Record/replay per-demand min-cost solves (exact; on by default).
-    bool warm_start = true;
-    /// Max recordings kept (FIFO); ~one per (demand, topology state). Must
-    /// cover a full round's demand count or cyclic FIFO thrash turns every
-    /// repeat solve into a miss (docs/CONCURRENCY.md, "Warm starts").
-    std::size_t warm_cache_entries = 8192;
-    /// On an exact-fingerprint miss, look up a structurally matching
-    /// recording and let the solver attempt a verified partial repair
-    /// (docs/SOLVERS.md). Bit-identical to a cold solve by construction;
-    /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection.
-    /// Removed-edge prefix reuse runs only while this and warm_start are
-    /// both on.
-    bool partial_repair = util::env_flag("RWC_PARTIAL_RESOLVE", true);
+    /// Removed-edge prefix reuse (docs/SOLVERS.md). Bit-identical to a cold
+    /// solve by construction; RWC_PARTIAL_RESOLVE=0 flips the default off
+    /// for bisection and as the reference arm of the differential tests.
+    bool prefix_reuse = util::env_flag("RWC_PARTIAL_RESOLVE", true);
   };
 
   McfTe() : McfTe(Options{}) {}
-  explicit McfTe(Options options)
-      : options_(options), warm_cache_(options.warm_cache_entries) {}
+  explicit McfTe(Options options) : options_(options) {}
 
   std::string name() const override { return "mcf"; }
 
@@ -61,11 +42,6 @@ class McfTe final : public TeAlgorithm {
                        const TrafficMatrix& demands) const override;
 
   const Options& options() const { return options_; }
-
-  /// The engine's warm-start store, exposed for checkpointing
-  /// (rwc::replay persists or cold-resets it across restore). Mutating it
-  /// only changes solve timing, never results.
-  flow::WarmStartCache& warm_cache() const { return warm_cache_; }
 
  private:
   struct SolveTrace;
@@ -84,7 +60,6 @@ class McfTe final : public TeAlgorithm {
   void keep_trace(std::shared_ptr<const SolveTrace> trace) const;
 
   Options options_;
-  mutable flow::WarmStartCache warm_cache_;
   /// Traces are never checkpointed. One that outlives a restore stays
   /// usable: reuse checks demands and graph, not the round.
   mutable std::mutex trace_mutex_;

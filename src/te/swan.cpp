@@ -32,17 +32,14 @@ struct LpShape {
 };
 
 LpShape build_shape(const graph::Graph& graph, const TrafficMatrix& demands,
-                    std::size_t k, graph::PathCache* path_cache) {
+                    std::size_t k) {
   LpShape shape;
   shape.by_demand.resize(demands.size());
   for (std::size_t d = 0; d < demands.size(); ++d) {
     if (demands[d].volume.value <= flow::kFlowEps) continue;
     RWC_EXPECTS(demands[d].src != demands[d].dst);
     const auto paths =
-        path_cache != nullptr
-            ? path_cache->k_shortest(graph, demands[d].src, demands[d].dst, k)
-            : graph::k_shortest_paths(graph, demands[d].src, demands[d].dst,
-                                      k);
+        graph::k_shortest_paths(graph, demands[d].src, demands[d].dst, k);
     for (const graph::Path& path : paths) {
       PathVariable variable{d, path, 0.0};
       for (graph::EdgeId edge : path.edges)
@@ -94,9 +91,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
   for (std::size_t i = 0; i < demands.size(); ++i)
     result.routings[i].demand = demands[i];
 
-  const LpShape shape =
-      build_shape(graph, demands, options_.paths_per_demand,
-                  options_.use_path_cache ? &path_cache_ : nullptr);
+  const LpShape shape = build_shape(graph, demands, options_.paths_per_demand);
   const int n_vars = static_cast<int>(shape.variables.size());
   if (n_vars == 0) {
     finalize_assignment(graph, result);
@@ -105,14 +100,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
   std::vector<int> x_of(static_cast<std::size_t>(n_vars));
   for (int v = 0; v < n_vars; ++v) x_of[static_cast<std::size_t>(v)] = v;
 
-  // Across controller rounds the LPs below differ from the previous
-  // round's only in rhs values (capacities, volumes, locked throughputs),
-  // which is exactly the perturbation the LP warm cache's verified pivot
-  // replay handles; results are bit-identical with or without the cache.
-  // (A locked throughput crossing zero flips that row's rhs sign and
-  // structurally misses — the solve just runs cold and re-records.)
-  lp::LpWarmCache* const lp_cache =
-      options_.warm_basis ? &lp_cache_ : nullptr;
+  lp::LpMemo* const memo = options_.lp_memo ? &lp_memo_ : nullptr;
 
   // Priority classes, high to low; each class's achieved throughput becomes
   // a >= constraint for later passes.
@@ -152,7 +140,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
     }
     add_shared_constraints(maximize, graph, demands, shape, x_of);
     add_locked(maximize);
-    const auto max_solution = maximize.solve(lp_cache);
+    const auto max_solution = maximize.solve(memo);
     RWC_CHECK_MSG(max_solution.optimal(), "SWAN throughput LP not optimal");
     locked.emplace_back(priority, max_solution.objective);
   }
@@ -163,7 +151,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
     minimize.add_variable(shape.variables[static_cast<std::size_t>(v)].cost);
   add_shared_constraints(minimize, graph, demands, shape, x_of);
   add_locked(minimize);
-  auto solution = minimize.solve(lp_cache);
+  auto solution = minimize.solve(memo);
   RWC_CHECK_MSG(solution.optimal(), "SWAN cost LP not optimal");
 
   if (options_.max_min_fairness) {
@@ -193,7 +181,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
         }
       }
       if (!any_unfrozen) break;
-      const auto fair_solution = fair.solve(lp_cache);
+      const auto fair_solution = fair.solve(memo);
       if (!fair_solution.optimal()) break;
       const double t_star =
           fair_solution.values[static_cast<std::size_t>(t)];

@@ -4,9 +4,13 @@
 // throughput, then minimize total edge cost at that throughput (the pass
 // that makes augmentation penalties effective), with optional approximate
 // max-min fairness within a class via iterative LP water-filling.
+//
+// Every LP goes through an exact-match memo (lp::LpMemo): a round whose LP
+// is bit-identical to an earlier one returns the stored solution instead
+// of pivoting. The simplex is deterministic, so results are the same with
+// the memo on or off (docs/SOLVERS.md).
 #pragma once
 
-#include "graph/path_cache.hpp"
 #include "lp/simplex.hpp"
 #include "te/algorithm.hpp"
 #include "util/env.hpp"
@@ -20,18 +24,10 @@ class SwanTe final : public TeAlgorithm {
     bool max_min_fairness = false;
     /// Relative slack when fixing the throughput between the two passes.
     double throughput_slack = 1e-9;
-    /// Reuse tunnel (k-shortest-path) precomputation across solves on
-    /// structurally identical graphs via graph::PathCache. Tunnels depend
-    /// only on weights, never capacities, so cached results are identical
-    /// to recomputation; the cache only saves time (docs/CONCURRENCY.md).
-    bool use_path_cache = true;
-    /// Warm-start every LP solve from the previous round's pivot recording
-    /// (lp::LpWarmCache). Across rounds the SWAN LPs are rhs-only
-    /// perturbations of each other (capacities, volumes, locked
-    /// throughputs), so the verified pivot replay applies and results stay
-    /// bit-identical to cold solves (docs/SOLVERS.md).
-    /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection.
-    bool warm_basis = util::env_flag("RWC_PARTIAL_RESOLVE", true);
+    /// Serve bit-identical LPs from the memo. Timing only;
+    /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection and as the
+    /// reference arm of the differential tests.
+    bool lp_memo = util::env_flag("RWC_PARTIAL_RESOLVE", true);
   };
 
   SwanTe() : options_{} {}
@@ -42,22 +38,11 @@ class SwanTe final : public TeAlgorithm {
   FlowAssignment solve(const graph::Graph& graph,
                        const TrafficMatrix& demands) const override;
 
-  /// The tunnel cache, exposed for checkpointing (rwc::replay persists or
-  /// cold-resets it across restore). Timing-only: cached entries are by
-  /// definition identical to recomputation.
-  graph::PathCache& path_cache() const { return path_cache_; }
-
-  /// The LP warm-basis cache. Deliberately NOT checkpointed: warm bases
-  /// are observational, so after a restore the first solves run cold and
-  /// re-record (docs/REPLAY.md). Mutating it only changes timing.
-  lp::LpWarmCache& lp_cache() const { return lp_cache_; }
-
  private:
   Options options_;
-  /// Tunnel precomputation cache; thread-safe, shared across solves.
-  mutable graph::PathCache path_cache_;
-  /// Pivot recordings keyed by LP structure; thread-safe, timing-only.
-  mutable lp::LpWarmCache lp_cache_;
+  /// Optimal LP solutions keyed by exact fingerprint; thread-safe,
+  /// timing-only, never checkpointed.
+  mutable lp::LpMemo lp_memo_;
 };
 
 }  // namespace rwc::te

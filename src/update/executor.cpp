@@ -4,6 +4,7 @@
 
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
+#include "obs/timer.hpp"
 #include "replay/wire.hpp"
 #include "util/check.hpp"
 
@@ -19,6 +20,7 @@ struct ExecMetrics {
   obs::Counter& commit_attempts;
   obs::Counter& rollbacks;
   obs::Counter& aborts;
+  obs::Histogram& seconds;
 
   static ExecMetrics& instance() {
     static ExecMetrics metrics{
@@ -26,6 +28,7 @@ struct ExecMetrics {
         obs::Registry::global().counter("update.exec.commit_attempts"),
         obs::Registry::global().counter("update.exec.rollbacks"),
         obs::Registry::global().counter("update.exec.aborts"),
+        obs::Registry::global().histogram("update.exec.seconds"),
     };
     return metrics;
   }
@@ -144,7 +147,11 @@ bool ScheduleExecutor::attempt_round(const UpdateRound& round,
 }
 
 const ExecutionResult& ScheduleExecutor::run(const StateObserver& observer) {
-  return run_rounds(schedule_->rounds.size(), observer);
+  const obs::StopWatch watch;
+  const ExecutionResult& result =
+      run_rounds(schedule_->rounds.size(), observer);
+  ExecMetrics::instance().seconds.observe(watch.seconds());
+  return result;
 }
 
 const ExecutionResult& ScheduleExecutor::run_rounds(

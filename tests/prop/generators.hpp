@@ -70,13 +70,11 @@ inline const std::vector<SiteProfile>& degrading_sites() {
   return sites;
 }
 
-/// Sites whose injections are contractually TIMING-ONLY (cache forced
-/// misses, steal-boundary delays): any property may include them and
-/// results must be byte-identical to a run without them.
+/// Sites whose injections are contractually TIMING-ONLY (steal-boundary
+/// delays): any property may include them and results must be
+/// byte-identical to a run without them.
 inline const std::vector<SiteProfile>& timing_sites() {
   static const std::vector<SiteProfile> sites = {
-      {"cache.warm.find", false, {fault::Kind::kInvalidate}},
-      {"cache.path.lookup", false, {fault::Kind::kInvalidate}},
       {"exec.steal", true, {fault::Kind::kDelay}},
   };
   return sites;

@@ -74,10 +74,10 @@ TEST(PropFleet, IncrementalEqualsFullUnderFaultPlans) {
 }
 
 TEST(PropFleet, PartialTierEqualsColdSolversUnderFaultPlans) {
-  // The solver ladder's middle rung (docs/SOLVERS.md) on randomized
-  // fleets: with the partial tier on, every fleet chain — under a
-  // randomized parallel-keyed fault plan — equals the cold-solver run.
-  // Diurnal demands make the tier's residual-only perturbation case occur.
+  // The solver ladder's engine-side reuse (docs/SOLVERS.md) on randomized
+  // fleets: with it on, every fleet chain — under a randomized
+  // parallel-keyed fault plan — equals the run with it off. McfTe drops
+  // prefix reuse while a plan is armed; SWAN's LP memo stays on.
   for (const std::uint64_t seed : prop::sweep_seeds({9, 27})) {
     util::Rng rng = util::Rng::stream(seed, 503);
     FleetConfig base = random_fleet(seed, rng);
@@ -96,7 +96,7 @@ TEST(PropFleet, PartialTierEqualsColdSolversUnderFaultPlans) {
           const FleetResult partial = run(true);
           if (cold.fleet_chain != partial.fleet_chain)
             return prop::InvariantResult::fail(
-                "fleet chain diverged: cold vs partial tier under plan \"" +
+                "fleet chain diverged: reuse off vs on under plan \"" +
                 active.to_string() + "\"");
           for (std::size_t i = 0; i < cold.instances.size(); ++i)
             if (cold.instances[i].signature_chain !=

@@ -145,11 +145,10 @@ TEST(PropReplay, SingleByteFlipsNeverDecode) {
   for (const std::uint64_t seed : kSeeds) {
     const ReplayFixture fixture = make_fixture(seed);
     ReplayConfig config = fixture.config;
-    // Mandatory sections only: with the optional cache/obs sections
-    // present, one flip of a section id could in principle re-tag an
-    // optional section as skippable-unknown and still decode. Every byte
-    // of a mandatory-only checkpoint is load-bearing.
-    config.checkpoint_caches = false;
+    // Mandatory sections only: with the optional obs section present, one
+    // flip of a section id could in principle re-tag it as
+    // skippable-unknown and still decode. Every byte of a mandatory-only
+    // checkpoint is load-bearing.
     config.checkpoint_obs = false;
     ReplayDriver driver(fixture.topology, engine, fixture.demands, config);
     driver.run(3);

@@ -12,9 +12,11 @@
 
 #include "core/controller.hpp"
 #include "sim/topology.hpp"
+#include "sim/workload.hpp"
 #include "support/round_signature.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace rwc::core {
 namespace {
@@ -237,80 +239,85 @@ TEST(CoreIncremental, SingleLinkSnrShiftDirtiesExactlyThatLink) {
   EXPECT_EQ(report.stats.dirty_fraction, 1.0);
 }
 
+/// An 8-node WAN at half load with SNR headroom on every link: its first
+/// rounds upgrade links and consolidate, then settle into memo hits.
+struct LoadedWan {
+  graph::Graph topology;
+  te::TrafficMatrix demands;
+};
+
+LoadedWan loaded_wan() {
+  util::Rng rng = util::Rng::stream(2, 40);
+  LoadedWan wan{sim::waxman(8, rng), {}};
+  sim::GravityParams gravity;
+  gravity.total = Gbps{wan.topology.total_capacity().value * 0.5};
+  gravity.sparsity = 0.8;
+  wan.demands = sim::gravity_matrix(wan.topology, gravity, rng);
+  return wan;
+}
+
 TEST(CoreIncremental, PartialResolveFlagTracksSolverTierOnDemandShift) {
-  // Two overlapping demands: changing the first demand's volume leaves the
-  // topology (and so every arc cost) untouched, but shifts the residuals
-  // the SECOND demand's solve starts from — exactly the dirty-subgraph
-  // case the solver's partial tier serves. The round must stay
+  // Tripling one demand leaves the topology (and so every link's inputs)
+  // untouched, but the round must upgrade links again, so consolidation
+  // runs trials on the augmented graph minus one fake link each — the
+  // case the engine's prefix reuse serves. The round must stay
   // bit-identical to the full twin and report partial_resolve.
-  graph::Graph base = sim::fig7_square();
+  LoadedWan wan = loaded_wan();
   te::McfTe engine;
   DynamicCapacityController incremental(
-      base, optical::ModulationTable::standard(), engine,
+      wan.topology, optical::ModulationTable::standard(), engine,
       incremental_options());
-  DynamicCapacityController full(base, optical::ModulationTable::standard(),
-                                 engine, full_options());
-  const NodeId a = *base.find_node("A");
-  const NodeId b = *base.find_node("B");
-  const std::vector<Db> snr = uniform_snr(base, 20.0);
+  DynamicCapacityController full(wan.topology,
+                                 optical::ModulationTable::standard(), engine,
+                                 full_options());
+  const std::vector<Db> snr = uniform_snr(wan.topology, 15.0);
 
-  te::TrafficMatrix demands = {{a, b, 150_Gbps, 1}, {a, b, 120_Gbps, 0}};
-  // Two overlapping demands take a few rounds to reach the fixed point
-  // (upgrades feed the traffic-proportional penalty feeds the augment).
   DynamicCapacityController::RoundReport report;
   for (int round = 0; round < 8 && !report.stats.incremental_hit; ++round)
-    report = step_pair(incremental, full, snr, demands,
+    report = step_pair(incremental, full, snr, wan.demands,
                        "warm " + std::to_string(round));
   ASSERT_TRUE(report.stats.incremental_hit);
   EXPECT_FALSE(report.stats.partial_resolve);
 
-  demands[0].volume = 140_Gbps;
-  report = step_pair(incremental, full, snr, demands, "demand shift");
+  wan.demands[0].volume = Gbps{wan.demands[0].volume.value * 3.0};
+  report = step_pair(incremental, full, snr, wan.demands, "demand shift");
   EXPECT_FALSE(report.stats.incremental_hit);
   EXPECT_EQ(report.stats.dirty_links, 0u);
   EXPECT_TRUE(report.stats.partial_resolve);
 }
 
 TEST(CoreIncremental, RestoreThenPartialRoundStaysBitIdentical) {
-  // Warm caches are observational and never checkpointed: after a
-  // save/restore round-trip the first round runs fully cold, and the
-  // partial tier must re-form from the fresh recordings — with every
-  // round still bit-identical to the always-full twin.
-  graph::Graph base = sim::fig7_square();
-  te::McfTe::Options cold_after_restore;
-  te::McfTe engine(cold_after_restore);
+  // Engine reuse state is never checkpointed and only changes timing:
+  // after a save/restore round-trip the memo is gone and the first round
+  // re-solves with nothing to reuse, and a later demand shift's trials are
+  // served by prefix reuse again — with every round still bit-identical to
+  // the always-full twin.
+  LoadedWan wan = loaded_wan();
+  te::McfTe engine;
   DynamicCapacityController incremental(
-      base, optical::ModulationTable::standard(), engine,
+      wan.topology, optical::ModulationTable::standard(), engine,
       incremental_options());
-  DynamicCapacityController full(base, optical::ModulationTable::standard(),
-                                 engine, full_options());
-  const NodeId a = *base.find_node("A");
-  const NodeId b = *base.find_node("B");
-  const NodeId c = *base.find_node("C");
-  const std::vector<Db> snr = uniform_snr(base, 20.0);
+  DynamicCapacityController full(wan.topology,
+                                 optical::ModulationTable::standard(), engine,
+                                 full_options());
+  const std::vector<Db> snr = uniform_snr(wan.topology, 15.0);
 
-  // Distinct terminals: the two demands' per-demand networks never share a
-  // structural fingerprint, so a cold-cache round has nothing to repair
-  // (same-terminal demands would partially reuse each other within one
-  // round — also sound, but not what this test isolates).
-  te::TrafficMatrix demands = {{a, b, 150_Gbps, 1}, {c, b, 120_Gbps, 0}};
   DynamicCapacityController::RoundReport report;
   for (int round = 0; round < 8 && !report.stats.incremental_hit; ++round)
-    report = step_pair(incremental, full, snr, demands,
+    report = step_pair(incremental, full, snr, wan.demands,
                        "warm " + std::to_string(round));
   ASSERT_TRUE(report.stats.incremental_hit);
 
-  // Restore drops the controller memo; the engine's warm cache is reset
-  // the way rwc::replay does on restore (docs/REPLAY.md).
+  // Restore drops the controller memo (docs/REPLAY.md).
   incremental.restore_state(incremental.save_state());
-  engine.warm_cache().restore({});
-  report = step_pair(incremental, full, snr, demands, "post-restore");
+  report = step_pair(incremental, full, snr, wan.demands, "post-restore");
   EXPECT_FALSE(report.stats.incremental_hit);
   EXPECT_FALSE(report.stats.partial_resolve);
 
-  step_pair(incremental, full, snr, demands, "re-warm");
-  demands[0].volume = 140_Gbps;
-  report = step_pair(incremental, full, snr, demands, "partial after restore");
+  step_pair(incremental, full, snr, wan.demands, "re-warm");
+  wan.demands[0].volume = Gbps{wan.demands[0].volume.value * 3.0};
+  report = step_pair(incremental, full, snr, wan.demands,
+                     "partial after restore");
   EXPECT_FALSE(report.stats.incremental_hit);
   EXPECT_TRUE(report.stats.partial_resolve);
 }

@@ -19,6 +19,7 @@
 #include "demand/routing_matrix.hpp"
 #include "fault/plan.hpp"
 #include "fault/registry.hpp"
+#include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "te/demand.hpp"
 
@@ -310,6 +311,20 @@ TEST(DemandEstimator, PipelineBootstrapsFromIntentAndWarmsEwma) {
   demand::DemandPipeline restored(2, estimated_config());
   restored.restore_state(state);
   EXPECT_EQ(restored.save_state(), state);
+}
+
+// demand.round.seconds times every DemandPipeline::round exactly once.
+TEST(DemandEstimator, EveryRoundObservesTheRoundHistogram) {
+  te::TrafficMatrix intent;
+  intent.push_back({graph::NodeId{0}, graph::NodeId{1}, util::Gbps{12.5}, 0});
+  demand::DemandPipeline pipeline(2, estimated_config());
+  const obs::Histogram& seconds =
+      obs::Registry::global().histogram("demand.round.seconds");
+  const std::uint64_t before = seconds.count();
+  constexpr std::uint64_t kRounds = 3;
+  for (std::uint64_t r = 0; r < kRounds; ++r)
+    (void)pipeline.round(intent, te::FlowAssignment{});
+  EXPECT_EQ(seconds.count() - before, kRounds);
 }
 
 TEST(DemandCapacity, MeasuredPeakCrossChecksAgainstSnr) {

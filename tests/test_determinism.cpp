@@ -58,9 +58,9 @@ void expect_same_outcome(const RoundOutcome& expected,
 }
 
 TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithMcf) {
-  // Cold engine: isolates the consolidation waves from the warm cache.
+  // Cold engine: isolates the consolidation waves from prefix reuse.
   te::McfTe::Options engine_options;
-  engine_options.warm_start = false;
+  engine_options.prefix_reuse = false;
   const te::McfTe engine(engine_options);
   exec::ThreadPool serial(0);  // exact pre-parallel serial loop
   const RoundOutcome expected = run_controller_round(engine, serial);
@@ -75,9 +75,9 @@ TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithMcf) {
 }
 
 TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithWarmMcf) {
-  // Warm engine: fingerprint replay and the concurrent WarmStartCache must
-  // not perturb results either. A fresh engine per pool size keeps every
-  // arm starting from a cold cache.
+  // Default engine: prefix reuse and its concurrent trace store must not
+  // perturb results either. A fresh engine per pool size keeps every arm
+  // starting from an empty store.
   exec::ThreadPool serial(0);
   const te::McfTe serial_engine;
   const RoundOutcome expected = run_controller_round(serial_engine, serial);
@@ -90,8 +90,8 @@ TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithWarmMcf) {
 }
 
 TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithSwan) {
-  // LP engine with the shared tunnel path cache: concurrent solves during
-  // waves exercise the cache's double-compute path.
+  // LP engine with the shared LP memo: concurrent solves during waves
+  // store and read it from several workers at once.
   exec::ThreadPool serial(0);
   const te::SwanTe serial_engine;
   const RoundOutcome expected = run_controller_round(serial_engine, serial);

@@ -1,13 +1,12 @@
 // rwc::fault end-to-end: registry semantics plus every compiled-in site's
-// error path (docs/FAULTS.md). The BVT abort-mid-laser-transition,
-// corrupted-telemetry and forced-cache-miss cases are the error paths the
-// example-based suites could not previously reach.
+// error path (docs/FAULTS.md). The BVT abort-mid-laser-transition and
+// corrupted-telemetry cases are the error paths the example-based suites
+// could not previously reach.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "bvt/device.hpp"
@@ -15,8 +14,6 @@
 #include "core/controller.hpp"
 #include "fault/plan.hpp"
 #include "fault/registry.hpp"
-#include "flow/mincost.hpp"
-#include "flow/network.hpp"
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "sim/topology.hpp"
@@ -205,29 +202,6 @@ TEST(FaultController, GarbageSnrFlapsTheLinkInsteadOfThrowing) {
   for (const auto& flap : report.reductions)
     if (flap.edge == graph::EdgeId{0}) edge0_reduced = true;
   EXPECT_TRUE(edge0_reduced);
-}
-
-TEST(FaultCache, WarmFindForcedMissRunsColdButIdentical) {
-  flow::WarmStartCache cache(4);
-  flow::ResidualNetwork net(3);
-  net.add_arc(0, 1, 5.0, 1.0);
-  net.add_arc(1, 2, 5.0, 1.0);
-  auto recording = std::make_shared<flow::MinCostWarmStart>();
-  flow::ResidualNetwork solve_net = net;
-  flow::min_cost_max_flow(solve_net, 0, 2,
-                          std::numeric_limits<double>::infinity(),
-                          recording.get());
-  cache.store(std::shared_ptr<const flow::MinCostWarmStart>(recording));
-  const std::uint64_t fp = recording->fingerprint;
-  ASSERT_NE(cache.find(fp), nullptr);
-
-  {
-    fault::ScopedPlan armed(
-        fault::FaultPlan::parse("cache.warm.find%1@0:invalidate"));
-    // Forced miss while armed; the entry itself survives (timing-only).
-    EXPECT_EQ(cache.find(fp), nullptr);
-  }
-  EXPECT_NE(cache.find(fp), nullptr);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ ArmResult run_arm(const InstanceFixture& fixture, bool incremental,
   ReplayConfig config = fixture.config;
   config.incremental = incremental;
   te::McfTe::Options options;
-  options.partial_repair = partial;
+  options.prefix_reuse = partial;
   te::McfTe engine(options);
   ReplayDriver driver(fixture.topology, engine, fixture.demands, config);
   ArmResult result;
@@ -148,11 +148,11 @@ TEST(FleetDifferential, IncrementalMatchesFullUnderFaultPlans) {
 }
 
 TEST(FleetDifferential, PartialTierMatchesColdSolversOnEveryRound) {
-  // Diurnal scaling shifts demand volumes every round while the topology
-  // (and so every arc cost) stays put on most rounds: the exact memo
-  // misses but later demands see residual-only perturbations — the
-  // partial tier's case. Its rounds must be bit-identical to the same
-  // rounds with the tier disabled and to full re-solves.
+  // Diurnal scaling shifts demand volumes every round, so the controller
+  // memo misses and every round re-solves and consolidates; consolidation
+  // trials resume from the round's own trace — prefix reuse's case. Its
+  // rounds must be bit-identical to the same rounds with reuse disabled
+  // and to full re-solves.
   for (const std::uint64_t seed : {11u, 23u}) {
     InstanceFixture fixture = make_instance_fixture(seed, 24);
     fixture.config.diurnal = true;
@@ -178,7 +178,7 @@ TEST(FleetDifferential, PartialTierMatchesColdSolversOnEveryRound) {
 TEST(FleetDifferential, PartialTierMatchesUnderFaultPlans) {
   // Same parallel-keyed plan discipline as the incremental test: budget
   // faults truncate solves mid-flight and garbage faults shift the SNR
-  // inputs, and the partial tier must stay bit-identical through both.
+  // inputs, and reuse must stay bit-identical through both.
   fault::FaultPlan plan;
   plan.seed = 7;
   fault::Injection snr_garbage;
@@ -203,7 +203,7 @@ TEST(FleetDifferential, PartialTierMatchesUnderFaultPlans) {
   };
   const ArmResult without = faulted_arm(false);
   const ArmResult with = faulted_arm(true);
-  expect_arms_equal(without, with, "faulted instance, partial tier");
+  expect_arms_equal(without, with, "faulted instance, reuse on");
 }
 
 TEST(FleetDifferential, FleetChainInvariantToShardsAndPoolSizes) {
@@ -244,14 +244,12 @@ TEST(FleetDifferential, FleetChainInvariantToIncrementalFlag) {
 
 TEST(FleetDifferential, FleetChainInvariantToPartialFlag) {
   // The fleet-level statement of the solver ladder's contract: enabling
-  // the partial tier changes work counters only, never the fleet chain.
-  // Both engines are covered so the mincost repair AND the LP pivot-replay
-  // paths cross the fleet determinism bar — each under the perturbation
-  // its tier serves. For mcf, diurnal demands shift residuals while costs
-  // stay put. For swan, stable demands with SNR-driven capacity flips keep
-  // the maximize LP's structure fixed with rhs-only movement (diurnal
-  // traffic would shift the penalty-derived objective coefficients every
-  // round and structurally miss).
+  // engine-side reuse changes work counters only, never the fleet chain.
+  // Both engines are covered so prefix reuse AND the LP memo cross the
+  // fleet determinism bar. For mcf, diurnal demands make every round
+  // consolidate, so trials resume from traces. For swan, stable demands
+  // with SNR-driven capacity flips make consolidation trials and settled
+  // rounds re-solve LPs an earlier trial already solved.
   for (const fleet::EngineKind engine :
        {fleet::EngineKind::kMcf, fleet::EngineKind::kSwan}) {
     FleetConfig config = small_fleet(505);
@@ -267,13 +265,13 @@ TEST(FleetDifferential, FleetChainInvariantToPartialFlag) {
     EXPECT_EQ(partial.fleet_chain, cold.fleet_chain) << name;
     EXPECT_EQ(cold.partial_rounds, 0u) << name;
     EXPECT_GT(partial.partial_rounds, 0u)
-        << name << ": partial tier never fired across "
+        << name << ": engine-side reuse never fired across "
         << partial.total_rounds << " fleet rounds";
 
-    // The partial tier must also be invariant to execution parallelism:
-    // engine caches are shared across a pool's workers, so a lost or
-    // reordered recording store may change which rounds repair — never
-    // what they compute.
+    // Reuse must also be invariant to execution parallelism: the trace
+    // store and the LP memo are shared across a pool's workers, so a lost
+    // or reordered store may change which rounds reuse — never what they
+    // compute.
     for (const std::size_t pool_threads : {1u, 2u, 8u}) {
       exec::ThreadPool pool(pool_threads);
       FleetConfig pooled = config;

@@ -1,4 +1,4 @@
-// The full-rung min-cost kernel (docs/SOLVERS.md §1.5):
+// The full-rung min-cost kernel (docs/SOLVERS.md §1.4):
 // te::McfTe builds one residual network per solve and resets it for each
 // demand with ResidualNetwork::set_capacities, and the searches and the
 // flow decomposition run on per-thread scratch. None of that may change a
@@ -44,7 +44,7 @@ std::uint64_t counter_value(const char* name) {
 
 te::McfTe::Options cold_options() {
   te::McfTe::Options options;
-  options.warm_start = false;
+  options.prefix_reuse = false;
   return options;
 }
 
@@ -268,29 +268,33 @@ TEST(FlowKernel, McfTeMatchesFreshNetworkPerDemand) {
   EXPECT_GT(mixed_priority, 30);
 }
 
-/// One solve of the interleaving test: a cold engine, or a warm engine
-/// whose second solve repairs recordings of its first (one edge's capacity
-/// steps up 25%, so the per-demand networks match their recordings
-/// structurally).
+/// One solve of the interleaving test: a cold engine, or an engine with
+/// prefix reuse whose second solve drops the graph's last edge, so it may
+/// resume from the trace of its first.
 struct Job {
   int nodes = 0;
-  bool repair = false;
+  bool resume = false;
 };
 
 te::FlowAssignment run_job(const Job& job) {
   const Instance instance =
       random_instance(1000 + static_cast<std::uint64_t>(job.nodes), job.nodes);
-  if (!job.repair)
+  if (!job.resume)
     return te::McfTe(cold_options()).solve(instance.graph, instance.demands);
   te::McfTe::Options options;
-  options.warm_start = true;
-  options.partial_repair = true;
+  options.prefix_reuse = true;
   const te::McfTe engine(options);
   engine.solve(instance.graph, instance.demands);
-  graph::Graph perturbed = instance.graph;
-  graph::Edge& edge = perturbed.edge(EdgeId{0});
-  edge.capacity = Gbps{edge.capacity.value * 1.25};
-  return engine.solve(perturbed, instance.demands);
+  graph::Graph reduced;
+  for (NodeId node : instance.graph.node_ids())
+    reduced.add_node(instance.graph.node_name(node));
+  for (EdgeId id : instance.graph.edge_ids()) {
+    if (static_cast<std::size_t>(id.value) + 1 == instance.graph.edge_count())
+      continue;
+    const graph::Edge& e = instance.graph.edge(id);
+    reduced.add_edge(e.src, e.dst, e.capacity, e.cost, e.weight);
+  }
+  return engine.solve(reduced, instance.demands);
 }
 
 /// `job` on a thread of its own that has run nothing else.
@@ -309,7 +313,7 @@ te::FlowAssignment run_alone(const Job& job) {
 }
 
 std::string job_name(const Job& job) {
-  return std::to_string(job.nodes) + (job.repair ? " nodes, repair" : " nodes");
+  return std::to_string(job.nodes) + (job.resume ? " nodes, resume" : " nodes");
 }
 
 TEST(FlowKernel, InterleavedSizesMatchSolvesRunAlone) {
@@ -317,20 +321,20 @@ TEST(FlowKernel, InterleavedSizesMatchSolvesRunAlone) {
   // the per-thread scratch between solves of either kind.
   const std::vector<int> sizes = {48, 5, 20, 5, 48, 12, 20, 48, 5};
   std::vector<Job> jobs;
-  for (const bool repair : {false, true})
-    for (const int nodes : sizes) jobs.push_back({nodes, repair});
+  for (const bool resume : {false, true})
+    for (const int nodes : sizes) jobs.push_back({nodes, resume});
   for (std::size_t i = 0; i < sizes.size(); ++i)
     jobs.push_back({sizes[sizes.size() - 1 - i], i % 2 == 0});
 
   std::vector<te::FlowAssignment> alone;
   for (const Job& job : jobs) alone.push_back(run_alone(job));
 
-  const std::uint64_t repairs = counter_value("solver.partial_repairs");
+  const std::uint64_t resumes = counter_value("solver.trace_resumes");
   for (std::size_t i = 0; i < jobs.size(); ++i)
     te::expect_bitwise_equal(alone[i], run_job(jobs[i]),
                              "one thread, " + job_name(jobs[i]));
-  EXPECT_GT(counter_value("solver.partial_repairs"), repairs)
-      << "no job exercised the repair path";
+  EXPECT_GT(counter_value("solver.trace_resumes"), resumes)
+      << "no job exercised prefix reuse";
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     exec::ThreadPool pool(threads);

@@ -60,6 +60,27 @@ TEST(MinCostFlow, HandlesNegativeCostArcs) {
   EXPECT_DOUBLE_EQ(result.cost, 5.0 * 4.0 + 5.0 * 2.0);
 }
 
+TEST(MinCostFlow, FingerprintSeparatesNetworksAndTerminals) {
+  // network_fingerprint keys the flow.mincost fault site: equal inputs must
+  // hash equal, and the network and both terminals must all reach the key.
+  const auto make = [](std::uint64_t seed) {
+    util::Rng rng(seed);
+    ResidualNetwork net(24);
+    for (int u = 0; u < 24; ++u)
+      for (int v = 0; v < 24; ++v) {
+        if (u == v || !rng.bernoulli(0.3)) continue;
+        net.add_arc(u, v, rng.uniform(5.0, 50.0), rng.uniform(0.1, 4.0));
+      }
+    return net;
+  };
+  const ResidualNetwork a = make(11);
+  const ResidualNetwork b = make(12);
+  EXPECT_EQ(network_fingerprint(a, 0, 23), network_fingerprint(a, 0, 23));
+  EXPECT_NE(network_fingerprint(a, 0, 23), network_fingerprint(b, 0, 23));
+  EXPECT_NE(network_fingerprint(a, 0, 23), network_fingerprint(a, 1, 23));
+  EXPECT_NE(network_fingerprint(a, 0, 23), network_fingerprint(a, 0, 22));
+}
+
 TEST(MinCostFlow, ResultHasNoNegativeResidualCycle) {
   util::Rng rng(7);
   graph::Graph g = sim::waxman(12, rng);

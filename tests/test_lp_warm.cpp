@@ -1,11 +1,8 @@
-// LP warm starts (docs/SOLVERS.md): a solve through an LpWarmCache must be
-// bit-identical to a cold solve on every path — exact-fingerprint memo,
-// verified pivot replay across an rhs-only perturbation, and rollback to a
-// cold solve when the ratio test diverges.
+// LP memo (docs/SOLVERS.md): a solve through an LpMemo must be bit-identical
+// to a cold solve — an exact-fingerprint hit returns the stored solution,
+// and any change to the problem misses and solves cold.
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -44,176 +41,72 @@ LpProblem make_lp(double cap_x, double cap_shared, double floor_y) {
   return p;
 }
 
-TEST(LpFingerprints, StructuralIgnoresRhsMagnitudesOnly) {
-  const auto base = make_lp(5.0, 20.0, 3.0).fingerprints();
-  // rhs-only perturbation: structural equal, exact differs.
-  const auto perturbed = make_lp(4.0, 18.0, 2.5).fingerprints();
-  EXPECT_EQ(base.structural, perturbed.structural);
-  EXPECT_NE(base.exact, perturbed.exact);
-
-  // An rhs SIGN flip is structural (the row is normalized differently).
-  const auto flipped = make_lp(5.0, 20.0, -3.0).fingerprints();
-  EXPECT_NE(base.structural, flipped.structural);
-
-  // Coefficients, relations, sense, bounds: all structural.
-  LpProblem coeff = make_lp(5.0, 20.0, 3.0);
-  coeff.add_constraint({{0, 2.0}}, Relation::kLessEqual, 100.0);
-  EXPECT_NE(coeff.fingerprints().structural, base.structural);
-  LpProblem sense = make_lp(5.0, 20.0, 3.0);
-  sense.set_sense(Sense::kMinimize);
-  EXPECT_NE(sense.fingerprints().structural, base.structural);
-}
-
 TEST(LpWarm, MemoReturnsRecordedSolutionBitwise) {
-  LpWarmCache cache;
+  LpMemo memo;
   LpProblem p = make_lp(5.0, 20.0, 3.0);
   const LpSolution cold = p.solve();
   ASSERT_TRUE(cold.optimal());
 
-  const LpSolution first = p.solve(&cache);
+  const LpSolution first = p.solve(&memo);
   expect_bit_identical(cold, first);
 
-  const std::uint64_t memo_before = counter_value("lp.basis_reuse_memo_hits");
-  const LpSolution memo = p.solve(&cache);
-  expect_bit_identical(cold, memo);
-  EXPECT_EQ(counter_value("lp.basis_reuse_memo_hits"), memo_before + 1);
-}
-
-TEST(LpWarm, RhsPerturbedReplayMatchesColdBitwise) {
-  LpWarmCache cache;
-  (void)make_lp(5.0, 20.0, 3.0).solve(&cache);  // record
-
-  // Sweep rhs perturbations, small and large; every warm result must be
-  // bit-identical to a cold solve of the same problem, whether it came
-  // from a verified replay or a rollback-and-resolve.
-  const double caps_x[] = {4.5, 5.5, 6.0, 1.0};
-  const double caps_shared[] = {19.0, 21.0, 10.0, 30.0};
-  const double floors_y[] = {2.0, 3.5, 0.5, 8.0};
-  const std::uint64_t activity_before =
-      counter_value("lp.basis_reuse_hits") +
-      counter_value("lp.basis_reuse_rollbacks");
-  for (double cx : caps_x)
-    for (double cs : caps_shared)
-      for (double fy : floors_y) {
-        LpProblem p = make_lp(cx, cs, fy);
-        const LpSolution cold = p.solve();
-        const LpSolution warm = p.solve(&cache);
-        expect_bit_identical(cold, warm);
-      }
-  EXPECT_GT(counter_value("lp.basis_reuse_hits") +
-                counter_value("lp.basis_reuse_rollbacks"),
-            activity_before);
-}
-
-TEST(LpWarm, InfeasiblePerturbationMatchesCold) {
-  LpWarmCache cache;
-  (void)make_lp(5.0, 20.0, 3.0).solve(&cache);  // record a feasible solve
-
-  // floor_y above cap_shared: no feasible point, same rhs signs. The warm
-  // solve must report kInfeasible exactly like the cold one (whether the
-  // replay's phase-1 feasibility recheck caught it or a rollback re-solved
-  // cold), and must not poison the cache for later feasible rounds.
-  LpProblem infeasible = make_lp(5.0, 4.0, 6.0);
-  const LpSolution cold = infeasible.solve();
-  ASSERT_EQ(cold.status, LpStatus::kInfeasible);
-  const LpSolution warm = infeasible.solve(&cache);
-  expect_bit_identical(cold, warm);
-
-  LpProblem feasible = make_lp(5.0, 21.0, 3.0);
-  expect_bit_identical(feasible.solve(), feasible.solve(&cache));
+  const std::uint64_t hits_before = counter_value("lp.memo_hits");
+  const LpSolution memo_hit = p.solve(&memo);
+  expect_bit_identical(cold, memo_hit);
+  EXPECT_EQ(counter_value("lp.memo_hits"), hits_before + 1);
 }
 
 TEST(LpWarm, StructureChangeMissesAndRerecords) {
-  LpWarmCache cache;
-  (void)make_lp(5.0, 20.0, 3.0).solve(&cache);
+  LpMemo memo;
+  (void)make_lp(5.0, 20.0, 3.0).solve(&memo);
 
+  // An extra row, and separately an rhs-only change: both are new
+  // problems to the memo, solved cold and then stored.
   LpProblem different = make_lp(5.0, 20.0, 3.0);
   different.add_constraint({{2, 1.0}}, Relation::kLessEqual, 7.0);
-  const std::uint64_t misses_before = counter_value("lp.basis_reuse_misses");
-  const LpSolution cold = different.solve();
-  const LpSolution warm = different.solve(&cache);
-  expect_bit_identical(cold, warm);
-  EXPECT_EQ(counter_value("lp.basis_reuse_misses"), misses_before + 1);
-  EXPECT_EQ(cache.size(), 2u);  // the new structure was recorded too
+  LpProblem rhs_only = make_lp(4.0, 18.0, 2.5);
+  const std::uint64_t misses_before = counter_value("lp.memo_misses");
+  expect_bit_identical(different.solve(), different.solve(&memo));
+  expect_bit_identical(rhs_only.solve(), rhs_only.solve(&memo));
+  EXPECT_EQ(counter_value("lp.memo_misses"), misses_before + 2);
+  EXPECT_EQ(memo.size(), 3u);
 }
 
-TEST(LpWarm, RandomizedPerturbationSweepStaysBitIdentical) {
-  // Heavier adversarial sweep: random LPs, then random rhs perturbations
-  // of each, all solved warm against a shared cache and compared to cold.
-  util::Rng rng(2024);
-  LpWarmCache cache;
-  for (int trial = 0; trial < 20; ++trial) {
-    const int n = 2 + static_cast<int>(rng.uniform(0.0, 3.0));
-    const int m = 2 + static_cast<int>(rng.uniform(0.0, 4.0));
-    std::vector<double> rhs_base(static_cast<std::size_t>(m));
-    LpProblem base(trial % 2 == 0 ? Sense::kMaximize : Sense::kMinimize);
-    std::vector<std::vector<Term>> rows;
-    for (int v = 0; v < n; ++v)
-      base.add_variable(rng.uniform(0.5, 3.0),
-                        rng.bernoulli(0.3)
-                            ? rng.uniform(5.0, 15.0)
-                            : std::numeric_limits<double>::infinity());
-    for (int r = 0; r < m; ++r) {
-      std::vector<Term> terms;
-      for (int v = 0; v < n; ++v)
-        if (rng.bernoulli(0.7)) terms.push_back({v, rng.uniform(0.5, 2.0)});
-      if (terms.empty()) terms.push_back({0, 1.0});
-      rows.push_back(terms);
-      rhs_base[static_cast<std::size_t>(r)] = rng.uniform(2.0, 25.0);
-      base.add_constraint(std::move(terms),
-                          r % 3 == 2 ? Relation::kGreaterEqual
-                                     : Relation::kLessEqual,
-                          rhs_base[static_cast<std::size_t>(r)]);
-    }
-    (void)base.solve(&cache);  // record (if optimal)
-
-    for (int round = 0; round < 4; ++round) {
-      LpProblem p(trial % 2 == 0 ? Sense::kMaximize : Sense::kMinimize);
-      for (int v = 0; v < n; ++v)
-        p.add_variable(base.objective_coefficient(v), base.upper_bound(v));
-      for (int r = 0; r < m; ++r)
-        p.add_constraint(rows[static_cast<std::size_t>(r)],
-                         r % 3 == 2 ? Relation::kGreaterEqual
-                                    : Relation::kLessEqual,
-                         rhs_base[static_cast<std::size_t>(r)] *
-                             rng.uniform(0.7, 1.3));
-      const LpSolution cold = p.solve();
-      const LpSolution warm = p.solve(&cache);
-      expect_bit_identical(cold, warm);
-    }
-  }
-}
-
-TEST(LpWarmCacheUnit, StoresFindsAndEvictsFifo) {
-  LpWarmCache cache(2);
-  auto make = [](std::uint64_t exact, std::uint64_t structural) {
-    auto rec = std::make_shared<PivotRecording>();
-    rec->exact_fingerprint = exact;
-    rec->structural_fingerprint = structural;
-    return rec;
+TEST(LpMemo, StoresFindsAndEvictsFifo) {
+  const auto solution = [](double objective) {
+    LpSolution out;
+    out.status = LpStatus::kOptimal;
+    out.objective = objective;
+    return out;
   };
-  cache.store(make(1, 100));
-  cache.store(make(2, 200));
-  EXPECT_EQ(cache.size(), 2u);
-  ASSERT_NE(cache.find(100), nullptr);
+  LpMemo memo(2);
+  memo.store(1, solution(1.0));
+  memo.store(2, solution(2.0));
+  EXPECT_EQ(memo.size(), 2u);
+  ASSERT_NE(memo.find(1), nullptr);
 
-  // Latest recording wins per structure without consuming a FIFO slot.
-  cache.store(make(9, 100));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(100)->exact_fingerprint, 9u);
+  // Replacing an entry does not consume a FIFO slot.
+  memo.store(1, solution(9.0));
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.find(1)->objective, 9.0);
 
-  cache.store(make(3, 300));  // evicts structure 100 (oldest insertion)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(100), nullptr);
-  ASSERT_NE(cache.find(200), nullptr);
-  ASSERT_NE(cache.find(300), nullptr);
+  memo.store(3, solution(3.0));  // evicts 1 (oldest insertion)
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.find(1), nullptr);
+  ASSERT_NE(memo.find(2), nullptr);
+  ASSERT_NE(memo.find(3), nullptr);
+
+  LpMemo clamped(0);  // a zero bound still holds one entry
+  clamped.store(1, solution(1.0));
+  clamped.store(2, solution(2.0));
+  EXPECT_EQ(clamped.size(), 1u);
+  EXPECT_NE(clamped.find(2), nullptr);
 }
 
 TEST(SwanTeWarm, PerturbedRoundMatchesEngineWithoutWarmBasis) {
-  // End-to-end through SWAN: across a capacity perturbation the LPs are
-  // rhs-only perturbations of round 1's, so the warm-basis engine must
-  // engage the replay tier and still route identically to an engine with
-  // warm starts disabled.
+  // End-to-end through SWAN: across a capacity perturbation every LP is new
+  // to the memo, and a repeat of the perturbed round is served from it.
+  // Both must route identically to an engine with the memo off.
   util::Rng topo_rng = util::Rng::stream(31, 0);
   const graph::Graph base = sim::waxman(12, topo_rng);
   util::Rng demand_rng = util::Rng::stream(31, 1);
@@ -234,23 +127,23 @@ TEST(SwanTeWarm, PerturbedRoundMatchesEngineWithoutWarmBasis) {
   }
 
   te::SwanTe::Options cold_options;
-  cold_options.warm_basis = false;
+  cold_options.lp_memo = false;
   const te::SwanTe cold_engine(cold_options);
-  const te::SwanTe warm_engine;  // warm_basis defaults on
+  te::SwanTe::Options memo_options;
+  memo_options.lp_memo = true;
+  const te::SwanTe memo_engine(memo_options);
 
   (void)cold_engine.solve(base, demands);
-  (void)warm_engine.solve(base, demands);
+  (void)memo_engine.solve(base, demands);
 
-  const std::uint64_t activity_before =
-      counter_value("lp.basis_reuse_hits") +
-      counter_value("lp.basis_reuse_memo_hits") +
-      counter_value("lp.basis_reuse_rollbacks");
+  const std::uint64_t misses_before = counter_value("lp.memo_misses");
   const auto cold = cold_engine.solve(perturbed, demands);
-  const auto warm = warm_engine.solve(perturbed, demands);
-  EXPECT_GT(counter_value("lp.basis_reuse_hits") +
-                counter_value("lp.basis_reuse_memo_hits") +
-                counter_value("lp.basis_reuse_rollbacks"),
-            activity_before);
+  const auto first = memo_engine.solve(perturbed, demands);
+  EXPECT_GT(counter_value("lp.memo_misses"), misses_before);
+  const std::uint64_t hits_before = counter_value("lp.memo_hits");
+  const auto warm = memo_engine.solve(perturbed, demands);
+  EXPECT_GT(counter_value("lp.memo_hits"), hits_before);
+  EXPECT_EQ(first.edge_load_gbps, warm.edge_load_gbps);
 
   ASSERT_EQ(warm.total_routed.value, cold.total_routed.value);
   ASSERT_EQ(warm.edge_load_gbps, cold.edge_load_gbps);

@@ -1,8 +1,9 @@
 // Checkpoint format tests (rwc::replay): round-trip fidelity for every
 // section, typed rejection of every corruption class the format defends
 // against (bad magic/version, truncation at any byte, CRC-detected bit
-// rot, missing mandatory sections), file IO, the replay.restore fault
-// site, and CheckpointStore rotation + deterministic fallback.
+// rot, missing mandatory sections), skipping of retired sections, file IO,
+// the replay.restore fault site, and CheckpointStore rotation +
+// deterministic fallback.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "replay/checkpoint.hpp"
+#include "support/checkpoint_splice.hpp"
 
 namespace rwc {
 namespace {
@@ -24,7 +26,7 @@ using replay::CheckpointStore;
 using replay::Error;
 
 /// A checkpoint exercising every section with non-default content.
-Checkpoint sample_checkpoint(bool with_caches = true, bool with_obs = true) {
+Checkpoint sample_checkpoint(bool with_obs = true) {
   Checkpoint ck;
   ck.config_fingerprint = 0xFEEDFACECAFEBEEFull;
   ck.round = 40;
@@ -76,27 +78,6 @@ Checkpoint sample_checkpoint(bool with_caches = true, bool with_obs = true) {
   ck.latency_rng.cached_normal = -1.25;
   ck.latency_rng.has_cached_normal = true;
 
-  if (with_caches) {
-    ck.caches_present = true;
-    flow::MinCostWarmStart recording;
-    recording.fingerprint = 0xABCDull;
-    flow::MinCostWarmStart::Augmentation aug;
-    aug.arcs = {3, 1, 0};
-    aug.bottleneck = 17.5;
-    aug.path_cost = 2.5;
-    recording.augmentations.push_back(aug);
-    recording.exhausted = true;
-    recording.final_potential = {0.0, 1.0, 2.0};
-    ck.warm_recordings.push_back(recording);
-
-    graph::PathCache::ExportedEntry entry;
-    entry.fingerprint = 0xBEEFull;
-    entry.source = 0;
-    entry.target = 1;
-    entry.k = 4;
-    entry.paths = {path};
-    ck.path_entries.push_back(entry);
-  }
   if (with_obs) {
     ck.obs_present = true;
     ck.obs_counters = {{"replay.rounds", 40}, {"flow.mincost.runs", 123}};
@@ -172,40 +153,6 @@ void expect_checkpoints_equal(const Checkpoint& a, const Checkpoint& b) {
     EXPECT_EQ(a.cursors[i], b.cursors[i]);
   EXPECT_EQ(a.latency_rng, b.latency_rng);
 
-  EXPECT_EQ(a.caches_present, b.caches_present);
-  ASSERT_EQ(a.warm_recordings.size(), b.warm_recordings.size());
-  for (std::size_t i = 0; i < a.warm_recordings.size(); ++i) {
-    EXPECT_EQ(a.warm_recordings[i].fingerprint,
-              b.warm_recordings[i].fingerprint);
-    ASSERT_EQ(a.warm_recordings[i].augmentations.size(),
-              b.warm_recordings[i].augmentations.size());
-    for (std::size_t g = 0; g < a.warm_recordings[i].augmentations.size();
-         ++g) {
-      EXPECT_EQ(a.warm_recordings[i].augmentations[g].arcs,
-                b.warm_recordings[i].augmentations[g].arcs);
-      EXPECT_EQ(a.warm_recordings[i].augmentations[g].bottleneck,
-                b.warm_recordings[i].augmentations[g].bottleneck);
-      EXPECT_EQ(a.warm_recordings[i].augmentations[g].path_cost,
-                b.warm_recordings[i].augmentations[g].path_cost);
-    }
-    EXPECT_EQ(a.warm_recordings[i].exhausted, b.warm_recordings[i].exhausted);
-    EXPECT_EQ(a.warm_recordings[i].final_potential,
-              b.warm_recordings[i].final_potential);
-  }
-  ASSERT_EQ(a.path_entries.size(), b.path_entries.size());
-  for (std::size_t i = 0; i < a.path_entries.size(); ++i) {
-    EXPECT_EQ(a.path_entries[i].fingerprint, b.path_entries[i].fingerprint);
-    EXPECT_EQ(a.path_entries[i].source, b.path_entries[i].source);
-    EXPECT_EQ(a.path_entries[i].target, b.path_entries[i].target);
-    EXPECT_EQ(a.path_entries[i].k, b.path_entries[i].k);
-    ASSERT_EQ(a.path_entries[i].paths.size(), b.path_entries[i].paths.size());
-    for (std::size_t p = 0; p < a.path_entries[i].paths.size(); ++p) {
-      EXPECT_EQ(a.path_entries[i].paths[p].edges,
-                b.path_entries[i].paths[p].edges);
-      EXPECT_EQ(a.path_entries[i].paths[p].weight,
-                b.path_entries[i].paths[p].weight);
-    }
-  }
   EXPECT_EQ(a.obs_present, b.obs_present);
   EXPECT_EQ(a.obs_counters, b.obs_counters);
   EXPECT_EQ(a.obs_gauges, b.obs_gauges);
@@ -238,15 +185,29 @@ TEST(ReplayCheckpoint, EncodeDecodeRoundTripsAllSections) {
 }
 
 TEST(ReplayCheckpoint, ColdCacheMarkerRoundTrips) {
-  const Checkpoint original =
-      sample_checkpoint(/*with_caches=*/false, /*with_obs=*/false);
+  const Checkpoint original = sample_checkpoint(/*with_obs=*/false);
   const std::vector<std::byte> bytes = replay::encode(original);
   Checkpoint decoded;
   ASSERT_EQ(replay::decode(bytes, decoded), Error::kNone);
-  EXPECT_FALSE(decoded.caches_present);
   EXPECT_FALSE(decoded.obs_present);
-  EXPECT_TRUE(decoded.warm_recordings.empty());
-  EXPECT_TRUE(decoded.path_entries.empty());
+}
+
+TEST(ReplayCheckpoint, RetiredCacheSectionsAreSkipped) {
+  // Earlier builds wrote engine caches under ids 5 and 6. A checkpoint that
+  // still carries them, whatever their bytes, must decode to the same
+  // fields as one without them.
+  for (const bool with_obs : {false, true}) {
+    const Checkpoint original = sample_checkpoint(with_obs);
+    const std::vector<std::byte> plain = replay::encode(original);
+    const std::vector<std::byte> spliced =
+        replay::with_retired_cache_sections(plain);
+    ASSERT_GT(spliced.size(), plain.size());
+    Checkpoint decoded;
+    ASSERT_EQ(replay::decode(spliced, decoded), Error::kNone)
+        << "with_obs=" << with_obs;
+    expect_checkpoints_equal(original, decoded);
+    EXPECT_EQ(replay::encode(decoded), plain) << "with_obs=" << with_obs;
+  }
 }
 
 TEST(ReplayCheckpoint, DecodeRejectsBadMagic) {
@@ -285,8 +246,7 @@ TEST(ReplayCheckpoint, DecodeRejectsPayloadBitRot) {
 }
 
 TEST(ReplayCheckpoint, DecodeRejectsMissingMandatorySection) {
-  const Checkpoint original =
-      sample_checkpoint(/*with_caches=*/false, /*with_obs=*/false);
+  const Checkpoint original = sample_checkpoint(/*with_obs=*/false);
   std::vector<std::byte> bytes = replay::encode(original);
   // Retag the first section (kMeta, id at offset 16) as an unknown id; the
   // decoder skips unknown sections, leaving the mandatory meta one absent.

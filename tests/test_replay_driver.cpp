@@ -1,8 +1,8 @@
 // ReplayDriver contract tests: the streaming driver reproduces the
 // WanSimulator's analytic dynamic-policy run bit-for-bit, and a kill at
 // any checkpoint followed by restore-then-continue is bit-identical to the
-// uninterrupted run — at pool sizes 1/2/8, with warm or cold caches, for
-// both built-in engine families (ISSUE 4 acceptance).
+// uninterrupted run — at pool sizes 1/2/8, on warm or fresh engines, for
+// both built-in engine families.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
+#include "support/checkpoint_splice.hpp"
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
 #include "util/rng.hpp"
@@ -172,21 +173,55 @@ TEST(ReplayDriver, KillRestoreBitIdenticalAcrossPoolSizes) {
 TEST(ReplayDriver, ColdCacheRestoreIsStillBitIdentical) {
   const Fixture f = make_fixture(20170701, /*nodes=*/8);
   const te::McfTe engine;
-  ReplayConfig config = small_config(/*rounds=*/12, /*chunk_rounds=*/8);
+  const ReplayConfig config = small_config(/*rounds=*/12, /*chunk_rounds=*/8);
   const Reference ref = reference_run(f, engine, config);
 
-  // Caches only change timing: a checkpoint that never captured them
-  // restores to a cold engine and must continue bit-identically anyway.
-  config.checkpoint_caches = false;
-  check_kill_restore(f, engine, config, ref, {5}, "cold-cache restore");
+  // Engine reuse state (prefix traces) is never checkpointed and only
+  // changes timing: a restore onto a fresh engine must continue
+  // bit-identically.
+  ReplayDriver source(f.topology, engine, f.demands, config);
+  source.run(5);
+  const te::McfTe fresh;
+  ReplayDriver resumed(f.topology, fresh, f.demands, config);
+  ASSERT_EQ(resumed.restore(source.checkpoint()), Error::kNone);
+  for (std::uint64_t r = 5; r < config.rounds; ++r) {
+    const prop::InvariantResult check = prop::check_signatures_equal(
+        ref.signatures[r], prop::signature_of(resumed.step()),
+        "fresh engine, round " + std::to_string(r));
+    ASSERT_TRUE(check.ok) << check.detail;
+  }
+  EXPECT_EQ(resumed.signature_chain(), ref.chain);
+  expect_metrics_equal(ref.metrics, resumed.metrics(), "fresh engine");
 }
 
-TEST(ReplayDriver, SwanEngineKillRestoreRoundTripsPathCache) {
+TEST(ReplayDriver, SwanEngineKillRestoreIsBitIdentical) {
   const Fixture f = make_fixture(20170701, /*nodes=*/8);
   const te::SwanTe engine;
   const ReplayConfig config = small_config(/*rounds=*/12, /*chunk_rounds=*/8);
   const Reference ref = reference_run(f, engine, config);
   check_kill_restore(f, engine, config, ref, {5, 8}, "swan engine");
+}
+
+TEST(ReplayDriver, RestoresCheckpointCarryingRetiredCacheSections) {
+  // A mid-run checkpoint as an earlier build wrote it, with engine caches
+  // under the retired ids 5 and 6, restores and finishes the horizon on
+  // the uninterrupted run's chain.
+  const Fixture f = make_fixture(20170701, /*nodes=*/8);
+  const te::McfTe engine;
+  const ReplayConfig config = small_config(/*rounds=*/12, /*chunk_rounds=*/8);
+  const Reference ref = reference_run(f, engine, config);
+
+  ReplayDriver source(f.topology, engine, f.demands, config);
+  source.run(5);
+  const std::vector<std::byte> bytes =
+      replay::with_retired_cache_sections(replay::encode(source.checkpoint()));
+  Checkpoint checkpoint;
+  ASSERT_EQ(replay::decode(bytes, checkpoint), Error::kNone);
+  ReplayDriver resumed(f.topology, engine, f.demands, config);
+  ASSERT_EQ(resumed.restore(checkpoint), Error::kNone);
+  resumed.run();
+  EXPECT_EQ(resumed.signature_chain(), ref.chain);
+  expect_metrics_equal(ref.metrics, resumed.metrics(), "retired sections");
 }
 
 TEST(ReplayDriver, RestoreRejectsConfigMismatchAndLeavesDriverUntouched) {

@@ -33,17 +33,16 @@ std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
 
-/// Warm start and partial repair on explicitly, whatever the environment.
+/// Prefix reuse on explicitly, whatever the environment.
 McfTe::Options traced_options() {
   McfTe::Options options;
-  options.warm_start = true;
-  options.partial_repair = true;
+  options.prefix_reuse = true;
   return options;
 }
 
 McfTe::Options cold_options() {
   McfTe::Options options;
-  options.warm_start = false;
+  options.prefix_reuse = false;
   return options;
 }
 
@@ -67,8 +66,6 @@ graph::Graph without(const graph::Graph& graph,
 ///   e3 A->B cap 10 cost 10   e4 B->A cap 10 cost 1 (never improves A)
 ///   e5 S->A cap 100 cost 0
 /// Serve order: d0 (A->B 5, prio 2), d1 (S->B 10, prio 1), d2 (A->C 2).
-/// No two demands share terminals, so no demand is served from another's
-/// warm recording.
 struct HandBuilt {
   graph::Graph graph;
   TrafficMatrix demands;
@@ -155,7 +152,7 @@ TEST(McfTePrefixReuse, IneligibleSolvesRunThePlainLadder) {
   const HandBuilt fixture = hand_built();
   const graph::Graph reduced = without(fixture.graph, {4});
 
-  // Identical inputs are left to the warm cache.
+  // Identical inputs remove no edge.
   {
     const McfTe engine(traced_options());
     solve_and_check(engine, fixture.graph, fixture.demands, "reference");
@@ -189,14 +186,12 @@ TEST(McfTePrefixReuse, IneligibleSolvesRunThePlainLadder) {
                   .resumes,
               0u);
   }
-  // The rung rides the partial rung's switch.
+  // The rung's own switch turns it off.
   {
-    McfTe::Options options = traced_options();
-    options.partial_repair = false;
-    const McfTe engine(options);
+    const McfTe engine(cold_options());
     solve_and_check(engine, fixture.graph, fixture.demands, "reference");
     EXPECT_EQ(solve_and_check(engine, reduced, fixture.demands,
-                              "partial_repair off")
+                              "prefix_reuse off")
                   .resumes,
               0u);
   }
@@ -227,7 +222,7 @@ TEST(McfTePrefixReuse, IneligibleSolvesRunThePlainLadder) {
 
 TEST(McfTePrefixReuse, RandomRemovalsMatchColdSolveBitwise) {
   std::size_t strict_prefixes = 0;
-  std::size_t warm_references = 0;
+  std::size_t two_trace_references = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     util::Rng rng = util::Rng::stream(seed, 0x50524658);
     const auto nodes = static_cast<int>(rng.uniform_int(4, 8));
@@ -261,13 +256,14 @@ TEST(McfTePrefixReuse, RandomRemovalsMatchColdSolveBitwise) {
     const McfTe engine(traced_options());
     const std::string context = "seed " + std::to_string(seed);
     if (rng.bernoulli(0.5)) {
-      // Warm-served reference: a solve of the same structure with one
-      // capacity changed leaves recordings the reference then repairs.
+      // A second trace in the store: a solve of the same structure with
+      // edge 0's capacity changed. A trial that drops edge 0 embeds in it
+      // too, so the store must pick a sound prefix among both traces.
       graph::Graph perturbed = graph;
       graph::Edge& edge = perturbed.edge(EdgeId{0});
       edge.capacity = Gbps{edge.capacity.value + 1.0};
       solve_and_check(engine, perturbed, demands, context + ", perturbed");
-      ++warm_references;
+      ++two_trace_references;
     }
     solve_and_check(engine, graph, demands, context + ", reference");
 
@@ -287,7 +283,7 @@ TEST(McfTePrefixReuse, RandomRemovalsMatchColdSolveBitwise) {
   }
   // Vacuity guard: the property must have exercised real partial copies.
   EXPECT_GE(strict_prefixes, 10u);
-  EXPECT_GT(warm_references, 0u);
+  EXPECT_GT(two_trace_references, 0u);
 }
 
 /// Weather rounds on a 40-node WAN: each round dips a fresh 15% of links
@@ -330,11 +326,9 @@ std::vector<prop::RoundSignature> weather_rounds(const McfTe& engine,
 
 TEST(McfTePrefixReuse, WeatherRoundsMatchPartialOffAtEveryPoolSize) {
   constexpr int kRounds = 4;
-  McfTe::Options reference_options = traced_options();
-  reference_options.partial_repair = false;
   exec::ThreadPool serial(0);
   const std::vector<prop::RoundSignature> expected =
-      weather_rounds(McfTe(reference_options), serial, kRounds);
+      weather_rounds(McfTe(cold_options()), serial, kRounds);
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     exec::ThreadPool pool(threads);

@@ -81,7 +81,7 @@ ArmResult run_arm(const Fixture& fixture, bool scheduled,
   core::ControllerOptions options;
   options.pool = &pool;
   if (scheduled) options.update = stage_config();
-  const te::McfTe engine;  // fresh per arm: cold warm-start cache
+  const te::McfTe engine;  // fresh per arm: empty trace store
   core::DynamicCapacityController controller(
       fixture.topology, optical::ModulationTable::standard(), engine,
       options);

@@ -16,6 +16,7 @@
 #include "fault/plan.hpp"
 #include "fault/registry.hpp"
 #include "graph/graph.hpp"
+#include "obs/registry.hpp"
 #include "te/demand.hpp"
 #include "update/executor.hpp"
 #include "update/schedule.hpp"
@@ -467,6 +468,19 @@ TEST_F(ExecutorFixture, FaultFreeRunCommitsAndEveryTransientHolds) {
   EXPECT_EQ(result.rollbacks, 0u);
   EXPECT_GT(observed, 0u);
   EXPECT_EQ(result.makespan_seconds, schedule.makespan_seconds);  // bitwise
+}
+
+// update.exec.seconds times every ScheduleExecutor::run exactly once.
+TEST_F(ExecutorFixture, EveryRunObservesTheExecHistogram) {
+  const obs::Histogram& seconds =
+      obs::Registry::global().histogram("update.exec.seconds");
+  const std::uint64_t before = seconds.count();
+  constexpr std::uint64_t kRuns = 3;
+  for (std::uint64_t r = 0; r < kRuns; ++r) {
+    ScheduleExecutor executor(g, schedule);
+    executor.run();
+  }
+  EXPECT_EQ(seconds.count() - before, kRuns);
 }
 
 TEST_F(ExecutorFixture, CommitFailRollsBackThenConvergesBitIdentically) {
