@@ -33,7 +33,6 @@ struct ControllerMetrics {
   obs::Histogram& solve_seconds;
   obs::Histogram& translate_seconds;
   obs::Histogram& consolidate_seconds;
-  obs::Histogram& transition_seconds;
   obs::Histogram& update_seconds;
   obs::Counter& incremental_hits;
   obs::Counter& incremental_misses;
@@ -55,7 +54,6 @@ struct ControllerMetrics {
         registry.histogram("controller.round.solve.seconds"),
         registry.histogram("controller.round.translate.seconds"),
         registry.histogram("controller.round.consolidate.seconds"),
-        registry.histogram("controller.round.transition.seconds"),
         registry.histogram("controller.round.update.seconds"),
         registry.counter("solver.incremental_hits"),
         registry.counter("solver.incremental_misses"),
@@ -92,6 +90,21 @@ struct SolverCounters {
                           trace_resumes.value() + memo_hits.value()};
   }
 };
+
+/// RoundReport::transition_valid: the two-phase rule's old and new loads
+/// both fit the post-upgrade capacity of every link.
+bool transition_fits(std::span<const double> before,
+                     std::span<const double> after,
+                     std::span<const Gbps> capacity) {
+  constexpr double kTolerance = 1e-6;
+  for (std::size_t i = 0; i < capacity.size(); ++i) {
+    const double limit = capacity[i].value + kTolerance;
+    if ((i < before.size() && before[i] > limit) ||
+        (i < after.size() && after[i] > limit))
+      return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -408,8 +421,8 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
     // timing-only by contract. When all four match the previous round's,
     // the memoized post-consolidation plan IS what a full re-solve would
     // produce, bit for bit, so reuse it and skip augment/solve/translate/
-    // consolidate. The transition plan below is still recomputed normally
-    // (it depends on last_assignment_, which does evolve).
+    // consolidate. The transition check below still runs normally (it
+    // depends on last_assignment_, which does evolve).
     std::vector<double> variable_traffic;
     if (options_.incremental) {
       variable_traffic.reserve(variable_links.size());
@@ -455,23 +468,18 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
       }
     }
 
-    // Step 6: apply upgrades and plan the consistent transition. The
-    // pre-upgrade snapshot is the physical "now" the update scheduler
-    // transitions from: flaps/restorations already landed at t=0 (SNR
-    // forced them), only the TE-chosen upgrades are scheduled reconfigs.
-    const std::vector<Gbps> pre_upgrade_capacity = configured_;
+    // Step 6: apply upgrades and check the transition. The pre-upgrade
+    // snapshot is the physical "now" the update scheduler transitions
+    // from: flaps/restorations already landed at t=0 (SNR forced them),
+    // only the TE-chosen upgrades are scheduled reconfigs.
+    std::vector<Gbps> pre_upgrade_capacity;
+    if (options_.update.has_value()) pre_upgrade_capacity = configured_;
     for (const CapacityChange& change : report.plan.upgrades)
       configured_[static_cast<std::size_t>(change.edge.value)] = change.to;
-
-    obs::StopWatch transition_watch;
-    graph::Graph upgraded = current_topology();
-    te::FlowAssignment previous = last_assignment_;
-    previous.edge_load_gbps.resize(upgraded.edge_count(), 0.0);
-    report.transition = te::plan_transition(
-        upgraded, previous, report.plan.physical_assignment);
     report.transition_valid =
-        te::validate_transition(upgraded, previous, report.transition);
-    report.stats.transition_seconds = transition_watch.seconds();
+        transition_fits(last_assignment_.edge_load_gbps,
+                        report.plan.physical_assignment.edge_load_gbps,
+                        configured_);
 
     // Optional consistent-update stage (docs/UPDATE.md): order this
     // round's reconfigs + route moves into invariant-checked update
@@ -480,7 +488,7 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
     if (options_.update.has_value()) {
       obs::StopWatch update_watch;
       report.update = update::plan_schedule(
-          physical_, pre_upgrade_capacity, configured_, previous,
+          physical_, pre_upgrade_capacity, configured_, last_assignment_,
           report.plan.physical_assignment, *options_.update);
       report.update_valid =
           report.update->feasible &&
@@ -531,7 +539,6 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
   metrics.solve_seconds.observe(report.stats.solve_seconds);
   metrics.translate_seconds.observe(report.stats.translate_seconds);
   metrics.consolidate_seconds.observe(report.stats.consolidate_seconds);
-  metrics.transition_seconds.observe(report.stats.transition_seconds);
   if (options_.update.has_value())
     metrics.update_seconds.observe(report.stats.update_seconds);
   if (options_.incremental) {

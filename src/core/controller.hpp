@@ -13,8 +13,9 @@
 //      an optional consolidation pass minimizes the number of activated
 //      upgrades among cost-equal solutions (recovers the Fig. 7 example's
 //      "only one link is increased").
-//   6. A consistent-update transition plan is produced against the previous
-//      round's routing (Section 4.2 (ii)).
+//   6. The transition from the previous round's routing is checked against
+//      the post-upgrade capacities (Section 4.2 (ii)); with options.update
+//      an ordered update schedule is planned for it too.
 #pragma once
 
 #include <memory>
@@ -28,7 +29,6 @@
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "te/algorithm.hpp"
-#include "te/consistent_update.hpp"
 #include "update/schedule.hpp"
 
 namespace rwc::exec {
@@ -116,7 +116,7 @@ class DynamicCapacityController {
   ///
   /// Stage timings are wall-clock seconds and exclusive: no interval is
   /// counted in two buckets, so augment + solve + translate + consolidate
-  /// + transition + update <= total. The augment/solve/translate buckets
+  /// + update <= total. The augment/solve/translate buckets
   /// cover the round's primary evaluation only; `consolidate_seconds`
   /// covers the whole consolidation pass, its trial evaluations included.
   /// The same values are recorded into the global `obs::Registry` under the
@@ -131,8 +131,6 @@ class DynamicCapacityController {
     double translate_seconds = 0.0;
     /// Consolidation post-pass, trial evaluations included.
     double consolidate_seconds = 0.0;
-    /// Consistent-update transition planning + validation time.
-    double transition_seconds = 0.0;
     /// End-to-end run_round wall time.
     double total_seconds = 0.0;
     /// Augment->solve->translate passes (1 + accepted/tried consolidations).
@@ -183,9 +181,12 @@ class DynamicCapacityController {
     util::Gbps total_routed{0.0};
     /// Total penalty paid on fake links (upgrade disruption proxy).
     double total_penalty = 0.0;
-    /// Consistent-update steps from the previous round's routing.
-    te::UpdatePlan transition;
-    /// Whether the transition plan passed validation.
+    /// Whether the two-phase consistent update (drain shrinking routes,
+    /// then add growing ones) from the previous round's routing keeps
+    /// every link within its post-upgrade capacity. Loads only fall in the
+    /// first phase and only rise in the second, so this holds iff the
+    /// previous and the new load of every link fit it (within 1e-6 Gbps).
+    /// An SNR-forced reduction under load makes it false by construction.
     bool transition_valid = false;
     /// Demand-estimation outcome of this round (only when options.demand
     /// selects kEstimated). Diagnostics — never part of a round's result

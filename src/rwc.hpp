@@ -74,7 +74,6 @@
 // te — traffic-engineering engines (unmodified consumers of topologies)
 #include "te/algorithm.hpp"
 #include "te/b4.hpp"
-#include "te/consistent_update.hpp"
 #include "te/cspf.hpp"
 #include "te/demand.hpp"
 #include "te/ecmp.hpp"
@@ -88,13 +87,8 @@
 #include "core/controller.hpp"
 #include "core/fixed_charge.hpp"
 #include "core/hysteresis.hpp"
-#include "core/orchestrator.hpp"
 #include "core/penalty.hpp"
 #include "core/translate.hpp"
-
-// mgmt — management-plane interfaces (YANG-style config, SNMP-lite MIB)
-#include "mgmt/config_model.hpp"
-#include "mgmt/mib.hpp"
 
 // sim — discrete-event WAN simulation
 #include "sim/event.hpp"

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/controller.hpp"
-#include "core/orchestrator.hpp"
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/workload.hpp"
@@ -80,15 +79,6 @@ SimulationMetrics WanSimulator::run(const te::TrafficMatrix& base_demands) {
   core::DynamicCapacityController controller(topology_, table, engine_,
                                              controller_options);
 
-  // Device-backed mode: per-link transceivers plus the orchestrator.
-  core::DeviceArray devices;
-  if (dynamic && config_.device_backed)
-    devices = core::make_device_array(topology_, table,
-                                      config_.seed ^ 0xDEC1CEull);
-  core::ReconfigurationOrchestrator::Options orchestration;
-  orchestration.procedure = procedure;
-  const core::ReconfigurationOrchestrator orchestrator(orchestration);
-
   // Static policies track binary link state themselves.
   graph::Graph static_topology = topology_;
   const Gbps static_rate = config_.policy == CapacityPolicy::kStatic
@@ -125,10 +115,6 @@ SimulationMetrics WanSimulator::run(const te::TrafficMatrix& base_demands) {
       std::size_t links_up = 0;
 
       if (dynamic) {
-        const te::FlowAssignment previous = controller.last_assignment();
-        if (config_.device_backed)
-          for (std::size_t e = 0; e < edges; ++e)
-            devices[e].set_link_snr(snr[e]);
         const auto report = controller.run_round(snr, demands);
         routed = report.total_routed.value;
         // Honest delivered account in estimated mode: TE routed the
@@ -160,73 +146,20 @@ SimulationMetrics WanSimulator::run(const te::TrafficMatrix& base_demands) {
           queue.schedule_in(std::min(downtime, config_.te_interval),
                             [](Seconds) {});  // reconfig-complete event
         };
-        // Device-backed account: drive the link's transceiver and charge
-        // the actual downtime; a failed lock loses the tick's traffic.
-        auto device_change = [&](EdgeId edge, util::Gbps to) {
-          auto& device = devices[static_cast<std::size_t>(edge.value)];
-          if (to.value <= 0.0) {
-            device.power_off();
-            return;
-          }
-          if (!device.laser_on())
-            metrics.reconfig_downtime_hours += device.power_on() / util::kHour;
-          const auto result = device.change_modulation(to, procedure);
-          metrics.reconfig_downtime_hours += result.downtime / util::kHour;
-          const double load =
-              report.plan.physical_assignment
-                  .edge_load_gbps[static_cast<std::size_t>(edge.value)];
-          lost += load *
-                  std::min(result.downtime, config_.te_interval) /
-                  util::kHour;
-          if (!result.success) {
-            ++metrics.lock_failures;
-            lost += load * tick_hours;
-          }
-        };
-        auto apply_change = [&](EdgeId edge, util::Gbps to) {
-          if (config_.device_backed)
-            device_change(edge, to);
-          else
-            account_change(edge);
-        };
-
         for (const auto& restoration : report.restorations) {
           ++metrics.restorations;
-          apply_change(restoration.edge, restoration.to);
+          account_change(restoration.edge);
         }
         for (const auto& flap : report.reductions) {
           if (flap.to.value > 0.0) {
             ++metrics.link_flaps;
-            apply_change(flap.edge, flap.to);
+            account_change(flap.edge);
           } else {
             ++metrics.link_failures;
-            if (config_.device_backed)
-              devices[static_cast<std::size_t>(flap.edge.value)].power_off();
           }
         }
-        if (config_.device_backed) {
-          // Upgrades execute through the orchestrator: drain, parallel
-          // modulation changes over MDIO, restore.
-          const auto execution =
-              orchestrator.execute(controller.current_topology(), previous,
-                                   report.plan, devices);
-          metrics.reconfig_downtime_hours +=
-              execution.makespan / util::kHour;
-          lost += execution.parked_gbps_seconds / util::kHour;
-          if (!execution.success) {
-            for (const auto& event : execution.timeline)
-              if (event.kind ==
-                  core::OrchestratorEvent::Kind::kReconfigureFailed) {
-                ++metrics.lock_failures;
-                lost += report.plan.physical_assignment.edge_load_gbps
-                            [static_cast<std::size_t>(event.edge.value)] *
-                        tick_hours;
-              }
-          }
-        } else {
-          for (const auto& change : report.plan.upgrades)
-            account_change(change.edge);
-        }
+        for (const auto& change : report.plan.upgrades)
+          account_change(change.edge);
         for (EdgeId edge : topology_.edge_ids())
           if (controller.configured_capacity(edge).value > 0.0) ++links_up;
       } else {

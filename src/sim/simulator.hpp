@@ -49,11 +49,6 @@ struct SimulationConfig {
   util::Gbps static_capacity{100.0};
   /// Scale demands by the diurnal curve.
   bool diurnal = true;
-  /// Dynamic policies only: execute every round's plan through per-link BVT
-  /// devices and the reconfiguration orchestrator (register-level fidelity;
-  /// lock failures become link outages) instead of the analytic
-  /// latency-sampling account.
-  bool device_backed = false;
   telemetry::SnrModelParams snr_model;
   bvt::LatencyModelParams latency;
   std::uint64_t seed = 1;

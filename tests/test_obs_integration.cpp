@@ -50,7 +50,6 @@ TEST(ObsIntegration, McfRoundPopulatesStageTimingsAndSolverCounters) {
   EXPECT_GT(stats.augment_seconds, 0.0);
   EXPECT_GT(stats.solve_seconds, 0.0);
   EXPECT_GT(stats.translate_seconds, 0.0);
-  EXPECT_GT(stats.transition_seconds, 0.0);
   EXPECT_GT(stats.total_seconds, 0.0);
   // Stage buckets are parts of the whole round.
   EXPECT_LE(stats.augment_seconds + stats.solve_seconds +
@@ -124,7 +123,7 @@ TEST(ObsIntegration, ConsolidationTimeIsAttributed) {
   const auto& stats = report.stats;
   EXPECT_LE(stats.augment_seconds + stats.solve_seconds +
                 stats.translate_seconds + stats.consolidate_seconds +
-                stats.transition_seconds + stats.update_seconds,
+                stats.update_seconds,
             stats.total_seconds);
 }
 
