@@ -153,6 +153,22 @@ core::ControllerOptions controller_options_for(const ReplayConfig& config) {
 
 }  // namespace
 
+std::uint64_t fold_round(
+    std::uint64_t chain, std::uint64_t round,
+    const core::DynamicCapacityController::RoundReport& report) {
+  chain = mix64(chain, round);
+  chain = mix64(chain, report.plan.upgrades.size());
+  for (const auto& change : report.plan.upgrades) {
+    chain = mix64(chain, static_cast<std::uint32_t>(change.edge.value));
+    chain = mix_double(chain, change.to.value);
+  }
+  chain = mix_double(chain, report.total_routed.value);
+  chain = mix_double(chain, report.total_penalty);
+  chain = mix64(chain, report.reductions.size());
+  chain = mix64(chain, report.restorations.size());
+  return mix64(chain, report.transition_valid ? 1 : 0);
+}
+
 ReplayDriver::ReplayDriver(graph::Graph topology,
                            const te::TeAlgorithm& engine,
                            te::TrafficMatrix base_demands,
@@ -165,11 +181,8 @@ ReplayDriver::ReplayDriver(graph::Graph topology,
       controller_(topology_, table_, engine_,
                   controller_options_for(config_)),
       fleet_(fleet_params_for(config_, topology_.edge_count()), config_.seed),
-      latency_(config_.latency),
-      // Same stream-split constant as WanSimulator, so the analytic account
-      // of a replay run draws the same downtimes as a simulator run of the
-      // same seed would.
-      latency_rng_(config_.seed ^ 0x1A7E9C5ull) {
+      account_(config_.latency, config_.procedure, config_.te_interval,
+               config_.seed) {
   RWC_EXPECTS(topology_.edge_count() > 0);
   RWC_EXPECTS(topology_.edge_count() % 2 == 0);
   RWC_EXPECTS(config_.rounds > 0);
@@ -213,107 +226,25 @@ void ReplayDriver::fill_chunk_from_cursors() {
   DriverMetrics::instance().refills.add();
 }
 
-sim::SimulationMetrics ReplayDriver::metrics() const {
-  sim::SimulationMetrics out = metrics_;
-  if (out.te_rounds > 0)
-    out.availability /= static_cast<double>(out.te_rounds);
-  return out;
-}
-
 core::DynamicCapacityController::RoundReport ReplayDriver::step() {
   RWC_EXPECTS(!done());
   auto& driver_metrics = DriverMetrics::instance();
   if (round_ >= chunk_base_round_ + chunk_len_) refill_chunk();
 
-  const std::size_t edges = topology_.edge_count();
   const util::Seconds now =
       static_cast<double>(round_) * config_.te_interval;
-  const double tick_hours = config_.te_interval / util::kHour;
-
   const te::TrafficMatrix demands =
       config_.diurnal
           ? sim::scale_matrix(base_demands_, sim::diurnal_factor(now))
           : base_demands_;
-  metrics_.offered_gbps_hours += te::total_demand(demands).value * tick_hours;
-  ++metrics_.te_rounds;
-
   const auto slot = static_cast<std::size_t>(round_ - chunk_base_round_);
-  std::vector<util::Db> snr(edges);
-  for (std::size_t e = 0; e < edges; ++e)
+  std::vector<util::Db> snr(topology_.edge_count());
+  for (std::size_t e = 0; e < snr.size(); ++e)
     snr[e] = util::Db{static_cast<double>(chunk_[e][slot])};
 
   auto report = controller_.run_round(snr, demands);
-  const double routed = report.total_routed.value;
-  metrics_.upgrades += report.plan.upgrades.size();
-
-  // Analytic reconfiguration account — WanSimulator's dynamic-policy path
-  // verbatim (its reconfig-complete events are no-ops, so no event queue is
-  // needed): each change takes the link out for a sampled duration and the
-  // traffic newly assigned to it is lost for the overlap with the round.
-  double lost = 0.0;
-  auto account_change = [&](graph::EdgeId edge) {
-    const util::Seconds downtime =
-        latency_.sample_downtime(config_.procedure, latency_rng_);
-    metrics_.reconfig_downtime_hours += downtime / util::kHour;
-    const double load =
-        report.plan.physical_assignment
-            .edge_load_gbps[static_cast<std::size_t>(edge.value)];
-    lost += load * std::min(downtime, config_.te_interval) / util::kHour;
-  };
-  for (const auto& restoration : report.restorations) {
-    ++metrics_.restorations;
-    account_change(restoration.edge);
-  }
-  for (const auto& flap : report.reductions) {
-    if (flap.to.value > 0.0) {
-      ++metrics_.link_flaps;
-      account_change(flap.edge);
-    } else {
-      ++metrics_.link_failures;
-    }
-  }
-  for (const auto& change : report.plan.upgrades)
-    account_change(change.edge);
-
-  std::size_t links_up = 0;
-  for (graph::EdgeId edge : topology_.edge_ids())
-    if (controller_.configured_capacity(edge).value > 0.0) ++links_up;
-
-  // Honest delivered account in estimated mode: TE routed the ESTIMATED
-  // matrix, but only traffic actually offered can be delivered — each OD
-  // is capped at its TRUE volume (docs/DEMAND.md). The signature chain
-  // below keeps mixing total_routed (the controller's own output), so the
-  // accounting policy never perturbs round-equivalence checks.
-  double delivered = routed;
-  if (controller_.demand_pipeline() != nullptr) {
-    delivered = 0.0;
-    const auto& routings = report.plan.physical_assignment.routings;
-    for (std::size_t j = 0; j < routings.size(); ++j) {
-      const double truth = j < demands.size() ? demands[j].volume.value
-                                              : routings[j].routed.value;
-      delivered += std::min(routings[j].routed.value, truth);
-    }
-  }
-  metrics_.delivered_gbps_hours +=
-      std::max(0.0, delivered * tick_hours - lost);
-  metrics_.availability +=
-      static_cast<double>(links_up) / static_cast<double>(edges);
-
-  // Fold this round's signature content (the prop::RoundSignature fields)
-  // into the chain: bit patterns, not rounded values, so the chain agrees
-  // exactly when the rounds agree exactly.
-  std::uint64_t chain = mix64(signature_chain_, round_);
-  chain = mix64(chain, report.plan.upgrades.size());
-  for (const auto& change : report.plan.upgrades) {
-    chain = mix64(chain, static_cast<std::uint32_t>(change.edge.value));
-    chain = mix_double(chain, change.to.value);
-  }
-  chain = mix_double(chain, routed);
-  chain = mix_double(chain, report.total_penalty);
-  chain = mix64(chain, report.reductions.size());
-  chain = mix64(chain, report.restorations.size());
-  chain = mix64(chain, report.transition_valid ? 1 : 0);
-  signature_chain_ = chain;
+  account_.charge(demands, report, controller_);
+  signature_chain_ = fold_round(signature_chain_, round_, report);
 
   // Observation hook (rwc::fleet aggregation): round state is final here,
   // round_ still names the round just executed.
@@ -351,10 +282,10 @@ Checkpoint ReplayDriver::checkpoint() const {
   out.round = round_;
   out.chunk_base_round = chunk_base_round_;
   out.signature_chain = signature_chain_;
-  out.metrics = metrics_;  // availability stays the running sum
+  out.metrics = account_.metrics;  // availability stays the running sum
   out.controller = controller_.save_state();
   out.cursors = chunk_base_states_;
-  out.latency_rng = latency_rng_.state();
+  out.latency_rng = account_.rng.state();
   if (const demand::DemandPipeline* pipeline = controller_.demand_pipeline()) {
     out.demand_present = true;
     out.demand_state = pipeline->save_state();
@@ -437,11 +368,11 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
 
   controller_.restore_state(state);
   if (pipeline != nullptr) pipeline->restore_state(checkpoint.demand_state);
-  latency_rng_ = util::Rng::from_state(checkpoint.latency_rng);
+  account_.rng = util::Rng::from_state(checkpoint.latency_rng);
   round_ = checkpoint.round;
   chunk_base_round_ = checkpoint.chunk_base_round;
   signature_chain_ = checkpoint.signature_chain;
-  metrics_ = checkpoint.metrics;
+  account_.metrics = checkpoint.metrics;
   for (std::size_t e = 0; e < edges; ++e)
     cursors_[e].restore(checkpoint.cursors[e]);
   // Regenerate the in-flight chunk from the restored cursor states; the

@@ -15,11 +15,9 @@
 // affects timing). tests/test_replay_driver.cpp proves the contract;
 // docs/REPLAY.md states it.
 //
-// Accounting matches WanSimulator's analytic dynamic-policy path exactly
-// (device_backed is out of scope for replay v1): each capacity change
-// samples a reconfiguration downtime from the latency model and charges
-// the traffic newly assigned to the changed link for the overlap with the
-// TE interval.
+// Each round is charged by sim::RoundAccount, the account WanSimulator's
+// dynamic policies use, so a replay run and a simulator run of the same
+// seed produce the same metrics.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +32,6 @@
 #include "replay/checkpoint.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/snr_model.hpp"
-#include "util/rng.hpp"
 
 namespace rwc::exec {
 class ThreadPool;
@@ -91,6 +88,16 @@ struct ReplayConfig {
   demand::DemandConfig demand;
 };
 
+/// Folds one completed round into a rolling signature chain: the round
+/// index, the upgrades (edge, rate), the routed volume, the penalty, the
+/// reduction and restoration counts and the transition verdict (the
+/// prop::RoundSignature fields), as bit patterns rather than rounded
+/// values. Two runs agree on every round iff their chains agree.
+/// ReplayDriver and serve::ServeService both chain with it.
+std::uint64_t fold_round(
+    std::uint64_t chain, std::uint64_t round,
+    const core::DynamicCapacityController::RoundReport& report);
+
 class ReplayDriver {
  public:
   /// `topology` must be built from bidirectional pairs (edges 2k, 2k+1 form
@@ -107,15 +114,12 @@ class ReplayDriver {
   std::uint64_t round() const { return round_; }
   bool done() const { return round_ >= config_.rounds; }
 
-  /// Rolling digest folding every completed round's signature content
-  /// (upgrades, routed, penalty, reduction/restoration counts, transition
-  /// validity — the prop::RoundSignature fields). Two runs agree on every
-  /// round iff their chains agree.
+  /// fold_round over every completed round.
   std::uint64_t signature_chain() const { return signature_chain_; }
 
   /// Cumulative metrics so far, with availability normalized to the mean
   /// link-up fraction (WanSimulator convention).
-  sim::SimulationMetrics metrics() const;
+  sim::SimulationMetrics metrics() const { return account_.totals(); }
 
   /// Attaches a store for periodic checkpoints (config.checkpoint_every).
   /// The store must outlive the driver; nullptr detaches.
@@ -181,8 +185,7 @@ class ReplayDriver {
   optical::ModulationTable table_;
   core::DynamicCapacityController controller_;
   telemetry::SnrFleetGenerator fleet_;
-  bvt::LatencyModel latency_;
-  util::Rng latency_rng_;
+  sim::RoundAccount account_;
 
   /// One streaming cursor per physical edge (fiber e/2, wavelength e%2).
   std::vector<telemetry::SnrTraceCursor> cursors_;
@@ -196,8 +199,6 @@ class ReplayDriver {
 
   std::uint64_t round_ = 0;
   std::uint64_t signature_chain_ = 0;
-  /// availability holds the running per-round sum until metrics() divides.
-  sim::SimulationMetrics metrics_;
 
   CheckpointStore* store_ = nullptr;
   RoundObserver observer_;

@@ -90,8 +90,7 @@
 #include "core/penalty.hpp"
 #include "core/translate.hpp"
 
-// sim — discrete-event WAN simulation
-#include "sim/event.hpp"
+// sim — round-by-round WAN simulation
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"

@@ -9,6 +9,7 @@
 
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
+#include "replay/driver.hpp"
 #include "replay/wire.hpp"
 #include "update/executor.hpp"
 #include "util/check.hpp"
@@ -51,9 +52,8 @@ constexpr std::uint64_t kServeRngStream = 0x53455256;  // "SERV"
 /// Inner format version of the kServe checkpoint payload.
 constexpr std::uint32_t kServePayloadVersion = 1;
 
-/// Word-at-a-time mixer (murmur3-finalizer style) — same construction and
-/// fold order as replay::ReplayDriver's signature chain, so serve rounds
-/// and replay rounds chain identically given identical reports.
+/// Word-at-a-time mixer (murmur3-finalizer style), the construction of
+/// replay::ReplayDriver's config fingerprint.
 std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
   value *= 0xff51afd7ed558ccdULL;
   value ^= value >> 33;
@@ -199,20 +199,9 @@ ServeService::RoundReport ServeService::step_batch(
 
   RoundReport report = controller_.run_round(snr_, demands_);
 
-  // Fold this round into the chain — same fields and order as
-  // replay::ReplayDriver, bit patterns not rounded values.
-  std::uint64_t chain = mix64(signature_chain_, round_);
-  chain = mix64(chain, report.plan.upgrades.size());
-  for (const auto& change : report.plan.upgrades) {
-    chain = mix64(chain, static_cast<std::uint32_t>(change.edge.value));
-    chain = mix_double(chain, change.to.value);
-  }
-  chain = mix_double(chain, report.total_routed.value);
-  chain = mix_double(chain, report.total_penalty);
-  chain = mix64(chain, report.reductions.size());
-  chain = mix64(chain, report.restorations.size());
-  chain = mix64(chain, report.transition_valid ? 1 : 0);
-  signature_chain_ = chain;
+  // The same fold as replay::ReplayDriver, so serve and replay rounds
+  // chain identically given identical reports.
+  signature_chain_ = replay::fold_round(signature_chain_, round_, report);
 
   // Consistent-update stage (config_.update): commit the round's schedule
   // BEFORE the epoch becomes visible — readers never observe a plan whose

@@ -64,12 +64,12 @@ SimulationMetrics WanSimulator::run(const te::TrafficMatrix& base_demands) {
 
   const bool dynamic = config_.policy == CapacityPolicy::kDynamic ||
                        config_.policy == CapacityPolicy::kDynamicHitless;
-  const bvt::Procedure procedure =
-      config_.policy == CapacityPolicy::kDynamicHitless
-          ? bvt::Procedure::kEfficient
-          : bvt::Procedure::kStandard;
-  const bvt::LatencyModel latency(config_.latency);
-  util::Rng latency_rng(config_.seed ^ 0x1A7E9C5ull);
+  RoundAccount account(config_.latency,
+                       config_.policy == CapacityPolicy::kDynamicHitless
+                           ? bvt::Procedure::kEfficient
+                           : bvt::Procedure::kStandard,
+                       config_.te_interval, config_.seed);
+  SimulationMetrics& metrics = account.metrics;
 
   // Dynamic policies share one controller across rounds.
   core::ControllerOptions controller_options;
@@ -86,108 +86,117 @@ SimulationMetrics WanSimulator::run(const te::TrafficMatrix& base_demands) {
                                : config_.static_capacity;
   if (!dynamic) RWC_EXPECTS(table.has_rate(static_rate));
   std::vector<bool> static_up(edges, true);
-
-  SimulationMetrics metrics;
   const double tick_hours = config_.te_interval / util::kHour;
 
-  EventQueue queue;
   const auto ticks = static_cast<std::size_t>(config_.horizon /
                                               config_.te_interval);
   for (std::size_t tick = 0; tick < ticks; ++tick) {
-    queue.schedule(static_cast<double>(tick) * config_.te_interval,
-                   [&, tick](Seconds now) {
-      // Demands at this instant.
-      te::TrafficMatrix demands =
-          config_.diurnal
-              ? scale_matrix(base_demands, diurnal_factor(now))
-              : base_demands;
-      metrics.offered_gbps_hours +=
-          te::total_demand(demands).value * tick_hours;
-      ++metrics.te_rounds;
+    const Seconds now = static_cast<double>(tick) * config_.te_interval;
+    const te::TrafficMatrix demands =
+        config_.diurnal ? scale_matrix(base_demands, diurnal_factor(now))
+                        : base_demands;
+    std::vector<Db> snr(edges);
+    for (std::size_t e = 0; e < edges; ++e)
+      snr[e] = traces[e].at(std::min(tick, traces[e].size() - 1));
 
-      // Per-edge SNR for this tick.
-      std::vector<Db> snr(edges);
-      for (std::size_t e = 0; e < edges; ++e)
-        snr[e] = traces[e].at(std::min(tick, traces[e].size() - 1));
+    if (dynamic) {
+      account.charge(demands, controller.run_round(snr, demands), controller);
+      continue;
+    }
 
-      double routed = 0.0;
-      double lost = 0.0;
-      std::size_t links_up = 0;
-
-      if (dynamic) {
-        const auto report = controller.run_round(snr, demands);
-        routed = report.total_routed.value;
-        // Honest delivered account in estimated mode: TE routed the
-        // ESTIMATED matrix; cap each OD's delivered at its TRUE offered
-        // volume (docs/DEMAND.md).
-        if (controller.demand_pipeline() != nullptr) {
-          routed = 0.0;
-          const auto& routings = report.plan.physical_assignment.routings;
-          for (std::size_t j = 0; j < routings.size(); ++j) {
-            const double truth = j < demands.size()
-                                     ? demands[j].volume.value
-                                     : routings[j].routed.value;
-            routed += std::min(routings[j].routed.value, truth);
-          }
-        }
-        metrics.upgrades += report.plan.upgrades.size();
-
-        // Analytic account: each capacity change takes the link out for a
-        // sampled duration; traffic newly assigned to it is lost meanwhile.
-        auto account_change = [&](EdgeId edge) {
-          const Seconds downtime =
-              latency.sample_downtime(procedure, latency_rng);
-          metrics.reconfig_downtime_hours += downtime / util::kHour;
-          const double load =
-              report.plan.physical_assignment
-                  .edge_load_gbps[static_cast<std::size_t>(edge.value)];
-          lost += load *
-                  std::min(downtime, config_.te_interval) / util::kHour;
-          queue.schedule_in(std::min(downtime, config_.te_interval),
-                            [](Seconds) {});  // reconfig-complete event
-        };
-        for (const auto& restoration : report.restorations) {
-          ++metrics.restorations;
-          account_change(restoration.edge);
-        }
-        for (const auto& flap : report.reductions) {
-          if (flap.to.value > 0.0) {
-            ++metrics.link_flaps;
-            account_change(flap.edge);
-          } else {
-            ++metrics.link_failures;
-          }
-        }
-        for (const auto& change : report.plan.upgrades)
-          account_change(change.edge);
-        for (EdgeId edge : topology_.edge_ids())
-          if (controller.configured_capacity(edge).value > 0.0) ++links_up;
-      } else {
-        // Static policy: binary up/down at the fixed rate's threshold.
-        const Db threshold = table.threshold_for(static_rate);
-        for (std::size_t e = 0; e < edges; ++e) {
-          const bool up =
-              snr[e] >= threshold + config_.snr_margin;
-          if (!up && static_up[e]) ++metrics.link_failures;
-          static_up[e] = up;
-          if (up) ++links_up;
-          static_topology.edge(EdgeId{static_cast<std::int32_t>(e)})
-              .capacity = up ? static_rate : Gbps{0.0};
-        }
-        const auto assignment = engine_.solve(static_topology, demands);
-        routed = assignment.total_routed.value;
-      }
-
-      metrics.delivered_gbps_hours +=
-          std::max(0.0, routed * tick_hours - lost);
-      metrics.availability += static_cast<double>(links_up) /
-                              static_cast<double>(edges);
-    });
+    // Static policy: binary up/down at the fixed rate's threshold.
+    metrics.offered_gbps_hours += te::total_demand(demands).value * tick_hours;
+    ++metrics.te_rounds;
+    const Db threshold = table.threshold_for(static_rate);
+    std::size_t links_up = 0;
+    for (std::size_t e = 0; e < edges; ++e) {
+      const bool up = snr[e] >= threshold + config_.snr_margin;
+      if (!up && static_up[e]) ++metrics.link_failures;
+      static_up[e] = up;
+      if (up) ++links_up;
+      static_topology.edge(EdgeId{static_cast<std::int32_t>(e)}).capacity =
+          up ? static_rate : Gbps{0.0};
+    }
+    const double routed =
+        engine_.solve(static_topology, demands).total_routed.value;
+    metrics.delivered_gbps_hours += std::max(0.0, routed * tick_hours);
+    metrics.availability +=
+        static_cast<double>(links_up) / static_cast<double>(edges);
   }
-  queue.run_until(config_.horizon);
-  if (metrics.te_rounds > 0)
-    metrics.availability /= static_cast<double>(metrics.te_rounds);
-  return metrics;
+  return account.totals();
+}
+
+RoundAccount::RoundAccount(const bvt::LatencyModelParams& latency,
+                           bvt::Procedure procedure, Seconds te_interval,
+                           std::uint64_t seed)
+    : latency(latency),
+      procedure(procedure),
+      te_interval(te_interval),
+      rng(seed ^ 0x1A7E9C5ull) {}
+
+void RoundAccount::charge(
+    const te::TrafficMatrix& demands,
+    const core::DynamicCapacityController::RoundReport& report,
+    const core::DynamicCapacityController& controller) {
+  const double tick_hours = te_interval / util::kHour;
+  metrics.offered_gbps_hours += te::total_demand(demands).value * tick_hours;
+  ++metrics.te_rounds;
+  metrics.upgrades += report.plan.upgrades.size();
+
+  // Each capacity change takes the link out for a sampled duration; the
+  // traffic newly assigned to it is lost for the overlap with the round.
+  double lost = 0.0;
+  const auto account_change = [&](EdgeId edge) {
+    const Seconds downtime = latency.sample_downtime(procedure, rng);
+    metrics.reconfig_downtime_hours += downtime / util::kHour;
+    const double load =
+        report.plan.physical_assignment
+            .edge_load_gbps[static_cast<std::size_t>(edge.value)];
+    lost += load * std::min(downtime, te_interval) / util::kHour;
+  };
+  for (const auto& restoration : report.restorations) {
+    ++metrics.restorations;
+    account_change(restoration.edge);
+  }
+  for (const auto& flap : report.reductions) {
+    if (flap.to.value > 0.0) {
+      ++metrics.link_flaps;
+      account_change(flap.edge);
+    } else {
+      ++metrics.link_failures;
+    }
+  }
+  for (const auto& change : report.plan.upgrades) account_change(change.edge);
+
+  // Honest delivered account in estimated mode: TE routed the ESTIMATED
+  // matrix, but only traffic actually offered can be delivered, so each OD
+  // is capped at its TRUE volume (docs/DEMAND.md).
+  double delivered = report.total_routed.value;
+  if (controller.demand_pipeline() != nullptr) {
+    delivered = 0.0;
+    const auto& routings = report.plan.physical_assignment.routings;
+    for (std::size_t j = 0; j < routings.size(); ++j) {
+      const double truth = j < demands.size() ? demands[j].volume.value
+                                              : routings[j].routed.value;
+      delivered += std::min(routings[j].routed.value, truth);
+    }
+  }
+  metrics.delivered_gbps_hours +=
+      std::max(0.0, delivered * tick_hours - lost);
+
+  const std::span<const Gbps> configured = controller.configured_capacities();
+  const auto links_up = std::count_if(
+      configured.begin(), configured.end(),
+      [](Gbps capacity) { return capacity.value > 0.0; });
+  metrics.availability += static_cast<double>(links_up) /
+                          static_cast<double>(configured.size());
+}
+
+SimulationMetrics RoundAccount::totals() const {
+  SimulationMetrics out = metrics;
+  if (out.te_rounds > 0)
+    out.availability /= static_cast<double>(out.te_rounds);
+  return out;
 }
 
 std::vector<ScenarioResult> run_scenarios(const graph::Graph& topology,

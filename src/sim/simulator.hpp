@@ -1,6 +1,6 @@
-// Discrete-event WAN simulator: drives SNR telemetry, a capacity policy and
-// a TE engine over a time horizon, accounting delivered traffic,
-// availability, failures/flaps and reconfiguration downtime.
+// WAN simulator: drives SNR telemetry, a capacity policy and a TE engine
+// over a time horizon, one round per TE interval, accounting delivered
+// traffic, availability, failures/flaps and reconfiguration downtime.
 //
 // Policies:
 //   kStatic           — today's networks: fixed rate, binary up/down on the
@@ -19,11 +19,12 @@
 #include <vector>
 
 #include "bvt/latency.hpp"
+#include "core/controller.hpp"
 #include "demand/config.hpp"
 #include "graph/graph.hpp"
-#include "sim/event.hpp"
 #include "te/algorithm.hpp"
 #include "telemetry/snr_model.hpp"
+#include "util/rng.hpp"
 
 namespace rwc::exec {
 class ThreadPool;
@@ -76,7 +77,9 @@ struct SimulationMetrics {
   std::size_t link_flaps = 0;     // reductions to a non-zero rate
   std::size_t upgrades = 0;       // TE-driven capacity increases
   std::size_t restorations = 0;   // SNR-recovery restorations to nominal
-  /// Device-backed mode: modulation changes whose carrier failed to lock.
+  /// Always 0. Counted modulation changes that failed to lock in the
+  /// retired device-backed simulator mode; kept because the checkpoint
+  /// metrics section and the scenario golden fixtures carry it.
   std::size_t lock_failures = 0;
   double reconfig_downtime_hours = 0.0;
   std::size_t te_rounds = 0;
@@ -86,6 +89,41 @@ struct SimulationMetrics {
                ? delivered_gbps_hours / offered_gbps_hours
                : 0.0;
   }
+};
+
+/// The per-round account of the dynamic policies, one definition shared
+/// by WanSimulator and replay::ReplayDriver. charge() adds one round to
+/// `metrics`: offered and delivered traffic (each OD capped at its true
+/// volume when the controller estimates demands, docs/DEMAND.md), one
+/// sampled reconfiguration downtime per capacity change with the traffic
+/// newly assigned to that link lost for the downtime's overlap with the
+/// round, the flap, failure, restoration and upgrade counts, and the
+/// link-up fraction.
+struct RoundAccount {
+  /// The downtime stream derives from `seed`, so a simulator run and a
+  /// replay run of the same seed sample the same downtimes.
+  RoundAccount(const bvt::LatencyModelParams& latency,
+               bvt::Procedure procedure, util::Seconds te_interval,
+               std::uint64_t seed);
+
+  /// Charges one round: `demands` is the true offered matrix, `report`
+  /// the controller's round, `controller` its state after the round.
+  void charge(const te::TrafficMatrix& demands,
+              const core::DynamicCapacityController::RoundReport& report,
+              const core::DynamicCapacityController& controller);
+
+  /// The running totals with availability normalized to the mean link-up
+  /// fraction.
+  SimulationMetrics totals() const;
+
+  bvt::LatencyModel latency;
+  bvt::Procedure procedure;
+  util::Seconds te_interval;
+  /// Downtime sampler stream (checkpointed by rwc::replay).
+  util::Rng rng;
+  /// Running totals; availability holds the per-round sum until totals()
+  /// divides it.
+  SimulationMetrics metrics;
 };
 
 class WanSimulator {
