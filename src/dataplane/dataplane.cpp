@@ -1,7 +1,6 @@
 #include "dataplane/dataplane.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -12,21 +11,14 @@
 #include "obs/timer.hpp"
 #include "replay/wire.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::dataplane {
 
 namespace {
 
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-  hash *= 0xff51afd7ed558ccdull;
-  hash ^= hash >> 33;
-  return hash;
-}
-
-inline std::uint64_t mix64(std::uint64_t hash, double value) {
-  return mix64(hash, std::bit_cast<std::uint64_t>(value));
-}
+using util::combine64;
+using util::combine_double;
 
 /// Utilization stand-in for a dark link with queued bytes: large enough
 /// that one multiplicative cut collapses the rate, small enough to keep
@@ -161,7 +153,8 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
       if (const fault::Action action = fault::at(
               "dataplane.hash", static_cast<std::uint64_t>(i * kF + j))) {
         if (action.kind == fault::Kind::kGarbage)
-          salt = mix64(salt, action.magnitude + static_cast<double>(j));
+          salt = combine_double(salt,
+                                action.magnitude + static_cast<double>(j));
         else if (action.kind == fault::Kind::kStale)
           stale = true;
       }
@@ -559,32 +552,33 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
 
 std::uint64_t DataplaneSim::state_signature() const {
   std::uint64_t hash = 0x64617461706c616eull;  // "dataplan"
-  hash = mix64(hash, round_);
+  hash = combine64(hash, round_);
   auto fold_pipeline = [&hash](std::uint64_t path_id,
                                std::span<const Hop> hops) {
-    hash = mix64(hash, path_id);
+    hash = combine64(hash, path_id);
     for (const Hop& hop : hops) {
-      hash = mix64(hash, static_cast<std::uint64_t>(
-                             static_cast<std::uint32_t>(hop.edge)));
-      hash = mix64(hash, hop.queued);
-      hash = mix64(hash, hop.arriving);
+      hash = combine64(hash, static_cast<std::uint64_t>(
+                                 static_cast<std::uint32_t>(hop.edge)));
+      hash = combine_double(hash, hop.queued);
+      hash = combine_double(hash, hop.arriving);
     }
   };
   for (const Flowlet& fl : flowlets_) {
-    hash = mix64(hash, static_cast<std::uint64_t>(fl.od));
-    hash = mix64(hash, fl.offered_gbps);
-    hash = mix64(hash, fl.rate_gbps);
-    hash = mix64(hash, fl.deferred_bytes);
-    hash = mix64(hash, fl.injected_bytes);
-    hash = mix64(hash, fl.delivered_bytes);
-    hash = mix64(hash, fl.dropped_bytes);
+    hash = combine64(hash, static_cast<std::uint64_t>(fl.od));
+    hash = combine_double(hash, fl.offered_gbps);
+    hash = combine_double(hash, fl.rate_gbps);
+    hash = combine_double(hash, fl.deferred_bytes);
+    hash = combine_double(hash, fl.injected_bytes);
+    hash = combine_double(hash, fl.delivered_bytes);
+    hash = combine_double(hash, fl.dropped_bytes);
     fold_pipeline(fl.path_id, active_hops(fl));
-    hash = mix64(hash, static_cast<std::uint64_t>(fl.draining.size()));
+    hash = combine64(hash, static_cast<std::uint64_t>(fl.draining.size()));
     for (const Pipeline& pipeline : fl.draining)
       fold_pipeline(pipeline.path_id, pipeline.hops);
   }
-  for (const double queued : link_queued_) hash = mix64(hash, queued);
-  for (const double util : link_util_) hash = mix64(hash, util);
+  for (const double queued : link_queued_)
+    hash = combine_double(hash, queued);
+  for (const double util : link_util_) hash = combine_double(hash, util);
   return hash;
 }
 

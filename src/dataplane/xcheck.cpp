@@ -1,7 +1,6 @@
 #include "dataplane/xcheck.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -13,18 +12,12 @@
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc::dataplane {
 
 namespace {
-
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-  hash *= 0xff51afd7ed558ccdull;
-  hash ^= hash >> 33;
-  return hash;
-}
 
 /// Relative conservation slack: long rounds accumulate ulp-level error in
 /// the byte ledgers.
@@ -220,9 +213,9 @@ XcheckOutcome run_xcheck(const XcheckConfig& config) {
     outcome.capacity_violations += round.capacity_violations;
     outcome.window_violations += round.window_violations;
     outcome.migrations += round.migrations;
-    outcome.chain = mix64(outcome.chain, round.signature);
-    outcome.chain = mix64(
-        outcome.chain, std::bit_cast<std::uint64_t>(round.max_shortfall));
+    outcome.chain = util::combine64(outcome.chain, round.signature);
+    outcome.chain =
+        util::combine_double(outcome.chain, round.max_shortfall);
     outcome.rounds.push_back(round);
   }
   return outcome;

@@ -7,20 +7,12 @@
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc::fleet {
 
 namespace {
-
-/// Same murmur3-finalizer mixer as fleet.cpp, so sweep chains compose
-/// with the per-instance xcheck chains they fold.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-  hash *= 0xff51afd7ed558ccdull;
-  hash ^= hash >> 33;
-  return hash;
-}
 
 struct Metrics {
   obs::Counter& instances;
@@ -91,7 +83,7 @@ DataplaneSweepResult run_dataplane_sweep(const DataplaneSweepConfig& config) {
   // Serial fold in instance-id order.
   std::uint64_t chain = 0x64617461706c616eull;  // "dataplan"
   for (const DataplaneInstanceResult& instance : result.instances) {
-    chain = mix64(chain, instance.chain);
+    chain = util::combine64(chain, instance.chain);
     if (!instance.pass) {
       if (result.first_failure.empty()) result.first_failure =
           instance.failure;

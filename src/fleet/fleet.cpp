@@ -15,9 +15,12 @@
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc::fleet {
+
+using util::mix64;
 
 namespace {
 
@@ -49,15 +52,6 @@ struct FleetMetrics {
     return metrics;
   }
 };
-
-/// Same murmur3-finalizer mixer as the replay signature chain, so the
-/// fleet chain composes with the per-instance chains it folds.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
 
 /// Crawl rate: the ladder's lowest format (50 G), the §2.2 availability
 /// floor.

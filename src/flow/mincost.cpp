@@ -1,7 +1,6 @@
 #include "flow/mincost.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -9,8 +8,12 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::flow {
+
+using util::mix64;
+using util::mix_double;
 
 namespace {
 
@@ -118,15 +121,6 @@ bool dijkstra_reduced(const ResidualNetwork& net, int source, int sink,
   return distance[static_cast<std::size_t>(sink)] != kInf;
 }
 
-/// Word-at-a-time mixer (murmur3-finalizer style): one multiply chain per
-/// 64-bit word of the fingerprint, not one per byte.
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
-
 }  // namespace
 
 std::uint64_t network_fingerprint(const ResidualNetwork& net, int source,
@@ -139,8 +133,8 @@ std::uint64_t network_fingerprint(const ResidualNetwork& net, int source,
   for (std::size_t arc = 0; arc < net.arc_count(); ++arc) {
     const int a = static_cast<int>(arc);
     hash = mix64(hash, static_cast<std::uint64_t>(net.target(a)));
-    hash = mix64(hash, std::bit_cast<std::uint64_t>(net.residual(a)));
-    hash = mix64(hash, std::bit_cast<std::uint64_t>(net.cost(a)));
+    hash = mix_double(hash, net.residual(a));
+    hash = mix_double(hash, net.cost(a));
   }
   return hash;
 }

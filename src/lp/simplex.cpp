@@ -1,27 +1,21 @@
 #include "lp/simplex.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "obs/registry.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::lp {
+
+using util::mix64;
+using util::mix_double;
 
 namespace {
 
 constexpr double kEps = 1e-9;
 constexpr double kPivotEps = 1e-8;
-
-/// Word-at-a-time mixer (murmur3-finalizer style), the flow layer's
-/// fingerprint construction.
-inline std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
 
 /// Dense simplex tableau. Row 0..m-1 are constraints; the objective is kept
 /// as a separate reduced-cost vector updated by pivoting.
@@ -294,19 +288,17 @@ std::uint64_t LpProblem::fingerprint() const {
   hash = mix64(hash, static_cast<std::uint64_t>(variable_count()));
   hash = mix64(hash, rows_.size());
   for (int v = 0; v < variable_count(); ++v) {
-    hash = mix64(hash, std::bit_cast<std::uint64_t>(
-                           objective_[static_cast<std::size_t>(v)]));
-    hash = mix64(hash, std::bit_cast<std::uint64_t>(
-                           upper_bounds_[static_cast<std::size_t>(v)]));
+    hash = mix_double(hash, objective_[static_cast<std::size_t>(v)]);
+    hash = mix_double(hash, upper_bounds_[static_cast<std::size_t>(v)]);
   }
   for (const Row& row : rows_) {
     hash = mix64(hash, static_cast<std::uint64_t>(row.relation));
     hash = mix64(hash, row.terms.size());
     for (const Term& t : row.terms) {
       hash = mix64(hash, static_cast<std::uint64_t>(t.variable));
-      hash = mix64(hash, std::bit_cast<std::uint64_t>(t.coefficient));
+      hash = mix_double(hash, t.coefficient);
     }
-    hash = mix64(hash, std::bit_cast<std::uint64_t>(row.rhs));
+    hash = mix_double(hash, row.rhs);
   }
   return hash;
 }

@@ -1,7 +1,6 @@
 #include "replay/driver.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 
 #include "exec/parallel.hpp"
@@ -10,8 +9,12 @@
 #include "obs/timer.hpp"
 #include "sim/workload.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace rwc::replay {
+
+using util::mix64;
+using util::mix_double;
 
 namespace {
 
@@ -38,40 +41,10 @@ struct DriverMetrics {
   }
 };
 
-/// Word-at-a-time mixer (murmur3-finalizer style), same construction as
-/// flow::network_fingerprint.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
-
-std::uint64_t mix_double(std::uint64_t hash, double value) {
-  return mix64(hash, std::bit_cast<std::uint64_t>(value));
-}
-
 std::uint64_t fingerprint_of(const graph::Graph& topology,
                              const te::TrafficMatrix& demands,
                              const ReplayConfig& config) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  hash = mix64(hash, topology.node_count());
-  hash = mix64(hash, topology.edge_count());
-  for (graph::EdgeId id : topology.edge_ids()) {
-    const graph::Edge& edge = topology.edge(id);
-    hash = mix64(hash, static_cast<std::uint32_t>(edge.src.value));
-    hash = mix64(hash, static_cast<std::uint32_t>(edge.dst.value));
-    hash = mix_double(hash, edge.capacity.value);
-    hash = mix_double(hash, edge.cost);
-    hash = mix_double(hash, edge.weight);
-  }
-  hash = mix64(hash, demands.size());
-  for (const te::Demand& demand : demands) {
-    hash = mix64(hash, static_cast<std::uint32_t>(demand.src.value));
-    hash = mix64(hash, static_cast<std::uint32_t>(demand.dst.value));
-    hash = mix_double(hash, demand.volume.value);
-    hash = mix64(hash, static_cast<std::uint32_t>(demand.priority));
-  }
+  std::uint64_t hash = fingerprint_network(topology, demands);
   hash = mix64(hash, config.rounds);
   hash = mix_double(hash, config.te_interval);
   hash = mix_double(hash, config.snr_margin.value);
@@ -104,27 +77,8 @@ std::uint64_t fingerprint_of(const graph::Graph& topology,
         m.cut_duration_sd_hours, m.event_depth_lambda_log_sigma,
         m.noise_floor.value})
     hash = mix_double(hash, field);
-  hash = mix64(hash, config.hysteresis.has_value() ? 1 : 0);
-  if (config.hysteresis.has_value()) {
-    hash = mix_double(hash, config.hysteresis->extra_up_margin.value);
-    hash = mix64(hash,
-                 static_cast<std::uint32_t>(config.hysteresis->up_hold_rounds));
-  }
-  // Demand fields join the fingerprint only in estimated mode: estimation
-  // changes results, but oracle runs must keep the exact pre-demand hash so
-  // historical checkpoints still restore.
-  if (config.demand.estimated()) {
-    const demand::DemandConfig& d = config.demand;
-    hash = mix64(hash, static_cast<std::uint64_t>(d.source));
-    hash = mix_double(hash, d.noise);
-    hash = mix_double(hash, d.loss_rate);
-    hash = mix_double(hash, d.staleness);
-    hash = mix_double(hash, d.interval_seconds);
-    hash = mix_double(hash, d.ewma_alpha);
-    hash = mix_double(hash, d.damping);
-    hash = mix64(hash, d.seed);
-  }
-  return hash;
+  hash = fingerprint_hysteresis(hash, config.hysteresis);
+  return fingerprint_demand(hash, config.demand);
 }
 
 telemetry::SnrFleetGenerator::FleetParams fleet_params_for(
@@ -152,6 +106,50 @@ core::ControllerOptions controller_options_for(const ReplayConfig& config) {
 }
 
 }  // namespace
+
+std::uint64_t fingerprint_network(const graph::Graph& topology,
+                                  const te::TrafficMatrix& demands) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  hash = mix64(hash, topology.node_count());
+  hash = mix64(hash, topology.edge_count());
+  for (graph::EdgeId id : topology.edge_ids()) {
+    const graph::Edge& edge = topology.edge(id);
+    hash = mix64(hash, static_cast<std::uint32_t>(edge.src.value));
+    hash = mix64(hash, static_cast<std::uint32_t>(edge.dst.value));
+    hash = mix_double(hash, edge.capacity.value);
+    hash = mix_double(hash, edge.cost);
+    hash = mix_double(hash, edge.weight);
+  }
+  hash = mix64(hash, demands.size());
+  for (const te::Demand& demand : demands) {
+    hash = mix64(hash, static_cast<std::uint32_t>(demand.src.value));
+    hash = mix64(hash, static_cast<std::uint32_t>(demand.dst.value));
+    hash = mix_double(hash, demand.volume.value);
+    hash = mix64(hash, static_cast<std::uint32_t>(demand.priority));
+  }
+  return hash;
+}
+
+std::uint64_t fingerprint_hysteresis(
+    std::uint64_t hash, const std::optional<core::HysteresisParams>& params) {
+  hash = mix64(hash, params.has_value() ? 1 : 0);
+  if (!params.has_value()) return hash;
+  hash = mix_double(hash, params->extra_up_margin.value);
+  return mix64(hash, static_cast<std::uint32_t>(params->up_hold_rounds));
+}
+
+std::uint64_t fingerprint_demand(std::uint64_t hash,
+                                 const demand::DemandConfig& config) {
+  if (!config.estimated()) return hash;
+  hash = mix64(hash, static_cast<std::uint64_t>(config.source));
+  hash = mix_double(hash, config.noise);
+  hash = mix_double(hash, config.loss_rate);
+  hash = mix_double(hash, config.staleness);
+  hash = mix_double(hash, config.interval_seconds);
+  hash = mix_double(hash, config.ewma_alpha);
+  hash = mix_double(hash, config.damping);
+  return mix64(hash, config.seed);
+}
 
 std::uint64_t fold_round(
     std::uint64_t chain, std::uint64_t round,

@@ -88,6 +88,19 @@ struct ReplayConfig {
   demand::DemandConfig demand;
 };
 
+/// Config-fingerprint blocks shared by ReplayDriver and serve::ServeService,
+/// each of which folds its own fields between them. The topology and demand
+/// block starts the hash; the hysteresis block folds presence, then the
+/// parameters; the demand-config block folds nothing in oracle mode, so
+/// oracle fingerprints keep their value from before demand estimation
+/// existed and historical checkpoints still restore.
+std::uint64_t fingerprint_network(const graph::Graph& topology,
+                                  const te::TrafficMatrix& demands);
+std::uint64_t fingerprint_hysteresis(
+    std::uint64_t hash, const std::optional<core::HysteresisParams>& params);
+std::uint64_t fingerprint_demand(std::uint64_t hash,
+                                 const demand::DemandConfig& config);
+
 /// Folds one completed round into a rolling signature chain: the round
 /// index, the upgrades (edge, rate), the routed volume, the penalty, the
 /// reduction and restoration counts and the transition verdict (the

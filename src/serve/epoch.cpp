@@ -1,26 +1,11 @@
 #include "serve/epoch.hpp"
+#include "util/hash.hpp"
 
-#include <bit>
 
 namespace rwc::serve {
 
-namespace {
-
-/// Word-at-a-time mixer (murmur3-finalizer style), same construction as
-/// replay's signature chain: bit patterns, not rounded values, so two
-/// epochs checksum equal exactly when their content is bit-identical.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
-
-std::uint64_t mix_double(std::uint64_t hash, double value) {
-  return mix64(hash, std::bit_cast<std::uint64_t>(value));
-}
-
-}  // namespace
+using util::mix64;
+using util::mix_double;
 
 std::uint64_t PlanEpoch::compute_checksum() const {
   std::uint64_t hash = 0xcbf29ce484222325ULL;

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -13,9 +12,13 @@
 #include "replay/wire.hpp"
 #include "update/executor.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc::serve {
+
+using util::mix64;
+using util::mix_double;
 
 namespace {
 
@@ -52,64 +55,15 @@ constexpr std::uint64_t kServeRngStream = 0x53455256;  // "SERV"
 /// Inner format version of the kServe checkpoint payload.
 constexpr std::uint32_t kServePayloadVersion = 1;
 
-/// Word-at-a-time mixer (murmur3-finalizer style), the construction of
-/// replay::ReplayDriver's config fingerprint.
-std::uint64_t mix64(std::uint64_t hash, std::uint64_t value) {
-  value *= 0xff51afd7ed558ccdULL;
-  value ^= value >> 33;
-  hash = (hash ^ value) * 0x2545f4914f6cdd1dULL;
-  return hash ^ (hash >> 29);
-}
-
-std::uint64_t mix_double(std::uint64_t hash, double value) {
-  return mix64(hash, std::bit_cast<std::uint64_t>(value));
-}
-
 std::uint64_t fingerprint_of(const graph::Graph& topology,
                              const te::TrafficMatrix& base_demands,
                              const ServeConfig& config) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  hash = mix64(hash, topology.node_count());
-  hash = mix64(hash, topology.edge_count());
-  for (graph::EdgeId id : topology.edge_ids()) {
-    const graph::Edge& edge = topology.edge(id);
-    hash = mix64(hash, static_cast<std::uint32_t>(edge.src.value));
-    hash = mix64(hash, static_cast<std::uint32_t>(edge.dst.value));
-    hash = mix_double(hash, edge.capacity.value);
-    hash = mix_double(hash, edge.cost);
-    hash = mix_double(hash, edge.weight);
-  }
-  hash = mix64(hash, base_demands.size());
-  for (const te::Demand& demand : base_demands) {
-    hash = mix64(hash, static_cast<std::uint32_t>(demand.src.value));
-    hash = mix64(hash, static_cast<std::uint32_t>(demand.dst.value));
-    hash = mix_double(hash, demand.volume.value);
-    hash = mix64(hash, static_cast<std::uint32_t>(demand.priority));
-  }
+  std::uint64_t hash = replay::fingerprint_network(topology, base_demands);
   hash = mix64(hash, config.seed);
   hash = mix_double(hash, config.snr_margin.value);
-  hash = mix64(hash, config.hysteresis.has_value() ? 1 : 0);
-  if (config.hysteresis.has_value()) {
-    hash = mix_double(hash, config.hysteresis->extra_up_margin.value);
-    hash = mix64(hash,
-                 static_cast<std::uint32_t>(config.hysteresis->up_hold_rounds));
-  }
+  hash = replay::fingerprint_hysteresis(hash, config.hysteresis);
   hash = mix_double(hash, config.initial_snr_db);
-  // Demand fields join the fingerprint only in estimated mode: estimation
-  // changes results, oracle services keep the historical hash (same policy
-  // as replay::ReplayDriver).
-  if (config.demand.estimated()) {
-    const demand::DemandConfig& d = config.demand;
-    hash = mix64(hash, static_cast<std::uint64_t>(d.source));
-    hash = mix_double(hash, d.noise);
-    hash = mix_double(hash, d.loss_rate);
-    hash = mix_double(hash, d.staleness);
-    hash = mix_double(hash, d.interval_seconds);
-    hash = mix_double(hash, d.ewma_alpha);
-    hash = mix_double(hash, d.damping);
-    hash = mix64(hash, d.seed);
-  }
-  return hash;
+  return replay::fingerprint_demand(hash, config.demand);
 }
 
 core::ControllerOptions controller_options_for(const ServeConfig& config) {

@@ -28,6 +28,7 @@
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc {
@@ -222,12 +223,7 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
       << std::hex << payload_hash(state);
 }
 
-std::uint64_t fold(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value + 0x9e3779b97f4a7c15ull + (hash << 6) + (hash >> 2);
-  hash *= 0xff51afd7ed558ccdull;
-  hash ^= hash >> 33;
-  return hash;
-}
+using util::combine64;
 
 /// Rewrites a save_state() payload's trailing integrity fold, walking the
 /// fields in state_signature() order, so a tampered payload gets past the
@@ -238,25 +234,27 @@ void resign(std::vector<std::byte>& payload) {
   reader.u32();  // version
   const std::uint64_t edges = reader.u64();
   const std::uint64_t flowlets = reader.u64() * reader.u64();
-  std::uint64_t hash = fold(0x64617461706c616eull, reader.u64());
+  std::uint64_t hash = combine64(0x64617461706c616eull, reader.u64());
   auto fold_pipeline = [&] {
-    hash = fold(hash, reader.u64());  // path id
+    hash = combine64(hash, reader.u64());  // path id
     const std::uint32_t hops = reader.u32();
     for (std::uint32_t h = 0; h < hops; ++h) {
-      hash = fold(hash, reader.u32());  // edge
-      hash = fold(hash, reader.u64());  // queued
-      hash = fold(hash, reader.u64());  // arriving
+      hash = combine64(hash, reader.u32());  // edge
+      hash = combine64(hash, reader.u64());  // queued
+      hash = combine64(hash, reader.u64());  // arriving
     }
   };
   for (std::uint64_t f = 0; f < flowlets; ++f) {
-    hash = fold(hash, reader.u32());  // od
-    for (int field = 0; field < 6; ++field) hash = fold(hash, reader.u64());
+    hash = combine64(hash, reader.u32());  // od
+    for (int field = 0; field < 6; ++field)
+      hash = combine64(hash, reader.u64());
     fold_pipeline();
     const std::uint32_t draining = reader.u32();
-    hash = fold(hash, draining);
+    hash = combine64(hash, draining);
     for (std::uint32_t d = 0; d < draining; ++d) fold_pipeline();
   }
-  for (std::uint64_t e = 0; e < 2 * edges; ++e) hash = fold(hash, reader.u64());
+  for (std::uint64_t e = 0; e < 2 * edges; ++e)
+    hash = combine64(hash, reader.u64());
   ASSERT_FALSE(reader.failed());
   for (int b = 0; b < 8; ++b)
     payload[payload.size() - 8 + b] =
