@@ -140,11 +140,20 @@ DynamicCapacityController::save_state() const {
   return state;
 }
 
+bool DynamicCapacityController::can_restore(
+    const PersistentState& state) const {
+  const std::size_t edges = physical_.edge_count();
+  return state.configured.size() == edges &&
+         state.last_traffic.size() == edges &&
+         state.last_snr.size() == edges &&
+         state.hysteresis.has_value() == hysteresis_.has_value() &&
+         (!state.hysteresis.has_value() ||
+          (state.hysteresis->candidate.size() == edges &&
+           state.hysteresis->streak.size() == edges));
+}
+
 void DynamicCapacityController::restore_state(PersistentState state) {
-  RWC_EXPECTS(state.configured.size() == physical_.edge_count());
-  RWC_EXPECTS(state.last_traffic.size() == physical_.edge_count());
-  RWC_EXPECTS(state.last_snr.size() == physical_.edge_count());
-  RWC_EXPECTS(state.hysteresis.has_value() == hysteresis_.has_value());
+  RWC_EXPECTS(can_restore(state));
   configured_ = std::move(state.configured);
   if (hysteresis_.has_value())
     hysteresis_->restore_state(std::move(*state.hysteresis));

@@ -219,9 +219,13 @@ class DynamicCapacityController {
     std::vector<util::Db> last_snr;
   };
   PersistentState save_state() const;
-  /// Restores a captured state. Vector sizes must match this controller's
-  /// physical topology, and hysteresis presence must match the options the
-  /// controller was built with.
+  /// Whether restore_state() accepts `state`: every per-link vector
+  /// (hysteresis ones included) matches this controller's physical
+  /// topology, and hysteresis presence matches the options the controller
+  /// was built with.
+  bool can_restore(const PersistentState& state) const;
+  /// Restores a captured state. Precondition: can_restore(state), checked
+  /// before anything is written.
   void restore_state(PersistentState state);
 
   const graph::Graph& physical_topology() const { return physical_; }

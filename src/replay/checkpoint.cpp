@@ -414,6 +414,24 @@ std::uint32_t crc32(std::span<const std::byte> bytes) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+Error check_controller_sections(
+    const Checkpoint& checkpoint,
+    const core::DynamicCapacityController& controller) {
+  if (!controller.can_restore(checkpoint.controller)) return Error::kMalformed;
+  // The demand section changes results, so an estimating controller cannot
+  // resume without it (the round index drives the counter noise stream,
+  // the EWMA anchors damped solves).
+  if (controller.demand_pipeline() == nullptr) return Error::kNone;
+  if (!checkpoint.demand_present) return Error::kMissingSection;
+  const std::size_t edges = controller.physical_topology().edge_count();
+  const demand::DemandPipeline::State& state = checkpoint.demand_state;
+  const bool shapes_ok =
+      (state.last_observed.empty() || state.last_observed.size() == edges) &&
+      (state.capacity_peak_gbps.empty() ||
+       state.capacity_peak_gbps.size() == edges);
+  return shapes_ok ? Error::kNone : Error::kMalformed;
+}
+
 std::vector<std::byte> encode(const Checkpoint& checkpoint) {
   std::vector<std::pair<SectionId, std::vector<std::byte>>> sections;
   sections.emplace_back(SectionId::kMeta, encode_meta(checkpoint));

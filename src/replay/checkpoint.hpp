@@ -135,6 +135,18 @@ struct Checkpoint {
   demand::DemandPipeline::State demand_state;
 };
 
+/// Whether the controller and demand sections of `checkpoint` can apply to
+/// `controller`. kMalformed when DynamicCapacityController::can_restore
+/// rejects the controller section; kMissingSection when the controller
+/// estimates demands and the demand section is absent; kMalformed when
+/// that section's per-link vectors do not match; kNone otherwise.
+/// ReplayDriver and serve::ServeService run it before touching any state,
+/// so a foreign checkpoint is a typed error, never a throw from a
+/// half-applied restore.
+Error check_controller_sections(
+    const Checkpoint& checkpoint,
+    const core::DynamicCapacityController& controller);
+
 /// Serializes `checkpoint` into the framed binary form above.
 std::vector<std::byte> encode(const Checkpoint& checkpoint);
 

@@ -306,51 +306,21 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
     driver_metrics.rejected.add();
     return Error::kConfigMismatch;
   }
-  // Size validation up front so a failed restore leaves the driver
+  // Shape validation up front so a failed restore leaves the driver
   // untouched (decode CRCs make a mismatch here near-impossible, but the
   // contract is typed rejection, never a throw from half-applied state).
   const std::size_t edges = topology_.edge_count();
-  const auto& state = checkpoint.controller;
-  const bool sizes_ok =
-      checkpoint.cursors.size() == edges &&
-      state.configured.size() == edges &&
-      state.last_traffic.size() == edges && state.last_snr.size() == edges &&
-      state.hysteresis.has_value() == config_.hysteresis.has_value() &&
-      (!state.hysteresis.has_value() ||
-       (state.hysteresis->candidate.size() == edges &&
-        state.hysteresis->streak.size() == edges)) &&
-      checkpoint.round >= checkpoint.chunk_base_round &&
-      checkpoint.round <= config_.rounds;
-  if (!sizes_ok) {
-    driver_metrics.rejected.add();
-    return Error::kMalformed;
-  }
-  bool cursors_ok = true;
+  bool cursors_ok = checkpoint.cursors.size() == edges &&
+                    checkpoint.round >= checkpoint.chunk_base_round &&
+                    checkpoint.round <= config_.rounds;
   for (const auto& cursor : checkpoint.cursors)
     cursors_ok = cursors_ok && cursor.position == checkpoint.chunk_base_round;
-  if (!cursors_ok) {
+  const Error shape = cursors_ok
+                          ? check_controller_sections(checkpoint, controller_)
+                          : Error::kMalformed;
+  if (shape != Error::kNone) {
     driver_metrics.rejected.add();
-    return Error::kMalformed;
-  }
-  // The demand section changes results, so when this driver estimates it is
-  // MANDATORY: a checkpoint without it cannot reproduce the run (the round
-  // index drives the counter noise stream, the EWMA anchors damped solves).
-  demand::DemandPipeline* pipeline = controller_.demand_pipeline();
-  if (pipeline != nullptr) {
-    if (!checkpoint.demand_present) {
-      driver_metrics.rejected.add();
-      return Error::kMissingSection;
-    }
-    const demand::DemandPipeline::State& demand_state = checkpoint.demand_state;
-    const bool demand_ok =
-        (demand_state.last_observed.empty() ||
-         demand_state.last_observed.size() == edges) &&
-        (demand_state.capacity_peak_gbps.empty() ||
-         demand_state.capacity_peak_gbps.size() == edges);
-    if (!demand_ok) {
-      driver_metrics.rejected.add();
-      return Error::kMalformed;
-    }
+    return shape;
   }
 
   // Optional obs rewind first, so the restore's own bookkeeping lands on
@@ -364,8 +334,9 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
       registry.gauge(name).set(value);
   }
 
-  controller_.restore_state(state);
-  if (pipeline != nullptr) pipeline->restore_state(checkpoint.demand_state);
+  controller_.restore_state(checkpoint.controller);
+  if (demand::DemandPipeline* pipeline = controller_.demand_pipeline())
+    pipeline->restore_state(checkpoint.demand_state);
   account_.rng = util::Rng::from_state(checkpoint.latency_rng);
   round_ = checkpoint.round;
   chunk_base_round_ = checkpoint.chunk_base_round;

@@ -111,10 +111,4 @@ std::size_t IngestQueue::depth() const {
   return events_.size();
 }
 
-std::size_t IngestLog::total_events() const {
-  std::size_t total = 0;
-  for (const auto& batch : batches_) total += batch.size();
-  return total;
-}
-
 }  // namespace rwc::serve

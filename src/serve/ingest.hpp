@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
 #include <vector>
 
 namespace rwc::serve {
@@ -102,23 +103,30 @@ class IngestQueue {
 /// the events round r drained, in the drain order the round applied them.
 /// Feeding the batches back through ServeService::step(batch) reproduces
 /// the run bit-identically (the determinism contract's replay side).
+/// Stored flat, one event array plus each round's end offset, so a long
+/// run costs two growing arrays rather than one heap block per round.
 class IngestLog {
  public:
-  void append(std::vector<IngestEvent> batch) {
-    batches_.push_back(std::move(batch));
+  /// `batch` must not point into this log.
+  void append(std::span<const IngestEvent> batch) {
+    events_.insert(events_.end(), batch.begin(), batch.end());
+    ends_.push_back(events_.size());
   }
 
-  std::size_t rounds() const { return batches_.size(); }
-  const std::vector<IngestEvent>& batch(std::size_t round) const {
-    return batches_[round];
+  std::size_t rounds() const { return ends_.size(); }
+  /// Valid until the next append().
+  std::span<const IngestEvent> batch(std::size_t round) const {
+    const std::size_t begin = round == 0 ? 0 : ends_[round - 1];
+    return std::span<const IngestEvent>(events_).subspan(
+        begin, ends_[round] - begin);
   }
-  const std::vector<std::vector<IngestEvent>>& batches() const {
-    return batches_;
-  }
-  std::size_t total_events() const;
+  std::size_t total_events() const { return events_.size(); }
+
+  friend bool operator==(const IngestLog&, const IngestLog&) = default;
 
  private:
-  std::vector<std::vector<IngestEvent>> batches_;
+  std::vector<IngestEvent> events_;
+  std::vector<std::size_t> ends_;
 };
 
 }  // namespace rwc::serve

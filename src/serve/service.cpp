@@ -135,19 +135,14 @@ void ServeService::apply_event(const IngestEvent& event) {
 }
 
 ServeService::RoundReport ServeService::step() {
-  // Record-before-apply: the batch this round consumed becomes the round's
-  // log entry verbatim; everything after this line is a pure function of
-  // the log (the determinism contract, docs/SERVE.md).
-  return step_batch(queue_.drain());
+  return step(queue_.drain());
 }
 
 ServeService::RoundReport ServeService::step(
-    const std::vector<IngestEvent>& batch) {
-  return step_batch(batch);
-}
-
-ServeService::RoundReport ServeService::step_batch(
-    const std::vector<IngestEvent>& batch) {
+    std::span<const IngestEvent> batch) {
+  // Record-before-apply: the batch this round consumed becomes the round's
+  // log entry verbatim; everything after this line is a pure function of
+  // the log (the determinism contract, docs/SERVE.md).
   log_.append(batch);
   for (const IngestEvent& event : batch) apply_event(event);
 
@@ -259,32 +254,17 @@ replay::Error ServeService::restore(const replay::Checkpoint& checkpoint) {
   const std::uint64_t epochs = reader.u64();
   if (reader.failed() || !reader.exhausted()) return replay::Error::kMalformed;
 
-  // Controller-state shape checks up front: restore_state() RWC_CHECKs the
-  // same conditions, and a decodable-but-foreign payload must surface as a
-  // typed error, never an abort.
-  const auto& state = checkpoint.controller;
-  const std::size_t edges = topology_.edge_count();
-  if (state.configured.size() != edges || state.last_traffic.size() != edges ||
-      state.last_snr.size() != edges)
-    return replay::Error::kMalformed;
-  if (state.hysteresis.has_value() != config_.hysteresis.has_value())
-    return replay::Error::kMalformed;
-  // Mandatory demand section when this service estimates (results depend
-  // on it); shape checks mirror ReplayDriver::restore.
-  demand::DemandPipeline* pipeline = controller_.demand_pipeline();
-  if (pipeline != nullptr) {
-    if (!checkpoint.demand_present) return replay::Error::kMissingSection;
-    const demand::DemandPipeline::State& demand_state = checkpoint.demand_state;
-    if (!(demand_state.last_observed.empty() ||
-          demand_state.last_observed.size() == edges) ||
-        !(demand_state.capacity_peak_gbps.empty() ||
-          demand_state.capacity_peak_gbps.size() == edges))
-      return replay::Error::kMalformed;
-  }
+  // Controller and demand shape checks up front, shared with
+  // replay::ReplayDriver: a decodable-but-foreign payload must surface as a
+  // typed error, never a throw from a half-applied restore.
+  const replay::Error shape =
+      replay::check_controller_sections(checkpoint, controller_);
+  if (shape != replay::Error::kNone) return shape;
 
   // Point of no return: every mutation below succeeds unconditionally.
-  controller_.restore_state(state);
-  if (pipeline != nullptr) pipeline->restore_state(checkpoint.demand_state);
+  controller_.restore_state(checkpoint.controller);
+  if (demand::DemandPipeline* pipeline = controller_.demand_pipeline())
+    pipeline->restore_state(checkpoint.demand_state);
   for (std::size_t d = 0; d < demands_.size(); ++d)
     demands_[d].volume = util::Gbps{volumes[d]};
   for (std::size_t e = 0; e < snr_.size(); ++e) snr_[e] = util::Db{snr[e]};

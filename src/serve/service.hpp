@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -119,7 +120,7 @@ class ServeService {
   /// Replay step: apply a recorded batch instead of draining the queue
   /// (appends to this service's log too, so a replayed service's log
   /// equals the original's). Everything downstream is identical to live.
-  RoundReport step(const std::vector<IngestEvent>& batch);
+  RoundReport step(std::span<const IngestEvent> batch);
 
   // --- Reader side (wait-free) -------------------------------------------
   /// Register readers against this domain; acquire epochs from the cell:
@@ -165,7 +166,6 @@ class ServeService {
   replay::Error restore_latest(const replay::CheckpointStore& store);
 
  private:
-  RoundReport step_batch(const std::vector<IngestEvent>& batch);
   /// Applies one recorded event to demands_/snr_ with deterministic
   /// sanitization (NaN -> keep previous, clamp to the legal range; every
   /// rewrite counted under serve.ingest.clamped).

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "exec/rcu.hpp"
@@ -123,7 +124,7 @@ TEST(ServeService, ReplayingTheRecordedLogReproducesTheChain) {
   EXPECT_EQ(replayed.signature_chain(), live.signature_chain());
   // The replayed service's own log must equal the live log (a second-order
   // replay would reproduce again).
-  EXPECT_EQ(replayed.log().batches(), live.log().batches());
+  EXPECT_EQ(replayed.log(), live.log());
 }
 
 TEST(ServeService, FaultedIngestIsAbsorbedByTheLogContract) {
@@ -219,6 +220,41 @@ TEST(ServeService, RestoreRejectsForeignAndServelessCheckpoints) {
   EXPECT_EQ(other.restore(truncated), replay::Error::kMalformed);
   // Rejected restores leave the service untouched.
   EXPECT_EQ(other.round(), 0u);
+}
+
+TEST(ServeService, RestoreRejectsHysteresisStateOfTheWrongLength) {
+  // A checkpoint whose hysteresis vectors are one link short still
+  // decodes; restore must reject it as kMalformed before it writes
+  // anything, leaving round, chain and capacities as they were.
+  const Fixture fixture;
+  ServeConfig config;
+  config.hysteresis = core::HysteresisParams{};
+  ServeService source = fixture.make(config);
+  source.step();
+  replay::Checkpoint short_state = source.checkpoint();
+  short_state.controller.hysteresis->candidate.pop_back();
+  short_state.controller.hysteresis->streak.pop_back();
+  replay::Checkpoint decoded;
+  ASSERT_EQ(replay::decode(replay::encode(short_state), decoded),
+            replay::Error::kNone);
+
+  ServeService service = fixture.make(config);
+  service.queue().offer({IngestType::kSnr, 0, 6.0});  // 50 G on link 0
+  service.step();
+  service.step();
+  const std::uint64_t round = service.round();
+  const std::uint64_t chain = service.signature_chain();
+  const std::span<const util::Gbps> live =
+      service.controller().configured_capacities();
+  const std::vector<util::Gbps> capacities(live.begin(), live.end());
+  ASSERT_NE(capacities, decoded.controller.configured);
+
+  EXPECT_EQ(service.restore(decoded), replay::Error::kMalformed);
+  EXPECT_EQ(service.round(), round);
+  EXPECT_EQ(service.signature_chain(), chain);
+  const std::span<const util::Gbps> after =
+      service.controller().configured_capacities();
+  EXPECT_EQ(std::vector<util::Gbps>(after.begin(), after.end()), capacities);
 }
 
 TEST(ServeService, FingerprintSeparatesConfigsButNotTuningKnobs) {
