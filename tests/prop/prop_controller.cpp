@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -181,6 +184,85 @@ TEST(PropController, HysteresisNeverOscillatesFasterThanDwell) {
         prop::check_hysteresis_dwell(rounds, params);
     EXPECT_TRUE(result.ok) << "seed=" << seed << " " << result.detail;
   }
+}
+
+/// The two-phase consistent update replayed step by step: from the previous
+/// loads, remove every shrinking (demand, path) volume, then add every
+/// growing one, checking every link against `capacity` (within 1e-6 Gbps)
+/// before the first step and after each one. RoundReport::transition_valid
+/// states this rule in closed form.
+bool two_phase_replay_fits(const te::FlowAssignment& before,
+                           const te::FlowAssignment& after,
+                           std::span<const util::Gbps> capacity) {
+  using Key = std::pair<std::size_t, std::vector<graph::EdgeId>>;
+  const auto volumes = [](const te::FlowAssignment& assignment) {
+    std::map<Key, double> out;
+    for (std::size_t d = 0; d < assignment.routings.size(); ++d)
+      for (const auto& [path, volume] : assignment.routings[d].paths)
+        out[{d, path.edges}] += volume.value;
+    return out;
+  };
+  const std::map<Key, double> old_volumes = volumes(before);
+  const std::map<Key, double> new_volumes = volumes(after);
+  std::vector<double> load = before.edge_load_gbps;
+  load.resize(capacity.size(), 0.0);
+  const auto fits = [&] {
+    for (std::size_t i = 0; i < capacity.size(); ++i)
+      if (load[i] > capacity[i].value + 1e-6) return false;
+    return true;
+  };
+  // One phase: every key whose volume in `from` exceeds its volume in `to`
+  // moves load by `sign` times the difference, one step per key.
+  const auto phase = [&](const std::map<Key, double>& from,
+                         const std::map<Key, double>& to, double sign) {
+    for (const auto& [key, volume] : from) {
+      const auto it = to.find(key);
+      const double delta = volume - (it == to.end() ? 0.0 : it->second);
+      if (delta <= 1e-9) continue;
+      for (const graph::EdgeId edge : key.second)
+        load[static_cast<std::size_t>(edge.value)] += sign * delta;
+      if (!fits()) return false;
+    }
+    return true;
+  };
+  return fits() && phase(old_volumes, new_volumes, -1.0) &&
+         phase(new_volumes, old_volumes, 1.0);
+}
+
+TEST(PropController, TransitionVerdictIsTheTwoPhaseRule) {
+  std::size_t valid = 0;
+  std::size_t invalid = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    const RoundFixture fixture = make_fixture(seed);
+    util::Rng rng = util::Rng::stream(seed, 500);
+    for (const bool incremental : {false, true}) {
+      const te::McfTe engine;
+      core::ControllerOptions options;
+      options.incremental = incremental;
+      if (incremental) options.hysteresis = core::HysteresisParams{};
+      core::DynamicCapacityController controller(
+          fixture.topology, optical::ModulationTable::standard(), engine,
+          options);
+      std::vector<util::Db> snr = fixture.snr;
+      for (int round = 0; round < 8; ++round) {
+        // Half the rounds redraw the SNR (flaps under load), half keep it.
+        if (rng.bernoulli(0.5))
+          snr = prop::random_snr(fixture.topology.edge_count(), rng);
+        const te::FlowAssignment before = controller.last_assignment();
+        const auto report = controller.run_round(snr, fixture.demands);
+        EXPECT_EQ(report.transition_valid,
+                  two_phase_replay_fits(before,
+                                        report.plan.physical_assignment,
+                                        controller.configured_capacities()))
+            << "seed=" << seed << " incremental=" << incremental
+            << " round=" << round;
+        (report.transition_valid ? valid : invalid) += 1;
+      }
+    }
+  }
+  // Vacuity guard: the generated rounds must exercise both verdicts.
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(invalid, 0u);
 }
 
 }  // namespace

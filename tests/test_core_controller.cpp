@@ -209,6 +209,28 @@ TEST(Controller, TransitionPlansAreValidAcrossRounds) {
   }
 }
 
+TEST(Controller, ForcedReductionUnderLoadFailsTheTransitionCheck) {
+  // 90 G rides a 100 G link whose SNR then supports only 50 G: the old load
+  // no longer fits the new capacity, so no two-phase update from it is
+  // congestion-free. The next round starts from the 50 G routing and fits.
+  graph::Graph base;
+  const NodeId a = base.add_node("A");
+  const NodeId b = base.add_node("B");
+  base.add_edge(a, b, 100_Gbps);
+  te::McfTe engine;
+  DynamicCapacityController controller(
+      base, optical::ModulationTable::standard(), engine,
+      no_margin_options());
+  const te::TrafficMatrix demands = {{a, b, 90_Gbps, 0}};
+  EXPECT_TRUE(
+      controller.run_round(uniform_snr(base, 8.0), demands).transition_valid);
+  const auto forced = controller.run_round(uniform_snr(base, 4.2), demands);
+  ASSERT_EQ(forced.reductions.size(), 1u);
+  EXPECT_FALSE(forced.transition_valid);
+  EXPECT_TRUE(
+      controller.run_round(uniform_snr(base, 4.2), demands).transition_valid);
+}
+
 TEST(Controller, WorksWithSwanEngineUnmodified) {
   // Theorem 1's claim: a different, unmodified TE engine plugs in.
   graph::Graph base;
