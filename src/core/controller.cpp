@@ -143,6 +143,13 @@ DynamicCapacityController::save_state() const {
 bool DynamicCapacityController::can_restore(
     const PersistentState& state) const {
   const std::size_t edges = physical_.edge_count();
+  // Later rounds index per-link vectors with these ids (the update
+  // schedule's loads, the demand pipeline's routing matrix).
+  for (const auto& routing : state.last_assignment.routings)
+    for (const auto& [path, volume] : routing.paths)
+      for (const EdgeId edge : path.edges)
+        if (!edge.valid() || static_cast<std::size_t>(edge.value) >= edges)
+          return false;
   return state.configured.size() == edges &&
          state.last_traffic.size() == edges &&
          state.last_snr.size() == edges &&

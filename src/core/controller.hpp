@@ -221,8 +221,9 @@ class DynamicCapacityController {
   PersistentState save_state() const;
   /// Whether restore_state() accepts `state`: every per-link vector
   /// (hysteresis ones included) matches this controller's physical
-  /// topology, and hysteresis presence matches the options the controller
-  /// was built with.
+  /// topology, every path of the last assignment names edges of it, and
+  /// hysteresis presence matches the options the controller was built
+  /// with.
   bool can_restore(const PersistentState& state) const;
   /// Restores a captured state. Precondition: can_restore(state), checked
   /// before anything is written.

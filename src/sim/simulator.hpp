@@ -79,7 +79,7 @@ struct SimulationMetrics {
   std::size_t restorations = 0;   // SNR-recovery restorations to nominal
   /// Always 0. Counted modulation changes that failed to lock in the
   /// retired device-backed simulator mode; kept because the checkpoint
-  /// metrics section and the scenario golden fixtures carry it.
+  /// metrics section and the golden fixtures carry it.
   std::size_t lock_failures = 0;
   double reconfig_downtime_hours = 0.0;
   std::size_t te_rounds = 0;

@@ -257,6 +257,34 @@ TEST(ServeService, RestoreRejectsHysteresisStateOfTheWrongLength) {
   EXPECT_EQ(std::vector<util::Gbps>(after.begin(), after.end()), capacities);
 }
 
+TEST(ServeService, RestoreRejectsPathsThroughUnknownEdges) {
+  // A last assignment routed over an edge id past the topology would be
+  // indexed by the next round's update schedule; restore rejects it.
+  const Fixture fixture;
+  ServeConfig config;
+  config.update = update::SchedulerConfig{};
+  ServeService source = fixture.make(config);
+  source.step();
+  replay::Checkpoint foreign = source.checkpoint();
+  bool planted = false;
+  for (auto& routing : foreign.controller.last_assignment.routings)
+    for (auto& [path, volume] : routing.paths)
+      if (!planted && !path.edges.empty()) {
+        path.edges.back() = graph::EdgeId{1 << 20};
+        planted = true;
+      }
+  ASSERT_TRUE(planted);
+  replay::Checkpoint decoded;
+  ASSERT_EQ(replay::decode(replay::encode(foreign), decoded),
+            replay::Error::kNone);
+
+  ServeService service = fixture.make(config);
+  EXPECT_EQ(service.restore(decoded), replay::Error::kMalformed);
+  EXPECT_EQ(service.round(), 0u);
+  service.step();  // the untouched service still runs
+  EXPECT_EQ(service.signature_chain(), source.signature_chain());
+}
+
 TEST(ServeService, FingerprintSeparatesConfigsButNotTuningKnobs) {
   const Fixture fixture;
   ServeConfig base;
