@@ -99,7 +99,9 @@ TEST(Wcmp, GrowingAWeightOnlyAttractsFlowlets) {
     const std::uint64_t key = flowlet_key(2, k, 5);
     const std::size_t before = wcmp_pick(key, before_weights, ids);
     const std::size_t after = wcmp_pick(key, after_weights, ids);
-    if (after != before) EXPECT_EQ(after, 1u);
+    if (after != before) {
+      EXPECT_EQ(after, 1u);
+    }
   }
 }
 
