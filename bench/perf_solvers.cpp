@@ -23,7 +23,6 @@
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
 #include "telemetry/analysis.hpp"
-#include "telemetry/streaming.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -142,7 +141,7 @@ void BM_SwanLpRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SwanLpRound)->Arg(25)->Arg(50);
 
-// Exact (sort-based HDR) vs streaming (P-square) per-link analysis.
+// Exact (sort-based HDR) per-link analysis over 30-day to 2.5-year traces.
 telemetry::SnrTrace perf_trace(int days) {
   telemetry::SnrFleetGenerator::FleetParams params;
   params.fiber_count = 1;
@@ -159,18 +158,6 @@ void BM_AnalyzeLinkExact(benchmark::State& state) {
   state.SetLabel(std::to_string(trace.size()) + " samples");
 }
 BENCHMARK(BM_AnalyzeLinkExact)->Arg(30)->Arg(180)->Arg(912);
-
-void BM_AnalyzeLinkStreaming(benchmark::State& state) {
-  const auto trace = perf_trace(static_cast<int>(state.range(0)));
-  const auto table = optical::ModulationTable::standard();
-  for (auto _ : state) {
-    telemetry::StreamingLinkAnalyzer analyzer;
-    analyzer.add(trace);
-    benchmark::DoNotOptimize(analyzer.stats(table));
-  }
-  state.SetLabel(std::to_string(trace.size()) + " samples");
-}
-BENCHMARK(BM_AnalyzeLinkStreaming)->Arg(30)->Arg(180)->Arg(912);
 
 // Controller-round setup shared by the pool-sweep and reuse variants:
 // a loaded Waxman WAN with SNR headroom everywhere, so every round has

@@ -7,7 +7,6 @@
 // util — primitives
 #include "util/ascii_plot.hpp"
 #include "util/check.hpp"
-#include "util/p2_quantile.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -28,7 +27,6 @@
 #include "exec/thread_pool.hpp"
 
 // graph — topologies and path algorithms
-#include "graph/connectivity.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/dot.hpp"
 #include "graph/graph.hpp"
@@ -37,7 +35,6 @@
 // flow — max-flow / min-cost-flow solvers
 #include "flow/cycle_cancel.hpp"
 #include "flow/decompose.hpp"
-#include "flow/disjoint.hpp"
 #include "flow/graph_adapter.hpp"
 #include "flow/maxflow.hpp"
 #include "flow/mincost.hpp"
@@ -50,19 +47,14 @@
 #include "optical/ber.hpp"
 #include "optical/link_budget.hpp"
 #include "optical/modulation.hpp"
-#include "optical/q_factor.hpp"
 
 // telemetry — SNR traces and analyses (paper Section 2.1)
 #include "telemetry/analysis.hpp"
-#include "telemetry/detect.hpp"
-#include "telemetry/io.hpp"
 #include "telemetry/snr_model.hpp"
-#include "telemetry/streaming.hpp"
 
 // tickets — failure tickets and root causes (paper Section 2.2)
 #include "tickets/analysis.hpp"
 #include "tickets/generator.hpp"
-#include "tickets/io.hpp"
 #include "tickets/ticket.hpp"
 
 // bvt — bandwidth-variable transceiver model (paper Section 3.1)
@@ -79,7 +71,6 @@
 #include "te/ecmp.hpp"
 #include "te/mcf_lp.hpp"
 #include "te/mcf_te.hpp"
-#include "te/protection.hpp"
 #include "te/swan.hpp"
 
 // core — the paper's contribution (Section 4)

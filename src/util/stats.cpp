@@ -72,26 +72,4 @@ double EmpiricalCdf::fraction_at_or_below(double value) const {
          static_cast<double>(sorted_.size());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  RWC_EXPECTS(bins >= 1);
-  RWC_EXPECTS(lo < hi);
-}
-
-void Histogram::add(double value) {
-  const double unit = (value - lo_) / (hi_ - lo_);
-  auto index = static_cast<std::ptrdiff_t>(
-      unit * static_cast<double>(counts_.size()));
-  index = std::clamp<std::ptrdiff_t>(
-      index, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(index)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  RWC_EXPECTS(i < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (static_cast<double>(i) + 0.5);
-}
-
 }  // namespace rwc::util

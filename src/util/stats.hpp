@@ -60,23 +60,4 @@ class EmpiricalCdf {
   std::vector<double> sorted_;
 };
 
-/// Histogram with equal-width bins over [lo, hi]; values outside are clamped
-/// into the edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value);
-  std::size_t total() const { return total_; }
-  std::span<const std::size_t> counts() const { return counts_; }
-  /// Center of bin i.
-  double bin_center(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace rwc::util

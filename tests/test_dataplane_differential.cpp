@@ -1,9 +1,9 @@
 // Differential tests of the dataplane against the solver allocation
 // (docs/DATAPLANE.md §5): the gap oracle for both TE engines over two
-// seeds, capacity safety, bitwise determinism across thread-pool sizes
-// and fleet shard counts, checkpoint restore-then-continue, the pinned
-// kDataplane wire format, and the dataplane-backed demand counter source
-// certifying exact recovery on a clean round.
+// seeds, capacity safety, bitwise determinism across thread-pool sizes,
+// checkpoint restore-then-continue, the pinned kDataplane wire format, and
+// the dataplane-backed demand counter source certifying exact recovery on a
+// clean round.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "demand/routing_matrix.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/registry.hpp"
-#include "fleet/dataplane_sweep.hpp"
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "replay/checkpoint.hpp"
@@ -96,29 +95,6 @@ TEST(DataplaneDifferential, CheckpointRestoreThenContinueIsBitIdentical) {
                                               << at;
     EXPECT_TRUE(outcome.pass) << outcome.failure;
   }
-}
-
-TEST(DataplaneDifferential, SweepChainIsInvariantToShardCount) {
-  fleet::DataplaneSweepConfig config;
-  config.instances = 4;
-  config.seed = 5;
-  config.base.rounds = 2;
-  config.base.nodes = 8;
-
-  config.shards = 1;
-  const fleet::DataplaneSweepResult serial =
-      fleet::run_dataplane_sweep(config);
-  EXPECT_EQ(serial.failed_instances, 0u) << serial.first_failure;
-
-  config.shards = 3;
-  const fleet::DataplaneSweepResult sharded =
-      fleet::run_dataplane_sweep(config);
-  EXPECT_EQ(sharded.sweep_chain, serial.sweep_chain);
-
-  // An instance run in isolation equals its slot in the sharded sweep.
-  const fleet::DataplaneInstanceResult alone =
-      fleet::run_dataplane_instance(config, 2);
-  EXPECT_EQ(alone.chain, sharded.instances[2].chain);
 }
 
 TEST(DataplaneDifferential, SimStateRoundTripsThroughSaveRestore) {

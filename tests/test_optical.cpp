@@ -1,12 +1,10 @@
-// Tests for the modulation ladder, the BER/EVM models and the Q-factor
-// conversions.
+// Tests for the modulation ladder and the BER/EVM models.
 #include <gtest/gtest.h>
 
 
 #include <cmath>
 #include "optical/ber.hpp"
 #include "optical/modulation.hpp"
-#include "optical/q_factor.hpp"
 #include "util/check.hpp"
 
 namespace rwc::optical {
@@ -128,28 +126,6 @@ TEST(Ber, HybridBetweenBracketingFormats) {
   const double mid = approx_ber(hybrid, snr);
   EXPECT_GE(mid, lo);
   EXPECT_LE(mid, hi);
-}
-
-TEST(QFactor, BerRoundTrip) {
-  for (double q : {2.0, 4.0, 6.0, 7.0}) {
-    const double ber = optical::ber_from_q(q);
-    EXPECT_GT(ber, 0.0);
-    EXPECT_NEAR(optical::q_from_ber(ber), q, 1e-6);
-  }
-}
-
-TEST(QFactor, KnownAnchors) {
-  // Q = 6 -> BER ~ 1e-9 (the classic rule of thumb).
-  EXPECT_NEAR(optical::ber_from_q(6.0), 1e-9, 2e-10);
-  // Q² of 15.56 dB corresponds to Q = 6.
-  EXPECT_NEAR(optical::q_squared_db(6.0).value, 15.563, 1e-3);
-  EXPECT_NEAR(optical::q_from_q_squared_db(util::Db{15.563}), 6.0, 1e-3);
-}
-
-TEST(QFactor, Validation) {
-  EXPECT_THROW(optical::q_from_ber(0.0), util::CheckError);
-  EXPECT_THROW(optical::q_from_ber(0.6), util::CheckError);
-  EXPECT_THROW(optical::q_squared_db(0.0), util::CheckError);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 
 #include <cmath>
 
-#include "graph/connectivity.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
+#include "support/connectivity.hpp"
 #include "util/rng.hpp"
 
 namespace rwc::sim {

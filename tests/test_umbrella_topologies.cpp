@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "rwc.hpp"
+#include "support/connectivity.hpp"
 
 namespace rwc {
 namespace {

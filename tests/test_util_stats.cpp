@@ -1,5 +1,5 @@
-// Tests for summary statistics, percentiles, empirical CDFs, histograms and
-// the highest-density-region estimator (the HDR drives Fig. 2a/2b).
+// Tests for summary statistics, percentiles, empirical CDFs and the
+// highest-density-region estimator (the HDR drives Fig. 2a/2b).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -143,21 +143,6 @@ TEST(EmpiricalCdf, IsMonotone) {
     EXPECT_GE(f, previous);
     previous = f;
   }
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-100.0); // clamped to bin 0
-  h.add(100.0);  // clamped to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[2], 1u);
-  EXPECT_EQ(h.counts()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
 }
 
 }  // namespace
