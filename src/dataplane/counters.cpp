@@ -17,26 +17,28 @@ std::vector<demand::DataplaneLinkObservation> counter_observations(
                 "counter_observations: empty measurement region");
 
   const std::size_t ods = matrix.ods;
+  auto gbps_of = [&result](std::uint64_t quanta) {
+    return demand::gbps_of(static_cast<double>(quanta) /
+                               static_cast<double>(kQuantaPerByte),
+                           result.measure_seconds);
+  };
   std::vector<demand::DataplaneLinkObservation> observations(matrix.links);
   for (std::size_t i = 0; i < matrix.links; ++i) {
     demand::DataplaneLinkObservation& obs = observations[i];
     const LinkRoundStats& link = result.links[i];
-    obs.delivered_gbps =
-        demand::gbps_of(link.measured_bytes, result.measure_seconds);
-    obs.dropped_gbps =
-        demand::gbps_of(link.measured_dropped_bytes, result.measure_seconds);
+    obs.delivered_gbps = gbps_of(link.measured_bytes);
+    obs.dropped_gbps = gbps_of(link.measured_dropped_bytes);
 
     // Reconciliation: per-OD measured rates against the installed shares,
     // the whole-link rate against the analytic offered load (this catches
     // stray traffic from ODs outside the row, e.g. pre-migration drain),
     // and a drop-free measurement region.
-    bool ok = !(link.measured_dropped_bytes > 0.0);
+    bool ok = link.measured_dropped_bytes == 0;
     for (const demand::RoutingMatrix::Entry& entry : matrix.rows[i]) {
       if (!ok) break;
       const double expected = entry.fraction * installed_volumes[entry.od];
-      const double measured = demand::gbps_of(
-          result.link_od_measured_bytes[i * ods + entry.od],
-          result.measure_seconds);
+      const double measured =
+          gbps_of(result.link_od_measured_bytes[i * ods + entry.od]);
       ok = std::abs(measured - expected) <=
            rel_tol * std::max(1.0, std::abs(expected));
     }

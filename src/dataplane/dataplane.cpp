@@ -26,12 +26,15 @@ using util::combine_double;
 constexpr double kDarkUtilization = 1e6;
 /// Rate floor as a fraction of the flowlet's allocated rate.
 constexpr double kMinRateFraction = 0x1.0p-20;
-/// FP tolerance of the per-tick capacity-safety audit (relative + bytes).
-constexpr double kServiceRelTol = 1e-9;
-constexpr double kServiceAbsTolBytes = 1e-3;
+/// Quanta counts stay below 2^53, so a double holds each one exactly and
+/// the products in share() round at most once.
+constexpr double kMaxQuanta = 0x1.0p53;
+constexpr double kQuanta = static_cast<double>(kQuantaPerByte);
 
 constexpr std::uint32_t kStateMagic = 0x52574344u;  // "RWCD"
-constexpr std::uint32_t kStateVersion = 1;
+/// 2: whole-byte state (u64 queues and ledgers, the injection carry);
+/// link queue totals are rebuilt from the hops instead of stored.
+constexpr std::uint32_t kStateVersion = 2;
 
 struct Metrics {
   obs::Counter& rounds;
@@ -61,6 +64,30 @@ struct Metrics {
 };
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
+
+/// Whole quanta in `quanta` (rounded down; 0 for anything not positive).
+std::uint64_t whole_quanta(double quanta) {
+  RWC_CHECK_MSG(!(quanta >= kMaxQuanta), "dataplane: byte count overflow");
+  return quanta > 0.0 ? static_cast<std::uint64_t>(quanta) : 0;
+}
+
+/// The ratio that scales `demand` quanta into `supply`: 1 when it fits.
+double fit_ratio(std::uint64_t supply, std::uint64_t demand) {
+  return demand > supply
+             ? static_cast<double>(supply) / static_cast<double>(demand)
+             : 1.0;
+}
+
+/// floor(quanta * ratio): the whole quanta a proportional discipline
+/// grants one part of a total that `ratio` (from fit_ratio) scales into a
+/// supply. The ratio and the product each round once, so every grant is
+/// at most (1 + 2^-52)^2 times its exact share, and the grants of parts
+/// summing to the total add up to less than supply + 1: never above the
+/// supply, a whole number below 2^51. With ratio 1 the grant is `quanta`
+/// itself.
+std::uint64_t share(std::uint64_t quanta, double ratio) {
+  return static_cast<std::uint64_t>(static_cast<double>(quanta) * ratio);
+}
 
 }  // namespace
 
@@ -105,7 +132,7 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
   // A replaced active path keeps draining while it still holds bytes.
   auto retire = [this](Flowlet& fl) {
     const std::span<const Hop> active = active_hops(fl);
-    if (inflight(active) > 0.0)
+    if (inflight(active) > 0)
       fl.draining.push_back(
           Pipeline{{active.begin(), active.end()}, fl.path_id});
   };
@@ -237,15 +264,18 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
 
   const std::size_t ticks = config_.ticks_per_round;
   const double dt = config_.tick_seconds;
-  const double bytes_per_gbps_tick = dt * 1e9 / 8.0;
-  const double buffer_seconds = config_.buffer_ms / 1e3;
+  const double quanta_per_gbps_tick = dt * 1e9 / 8.0 * kQuanta;
+  const double quanta_per_gbps_buffer = config_.buffer_ms * 1e6 / 8.0 * kQuanta;
   const double eta = config_.target_utilization;
 
   RoundResult result;
   result.od_goodput_gbps.assign(ods_, 0.0);
-  result.od_delivered_bytes.assign(ods_, 0.0);
+  result.od_delivered_bytes.assign(ods_, 0);
   result.links.assign(edge_count_, LinkRoundStats{});
-  result.link_od_measured_bytes.assign(edge_count_ * ods_, 0.0);
+  result.link_od_measured_bytes.assign(edge_count_ * ods_, 0);
+
+  std::uint64_t dropped_before = 0;
+  for (const Flowlet& fl : flowlets_) dropped_before += fl.dropped;
 
   install(assignment, result);
 
@@ -261,84 +291,80 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       static_cast<double>(ticks - result.measure_begin) * dt;
 
   for (Flowlet& fl : flowlets_) {
-    fl.measured_bytes = 0.0;
-    fl.round_delivered = 0.0;
+    fl.measured = 0;
+    fl.round_delivered = 0;
   }
 
   const std::size_t nf = flowlets_.size();
-  std::vector<double> cap_bytes(edge_count_, 0.0);
-  std::vector<double> buffer_bytes(edge_count_, 0.0);
+  std::vector<std::uint64_t> cap(edge_count_, 0);
+  std::vector<std::uint64_t> buffer(edge_count_, 0);
+  // Per link: this tick's arrivals, the share of them the buffer admits,
+  // the share of the queue served, and the bytes served.
+  std::vector<std::uint64_t> incoming(edge_count_, 0);
+  std::vector<double> admit(edge_count_, 1.0);
   std::vector<double> frac(edge_count_, 1.0);
-  std::vector<double> tick_serviced(edge_count_, 0.0);
+  std::vector<std::uint64_t> tick_serviced(edge_count_, 0);
   std::vector<std::size_t> event_cursor(edge_count_, 0);
-  std::vector<unsigned char> landed(edge_count_, 0);
   // Per flowlet: the rate-control signal (max utilization over the active
-  // path, in hop order; sweep 2 refreshes it for the next tick) and the
-  // bytes its pipelines delivered but have not yet credited.
+  // path; sweep 2 refreshes it for the next tick) and what its pipelines
+  // delivered but have not yet credited.
   std::vector<double> path_util(nf, 0.0);
-  std::vector<double> delivered(nf, 0.0);
+  std::vector<std::uint64_t> delivered(nf, 0);
   for (const Hop& hop : hops_)
     path_util[hop.flowlet] = std::max(
         path_util[hop.flowlet], link_util_[static_cast<std::size_t>(hop.edge)]);
-  // Flowlets with draining pipelines, ascending: the sweeps over hops_
-  // stop after each one's active hops to visit its pipelines, which keeps
-  // the flowlet order on every per-link accumulator.
+  // Flowlets with draining pipelines, ascending.
   std::vector<std::uint32_t> drainers;
   for (std::size_t f = 0; f < nf; ++f)
     if (!flowlets_[f].draining.empty())
       drainers.push_back(static_cast<std::uint32_t>(f));
+  // Visits every hop: the flat active array, then each draining pipeline.
+  auto for_each_pipeline = [&](auto&& visit) {
+    visit(std::span<Hop>(hops_), true);
+    for (const std::uint32_t f : drainers)
+      for (Pipeline& pipeline : flowlets_[f].draining)
+        visit(std::span<Hop>(pipeline.hops), false);
+  };
 
   const bool faults_armed = fault::Registry::global().armed();
   bool measuring = false;
 
-  // Arrivals land against the per-link buffer budgets; tail-drop beyond.
-  // When everything fits, min(incoming, max(0, room)) is incoming itself,
-  // so the common case keeps the clamps off the per-link dependency chain.
-  auto land = [&](std::span<Hop> hops) {
+  // Arrivals land; a link whose buffer cannot hold all of them admits
+  // each hop's share (fit_ratio/share) and drops the rest.
+  auto land = [&](std::span<Hop> hops, bool) {
     for (Hop& hop : hops) {
-      const double incoming = hop.arriving;
-      hop.arriving = 0.0;
-      if (incoming <= 0.0) continue;
+      const std::uint64_t arrived = hop.arriving;
+      hop.arriving = 0;
+      if (arrived == 0) continue;
       const std::size_t e = static_cast<std::size_t>(hop.edge);
-      const double room = buffer_bytes[e] - link_queued_[e];
-      double accepted = incoming;
-      if (!(incoming <= room)) {
-        accepted = std::min(incoming, std::max(0.0, room));
-        const double dropped = incoming - accepted;
-        if (dropped > 0.0) {
-          flowlets_[hop.flowlet].dropped_bytes += dropped;
-          result.links[e].dropped_bytes += dropped;
-          if (measuring) result.links[e].measured_dropped_bytes += dropped;
-        }
+      const std::uint64_t accepted = share(arrived, admit[e]);
+      const std::uint64_t dropped = arrived - accepted;
+      if (dropped > 0) {
+        flowlets_[hop.flowlet].dropped += dropped;
+        result.links[e].dropped_bytes += dropped;
+        if (measuring) result.links[e].measured_dropped_bytes += dropped;
       }
       hop.queued += accepted;
       link_queued_[e] += accepted;
-      landed[e] = 1;
     }
   };
   // Proportional service, store-and-forward to the next hop (the bytes
   // land next tick), and the per-link / per-OD accounting of what left.
-  // A last hop adds +0.0 to its own arrivals and a forwarding hop +0.0 to
-  // its flowlet's delivery: both sides hold non-negative byte counts, so
-  // the additions are exact and the sweep needs no per-path branch.
   auto serve = [&](std::span<Hop> hops, bool active) {
     for (std::size_t k = 0; k < hops.size(); ++k) {
       Hop& hop = hops[k];
       const std::size_t e = static_cast<std::size_t>(hop.edge);
       const std::uint32_t f = hop.flowlet;
       if (active) path_util[f] = std::max(path_util[f], link_util_[e]);
-      if (hop.queued <= 0.0) continue;
-      const double s = hop.queued * frac[e];
+      if (hop.queued == 0) continue;
+      const std::uint64_t s = share(hop.queued, frac[e]);
+      if (s == 0) continue;
       hop.queued -= s;
-      const bool last = hop.last != 0;
-      hops[last ? k : k + 1].arriving += last ? 0.0 : s;
-      delivered[f] += last ? s : 0.0;
-      if (s <= 0.0) continue;
-      // std::max(0.0, queued) as a branch: the clamp almost never fires,
-      // and a predicted branch keeps it off the per-link dependency chain.
-      double queued = link_queued_[e] - s;
-      if (!(0.0 < queued)) queued = 0.0;
-      link_queued_[e] = queued;
+      if (hop.last)
+        delivered[f] += s;
+      else
+        hops[k + 1].arriving += s;
+      link_queued_[e] -= s;
       tick_serviced[e] += s;
       result.links[e].serviced_bytes += s;
       if (measuring) {
@@ -348,17 +374,21 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     }
   };
   // Credits what flowlet f's pipelines delivered on a (`measured`) tick to
-  // its ledgers. A flowlet whose only pipeline is active credits at its
-  // next rate-control step; one with draining pipelines credits after each
-  // pipeline, so its ledgers see the deliveries in pipeline order.
+  // its ledgers, at its next rate-control step.
   auto credit = [&](std::size_t f, bool measured) {
     Flowlet& fl = flowlets_[f];
-    const double d = delivered[f];
-    delivered[f] = 0.0;
-    fl.delivered_bytes += d;
+    const std::uint64_t d = delivered[f];
+    delivered[f] = 0;
+    fl.delivered += d;
     fl.round_delivered += d;
-    if (measured) fl.measured_bytes += d;
+    if (measured) fl.measured += d;
   };
+  auto set_capacity = [&](std::size_t e, double gbps) {
+    cap[e] = whole_quanta(gbps * quanta_per_gbps_tick);
+    buffer[e] = whole_quanta(std::max(gbps, config_.min_buffer_gbps) *
+                                  quanta_per_gbps_buffer);
+  };
+  for (std::size_t e = 0; e < edge_count_; ++e) set_capacity(e, 0.0);
 
   bool was_measuring = false;
   for (std::size_t tick = 0; tick < ticks; ++tick) {
@@ -371,13 +401,9 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       const std::vector<CapacityTimeline::Event>& events = timeline.edges[e];
       std::size_t& cursor = event_cursor[e];
       while (cursor < events.size() && events[cursor].tick <= tick) {
-        cap_bytes[e] = events[cursor].gbps * bytes_per_gbps_tick;
+        set_capacity(e, events[cursor].gbps);
         ++cursor;
       }
-      buffer_bytes[e] =
-          std::max(cap_bytes[e] / bytes_per_gbps_tick,
-                   config_.min_buffer_gbps) *
-          buffer_seconds * 1e9 / 8.0;
     }
 
     // Sweep 1: credit, rate control and injection per flowlet, then every
@@ -408,17 +434,21 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       } else {
         fl.rate_gbps = 0.0;
       }
-      const double attempt =
-          fl.rate_gbps * bytes_per_gbps_tick + fl.deferred_bytes;
-      fl.deferred_bytes = 0.0;
-      double inject = attempt;
+      // Whole quanta: the sub-quantum remainder carries to the next tick.
+      const double generating = fl.rate_gbps * quanta_per_gbps_tick +
+                                fl.carry;
+      const std::uint64_t generated = whole_quanta(generating);
+      fl.carry = generating - static_cast<double>(generated);
+      const std::uint64_t attempt = generated + fl.deferred;
+      fl.deferred = 0;
+      std::uint64_t inject = attempt;
       // The ledger charges bytes when the source GENERATES them (bytes
       // pulled back out of deferred were charged on their original
       // tick), so kDelay parking balances against the inflight term:
       // cumulative injected == delivered + dropped + inflight holds
       // under every fault plan, not just clean runs.
-      fl.injected_bytes += fl.rate_gbps * bytes_per_gbps_tick;
-      if (faults_armed && attempt > 0.0) {
+      fl.injected += generated;
+      if (faults_armed && attempt > 0) {
         if (const fault::Action action = fault::at(
                 "dataplane.packet",
                 static_cast<std::uint64_t>(tick) * nf + f)) {
@@ -426,17 +456,17 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
             case fault::Kind::kDrop:
               // Lost before entering the network: dropped at the source
               // (the generation charge above keeps the ledger balanced).
-              fl.dropped_bytes += attempt;
-              inject = 0.0;
+              fl.dropped += attempt;
+              inject = 0;
               break;
             case fault::Kind::kDuplicate:
               // The duplicated copies are new bytes on the wire.
-              fl.injected_bytes += attempt;
-              inject = attempt * 2.0;
+              fl.injected += attempt;
+              inject = attempt * 2;
               break;
             case fault::Kind::kDelay:
-              fl.deferred_bytes = attempt;
-              inject = 0.0;
+              fl.deferred = attempt;
+              inject = 0;
               break;
             default:
               break;
@@ -444,70 +474,56 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
         }
       }
       // Already charged at generation; a flowlet with no installed path
-      // parks its bytes back at the source instead of leaking them. The
-      // first hop's arrivals and the injection add in either order.
+      // parks its bytes back at the source instead of leaking them.
       if (routed)
         hops_[fl.hops_begin].arriving += inject;
-      else if (inject > 0.0)
-        fl.deferred_bytes += inject;
+      else
+        fl.deferred += inject;
     }
-    std::size_t k = 0;
-    for (const std::uint32_t f : drainers) {
-      Flowlet& fl = flowlets_[f];
-      land({hops_.data() + k, hops_.data() + fl.hops_end});
-      k = fl.hops_end;
-      for (Pipeline& pipeline : fl.draining) land(pipeline.hops);
-    }
-    land({hops_.data() + k, hops_.data() + hops_.size()});
-    // A link's queue only grows while bytes land, so its peak over the
-    // landings is its total after them.
+    // Each link admits what its free buffer holds.
+    for_each_pipeline([&](std::span<Hop> hops, bool) {
+      for (const Hop& hop : hops)
+        incoming[static_cast<std::size_t>(hop.edge)] += hop.arriving;
+    });
     for (std::size_t e = 0; e < edge_count_; ++e) {
-      if (!landed[e]) continue;
-      landed[e] = 0;
-      result.links[e].max_queued_bytes =
-          std::max(result.links[e].max_queued_bytes, link_queued_[e]);
+      const std::uint64_t room = buffer[e] > link_queued_[e]
+                                     ? buffer[e] - link_queued_[e]
+                                     : 0;
+      admit[e] = fit_ratio(room, incoming[e]);
+      incoming[e] = 0;
+    }
+    for_each_pipeline(land);
+
+    // Links: peak occupancy (a queue only grows while bytes land), the
+    // service ratio and the utilization signal the NEXT tick's rate
+    // control reads.
+    for (std::size_t e = 0; e < edge_count_; ++e) {
+      const std::uint64_t queued = link_queued_[e];
+      LinkRoundStats& link = result.links[e];
+      link.max_queued_bytes = std::max(link.max_queued_bytes, queued);
+      frac[e] = fit_ratio(cap[e], queued);
+      link_util_[e] = cap[e] > 0
+                          ? static_cast<double>(queued) /
+                                static_cast<double>(cap[e])
+                          : (queued > 0 ? kDarkUtilization : 0.0);
     }
 
-    // Links: proportional service fraction and the utilization signal the
-    // NEXT tick's rate control reads.
-    for (std::size_t e = 0; e < edge_count_; ++e) {
-      const double queued = link_queued_[e];
-      frac[e] = queued > cap_bytes[e] && queued > 0.0
-                    ? cap_bytes[e] / queued
-                    : 1.0;
-      link_util_[e] = cap_bytes[e] > 0.0
-                          ? queued / cap_bytes[e]
-                          : (queued > 0.0 ? kDarkUtilization : 0.0);
-    }
-
-    // Sweep 2: service and accounting for every hop in flowlet order,
-    // drained-pipeline retirement. Service reads only frac and the hop's
-    // own pipeline.
-    std::fill(tick_serviced.begin(), tick_serviced.end(), 0.0);
+    // Sweep 2: service and accounting for every hop, drained-pipeline
+    // retirement. Service reads only frac and the hop's own pipeline.
+    std::fill(tick_serviced.begin(), tick_serviced.end(), 0);
     std::fill(path_util.begin(), path_util.end(), 0.0);
-    k = 0;
-    for (const std::uint32_t f : drainers) {
-      Flowlet& fl = flowlets_[f];
-      serve({hops_.data() + k, hops_.data() + fl.hops_end}, true);
-      k = fl.hops_end;
-      credit(f, measuring);
-      for (Pipeline& pipeline : fl.draining) {
-        serve(pipeline.hops, false);
-        credit(f, measuring);
-      }
-      std::erase_if(fl.draining, [](const Pipeline& pipeline) {
-        return inflight(pipeline.hops) <= 0.0;
+    for_each_pipeline(serve);
+    for (const std::uint32_t f : drainers)
+      std::erase_if(flowlets_[f].draining, [](const Pipeline& pipeline) {
+        return inflight(pipeline.hops) == 0;
       });
-    }
-    serve({hops_.data() + k, hops_.data() + hops_.size()}, true);
     std::erase_if(drainers, [this](std::uint32_t f) {
       return flowlets_[f].draining.empty();
     });
 
     // Capacity-safety audit.
     for (std::size_t e = 0; e < edge_count_; ++e) {
-      if (tick_serviced[e] >
-          cap_bytes[e] * (1.0 + kServiceRelTol) + kServiceAbsTolBytes) {
+      if (tick_serviced[e] > cap[e]) {
         if (in_window)
           ++result.window_violations;
         else
@@ -518,21 +534,21 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
 
   for (std::size_t f = 0; f < nf; ++f) credit(f, measuring);
 
-  // Round aggregation (flowlet order).
-  double inflight_bytes = 0.0;
+  // Round aggregation.
+  std::vector<std::uint64_t> od_measured(ods_, 0);
   for (const Flowlet& fl : flowlets_) {
-    result.od_goodput_gbps[fl.od] += fl.measured_bytes;
+    od_measured[fl.od] += fl.measured;
     result.od_delivered_bytes[fl.od] += fl.round_delivered;
-    result.injected_bytes += fl.injected_bytes;
-    result.delivered_bytes += fl.delivered_bytes;
-    result.dropped_bytes += fl.dropped_bytes;
-    inflight_bytes += inflight(active_hops(fl)) + fl.deferred_bytes;
+    result.injected_bytes += fl.injected;
+    result.delivered_bytes += fl.delivered;
+    result.dropped_bytes += fl.dropped;
+    result.inflight_bytes += inflight(active_hops(fl)) + fl.deferred;
     for (const Pipeline& pipeline : fl.draining)
-      inflight_bytes += inflight(pipeline.hops);
+      result.inflight_bytes += inflight(pipeline.hops);
   }
-  result.inflight_bytes = inflight_bytes;
-  for (double& goodput : result.od_goodput_gbps)
-    goodput = goodput * 8.0 / result.measure_seconds / 1e9;
+  for (std::size_t i = 0; i < ods_; ++i)
+    result.od_goodput_gbps[i] = static_cast<double>(od_measured[i]) /
+                                kQuanta * 8.0 / result.measure_seconds / 1e9;
   result.signature = state_signature();
   ++round_;
 
@@ -540,12 +556,15 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   metrics.ticks.add(static_cast<std::uint64_t>(ticks));
   metrics.migrations.add(result.migrations);
   metrics.rate_cuts.add(result.rate_cuts);
-  metrics.delivered_bytes.add(
-      static_cast<std::uint64_t>(result.delivered_bytes));
-  metrics.dropped_bytes.add(
-      static_cast<std::uint64_t>(result.dropped_bytes));
+  std::uint64_t round_delivered = 0;
+  for (const std::uint64_t bytes : result.od_delivered_bytes)
+    round_delivered += bytes;
+  metrics.delivered_bytes.add(round_delivered / kQuantaPerByte);
+  metrics.dropped_bytes.add((result.dropped_bytes - dropped_before) /
+                            kQuantaPerByte);
   metrics.capacity_violations.add(result.capacity_violations);
-  metrics.inflight_bytes.set(result.inflight_bytes);
+  metrics.inflight_bytes.set(static_cast<double>(result.inflight_bytes) /
+                             kQuanta);
   metrics.round_seconds.observe(watch.seconds());
   return result;
 }
@@ -559,25 +578,24 @@ std::uint64_t DataplaneSim::state_signature() const {
     for (const Hop& hop : hops) {
       hash = combine64(hash, static_cast<std::uint64_t>(
                                  static_cast<std::uint32_t>(hop.edge)));
-      hash = combine_double(hash, hop.queued);
-      hash = combine_double(hash, hop.arriving);
+      hash = combine64(hash, hop.queued);
+      hash = combine64(hash, hop.arriving);
     }
   };
   for (const Flowlet& fl : flowlets_) {
     hash = combine64(hash, static_cast<std::uint64_t>(fl.od));
     hash = combine_double(hash, fl.offered_gbps);
     hash = combine_double(hash, fl.rate_gbps);
-    hash = combine_double(hash, fl.deferred_bytes);
-    hash = combine_double(hash, fl.injected_bytes);
-    hash = combine_double(hash, fl.delivered_bytes);
-    hash = combine_double(hash, fl.dropped_bytes);
+    hash = combine_double(hash, fl.carry);
+    hash = combine64(hash, fl.deferred);
+    hash = combine64(hash, fl.injected);
+    hash = combine64(hash, fl.delivered);
+    hash = combine64(hash, fl.dropped);
     fold_pipeline(fl.path_id, active_hops(fl));
     hash = combine64(hash, static_cast<std::uint64_t>(fl.draining.size()));
     for (const Pipeline& pipeline : fl.draining)
       fold_pipeline(pipeline.path_id, pipeline.hops);
   }
-  for (const double queued : link_queued_)
-    hash = combine_double(hash, queued);
   for (const double util : link_util_) hash = combine_double(hash, util);
   return hash;
 }
@@ -590,8 +608,8 @@ std::vector<std::byte> DataplaneSim::save_state() const {
     writer.u32(static_cast<std::uint32_t>(hops.size()));
     for (const Hop& hop : hops) {
       writer.i32(hop.edge);
-      writer.f64(hop.queued);
-      writer.f64(hop.arriving);
+      writer.u64(hop.queued);
+      writer.u64(hop.arriving);
     }
   };
   writer.u32(kStateMagic);
@@ -604,16 +622,16 @@ std::vector<std::byte> DataplaneSim::save_state() const {
     writer.u32(fl.od);
     writer.f64(fl.offered_gbps);
     writer.f64(fl.rate_gbps);
-    writer.f64(fl.deferred_bytes);
-    writer.f64(fl.injected_bytes);
-    writer.f64(fl.delivered_bytes);
-    writer.f64(fl.dropped_bytes);
+    writer.f64(fl.carry);
+    writer.u64(fl.deferred);
+    writer.u64(fl.injected);
+    writer.u64(fl.delivered);
+    writer.u64(fl.dropped);
     encode_pipeline(fl.path_id, active_hops(fl));
     writer.u32(static_cast<std::uint32_t>(fl.draining.size()));
     for (const Pipeline& pipeline : fl.draining)
       encode_pipeline(pipeline.path_id, pipeline.hops);
   }
-  for (const double queued : link_queued_) writer.f64(queued);
   for (const double util : link_util_) writer.f64(util);
   // Trailing integrity fold: restore_state recomputes the signature of the
   // decoded state and rejects any payload whose bytes were disturbed —
@@ -632,10 +650,17 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
   const std::uint64_t round = reader.u64();
   std::vector<Flowlet> flowlets(flowlets_.size());
   std::vector<Hop> hops;
+  std::vector<std::uint64_t> link_queued(edge_count_, 0);
   // Every count is checked against the remaining payload before anything
-  // is sized by it, and every hop edge against the topology, because
-  // run_round indexes per-link state with them. A truncated payload reads
-  // zeros from here on and is rejected by the final check.
+  // is sized by it, every hop edge against the topology, because
+  // run_round indexes per-link state with them, and every byte count and
+  // rate against the whole-byte model's range, because run_round converts
+  // them between double and integer. A truncated payload reads zeros from
+  // here on and is rejected by the final check.
+  auto check_bytes = [](std::uint64_t quanta) {
+    RWC_CHECK_MSG(static_cast<double>(quanta) < kMaxQuanta,
+                  "dataplane: state payload byte count out of range");
+  };
   auto read_pipeline = [&](std::vector<Hop>& out, std::size_t flowlet) {
     const std::uint64_t path_id = reader.u64();
     const std::uint32_t count = reader.u32();
@@ -643,11 +668,16 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
     for (std::uint32_t h = 0; h < count; ++h) {
       Hop hop;
       hop.edge = reader.i32();
-      hop.queued = reader.f64();
-      hop.arriving = reader.f64();
+      hop.queued = reader.u64();
+      hop.arriving = reader.u64();
       RWC_CHECK_MSG(hop.edge >= 0 && static_cast<std::size_t>(hop.edge) <
                                          edge_count_,
                     "dataplane: state payload hop edge out of range");
+      check_bytes(hop.queued);
+      check_bytes(hop.arriving);
+      std::uint64_t& queued = link_queued[static_cast<std::size_t>(hop.edge)];
+      queued += hop.queued;
+      check_bytes(queued);
       hop.flowlet = static_cast<std::uint32_t>(flowlet);
       out.push_back(hop);
     }
@@ -661,10 +691,16 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
                   "dataplane: state payload flowlet under the wrong OD");
     fl.offered_gbps = reader.f64();
     fl.rate_gbps = reader.f64();
-    fl.deferred_bytes = reader.f64();
-    fl.injected_bytes = reader.f64();
-    fl.delivered_bytes = reader.f64();
-    fl.dropped_bytes = reader.f64();
+    fl.carry = reader.f64();
+    RWC_CHECK_MSG(std::isfinite(fl.offered_gbps) && fl.offered_gbps >= 0.0 &&
+                      std::isfinite(fl.rate_gbps) && fl.rate_gbps >= 0.0 &&
+                      fl.carry >= 0.0 && fl.carry < 1.0,
+                  "dataplane: state payload rate out of range");
+    fl.deferred = reader.u64();
+    check_bytes(fl.deferred);
+    fl.injected = reader.u64();
+    fl.delivered = reader.u64();
+    fl.dropped = reader.u64();
     fl.hops_begin = static_cast<std::uint32_t>(hops.size());
     fl.path_id = read_pipeline(hops, f);
     fl.hops_end = static_cast<std::uint32_t>(hops.size());
@@ -674,9 +710,7 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
     for (Pipeline& pipeline : fl.draining)
       pipeline.path_id = read_pipeline(pipeline.hops, f);
   }
-  std::vector<double> link_queued(edge_count_);
   std::vector<double> link_util(edge_count_);
-  for (double& queued : link_queued) queued = reader.f64();
   for (double& util : link_util) util = reader.f64();
   const std::uint64_t stored_signature = reader.u64();
   RWC_CHECK_MSG(!reader.failed() && reader.exhausted(),

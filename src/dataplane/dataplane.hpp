@@ -9,30 +9,29 @@
 // reconfig dark windows included), and runs an HPCC-style end-host rate
 // controller per flowlet: sources shape to their allocated share, cut
 // multiplicatively when a path link's utilization exceeds the target, and
-// recover additively. Each tick is two ordered sweeps around one pass
-// over the links:
+// recover additively. Each tick is two sweeps around one pass over the
+// links:
 //
 //   sweep 1   rate control + injection per flowlet (`dataplane.packet`
-//             faults fire here), then every hop's arrivals land in
-//             flowlet order, tail-drop against per-link buffers;
-//   links     service fraction min(1, cap*dt / queued) + the next tick's
+//             faults fire here), then every hop's arrivals land, each
+//             admitted in proportion to the link's free buffer;
+//   links     service ratio min(1, cap / queued) + the next tick's
 //             utilization signal;
-//   sweep 2   every hop in flowlet order: proportional service,
-//             store-and-forward to the next hop, per-link and per-OD
-//             accounting, the next tick's per-path utilization;
-//             drained-pipeline retirement;
+//   sweep 2   every hop: proportional service, store-and-forward to the
+//             next hop, per-link and per-OD accounting, the next tick's
+//             per-path utilization; drained-pipeline retirement;
 //   audit     per-link capacity safety.
 //
-// All active hops sit in one flat array in flowlet order, so both sweeps
-// walk hops rather than flowlets, stopping only at flowlets that still
-// drain pre-migration pipelines. Flowlets couple only through per-link
-// state, and both sweeps update it in flowlet order, then hop order
-// (active pipeline before draining ones), so every floating-point
-// accumulation has one fixed order (docs/DATAPLANE.md §2). No RNG runs in
-// the tick loop: randomness is hashing (wcmp.hpp), so determinism needs no
-// stream bookkeeping. save_state()/restore_state() capture everything that
-// carries across rounds (the kDataplane checkpoint section,
-// docs/REPLAY.md): restore-then-continue is bit-identical.
+// Every byte quantity is a whole number of quanta (kQuantaPerByte per
+// byte): injection rounds down and carries its sub-quantum remainder per
+// flowlet, and service and buffer admission grant each hop floor(its
+// quanta * the link's ratio). Byte sums are therefore exact, so no result
+// depends on the order in which the sweeps visit flowlets or hops
+// (docs/DATAPLANE.md §2), and the byte ledger conserves exactly. No RNG runs in the tick loop: randomness is
+// hashing (wcmp.hpp), so determinism needs no stream bookkeeping.
+// save_state()/restore_state() capture everything that carries across
+// rounds (the kDataplane checkpoint section, docs/REPLAY.md):
+// restore-then-continue is bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -49,6 +48,13 @@ class ThreadPool;
 }
 
 namespace rwc::dataplane {
+
+/// The dataplane's byte unit is the quantum, 1/kQuantaPerByte byte. A
+/// saturated link grants each hop floor(queued * cap / total) quanta and
+/// keeps the remainders queued; at whole bytes those remainders put a
+/// clean round's per-link counters about 1e-6 off their analytic rates,
+/// the counter source's reconciliation tolerance (docs/DATAPLANE.md §6).
+inline constexpr std::uint64_t kQuantaPerByte = 256;
 
 struct DataplaneConfig {
   /// Tick length. 5 ms resolves the 35 ms hitless reconfig windows.
@@ -86,48 +92,51 @@ struct DataplaneConfig {
                          const DataplaneConfig&) = default;
 };
 
-/// Per directed link, per round.
+/// Per directed link, per round, in quanta (kQuantaPerByte per byte).
 struct LinkRoundStats {
-  double serviced_bytes = 0.0;   ///< bytes the link transmitted
-  double dropped_bytes = 0.0;    ///< tail-dropped at this link's buffer
-  double max_queued_bytes = 0.0; ///< peak buffer occupancy
+  std::uint64_t serviced_bytes = 0;    ///< what the link transmitted
+  std::uint64_t dropped_bytes = 0;     ///< dropped at this link's buffer
+  std::uint64_t max_queued_bytes = 0;  ///< peak buffer occupancy
   /// Serviced bytes and drops restricted to the measurement ticks
   /// (outside every update window), for the counter source.
-  double measured_bytes = 0.0;
-  double measured_dropped_bytes = 0.0;
+  std::uint64_t measured_bytes = 0;
+  std::uint64_t measured_dropped_bytes = 0;
 };
 
 /// What one dataplane round produced. Everything is a pure function of
 /// (installed assignment, timeline, carried-over state, armed fault plan).
+/// Every `*_bytes` figure counts quanta (kQuantaPerByte per byte).
 struct RoundResult {
   /// Per OD: goodput over the measurement ticks (after the last update
   /// window; at least the trailing half of the round), Gbps.
   std::vector<double> od_goodput_gbps;
   /// Per OD: bytes delivered across the whole round.
-  std::vector<double> od_delivered_bytes;
+  std::vector<std::uint64_t> od_delivered_bytes;
   std::vector<LinkRoundStats> links;
   /// Per (link, od) delivered bytes over the measurement ticks, dense
   /// row-major [link * ods + od] — the counter source's raw material.
-  std::vector<double> link_od_measured_bytes;
+  std::vector<std::uint64_t> link_od_measured_bytes;
   /// Measurement region [measure_begin, ticks) and its length in seconds.
   std::uint32_t measure_begin = 0;
   double measure_seconds = 0.0;
 
   std::uint64_t migrations = 0;  ///< flowlets whose WCMP pick moved
   std::uint64_t rate_cuts = 0;   ///< multiplicative-decrease events
-  /// Ticks on which some link transmitted beyond its timeline capacity
-  /// (beyond FP tolerance), split by scheduled-window membership. The
-  /// proportional-service discipline makes both 0 by construction; the
-  /// oracle *measures* them rather than assuming.
+  /// Ticks on which some link transmitted beyond its timeline capacity,
+  /// split by scheduled-window membership. The proportional-service
+  /// discipline makes both 0 by construction; the oracle *measures* them
+  /// rather than assuming.
   std::uint64_t capacity_violations = 0;
   std::uint64_t window_violations = 0;
 
-  double injected_bytes = 0.0;
-  double delivered_bytes = 0.0;
-  double dropped_bytes = 0.0;
-  /// Bytes still queued/arriving/deferred at round end (conservation:
-  /// cumulative injected == delivered + dropped + inflight).
-  double inflight_bytes = 0.0;
+  /// Cumulative ledger since construction (carried through checkpoints).
+  /// Conservation holds exactly: injected == delivered + dropped +
+  /// inflight.
+  std::uint64_t injected_bytes = 0;
+  std::uint64_t delivered_bytes = 0;
+  std::uint64_t dropped_bytes = 0;
+  /// Bytes still queued/arriving/deferred at round end.
+  std::uint64_t inflight_bytes = 0;
 
   /// Fold of the full post-round flowlet/queue state (bitwise): two runs
   /// agree on a round iff the signatures and the per-OD goodputs agree.
@@ -172,8 +181,8 @@ class DataplaneSim {
     /// loop. Derived from the layout; not part of the wire format.
     std::uint32_t flowlet : 31 = 0;
     std::uint32_t last : 1 = 0;
-    double queued = 0.0;    ///< bytes awaiting service
-    double arriving = 0.0;  ///< store-and-forward: lands next tick
+    std::uint64_t queued = 0;    ///< quanta awaiting service
+    std::uint64_t arriving = 0;  ///< store-and-forward: lands next tick
   };
 
   /// A pre-migration path still flushing its in-flight bytes.
@@ -190,19 +199,22 @@ class DataplaneSim {
     std::uint64_t path_id = 0;  ///< active path identity (0 = none)
     double offered_gbps = 0.0;  ///< allocated share (rate ceiling)
     double rate_gbps = 0.0;     ///< HPCC-controlled current rate
-    double deferred_bytes = 0.0;  ///< kDelay faults park bytes here
+    /// Sub-quantum injection remainder in [0, 1): what rate * tick
+    /// generated beyond the whole quanta injected so far.
+    double carry = 0.0;
+    std::uint64_t deferred = 0;  ///< kDelay faults park quanta here
     std::vector<Pipeline> draining;  ///< pre-migration paths, flushing
-    double injected_bytes = 0.0;
-    double delivered_bytes = 0.0;
-    double dropped_bytes = 0.0;
-    /// Delivered bytes within the current round's measurement region.
-    double measured_bytes = 0.0;
-    /// Delivered bytes within the current round (whole-round scratch).
-    double round_delivered = 0.0;
+    std::uint64_t injected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+    /// Delivered within the current round's measurement region.
+    std::uint64_t measured = 0;
+    /// Delivered within the current round (whole-round scratch).
+    std::uint64_t round_delivered = 0;
   };
 
-  static double inflight(std::span<const Hop> hops) {
-    double total = 0.0;
+  static std::uint64_t inflight(std::span<const Hop> hops) {
+    std::uint64_t total = 0;
     for (const Hop& hop : hops) total += hop.queued + hop.arriving;
     return total;
   }
@@ -220,8 +232,9 @@ class DataplaneSim {
   std::vector<Flowlet> flowlets_;  ///< ods * flowlets_per_od, fixed order
   /// Every flowlet's active-path hops, contiguous in flowlet order.
   std::vector<Hop> hops_;
-  /// Per link: live queued-byte total (maintained by the sweeps).
-  std::vector<double> link_queued_;
+  /// Per link: live queued total, the sum of its hops' queues
+  /// (maintained by the sweeps, rebuilt by restore_state).
+  std::vector<std::uint64_t> link_queued_;
   /// Per link: previous tick's utilization signal for rate control.
   std::vector<double> link_util_;
 };

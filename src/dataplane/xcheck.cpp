@@ -1,7 +1,6 @@
 #include "dataplane/xcheck.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -18,11 +17,6 @@
 namespace rwc::dataplane {
 
 namespace {
-
-/// Relative conservation slack: long rounds accumulate ulp-level error in
-/// the byte ledgers.
-constexpr double kConservationRelTol = 1e-9;
-constexpr double kConservationAbsTolBytes = 1.0;
 
 struct Fixture {
   graph::Graph topology;
@@ -173,11 +167,15 @@ XcheckOutcome run_xcheck(const XcheckConfig& config) {
     round.window_violations = result.window_violations;
     round.migrations = result.migrations;
     round.rate_cuts = result.rate_cuts;
-    round.delivered_bytes = result.delivered_bytes;
-    round.dropped_bytes = result.dropped_bytes;
+    const auto bytes = [](std::uint64_t quanta) {
+      return static_cast<double>(quanta) /
+             static_cast<double>(kQuantaPerByte);
+    };
+    round.delivered_bytes = bytes(result.delivered_bytes);
+    round.dropped_bytes = bytes(result.dropped_bytes);
     for (const LinkRoundStats& link : result.links)
       round.max_queued_bytes =
-          std::max(round.max_queued_bytes, link.max_queued_bytes);
+          std::max(round.max_queued_bytes, bytes(link.max_queued_bytes));
     round.signature = result.signature;
 
     if (!round.downshifted && round.max_shortfall > config.gap_tolerance)
@@ -194,11 +192,10 @@ XcheckOutcome run_xcheck(const XcheckConfig& config) {
     if (round.downshifted && round.rate_cuts == 0)
       fail(outcome, "round " + std::to_string(r) +
                         ": forced downshift produced no HPCC rate cuts");
-    const double ledger = result.delivered_bytes + result.dropped_bytes +
-                          result.inflight_bytes;
-    if (std::abs(ledger - result.injected_bytes) >
-        result.injected_bytes * kConservationRelTol +
-            kConservationAbsTolBytes)
+    // Whole-quantum ledgers: conservation is an exact equality.
+    const std::uint64_t ledger = result.delivered_bytes +
+                                 result.dropped_bytes + result.inflight_bytes;
+    if (ledger != result.injected_bytes)
       fail(outcome, "round " + std::to_string(r) +
                         ": byte conservation broken (injected " +
                         std::to_string(result.injected_bytes) +

@@ -1,9 +1,9 @@
 // Dataplane properties under fault injection (tests/prop/,
 // docs/DATAPLANE.md §7): whatever a random dataplane.packet /
 // dataplane.hash plan does to injection and flowlet placement, (1) the
-// byte ledger still conserves (cumulative injected == delivered + dropped
-// + in-flight), per-OD goodput stays finite and non-negative, and no link
-// buffer ever holds more than its tail-drop budget; (2) a faulted run is
+// byte ledger still conserves exactly (cumulative injected == delivered +
+// dropped + in-flight), per-OD goodput stays finite and non-negative, and
+// no link buffer ever holds more than its budget; (2) a faulted run is
 // a pure function of (fixture, plan): re-running the same plan on a fresh
 // simulator reproduces every round's state signature bit-for-bit.
 // Violations report the seed plus the halving-minimized plan spec
@@ -81,21 +81,21 @@ struct DataplaneFixture {
                                          config.tick_seconds);
   }
 
-  /// Per-link tail-drop budget in bytes (dataplane.hpp: capacity *
-  /// buffer_ms, floored at min_buffer_gbps for dark links).
-  double buffer_budget_bytes(std::size_t edge) const {
+  /// Per-link buffer budget in quanta (dataplane.cpp: capacity *
+  /// buffer_ms, floored at min_buffer_gbps for dark links, in the
+  /// simulator's own arithmetic).
+  double buffer_budget(std::size_t edge) const {
     const double cap = topology
                            .edge(graph::EdgeId{static_cast<std::int32_t>(
                                static_cast<int>(edge))})
                            .capacity.value;
-    const double gbps = std::max(cap, config.min_buffer_gbps);
-    return gbps * (config.buffer_ms / 1000.0) * (1e9 / 8.0);
+    return std::max(cap, config.min_buffer_gbps) *
+           (config.buffer_ms * 1e6 / 8.0 *
+            static_cast<double>(dataplane::kQuantaPerByte));
   }
 };
 
 constexpr std::uint64_t kRounds = 2;
-constexpr double kLedgerRelTol = 1e-9;
-constexpr double kLedgerAbsTolBytes = 1.0;
 
 prop::InvariantResult invariants_hold(DataplaneFixture& fixture,
                                       const fault::FaultPlan& plan) {
@@ -108,10 +108,10 @@ prop::InvariantResult invariants_hold(DataplaneFixture& fixture,
           sim.run_round(fixture.assignment, fixture.timeline);
       const std::string at = "round " + std::to_string(round) +
                              " under plan \"" + plan.to_string() + "\": ";
-      const double ledger = result.delivered_bytes + result.dropped_bytes +
-                            result.inflight_bytes;
-      if (std::abs(ledger - result.injected_bytes) >
-          result.injected_bytes * kLedgerRelTol + kLedgerAbsTolBytes)
+      const std::uint64_t ledger = result.delivered_bytes +
+                                   result.dropped_bytes +
+                                   result.inflight_bytes;
+      if (ledger != result.injected_bytes)
         return prop::InvariantResult::fail(
             at + "byte conservation broken (injected " +
             std::to_string(result.injected_bytes) + " vs accounted " +
@@ -124,21 +124,13 @@ prop::InvariantResult invariants_hold(DataplaneFixture& fixture,
               std::to_string(goodput));
       }
       for (std::size_t e = 0; e < result.links.size(); ++e) {
-        const double budget = fixture.buffer_budget_bytes(e);
-        if (result.links[e].max_queued_bytes >
-            budget * (1.0 + kLedgerRelTol) + kLedgerAbsTolBytes)
+        const double budget = fixture.buffer_budget(e);
+        if (static_cast<double>(result.links[e].max_queued_bytes) > budget)
           return prop::InvariantResult::fail(
               at + "link " + std::to_string(e) + " peaked at " +
               std::to_string(result.links[e].max_queued_bytes) +
-              " bytes over its " + std::to_string(budget) +
-              "-byte tail-drop budget");
-        for (const double bytes :
-             {result.links[e].serviced_bytes, result.links[e].dropped_bytes,
-              result.links[e].max_queued_bytes})
-          if (!std::isfinite(bytes) || bytes < 0.0)
-            return prop::InvariantResult::fail(
-                at + "link " + std::to_string(e) + " byte counter " +
-                std::to_string(bytes));
+              " quanta over its " + std::to_string(budget) +
+              "-quantum buffer budget");
       }
     }
     return prop::InvariantResult::pass();

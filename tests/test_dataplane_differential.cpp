@@ -176,7 +176,7 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
                                 dp_config.ticks_per_round,
                                 dp_config.tick_seconds));
   ASSERT_GT(migrated.migrations, 0u) << "the re-install must migrate";
-  ASSERT_GT(migrated.inflight_bytes, 0.0);
+  ASSERT_GT(migrated.inflight_bytes, 0u);
 
   te::FlowAssignment unrouted = second;
   std::size_t emptied = unrouted.routings.size();
@@ -195,11 +195,15 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
   EXPECT_EQ(last.od_goodput_gbps[emptied], 0.0);
 
   const std::vector<std::byte> state = sim.save_state();
-  EXPECT_EQ(payload_hash(state), 0x6138734a4c636e55ull)
+  EXPECT_EQ(payload_hash(state), 0x59d7e3dc759c3488ull)
       << std::hex << payload_hash(state);
 }
 
 using util::combine64;
+
+/// Per flowlet after its u32 od: offered, rate and carry (f64), then the
+/// deferred, injected, delivered and dropped quanta (u64).
+constexpr int kFlowletWords = 7;
 
 /// Rewrites a save_state() payload's trailing integrity fold, walking the
 /// fields in state_signature() order, so a tampered payload gets past the
@@ -222,15 +226,15 @@ void resign(std::vector<std::byte>& payload) {
   };
   for (std::uint64_t f = 0; f < flowlets; ++f) {
     hash = combine64(hash, reader.u32());  // od
-    for (int field = 0; field < 6; ++field)
+    for (int field = 0; field < kFlowletWords; ++field)
       hash = combine64(hash, reader.u64());
     fold_pipeline();
     const std::uint32_t draining = reader.u32();
     hash = combine64(hash, draining);
     for (std::uint32_t d = 0; d < draining; ++d) fold_pipeline();
   }
-  for (std::uint64_t e = 0; e < 2 * edges; ++e)
-    hash = combine64(hash, reader.u64());
+  for (std::uint64_t e = 0; e < edges; ++e)
+    hash = combine64(hash, reader.u64());  // utilization signal
   ASSERT_FALSE(reader.failed());
   for (int b = 0; b < 8; ++b)
     payload[payload.size() - 8 + b] =
@@ -245,10 +249,10 @@ void put_u32(std::vector<std::byte>& payload, std::size_t at,
 
 // Payload layout (DataplaneSim::save_state): a 40-byte header (magic,
 // version, edge/OD/flowlet counts, round), then per flowlet its u32 od,
-// six f64 ledgers and the active pipeline (u64 path id, u32 hop count,
-// hops).
+// kFlowletWords 8-byte fields and the active pipeline (u64 path id, u32
+// hop count, hops).
 constexpr std::size_t kFirstOd = 40;
-constexpr std::size_t kFirstHopCount = kFirstOd + 4 + 6 * 8 + 8;
+constexpr std::size_t kFirstHopCount = kFirstOd + 4 + kFlowletWords * 8 + 8;
 constexpr std::size_t kFirstHopEdge = kFirstHopCount + 4;
 
 /// A seeded Waxman WAN with gravity demands, the controller's first
@@ -346,6 +350,84 @@ TEST(DataplaneDifferential, EveryRoundObservesTheRoundHistogram) {
   for (std::uint64_t r = 0; r < kRounds; ++r)
     sim.run_round(fixture.assignment, fixture.timeline);
   EXPECT_EQ(seconds.count() - before, kRounds);
+}
+
+// The quantum (docs/DATAPLANE.md §2): sources inject whole quanta and
+// carry the remainder. An OD at the oracle's smallest scored allocation
+// (XcheckConfig::min_alloc_gbps, 1 Mbps: 5000 quanta per flowlet per tick)
+// and one whose flowlets generate 19.5 quanta per tick, where rounding
+// down without the carry would lose 2.6%, both hold the 2% gap over 16
+// clean rounds.
+TEST(DataplaneDifferential, SmallAllocationsHoldTheGapOverCleanRounds) {
+  const FirstRound fixture(59);
+  const dataplane::XcheckConfig oracle;
+  const double quanta_per_gbps_tick = fixture.config.tick_seconds * 1e9 /
+                                      8.0 *
+                                      static_cast<double>(
+                                          dataplane::kQuantaPerByte);
+  const double allocations[] = {
+      oracle.min_alloc_gbps,
+      19.5 * static_cast<double>(fixture.config.flowlets_per_od) /
+          quanta_per_gbps_tick};
+  // Each allocation replaces a routed OD's split with its first path.
+  te::FlowAssignment assignment = fixture.assignment;
+  std::vector<std::size_t> small;
+  for (std::size_t od = 0;
+       od < assignment.routings.size() && small.size() < 2; ++od) {
+    te::FlowAssignment::DemandRouting& routing = assignment.routings[od];
+    if (routing.paths.empty()) continue;
+    const util::Gbps gbps{allocations[small.size()]};
+    routing.paths.resize(1);
+    routing.paths[0].second = gbps;
+    routing.routed = gbps;
+    small.push_back(od);
+  }
+  ASSERT_EQ(small.size(), 2u);
+
+  dataplane::DataplaneSim sim(fixture.topology, fixture.demands.size(),
+                              fixture.config);
+  for (int round = 0; round < 16; ++round) {
+    const dataplane::RoundResult result =
+        sim.run_round(assignment, fixture.timeline);
+    for (const std::size_t od : small) {
+      const double alloc = assignment.routings[od].routed.value;
+      const double gap = (alloc - result.od_goodput_gbps[od]) / alloc;
+      EXPECT_LE(std::abs(gap), oracle.gap_tolerance)
+          << "round " << round << " od " << od << " at " << alloc << " Gbps";
+    }
+  }
+}
+
+// Whole-quantum ledgers conserve exactly, through migrations, draining
+// pipelines and re-installs: injected == delivered + dropped + inflight
+// after every one of 64 rounds that alternate between two plans.
+TEST(DataplaneDifferential, ConservationIsExactOverMigratingRounds) {
+  const FirstRound fixture(61);
+  const te::McfTe engine;
+  core::DynamicCapacityController controller(
+      fixture.topology, optical::ModulationTable::standard(), engine, {});
+  std::vector<util::Db> snr(fixture.topology.edge_count(), util::Db{20.0});
+  const std::vector<double>& load = fixture.assignment.edge_load_gbps;
+  std::size_t busiest = 0;
+  for (std::size_t e = 1; e < load.size(); ++e)
+    if (load[e] > load[busiest]) busiest = e;
+  snr[busiest] = util::Db{8.0};
+  controller.run_round(snr, fixture.demands);
+  const te::FlowAssignment faded = controller.last_assignment();
+
+  dataplane::DataplaneSim sim(fixture.topology, fixture.demands.size(),
+                              fixture.config);
+  std::uint64_t migrations = 0;
+  for (int round = 0; round < 64; ++round) {
+    const dataplane::RoundResult result = sim.run_round(
+        round % 2 == 0 ? fixture.assignment : faded, fixture.timeline);
+    migrations += result.migrations;
+    EXPECT_EQ(result.injected_bytes, result.delivered_bytes +
+                                         result.dropped_bytes +
+                                         result.inflight_bytes)
+        << "round " << round;
+  }
+  EXPECT_GT(migrations, 0u) << "the plans must move flowlets";
 }
 
 TEST(DataplaneDifferential, CheckpointCarriesTheDataplaneSection) {
