@@ -3,6 +3,7 @@
 // layer adds negligible cost on top of the TE solve itself.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
 
 #include "bench_common.hpp"
@@ -12,11 +13,14 @@
 #include "dataplane/dataplane.hpp"
 #include "dataplane/timeline.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/plan.hpp"
+#include "fault/registry.hpp"
 #include "flow/graph_adapter.hpp"
 #include "flow/maxflow.hpp"
 #include "flow/mincost.hpp"
 #include "graph/ksp.hpp"
 #include "lp/simplex.hpp"
+#include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
@@ -289,8 +293,9 @@ BENCHMARK(BM_ScenarioSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // run_xcheck-like fixture: a Waxman WAN, gravity demands at 0.4 load, the
 // controller's first assignment (solved on an inline pool) and a flat
 // capacity timeline. An untimed round first fills the pipelines, so each
-// timed round replays the same installed plan over live queues.
-void BM_DataplaneRound(benchmark::State& state) {
+// timed round replays the same installed plan over live queues, under
+// `faults` (a fault-plan spec) when it is set.
+void run_dataplane_rounds(benchmark::State& state, const char* faults) {
   const int nodes = static_cast<int>(state.range(0));
   util::Rng topo_rng = util::Rng::stream(1, 810);
   const graph::Graph topology = sim::waxman(nodes, topo_rng);
@@ -317,6 +322,8 @@ void BM_DataplaneRound(benchmark::State& state) {
   const dataplane::CapacityTimeline timeline = dataplane::build_timeline(
       caps, caps, nullptr, config.ticks_per_round, config.tick_seconds);
   dataplane::DataplaneSim sim(topology, demands.size(), config);
+  std::optional<fault::ScopedPlan> armed;
+  if (faults != nullptr) armed.emplace(fault::FaultPlan::parse(faults));
   benchmark::DoNotOptimize(sim.run_round(assignment, timeline).signature);
   for (auto _ : state) {
     const dataplane::RoundResult result = sim.run_round(assignment, timeline);
@@ -327,9 +334,25 @@ void BM_DataplaneRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(flowlets *
                                                     config.ticks_per_round));
+  state.counters["classes"] =
+      obs::Registry::global().gauge("dataplane.classes").value();
   state.SetLabel(std::to_string(flowlets) + " flowlets");
 }
+
+void BM_DataplaneRound(benchmark::State& state) {
+  run_dataplane_rounds(state, nullptr);
+}
 BENCHMARK(BM_DataplaneRound)->Arg(10)->Arg(24);
+
+// The flowlet-class kernel's worst case: every tick a delay fault hits one
+// flowlet in 97, at an offset that moves with the tick, so each class
+// sheds a member per hit and is down to single flowlets within the
+// round; every install merges them back. The armed registry also costs
+// one evaluation per flowlet per tick.
+void BM_DataplaneRoundSplit(benchmark::State& state) {
+  run_dataplane_rounds(state, "dataplane.packet%97@0:delay");
+}
+BENCHMARK(BM_DataplaneRoundSplit)->Arg(10);
 
 void BM_SimplexDense(benchmark::State& state) {
   // Random feasible LP: n variables, n/2 constraints.

@@ -1,8 +1,9 @@
 #include "dataplane/dataplane.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "dataplane/wcmp.hpp"
@@ -45,6 +46,7 @@ struct Metrics {
   obs::Counter& dropped_bytes;
   obs::Counter& capacity_violations;
   obs::Gauge& inflight_bytes;
+  obs::Gauge& classes;
   obs::Histogram& round_seconds;
 
   static Metrics& get() {
@@ -57,6 +59,7 @@ struct Metrics {
         obs::Registry::global().counter("dataplane.dropped_bytes"),
         obs::Registry::global().counter("dataplane.capacity_violations"),
         obs::Registry::global().gauge("dataplane.inflight_bytes"),
+        obs::Registry::global().gauge("dataplane.classes"),
         obs::Registry::global().histogram("dataplane.round.seconds"),
     };
     return metrics;
@@ -89,7 +92,30 @@ std::uint64_t share(std::uint64_t quanta, double ratio) {
   return static_cast<std::uint64_t>(static_cast<double>(quanta) * ratio);
 }
 
+/// The dataplane.packet kinds a source honors (docs/DATAPLANE.md §7), in
+/// the order run_round groups a class's members by them.
+constexpr std::array<fault::Kind, 4> kPacketKinds = {
+    fault::Kind::kNone, fault::Kind::kDrop, fault::Kind::kDuplicate,
+    fault::Kind::kDelay};
+
+std::size_t packet_kind_index(fault::Kind kind) {
+  for (std::size_t k = 1; k < kPacketKinds.size(); ++k)
+    if (kPacketKinds[k] == kind) return k;
+  return 0;
+}
+
+std::uint64_t bits_of(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
 }  // namespace
+
+struct DataplaneSim::Draft {
+  FlowletClass cls;
+  std::vector<Hop> active;
+  bool migrated = false;  ///< install moved the members off a live path
+};
+
 
 DataplaneSim::DataplaneSim(const graph::Graph& topology, std::size_t ods,
                            DataplaneConfig config)
@@ -102,14 +128,22 @@ DataplaneSim::DataplaneSim(const graph::Graph& topology, std::size_t ods,
                 "dataplane: ticks_per_round must be a power of two >= 8");
   RWC_CHECK_MSG(is_pow2(config_.flowlets_per_od),
                 "dataplane: flowlets_per_od must be a power of two");
-  flowlets_.resize(ods_ * config_.flowlets_per_od);
-  RWC_CHECK_MSG(flowlets_.size() < (std::size_t{1} << 31),
+  const std::size_t flowlets = ods_ * config_.flowlets_per_od;
+  RWC_CHECK_MSG(flowlets < (std::size_t{1} << 31),
                 "dataplane: too many flowlets");
-  for (std::size_t i = 0; i < ods_; ++i)
-    for (std::size_t j = 0; j < config_.flowlets_per_od; ++j)
-      flowlets_[i * config_.flowlets_per_od + j].od =
-          static_cast<std::uint32_t>(i);
-  link_queued_.assign(edge_count_, 0.0);
+  // Every OD's flowlets start idle and identical: one class each.
+  class_of_.resize(flowlets);
+  ledgers_.resize(flowlets);
+  classes_.resize(ods_);
+  for (std::size_t i = 0; i < ods_; ++i) {
+    classes_[i].od = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j < config_.flowlets_per_od; ++j) {
+      const std::size_t f = i * config_.flowlets_per_od + j;
+      classes_[i].members.push_back(static_cast<std::uint32_t>(f));
+      class_of_[f] = static_cast<std::uint32_t>(i);
+    }
+  }
+  link_queued_.assign(edge_count_, 0);
   link_util_.assign(edge_count_, 0.0);
 }
 
@@ -124,24 +158,62 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
   std::vector<std::uint32_t> counts;
   std::vector<std::size_t> picks(kF);
 
-  // The round's active hops, rebuilt in flowlet order: a flowlet that keeps
-  // its path carries its hops over, a migrated one starts its new path
-  // empty.
-  std::vector<Hop> hops;
-  hops.reserve(hops_.size());
-  // A replaced active path keeps draining while it still holds bytes.
-  auto retire = [this](Flowlet& fl) {
-    const std::span<const Hop> active = active_hops(fl);
-    if (inflight(active) > 0)
-      fl.draining.push_back(
-          Pipeline{{active.begin(), active.end()}, fl.path_id});
-  };
-  auto place = [&hops](Flowlet& fl, std::span<const Hop> active) {
-    fl.hops_begin = static_cast<std::uint32_t>(hops.size());
-    hops.insert(hops.end(), active.begin(), active.end());
-    fl.hops_end = static_cast<std::uint32_t>(hops.size());
+  // Every flowlet's next state is a function of its class and its pick,
+  // so the members of a class that share a pick stay one draft; a class
+  // whose members pick differently splits.
+  auto draft_of = [&](const FlowletClass& old, std::size_t pick) {
+    Draft draft;
+    FlowletClass& cls = draft.cls;
+    cls = old;
+    cls.members.clear();
+    const std::span<const Hop> active = active_hops(old);
+    // A replaced active path keeps draining while it still holds quanta.
+    auto retire = [&] {
+      if (inflight(active) > 0)
+        cls.draining.push_back(
+            Pipeline{{active.begin(), active.end()}, cls.path_id});
+    };
+    if (paths.empty()) {
+      // Unrouted OD: sources stop injecting; in-flight quanta keep
+      // draining on their old paths.
+      cls.offered_gbps = 0.0;
+      cls.rate_gbps = 0.0;
+      if (!active.empty()) {
+        retire();
+        cls.path_id = 0;
+      }
+      return draft;
+    }
+    // Shape each path's flowlets to an equal share of the installed path
+    // volume, so per-path offered load equals the solver's split exactly
+    // (goodput can never exceed the allocation except by transient queue
+    // drain — docs/DATAPLANE.md §5).
+    const double offered = weights[pick] / static_cast<double>(counts[pick]);
+    const std::uint64_t path_id = identities[pick];
+    if (cls.path_id != path_id) {
+      draft.migrated = cls.path_id != 0;
+      retire();
+      cls.path_id = path_id;
+      for (const graph::EdgeId edge : paths[pick]->edges) {
+        Hop hop;
+        hop.edge = edge.value;
+        draft.active.push_back(hop);
+      }
+      draft.active.back().last = 1;
+      cls.rate_gbps = offered;
+    } else {
+      draft.active.assign(active.begin(), active.end());
+      // Same path, new allocation: the controller re-shapes the source.
+      if (cls.offered_gbps != offered) cls.rate_gbps = offered;
+    }
+    cls.offered_gbps = offered;
+    return draft;
   };
 
+  std::vector<Draft> drafts;
+  drafts.reserve(classes_.size());
+  // The OD's drafts so far, keyed by (class before install, pick).
+  std::vector<std::pair<std::uint32_t, std::size_t>> keys;
   for (std::size_t i = 0; i < ods_; ++i) {
     const te::FlowAssignment::DemandRouting& routing = assignment.routings[i];
     weights.clear();
@@ -154,102 +226,136 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
       paths.push_back(&path);
     }
 
-    Flowlet* base = &flowlets_[i * kF];
-    if (paths.empty()) {
-      // Unrouted OD: sources stop injecting; in-flight bytes keep
-      // draining on their old paths.
+    std::fill(picks.begin(), picks.end(), 0);
+    if (!paths.empty()) {
+      // WCMP placement (dataplane.hash faults perturb per flowlet).
+      counts.assign(paths.size(), 0);
       for (std::size_t j = 0; j < kF; ++j) {
-        Flowlet& fl = base[j];
-        fl.offered_gbps = 0.0;
-        fl.rate_gbps = 0.0;
-        if (fl.hops_end != fl.hops_begin) {
-          retire(fl);
-          fl.path_id = 0;
+        const std::uint64_t current_path =
+            classes_[class_of_[i * kF + j]].path_id;
+        std::uint64_t salt = config_.hash_salt;
+        bool stale = false;
+        if (const fault::Action action = fault::at(
+                "dataplane.hash", static_cast<std::uint64_t>(i * kF + j))) {
+          if (action.kind == fault::Kind::kGarbage)
+            salt = combine_double(salt,
+                                  action.magnitude + static_cast<double>(j));
+          else if (action.kind == fault::Kind::kStale)
+            stale = true;
         }
-        place(fl, {});
+        std::size_t pick = wcmp_pick(
+            flowlet_key(static_cast<std::uint32_t>(i),
+                        static_cast<std::uint32_t>(j), salt),
+            weights, identities);
+        if (stale && current_path != 0) {
+          for (std::size_t p = 0; p < identities.size(); ++p)
+            if (identities[p] == current_path) {
+              pick = p;
+              break;
+            }
+        }
+        picks[j] = pick;
+        ++counts[pick];
       }
-      continue;
-    }
-
-    // WCMP placement (dataplane.hash faults perturb per flowlet).
-    counts.assign(paths.size(), 0);
-    for (std::size_t j = 0; j < kF; ++j) {
-      Flowlet& fl = base[j];
-      std::uint64_t salt = config_.hash_salt;
-      bool stale = false;
-      if (const fault::Action action = fault::at(
-              "dataplane.hash", static_cast<std::uint64_t>(i * kF + j))) {
-        if (action.kind == fault::Kind::kGarbage)
-          salt = combine_double(salt,
-                                action.magnitude + static_cast<double>(j));
-        else if (action.kind == fault::Kind::kStale)
-          stale = true;
-      }
-      std::size_t pick = wcmp_pick(
-          flowlet_key(static_cast<std::uint32_t>(i),
-                      static_cast<std::uint32_t>(j), salt),
-          weights, identities);
-      if (stale && fl.path_id != 0) {
-        for (std::size_t p = 0; p < identities.size(); ++p)
-          if (identities[p] == fl.path_id) {
-            pick = p;
+      // Coverage fixup: a path the solver loaded must carry at least one
+      // flowlet, or its volume would be silently unroutable. Steal from
+      // the most-loaded path (lowest index on ties) deterministically.
+      for (std::size_t p = 0; p < paths.size(); ++p) {
+        if (counts[p] != 0) continue;
+        std::size_t donor = 0;
+        for (std::size_t q = 1; q < counts.size(); ++q)
+          if (counts[q] > counts[donor]) donor = q;
+        if (counts[donor] < 2) continue;  // nothing to steal
+        for (std::size_t j = kF; j-- > 0;)
+          if (picks[j] == donor) {
+            picks[j] = p;
             break;
           }
+        --counts[donor];
+        ++counts[p];
       }
-      picks[j] = pick;
-      ++counts[pick];
-    }
-    // Coverage fixup: a path the solver loaded must carry at least one
-    // flowlet, or its volume would be silently unroutable. Steal from the
-    // most-loaded path (lowest index on ties) deterministically.
-    for (std::size_t p = 0; p < paths.size(); ++p) {
-      if (counts[p] != 0) continue;
-      std::size_t donor = 0;
-      for (std::size_t q = 1; q < counts.size(); ++q)
-        if (counts[q] > counts[donor]) donor = q;
-      if (counts[donor] < 2) continue;  // nothing to steal
-      for (std::size_t j = kF; j-- > 0;)
-        if (picks[j] == donor) {
-          picks[j] = p;
-          break;
-        }
-      --counts[donor];
-      ++counts[p];
     }
 
-    // Install: shape each path's flowlets to an equal share of the
-    // installed path volume, so per-path offered load equals the solver's
-    // split exactly (goodput can never exceed the allocation except by
-    // transient queue drain — docs/DATAPLANE.md §5).
+    const std::size_t first = drafts.size();
+    keys.clear();
     for (std::size_t j = 0; j < kF; ++j) {
-      Flowlet& fl = base[j];
-      const std::size_t pick = picks[j];
-      const double offered =
-          weights[pick] / static_cast<double>(counts[pick]);
-      const std::uint64_t path_id = identities[pick];
-      if (fl.path_id != path_id) {
-        if (fl.path_id != 0) ++result.migrations;
-        retire(fl);
-        fl.path_id = path_id;
-        fl.hops_begin = static_cast<std::uint32_t>(hops.size());
-        for (const graph::EdgeId edge : paths[pick]->edges) {
-          Hop hop;
-          hop.edge = edge.value;
-          hop.flowlet = static_cast<std::uint32_t>(i * kF + j);
-          hops.push_back(hop);
-        }
-        hops.back().last = 1;
-        fl.hops_end = static_cast<std::uint32_t>(hops.size());
-        fl.rate_gbps = offered;
-      } else {
-        place(fl, active_hops(fl));
-        // Same path, new allocation: the controller re-shapes the source.
-        if (fl.offered_gbps != offered) fl.rate_gbps = offered;
+      const std::uint32_t f = static_cast<std::uint32_t>(i * kF + j);
+      const std::pair<std::uint32_t, std::size_t> key{class_of_[f], picks[j]};
+      std::size_t g = 0;
+      while (g < keys.size() && keys[g] != key) ++g;
+      if (g == keys.size()) {
+        keys.push_back(key);
+        drafts.push_back(draft_of(classes_[key.first], key.second));
       }
-      fl.offered_gbps = offered;
+      drafts[first + g].cls.members.push_back(f);
     }
+    for (std::size_t d = first; d < drafts.size(); ++d)
+      if (drafts[d].migrated) result.migrations += drafts[d].cls.members.size();
   }
-  hops_ = std::move(hops);
+  layout(drafts);
+}
+
+void DataplaneSim::layout(std::vector<Draft>& drafts) {
+  auto same_hops = [](std::span<const Hop> a, std::span<const Hop> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Hop& x, const Hop& y) {
+                        return x.edge == y.edge && x.queued == y.queued &&
+                               x.arriving == y.arriving;
+                      });
+  };
+  // Bit-equal per-member state: everything but the members' ledgers.
+  auto same_state = [&](const FlowletClass& cls, const Draft& draft) {
+    const FlowletClass& other = draft.cls;
+    if (cls.path_id != other.path_id ||
+        bits_of(cls.offered_gbps) != bits_of(other.offered_gbps) ||
+        bits_of(cls.rate_gbps) != bits_of(other.rate_gbps) ||
+        bits_of(cls.carry) != bits_of(other.carry) ||
+        cls.deferred != other.deferred ||
+        !same_hops(active_hops(cls), draft.active) ||
+        cls.draining.size() != other.draining.size())
+      return false;
+    for (std::size_t d = 0; d < cls.draining.size(); ++d)
+      if (cls.draining[d].path_id != other.draining[d].path_id ||
+          !same_hops(cls.draining[d].hops, other.draining[d].hops))
+        return false;
+    return true;
+  };
+
+  // Drafts arrive grouped by OD; each merges into the first laid-out
+  // class of its OD whose state it matches.
+  classes_.clear();
+  hops_.clear();
+  std::size_t od_begin = 0;
+  for (Draft& draft : drafts) {
+    FlowletClass& incoming = draft.cls;
+    if (classes_.empty() || classes_.back().od != incoming.od)
+      od_begin = classes_.size();
+    std::size_t c = od_begin;
+    while (c < classes_.size() && !same_state(classes_[c], draft)) ++c;
+    if (c < classes_.size()) {
+      std::vector<std::uint32_t>& members = classes_[c].members;
+      const std::size_t middle = members.size();
+      members.insert(members.end(), incoming.members.begin(),
+                     incoming.members.end());
+      std::inplace_merge(members.begin(),
+                         members.begin() + static_cast<std::ptrdiff_t>(middle),
+                         members.end());
+      continue;
+    }
+    const std::uint32_t cls = static_cast<std::uint32_t>(c);
+    incoming.hops_begin = static_cast<std::uint32_t>(hops_.size());
+    for (Hop& hop : draft.active) {
+      hop.cls = cls;
+      hops_.push_back(hop);
+    }
+    incoming.hops_end = static_cast<std::uint32_t>(hops_.size());
+    for (Pipeline& pipeline : incoming.draining)
+      for (Hop& hop : pipeline.hops) hop.cls = cls;
+    classes_.push_back(std::move(incoming));
+  }
+  for (std::size_t c = 0; c < classes_.size(); ++c)
+    for (const std::uint32_t f : classes_[c].members)
+      class_of_[f] = static_cast<std::uint32_t>(c);
 }
 
 RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
@@ -265,7 +371,8 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   const std::size_t ticks = config_.ticks_per_round;
   const double dt = config_.tick_seconds;
   const double quanta_per_gbps_tick = dt * 1e9 / 8.0 * kQuanta;
-  const double quanta_per_gbps_buffer = config_.buffer_ms * 1e6 / 8.0 * kQuanta;
+  const double quanta_per_gbps_buffer =
+      config_.buffer_ms * 1e6 / 8.0 * kQuanta;
   const double eta = config_.target_utilization;
 
   RoundResult result;
@@ -275,7 +382,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   result.link_od_measured_bytes.assign(edge_count_ * ods_, 0);
 
   std::uint64_t dropped_before = 0;
-  for (const Flowlet& fl : flowlets_) dropped_before += fl.dropped;
+  for (const Ledger& ledger : ledgers_) dropped_before += ledger.dropped;
 
   install(assignment, result);
 
@@ -290,39 +397,42 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   result.measure_seconds =
       static_cast<double>(ticks - result.measure_begin) * dt;
 
-  for (Flowlet& fl : flowlets_) {
-    fl.measured = 0;
-    fl.round_delivered = 0;
-  }
-
-  const std::size_t nf = flowlets_.size();
+  const std::size_t nf = class_of_.size();
   std::vector<std::uint64_t> cap(edge_count_, 0);
   std::vector<std::uint64_t> buffer(edge_count_, 0);
   // Per link: this tick's arrivals, the share of them the buffer admits,
-  // the share of the queue served, and the bytes served.
+  // the share of the queue served, and what was served.
   std::vector<std::uint64_t> incoming(edge_count_, 0);
   std::vector<double> admit(edge_count_, 1.0);
   std::vector<double> frac(edge_count_, 1.0);
   std::vector<std::uint64_t> tick_serviced(edge_count_, 0);
   std::vector<std::size_t> event_cursor(edge_count_, 0);
-  // Per flowlet: the rate-control signal (max utilization over the active
-  // path; sweep 2 refreshes it for the next tick) and what its pipelines
+  // Per class (growing as classes split): multiplicity, OD, the
+  // rate-control signal (max utilization over the active path; sweep 2
+  // refreshes it for the next tick) and what one member's pipelines
   // delivered but have not yet credited.
-  std::vector<double> path_util(nf, 0.0);
-  std::vector<std::uint64_t> delivered(nf, 0);
-  for (const Hop& hop : hops_)
-    path_util[hop.flowlet] = std::max(
-        path_util[hop.flowlet], link_util_[static_cast<std::size_t>(hop.edge)]);
-  // Flowlets with draining pipelines, ascending.
+  std::vector<std::uint64_t> mult;
+  std::vector<std::uint32_t> od_of;
+  std::vector<double> path_util(classes_.size(), 0.0);
+  std::vector<std::uint64_t> delivered(classes_.size(), 0);
+  // Classes with draining pipelines.
   std::vector<std::uint32_t> drainers;
-  for (std::size_t f = 0; f < nf; ++f)
-    if (!flowlets_[f].draining.empty())
-      drainers.push_back(static_cast<std::uint32_t>(f));
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    FlowletClass& cls = classes_[c];
+    cls.measured = 0;
+    cls.round_delivered = 0;
+    mult.push_back(cls.members.size());
+    od_of.push_back(cls.od);
+    if (!cls.draining.empty()) drainers.push_back(static_cast<std::uint32_t>(c));
+  }
+  for (const Hop& hop : hops_)
+    path_util[hop.cls] = std::max(
+        path_util[hop.cls], link_util_[static_cast<std::size_t>(hop.edge)]);
   // Visits every hop: the flat active array, then each draining pipeline.
   auto for_each_pipeline = [&](auto&& visit) {
     visit(std::span<Hop>(hops_), true);
-    for (const std::uint32_t f : drainers)
-      for (Pipeline& pipeline : flowlets_[f].draining)
+    for (const std::uint32_t c : drainers)
+      for (Pipeline& pipeline : classes_[c].draining)
         visit(std::span<Hop>(pipeline.hops), false);
   };
 
@@ -337,56 +447,115 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       hop.arriving = 0;
       if (arrived == 0) continue;
       const std::size_t e = static_cast<std::size_t>(hop.edge);
+      const std::uint64_t k = mult[hop.cls];
       const std::uint64_t accepted = share(arrived, admit[e]);
       const std::uint64_t dropped = arrived - accepted;
       if (dropped > 0) {
-        flowlets_[hop.flowlet].dropped += dropped;
-        result.links[e].dropped_bytes += dropped;
-        if (measuring) result.links[e].measured_dropped_bytes += dropped;
+        classes_[hop.cls].pending.dropped += dropped;
+        result.links[e].dropped_bytes += k * dropped;
+        if (measuring) result.links[e].measured_dropped_bytes += k * dropped;
       }
       hop.queued += accepted;
-      link_queued_[e] += accepted;
+      link_queued_[e] += k * accepted;
     }
   };
-  // Proportional service, store-and-forward to the next hop (the bytes
+  // Proportional service, store-and-forward to the next hop (the quanta
   // land next tick), and the per-link / per-OD accounting of what left.
   auto serve = [&](std::span<Hop> hops, bool active) {
-    for (std::size_t k = 0; k < hops.size(); ++k) {
-      Hop& hop = hops[k];
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      Hop& hop = hops[h];
       const std::size_t e = static_cast<std::size_t>(hop.edge);
-      const std::uint32_t f = hop.flowlet;
-      if (active) path_util[f] = std::max(path_util[f], link_util_[e]);
+      const std::uint32_t c = hop.cls;
+      if (active) path_util[c] = std::max(path_util[c], link_util_[e]);
       if (hop.queued == 0) continue;
       const std::uint64_t s = share(hop.queued, frac[e]);
       if (s == 0) continue;
       hop.queued -= s;
       if (hop.last)
-        delivered[f] += s;
+        delivered[c] += s;
       else
-        hops[k + 1].arriving += s;
-      link_queued_[e] -= s;
-      tick_serviced[e] += s;
-      result.links[e].serviced_bytes += s;
+        hops[h + 1].arriving += s;
+      const std::uint64_t served = mult[c] * s;
+      link_queued_[e] -= served;
+      tick_serviced[e] += served;
+      result.links[e].serviced_bytes += served;
       if (measuring) {
-        result.links[e].measured_bytes += s;
-        result.link_od_measured_bytes[e * ods_ + flowlets_[f].od] += s;
+        result.links[e].measured_bytes += served;
+        result.link_od_measured_bytes[e * ods_ + od_of[c]] += served;
       }
     }
   };
-  // Credits what flowlet f's pipelines delivered on a (`measured`) tick to
-  // its ledgers, at its next rate-control step.
-  auto credit = [&](std::size_t f, bool measured) {
-    Flowlet& fl = flowlets_[f];
-    const std::uint64_t d = delivered[f];
-    delivered[f] = 0;
-    fl.delivered += d;
-    fl.round_delivered += d;
-    if (measured) fl.measured += d;
+  // Credits what class c's pipelines delivered on a (`measured`) tick to
+  // its members' ledgers, at its next rate-control step.
+  auto credit = [&](std::size_t c, bool measured) {
+    FlowletClass& cls = classes_[c];
+    const std::uint64_t d = delivered[c];
+    delivered[c] = 0;
+    cls.pending.delivered += d;
+    cls.round_delivered += d;
+    if (measured) cls.measured += d;
   };
+  // Sends what class c's sources put on the wire this tick.
+  auto inject = [&](std::size_t c, std::uint64_t quanta) {
+    FlowletClass& cls = classes_[c];
+    if (cls.hops_end != cls.hops_begin)
+      hops_[cls.hops_begin].arriving += quanta;
+    else
+      // Already charged at generation; a class with no installed path
+      // parks its quanta back at the source instead of leaking them.
+      cls.deferred += quanta;
+  };
+  // Applies a dataplane.packet action to one member's `attempt` quanta.
+  auto apply = [&](std::size_t c, fault::Kind kind, std::uint64_t attempt) {
+    FlowletClass& cls = classes_[c];
+    switch (kind) {
+      case fault::Kind::kDrop:
+        // Lost before entering the network: dropped at the source (the
+        // generation charge keeps the ledger balanced).
+        cls.pending.dropped += attempt;
+        return inject(c, 0);
+      case fault::Kind::kDuplicate:
+        // The duplicated copies are new quanta on the wire.
+        cls.pending.injected += attempt;
+        return inject(c, attempt * 2);
+      case fault::Kind::kDelay:
+        cls.deferred = attempt;
+        return inject(c, 0);
+      default:
+        return inject(c, attempt);
+    }
+  };
+  // Moves `members` out of class c into a new class with c's state.
+  auto split_off = [&](std::size_t c, std::vector<std::uint32_t> members) {
+    const std::uint32_t n = static_cast<std::uint32_t>(classes_.size());
+    FlowletClass copy = classes_[c];
+    copy.members = std::move(members);
+    copy.hops_begin = static_cast<std::uint32_t>(hops_.size());
+    for (std::uint32_t h = classes_[c].hops_begin; h < classes_[c].hops_end;
+         ++h) {
+      Hop hop = hops_[h];
+      hop.cls = n;
+      hops_.push_back(hop);
+    }
+    copy.hops_end = static_cast<std::uint32_t>(hops_.size());
+    for (Pipeline& pipeline : copy.draining)
+      for (Hop& hop : pipeline.hops) hop.cls = n;
+    for (const std::uint32_t f : copy.members) class_of_[f] = n;
+    if (!copy.draining.empty()) drainers.push_back(n);
+    mult.push_back(copy.members.size());
+    mult[c] -= copy.members.size();
+    od_of.push_back(copy.od);
+    path_util.push_back(path_util[c]);
+    delivered.push_back(0);
+    classes_.push_back(std::move(copy));
+    return n;
+  };
+  // Per packet kind: the members of the class being faulted that drew it.
+  std::array<std::vector<std::uint32_t>, kPacketKinds.size()> drew;
   auto set_capacity = [&](std::size_t e, double gbps) {
     cap[e] = whole_quanta(gbps * quanta_per_gbps_tick);
     buffer[e] = whole_quanta(std::max(gbps, config_.min_buffer_gbps) *
-                                  quanta_per_gbps_buffer);
+                             quanta_per_gbps_buffer);
   };
   for (std::size_t e = 0; e < edge_count_; ++e) set_capacity(e, 0.0);
 
@@ -406,95 +575,89 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       }
     }
 
-    // Sweep 1: credit, rate control and injection per flowlet, then every
-    // hop lands. Rate control reads only path_util and the flowlet's own
-    // state, and injection only adds to the flowlet's first hop, so every
-    // flowlet may inject before the first one lands.
-    for (std::size_t f = 0; f < nf; ++f) {
-      Flowlet& fl = flowlets_[f];
-      credit(f, was_measuring);
-      const bool routed = fl.hops_end != fl.hops_begin;
-      if (fl.offered_gbps > 0.0 && routed) {
-        const double util = path_util[f];
+    // Sweep 1: credit, rate control and injection per class, then every
+    // hop lands. Rate control reads only path_util and the class's own
+    // state, and injection only adds to the class's first hop, so every
+    // class may inject before the first one lands. Classes split off
+    // here are complete for this tick and not revisited.
+    const std::size_t live = classes_.size();
+    for (std::size_t c = 0; c < live; ++c) {
+      credit(c, was_measuring);
+      FlowletClass& cls = classes_[c];
+      const bool routed = cls.hops_end != cls.hops_begin;
+      if (cls.offered_gbps > 0.0 && routed) {
+        const double util = path_util[c];
         // Congested when some path link's standing queue exceeds 1/eta
         // ticks' worth of service. util == 1 is the steady state of a
         // link the solver fills to capacity (each tick's arrivals are
         // exactly one tick's service) — NOT congestion; only backlog
         // growth beyond that margin cuts.
         if (util * eta > 1.0) {
-          fl.rate_gbps = std::max(fl.rate_gbps * (eta / util),
-                                  fl.offered_gbps * kMinRateFraction);
-          ++result.rate_cuts;
+          cls.rate_gbps = std::max(cls.rate_gbps * (eta / util),
+                                   cls.offered_gbps * kMinRateFraction);
+          result.rate_cuts += mult[c];
         } else {
-          fl.rate_gbps =
-              std::min(fl.offered_gbps,
-                       fl.rate_gbps +
-                           config_.additive_increase * fl.offered_gbps);
+          cls.rate_gbps =
+              std::min(cls.offered_gbps,
+                       cls.rate_gbps +
+                           config_.additive_increase * cls.offered_gbps);
         }
       } else {
-        fl.rate_gbps = 0.0;
+        cls.rate_gbps = 0.0;
       }
       // Whole quanta: the sub-quantum remainder carries to the next tick.
-      const double generating = fl.rate_gbps * quanta_per_gbps_tick +
-                                fl.carry;
+      const double generating =
+          cls.rate_gbps * quanta_per_gbps_tick + cls.carry;
       const std::uint64_t generated = whole_quanta(generating);
-      fl.carry = generating - static_cast<double>(generated);
-      const std::uint64_t attempt = generated + fl.deferred;
-      fl.deferred = 0;
-      std::uint64_t inject = attempt;
-      // The ledger charges bytes when the source GENERATES them (bytes
+      cls.carry = generating - static_cast<double>(generated);
+      const std::uint64_t attempt = generated + cls.deferred;
+      cls.deferred = 0;
+      // The ledger charges quanta when the source GENERATES them (quanta
       // pulled back out of deferred were charged on their original
       // tick), so kDelay parking balances against the inflight term:
       // cumulative injected == delivered + dropped + inflight holds
       // under every fault plan, not just clean runs.
-      fl.injected += generated;
-      if (faults_armed && attempt > 0) {
-        if (const fault::Action action = fault::at(
-                "dataplane.packet",
-                static_cast<std::uint64_t>(tick) * nf + f)) {
-          switch (action.kind) {
-            case fault::Kind::kDrop:
-              // Lost before entering the network: dropped at the source
-              // (the generation charge above keeps the ledger balanced).
-              fl.dropped += attempt;
-              inject = 0;
-              break;
-            case fault::Kind::kDuplicate:
-              // The duplicated copies are new bytes on the wire.
-              fl.injected += attempt;
-              inject = attempt * 2;
-              break;
-            case fault::Kind::kDelay:
-              fl.deferred = attempt;
-              inject = 0;
-              break;
-            default:
-              break;
-          }
-        }
+      cls.pending.injected += generated;
+      if (!faults_armed || attempt == 0) {
+        inject(c, attempt);
+        continue;
       }
-      // Already charged at generation; a flowlet with no installed path
-      // parks its bytes back at the source instead of leaking them.
-      if (routed)
-        hops_[fl.hops_begin].arriving += inject;
-      else
-        fl.deferred += inject;
+      // Each member draws its own (tick, flowlet) action. Members that
+      // drew one kind stay together; every further kind splits off.
+      for (std::vector<std::uint32_t>& members : drew) members.clear();
+      for (const std::uint32_t f : cls.members)
+        drew[packet_kind_index(
+                 fault::at("dataplane.packet",
+                           static_cast<std::uint64_t>(tick) * nf + f)
+                     .kind)]
+            .push_back(f);
+      std::size_t kept = kPacketKinds.size();
+      for (std::size_t k = 0; k < kPacketKinds.size(); ++k) {
+        if (drew[k].empty()) continue;
+        if (kept == kPacketKinds.size()) {
+          kept = k;
+          continue;
+        }
+        apply(split_off(c, std::move(drew[k])), kPacketKinds[k], attempt);
+      }
+      classes_[c].members = std::move(drew[kept]);
+      apply(c, kPacketKinds[kept], attempt);
     }
     // Each link admits what its free buffer holds.
     for_each_pipeline([&](std::span<Hop> hops, bool) {
       for (const Hop& hop : hops)
-        incoming[static_cast<std::size_t>(hop.edge)] += hop.arriving;
+        incoming[static_cast<std::size_t>(hop.edge)] +=
+            mult[hop.cls] * hop.arriving;
     });
     for (std::size_t e = 0; e < edge_count_; ++e) {
-      const std::uint64_t room = buffer[e] > link_queued_[e]
-                                     ? buffer[e] - link_queued_[e]
-                                     : 0;
+      const std::uint64_t room =
+          buffer[e] > link_queued_[e] ? buffer[e] - link_queued_[e] : 0;
       admit[e] = fit_ratio(room, incoming[e]);
       incoming[e] = 0;
     }
     for_each_pipeline(land);
 
-    // Links: peak occupancy (a queue only grows while bytes land), the
+    // Links: peak occupancy (a queue only grows while quanta land), the
     // service ratio and the utilization signal the NEXT tick's rate
     // control reads.
     for (std::size_t e = 0; e < edge_count_; ++e) {
@@ -502,10 +665,9 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       LinkRoundStats& link = result.links[e];
       link.max_queued_bytes = std::max(link.max_queued_bytes, queued);
       frac[e] = fit_ratio(cap[e], queued);
-      link_util_[e] = cap[e] > 0
-                          ? static_cast<double>(queued) /
-                                static_cast<double>(cap[e])
-                          : (queued > 0 ? kDarkUtilization : 0.0);
+      link_util_[e] = cap[e] > 0 ? static_cast<double>(queued) /
+                                       static_cast<double>(cap[e])
+                                 : (queued > 0 ? kDarkUtilization : 0.0);
     }
 
     // Sweep 2: service and accounting for every hop, drained-pipeline
@@ -513,12 +675,12 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     std::fill(tick_serviced.begin(), tick_serviced.end(), 0);
     std::fill(path_util.begin(), path_util.end(), 0.0);
     for_each_pipeline(serve);
-    for (const std::uint32_t f : drainers)
-      std::erase_if(flowlets_[f].draining, [](const Pipeline& pipeline) {
+    for (const std::uint32_t c : drainers)
+      std::erase_if(classes_[c].draining, [](const Pipeline& pipeline) {
         return inflight(pipeline.hops) == 0;
       });
-    std::erase_if(drainers, [this](std::uint32_t f) {
-      return flowlets_[f].draining.empty();
+    std::erase_if(drainers, [this](std::uint32_t c) {
+      return classes_[c].draining.empty();
     });
 
     // Capacity-safety audit.
@@ -532,19 +694,31 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     }
   }
 
-  for (std::size_t f = 0; f < nf; ++f) credit(f, measuring);
-
-  // Round aggregation.
+  // Round end: every member's ledger takes its class's growth, and the
+  // per-OD figures take each class's multiplicity of its member's.
   std::vector<std::uint64_t> od_measured(ods_, 0);
-  for (const Flowlet& fl : flowlets_) {
-    od_measured[fl.od] += fl.measured;
-    result.od_delivered_bytes[fl.od] += fl.round_delivered;
-    result.injected_bytes += fl.injected;
-    result.delivered_bytes += fl.delivered;
-    result.dropped_bytes += fl.dropped;
-    result.inflight_bytes += inflight(active_hops(fl)) + fl.deferred;
-    for (const Pipeline& pipeline : fl.draining)
-      result.inflight_bytes += inflight(pipeline.hops);
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    credit(c, measuring);
+    FlowletClass& cls = classes_[c];
+    for (const std::uint32_t f : cls.members) {
+      Ledger& ledger = ledgers_[f];
+      ledger.injected += cls.pending.injected;
+      ledger.delivered += cls.pending.delivered;
+      ledger.dropped += cls.pending.dropped;
+    }
+    cls.pending = Ledger{};
+    const std::uint64_t k = cls.members.size();
+    od_measured[cls.od] += k * cls.measured;
+    result.od_delivered_bytes[cls.od] += k * cls.round_delivered;
+    std::uint64_t inflight_quanta = inflight(active_hops(cls)) + cls.deferred;
+    for (const Pipeline& pipeline : cls.draining)
+      inflight_quanta += inflight(pipeline.hops);
+    result.inflight_bytes += k * inflight_quanta;
+  }
+  for (const Ledger& ledger : ledgers_) {
+    result.injected_bytes += ledger.injected;
+    result.delivered_bytes += ledger.delivered;
+    result.dropped_bytes += ledger.dropped;
   }
   for (std::size_t i = 0; i < ods_; ++i)
     result.od_goodput_gbps[i] = static_cast<double>(od_measured[i]) /
@@ -552,19 +726,20 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   result.signature = state_signature();
   ++round_;
 
+  std::uint64_t round_delivered = 0;
+  for (const std::uint64_t quanta : result.od_delivered_bytes)
+    round_delivered += quanta;
   metrics.rounds.add(1);
   metrics.ticks.add(static_cast<std::uint64_t>(ticks));
   metrics.migrations.add(result.migrations);
   metrics.rate_cuts.add(result.rate_cuts);
-  std::uint64_t round_delivered = 0;
-  for (const std::uint64_t bytes : result.od_delivered_bytes)
-    round_delivered += bytes;
   metrics.delivered_bytes.add(round_delivered / kQuantaPerByte);
   metrics.dropped_bytes.add((result.dropped_bytes - dropped_before) /
                             kQuantaPerByte);
   metrics.capacity_violations.add(result.capacity_violations);
   metrics.inflight_bytes.set(static_cast<double>(result.inflight_bytes) /
                              kQuanta);
+  metrics.classes.set(static_cast<double>(classes_.size()));
   metrics.round_seconds.observe(watch.seconds());
   return result;
 }
@@ -582,18 +757,20 @@ std::uint64_t DataplaneSim::state_signature() const {
       hash = combine64(hash, hop.arriving);
     }
   };
-  for (const Flowlet& fl : flowlets_) {
-    hash = combine64(hash, static_cast<std::uint64_t>(fl.od));
-    hash = combine_double(hash, fl.offered_gbps);
-    hash = combine_double(hash, fl.rate_gbps);
-    hash = combine_double(hash, fl.carry);
-    hash = combine64(hash, fl.deferred);
-    hash = combine64(hash, fl.injected);
-    hash = combine64(hash, fl.delivered);
-    hash = combine64(hash, fl.dropped);
-    fold_pipeline(fl.path_id, active_hops(fl));
-    hash = combine64(hash, static_cast<std::uint64_t>(fl.draining.size()));
-    for (const Pipeline& pipeline : fl.draining)
+  for (std::size_t f = 0; f < class_of_.size(); ++f) {
+    const FlowletClass& cls = classes_[class_of_[f]];
+    const Ledger& ledger = ledgers_[f];
+    hash = combine64(hash, static_cast<std::uint64_t>(cls.od));
+    hash = combine_double(hash, cls.offered_gbps);
+    hash = combine_double(hash, cls.rate_gbps);
+    hash = combine_double(hash, cls.carry);
+    hash = combine64(hash, cls.deferred);
+    hash = combine64(hash, ledger.injected);
+    hash = combine64(hash, ledger.delivered);
+    hash = combine64(hash, ledger.dropped);
+    fold_pipeline(cls.path_id, active_hops(cls));
+    hash = combine64(hash, static_cast<std::uint64_t>(cls.draining.size()));
+    for (const Pipeline& pipeline : cls.draining)
       fold_pipeline(pipeline.path_id, pipeline.hops);
   }
   for (const double util : link_util_) hash = combine_double(hash, util);
@@ -618,18 +795,21 @@ std::vector<std::byte> DataplaneSim::save_state() const {
   writer.u64(static_cast<std::uint64_t>(ods_));
   writer.u64(static_cast<std::uint64_t>(config_.flowlets_per_od));
   writer.u64(round_);
-  for (const Flowlet& fl : flowlets_) {
-    writer.u32(fl.od);
-    writer.f64(fl.offered_gbps);
-    writer.f64(fl.rate_gbps);
-    writer.f64(fl.carry);
-    writer.u64(fl.deferred);
-    writer.u64(fl.injected);
-    writer.u64(fl.delivered);
-    writer.u64(fl.dropped);
-    encode_pipeline(fl.path_id, active_hops(fl));
-    writer.u32(static_cast<std::uint32_t>(fl.draining.size()));
-    for (const Pipeline& pipeline : fl.draining)
+  // One record per flowlet, as if every flowlet were simulated alone.
+  for (std::size_t f = 0; f < class_of_.size(); ++f) {
+    const FlowletClass& cls = classes_[class_of_[f]];
+    const Ledger& ledger = ledgers_[f];
+    writer.u32(cls.od);
+    writer.f64(cls.offered_gbps);
+    writer.f64(cls.rate_gbps);
+    writer.f64(cls.carry);
+    writer.u64(cls.deferred);
+    writer.u64(ledger.injected);
+    writer.u64(ledger.delivered);
+    writer.u64(ledger.dropped);
+    encode_pipeline(cls.path_id, active_hops(cls));
+    writer.u32(static_cast<std::uint32_t>(cls.draining.size()));
+    for (const Pipeline& pipeline : cls.draining)
       encode_pipeline(pipeline.path_id, pipeline.hops);
   }
   for (const double util : link_util_) writer.f64(util);
@@ -648,20 +828,22 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
                     reader.u64() == config_.flowlets_per_od,
                 "dataplane: state payload shape mismatch");
   const std::uint64_t round = reader.u64();
-  std::vector<Flowlet> flowlets(flowlets_.size());
-  std::vector<Hop> hops;
+  const std::size_t nf = class_of_.size();
+  // One draft per flowlet; layout() merges the bit-equal ones.
+  std::vector<Draft> drafts(nf);
+  std::vector<Ledger> ledgers(nf);
   std::vector<std::uint64_t> link_queued(edge_count_, 0);
   // Every count is checked against the remaining payload before anything
   // is sized by it, every hop edge against the topology, because
   // run_round indexes per-link state with them, and every byte count and
-  // rate against the whole-byte model's range, because run_round converts
-  // them between double and integer. A truncated payload reads zeros from
-  // here on and is rejected by the final check.
-  auto check_bytes = [](std::uint64_t quanta) {
+  // rate against the whole-quantum model's range, because run_round
+  // converts them between double and integer. A truncated payload reads
+  // zeros from here on and is rejected by the final check.
+  auto check_quanta = [](std::uint64_t quanta) {
     RWC_CHECK_MSG(static_cast<double>(quanta) < kMaxQuanta,
                   "dataplane: state payload byte count out of range");
   };
-  auto read_pipeline = [&](std::vector<Hop>& out, std::size_t flowlet) {
+  auto read_pipeline = [&](std::vector<Hop>& out) {
     const std::uint64_t path_id = reader.u64();
     const std::uint32_t count = reader.u32();
     RWC_CHECK_MSG(reader.fits(count), "dataplane: corrupt state payload");
@@ -673,59 +855,66 @@ void DataplaneSim::restore_state(std::span<const std::byte> payload) {
       RWC_CHECK_MSG(hop.edge >= 0 && static_cast<std::size_t>(hop.edge) <
                                          edge_count_,
                     "dataplane: state payload hop edge out of range");
-      check_bytes(hop.queued);
-      check_bytes(hop.arriving);
+      check_quanta(hop.queued);
+      check_quanta(hop.arriving);
       std::uint64_t& queued = link_queued[static_cast<std::size_t>(hop.edge)];
       queued += hop.queued;
-      check_bytes(queued);
-      hop.flowlet = static_cast<std::uint32_t>(flowlet);
+      check_quanta(queued);
       out.push_back(hop);
     }
     if (count > 0) out.back().last = 1;
     return path_id;
   };
-  for (std::size_t f = 0; f < flowlets.size(); ++f) {
-    Flowlet& fl = flowlets[f];
-    fl.od = reader.u32();
-    RWC_CHECK_MSG(reader.failed() || fl.od == f / config_.flowlets_per_od,
+  for (std::size_t f = 0; f < nf; ++f) {
+    Draft& draft = drafts[f];
+    FlowletClass& cls = draft.cls;
+    cls.members.push_back(static_cast<std::uint32_t>(f));
+    cls.od = reader.u32();
+    RWC_CHECK_MSG(reader.failed() || cls.od == f / config_.flowlets_per_od,
                   "dataplane: state payload flowlet under the wrong OD");
-    fl.offered_gbps = reader.f64();
-    fl.rate_gbps = reader.f64();
-    fl.carry = reader.f64();
-    RWC_CHECK_MSG(std::isfinite(fl.offered_gbps) && fl.offered_gbps >= 0.0 &&
-                      std::isfinite(fl.rate_gbps) && fl.rate_gbps >= 0.0 &&
-                      fl.carry >= 0.0 && fl.carry < 1.0,
+    cls.offered_gbps = reader.f64();
+    cls.rate_gbps = reader.f64();
+    cls.carry = reader.f64();
+    RWC_CHECK_MSG(std::isfinite(cls.offered_gbps) &&
+                      cls.offered_gbps >= 0.0 &&
+                      std::isfinite(cls.rate_gbps) && cls.rate_gbps >= 0.0 &&
+                      cls.carry >= 0.0 && cls.carry < 1.0,
                   "dataplane: state payload rate out of range");
-    fl.deferred = reader.u64();
-    check_bytes(fl.deferred);
-    fl.injected = reader.u64();
-    fl.delivered = reader.u64();
-    fl.dropped = reader.u64();
-    fl.hops_begin = static_cast<std::uint32_t>(hops.size());
-    fl.path_id = read_pipeline(hops, f);
-    fl.hops_end = static_cast<std::uint32_t>(hops.size());
+    cls.deferred = reader.u64();
+    check_quanta(cls.deferred);
+    ledgers[f].injected = reader.u64();
+    ledgers[f].delivered = reader.u64();
+    ledgers[f].dropped = reader.u64();
+    cls.path_id = read_pipeline(draft.active);
     const std::uint32_t draining = reader.u32();
     RWC_CHECK_MSG(reader.fits(draining), "dataplane: corrupt state payload");
-    fl.draining.resize(draining);
-    for (Pipeline& pipeline : fl.draining)
-      pipeline.path_id = read_pipeline(pipeline.hops, f);
+    cls.draining.resize(draining);
+    for (Pipeline& pipeline : cls.draining)
+      pipeline.path_id = read_pipeline(pipeline.hops);
   }
   std::vector<double> link_util(edge_count_);
   for (double& util : link_util) util = reader.f64();
   const std::uint64_t stored_signature = reader.u64();
   RWC_CHECK_MSG(!reader.failed() && reader.exhausted(),
                 "dataplane: truncated state payload");
+
+  // Install the decoded state, keeping the old one for the strong
+  // guarantee if its signature disagrees.
   std::uint64_t restored_round = round;
+  std::vector<FlowletClass> classes = std::move(classes_);
+  std::vector<std::uint32_t> class_of = class_of_;
+  std::vector<Hop> hops = std::move(hops_);
+  layout(drafts);
   std::swap(round_, restored_round);
-  std::swap(flowlets_, flowlets);
-  std::swap(hops_, hops);
+  std::swap(ledgers_, ledgers);
   std::swap(link_queued_, link_queued);
   std::swap(link_util_, link_util);
   if (state_signature() != stored_signature) {
-    // Strong guarantee: put the pre-restore state back before rejecting.
     std::swap(round_, restored_round);
-    std::swap(flowlets_, flowlets);
-    std::swap(hops_, hops);
+    classes_ = std::move(classes);
+    class_of_ = std::move(class_of);
+    hops_ = std::move(hops);
+    std::swap(ledgers_, ledgers);
     std::swap(link_queued_, link_queued);
     std::swap(link_util_, link_util);
     RWC_CHECK_MSG(false, "dataplane: state payload signature mismatch");

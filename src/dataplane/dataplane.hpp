@@ -25,13 +25,22 @@
 // Every byte quantity is a whole number of quanta (kQuantaPerByte per
 // byte): injection rounds down and carries its sub-quantum remainder per
 // flowlet, and service and buffer admission grant each hop floor(its
-// quanta * the link's ratio). Byte sums are therefore exact, so no result
-// depends on the order in which the sweeps visit flowlets or hops
-// (docs/DATAPLANE.md §2), and the byte ledger conserves exactly. No RNG runs in the tick loop: randomness is
-// hashing (wcmp.hpp), so determinism needs no stream bookkeeping.
-// save_state()/restore_state() capture everything that carries across
-// rounds (the kDataplane checkpoint section, docs/REPLAY.md):
-// restore-then-continue is bit-identical.
+// quanta * the link's ratio). Byte sums are therefore exact, and no step
+// depends on the order in which the sweeps visit flowlets or hops.
+//
+// That is what lets the simulator run each distinct flowlet state once:
+// flowlets of one OD whose state is bit-equal form a class, simulated as
+// one flowlet, and every per-link and per-OD amount is the class's
+// multiplicity times its member's. A class splits when an event treats
+// its members differently (a `dataplane.packet` fault, a WCMP move) and
+// bit-equal members merge at install and restore. Results, signatures
+// and the checkpoint payload stay per flowlet, bit-identical to the
+// per-flowlet reference kernel in tests/support/flowlet_reference.hpp.
+// No RNG runs in the tick loop: randomness is hashing (wcmp.hpp), so
+// determinism needs no stream bookkeeping. save_state()/restore_state()
+// capture everything that carries across rounds (the kDataplane
+// checkpoint section, docs/REPLAY.md): restore-then-continue is
+// bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +75,8 @@ struct DataplaneConfig {
   /// point — what lets the demand counter source certify exact recovery
   /// (docs/DATAPLANE.md §6).
   std::size_t flowlets_per_od = 32;
-  /// Per-link buffer: capacity * buffer_ms of bytes (tail-drop beyond).
+  /// Per-link buffer: capacity * buffer_ms of bytes; arrivals beyond the
+  /// free buffer are dropped in proportion (docs/DATAPLANE.md §2).
   double buffer_ms = 25.0;
   /// Dark links still buffer this much Gbps-worth so in-flight bytes can
   /// survive a reconfig window instead of being dropped wholesale.
@@ -176,24 +186,34 @@ class DataplaneSim {
  private:
   struct Hop {
     std::int32_t edge = -1;
-    /// Owning flowlet, and whether this hop ends its path (it delivers
+    /// Owning class, and whether this hop ends its path (it delivers
     /// instead of forwarding), so a sweep over hops needs no per-path
     /// loop. Derived from the layout; not part of the wire format.
-    std::uint32_t flowlet : 31 = 0;
+    std::uint32_t cls : 31 = 0;
     std::uint32_t last : 1 = 0;
-    std::uint64_t queued = 0;    ///< quanta awaiting service
+    /// Per member of the class, in quanta.
+    std::uint64_t queued = 0;    ///< awaiting service
     std::uint64_t arriving = 0;  ///< store-and-forward: lands next tick
   };
 
-  /// A pre-migration path still flushing its in-flight bytes.
+  /// A pre-migration path still flushing its in-flight quanta.
   struct Pipeline {
     std::vector<Hop> hops;
     std::uint64_t path_id = 0;  ///< wcmp::path_identity of the edge seq
   };
 
-  struct Flowlet {
+  /// One flowlet's cumulative ledger, in quanta.
+  struct Ledger {
+    std::uint64_t injected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+  };
+
+  /// Flowlets of one OD with bit-equal state, simulated once. The state
+  /// fields are each member's; the members' ledgers stay in ledgers_.
+  struct FlowletClass {
     std::uint32_t od = 0;
-    /// Active path: hops_[hops_begin, hops_end), rebuilt by install().
+    /// Active path: hops_[hops_begin, hops_end), rebuilt by layout().
     std::uint32_t hops_begin = 0;
     std::uint32_t hops_end = 0;
     std::uint64_t path_id = 0;  ///< active path identity (0 = none)
@@ -204,14 +224,19 @@ class DataplaneSim {
     double carry = 0.0;
     std::uint64_t deferred = 0;  ///< kDelay faults park quanta here
     std::vector<Pipeline> draining;  ///< pre-migration paths, flushing
-    std::uint64_t injected = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;
-    /// Delivered within the current round's measurement region.
+    /// Flowlet indices, ascending; their count is the multiplicity.
+    std::vector<std::uint32_t> members;
+    /// Each member's ledger growth this round, folded into ledgers_ when
+    /// the round ends, and its deliveries this round: in the measurement
+    /// region and in total.
+    Ledger pending;
     std::uint64_t measured = 0;
-    /// Delivered within the current round (whole-round scratch).
     std::uint64_t round_delivered = 0;
   };
+
+  /// A class being rebuilt by install() or restore_state(), with its
+  /// active hops held apart until layout() packs them into hops_.
+  struct Draft;
 
   static std::uint64_t inflight(std::span<const Hop> hops) {
     std::uint64_t total = 0;
@@ -219,21 +244,28 @@ class DataplaneSim {
     return total;
   }
 
-  std::span<const Hop> active_hops(const Flowlet& fl) const {
-    return {hops_.data() + fl.hops_begin, hops_.data() + fl.hops_end};
+  std::span<const Hop> active_hops(const FlowletClass& cls) const {
+    return {hops_.data() + cls.hops_begin, hops_.data() + cls.hops_end};
   }
 
   void install(const te::FlowAssignment& assignment, RoundResult& result);
+  /// Merges each OD's bit-equal drafts and lays the survivors out as
+  /// classes_, hops_ and class_of_.
+  void layout(std::vector<Draft>& drafts);
 
   DataplaneConfig config_;
   std::size_t edge_count_ = 0;
   std::size_t ods_ = 0;
   std::uint64_t round_ = 0;
-  std::vector<Flowlet> flowlets_;  ///< ods * flowlets_per_od, fixed order
-  /// Every flowlet's active-path hops, contiguous in flowlet order.
+  std::vector<FlowletClass> classes_;
+  /// Per flowlet (ods * flowlets_per_od, fixed order): its class and its
+  /// cumulative ledger.
+  std::vector<std::uint32_t> class_of_;
+  std::vector<Ledger> ledgers_;
+  /// Every class's active-path hops, contiguous in class order.
   std::vector<Hop> hops_;
-  /// Per link: live queued total, the sum of its hops' queues
-  /// (maintained by the sweeps, rebuilt by restore_state).
+  /// Per link: live queued total over every flowlet's hops (maintained
+  /// by the sweeps, rebuilt by restore_state).
   std::vector<std::uint64_t> link_queued_;
   /// Per link: previous tick's utilization signal for rate control.
   std::vector<double> link_util_;

@@ -5,13 +5,17 @@
 // dropped + in-flight), per-OD goodput stays finite and non-negative, and
 // no link buffer ever holds more than its budget; (2) a faulted run is
 // a pure function of (fixture, plan): re-running the same plan on a fresh
-// simulator reproduces every round's state signature bit-for-bit.
+// simulator reproduces every round's state signature bit-for-bit; (3)
+// the flowlet-class kernel matches the per-flowlet reference
+// (tests/support/flowlet_reference.hpp) bit for bit under the plan.
 // Violations report the seed plus the halving-minimized plan spec
 // (prop/shrink.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "prop/invariants.hpp"
 #include "prop/seeds.hpp"
 #include "prop/shrink.hpp"
+#include "support/flowlet_reference.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -58,6 +63,9 @@ struct DataplaneFixture {
   te::TrafficMatrix demands;
   te::McfTe engine;
   te::FlowAssignment assignment;
+  /// The controller's next plan after the busiest link fades: installing
+  /// it after `assignment` migrates flowlets.
+  te::FlowAssignment faded;
   dataplane::DataplaneConfig config;
   dataplane::CapacityTimeline timeline;
 
@@ -67,12 +75,18 @@ struct DataplaneFixture {
     demands = prop::random_demands(topology, rng);
     core::DynamicCapacityController controller(
         topology, optical::ModulationTable::standard(), engine, {});
-    const std::vector<util::Db> snr(topology.edge_count(), util::Db{20.0});
+    std::vector<util::Db> snr(topology.edge_count(), util::Db{20.0});
     controller.run_round(snr, demands);
     assignment = controller.last_assignment();
     const std::span<const util::Gbps> configured =
         controller.configured_capacities();
     const std::vector<util::Gbps> caps(configured.begin(), configured.end());
+    const std::vector<double>& load = assignment.edge_load_gbps;
+    snr[static_cast<std::size_t>(
+        std::max_element(load.begin(), load.end()) - load.begin())] =
+        util::Db{8.0};
+    controller.run_round(snr, demands);
+    faded = controller.last_assignment();
     // 64 ticks keeps minimizer re-evaluations cheap; still >= 8 and a
     // power of two (DataplaneConfig contract).
     config.ticks_per_round = 64;
@@ -207,6 +221,58 @@ TEST(PropDataplane, FaultedRunsReplayBitIdentically) {
                             [&](const fault::FaultPlan& candidate) {
                               return replay_is_bit_identical(fixture,
                                                              candidate);
+                            });
+    }
+  }
+  EXPECT_GT(obs::Registry::global().counter("fault.injected").value(),
+            injected_before)
+      << "no generated injection ever fired — the property is vacuous";
+}
+
+/// Runs the class kernel and the reference side by side under `plan`,
+/// installing the fixture's plan, its faded plan and the plan again.
+prop::InvariantResult kernels_agree(DataplaneFixture& fixture,
+                                    const fault::FaultPlan& plan) {
+  try {
+    dataplane::DataplaneSim sim(fixture.topology, fixture.demands.size(),
+                                fixture.config);
+    dataplane::reference::FlowletReference reference(
+        fixture.topology, fixture.demands.size(), fixture.config);
+    fault::ScopedPlan armed(plan);
+    const te::FlowAssignment* plans[] = {&fixture.assignment, &fixture.faded,
+                                         &fixture.assignment};
+    for (std::size_t round = 0; round < std::size(plans); ++round) {
+      const std::string at = "round " + std::to_string(round) +
+                             " under plan \"" + plan.to_string() + "\": ";
+      const std::string differs = dataplane::reference::first_difference(
+          sim.run_round(*plans[round], fixture.timeline),
+          reference.run_round(*plans[round], fixture.timeline));
+      if (!differs.empty())
+        return prop::InvariantResult::fail(
+            at + differs + " differs from the per-flowlet reference");
+      if (sim.save_state() != reference.save_state())
+        return prop::InvariantResult::fail(
+            at + "save_state bytes differ from the per-flowlet reference");
+    }
+    return prop::InvariantResult::pass();
+  } catch (const util::CheckError& error) {
+    return prop::InvariantResult::fail(std::string("CheckError escaped: ") +
+                                       error.what());
+  }
+}
+
+TEST(PropDataplane, ClassKernelMatchesTheReferenceUnderRandomFaultPlans) {
+  const std::uint64_t injected_before =
+      obs::Registry::global().counter("fault.injected").value();
+  for (const std::uint64_t seed : kSeeds) {
+    DataplaneFixture fixture(seed);
+    util::Rng fault_rng = util::Rng::stream(seed, 913);
+    for (int trial = 0; trial < 2; ++trial) {
+      const fault::FaultPlan plan =
+          prop::random_fault_plan(dataplane_sites(), fault_rng, seed);
+      prop::expect_property(seed, plan,
+                            [&](const fault::FaultPlan& candidate) {
+                              return kernels_agree(fixture, candidate);
                             });
     }
   }
