@@ -397,6 +397,14 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
       }
     }
 
+    // CapEst-style cross-check (docs/DEMAND.md §7): each link's decayed
+    // peak of counted traffic against what its sanitized SNR supports. A
+    // diagnostic only: it counts demand.capacity.mismatch and changes
+    // nothing the round decides.
+    if (demand_pipeline_ != nullptr)
+      demand_pipeline_->capacity().estimates(table_, last_snr_,
+                                             options_.snr_margin);
+
     // Restoration: degraded links come back toward their nominal rate as
     // soon as the SNR allows (an operational repair, not a TE decision).
     if (options_.restore_to_nominal) {

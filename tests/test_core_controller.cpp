@@ -3,7 +3,10 @@
 // consistent transitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/controller.hpp"
+#include "obs/registry.hpp"
 #include "sim/topology.hpp"
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
@@ -274,6 +277,44 @@ TEST(Controller, RejectsWrongSnrVectorSize) {
       ControllerOptions{});
   const std::vector<Db> snr(3, Db{15.0});
   EXPECT_THROW(controller.run_round(snr, {}), util::CheckError);
+}
+
+// Estimated-demand rounds cross-check each link's counted peak against
+// its SNR (docs/DEMAND.md §7): a link that fades while it carries more
+// than its new SNR supports raises demand.capacity.mismatch, once, and
+// no link does while the SNR holds.
+TEST(Controller, FadeUnderLoadRaisesTheCapacityMismatch) {
+  graph::Graph base = sim::fig7_square();
+  te::McfTe engine;
+  ControllerOptions options;
+  options.demand.source = demand::DemandSource::kEstimated;
+  DynamicCapacityController controller(
+      base, optical::ModulationTable::standard(), engine, options);
+  const NodeId a = *base.find_node("A");
+  const NodeId b = *base.find_node("B");
+  const te::TrafficMatrix demands = {{a, b, 80_Gbps, 0}};
+  const obs::Counter& mismatches =
+      obs::Registry::global().counter("demand.capacity.mismatch");
+
+  std::vector<Db> snr = uniform_snr(base, 20.0);
+  const std::uint64_t before = mismatches.value();
+  for (int round = 0; round < 3; ++round) controller.run_round(snr, demands);
+  EXPECT_EQ(mismatches.value(), before) << "no link fades";
+
+  const std::vector<double>& load = controller.last_assignment().edge_load_gbps;
+  const std::size_t faded = static_cast<std::size_t>(
+      std::max_element(load.begin(), load.end()) - load.begin());
+  ASSERT_GT(load[faded], 50.0) << "the faded link must carry the demand";
+  snr[faded] = Db{5.0};  // 4.5 dB after the margin: 50 G (DP-BPSK)
+  const std::uint64_t faded_before = mismatches.value();
+  controller.run_round(snr, demands);
+  EXPECT_EQ(mismatches.value() - faded_before, 1u);
+
+  const std::vector<demand::CapacityEstimate> estimates =
+      controller.demand_pipeline()->capacity().estimates(
+          controller.table(), snr, options.snr_margin);
+  for (std::size_t e = 0; e < estimates.size(); ++e)
+    EXPECT_EQ(estimates[e].consistent, e != faded) << "edge " << e;
 }
 
 }  // namespace
