@@ -116,7 +116,6 @@ struct DataplaneSim::Draft {
   bool migrated = false;  ///< install moved the members off a live path
 };
 
-
 DataplaneSim::DataplaneSim(const graph::Graph& topology, std::size_t ods,
                            DataplaneConfig config)
     : config_(config),
@@ -423,7 +422,8 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     cls.round_delivered = 0;
     mult.push_back(cls.members.size());
     od_of.push_back(cls.od);
-    if (!cls.draining.empty()) drainers.push_back(static_cast<std::uint32_t>(c));
+    if (!cls.draining.empty())
+      drainers.push_back(static_cast<std::uint32_t>(c));
   }
   for (const Hop& hop : hops_)
     path_util[hop.cls] = std::max(
@@ -550,7 +550,9 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     classes_.push_back(std::move(copy));
     return n;
   };
-  // Per packet kind: the members of the class being faulted that drew it.
+  // The packet kind each member of the class being faulted drew, and per
+  // kind the members that drew it.
+  std::vector<std::size_t> drawn;
   std::array<std::vector<std::uint32_t>, kPacketKinds.size()> drew;
   auto set_capacity = [&](std::size_t e, double gbps) {
     cap[e] = whole_quanta(gbps * quanta_per_gbps_tick);
@@ -622,15 +624,24 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
         inject(c, attempt);
         continue;
       }
-      // Each member draws its own (tick, flowlet) action. Members that
-      // drew one kind stay together; every further kind splits off.
+      // Each member draws its own (tick, flowlet) action. When they all
+      // draw one kind the class stays whole; otherwise class c keeps the
+      // members of the first kind drawn and each other kind splits off.
+      drawn.clear();
+      bool uniform = true;
+      for (const std::uint32_t f : cls.members) {
+        const fault::Action action = fault::at(
+            "dataplane.packet", static_cast<std::uint64_t>(tick) * nf + f);
+        drawn.push_back(packet_kind_index(action.kind));
+        uniform = uniform && drawn.back() == drawn.front();
+      }
+      if (uniform) {
+        apply(c, kPacketKinds[drawn.front()], attempt);
+        continue;
+      }
       for (std::vector<std::uint32_t>& members : drew) members.clear();
-      for (const std::uint32_t f : cls.members)
-        drew[packet_kind_index(
-                 fault::at("dataplane.packet",
-                           static_cast<std::uint64_t>(tick) * nf + f)
-                     .kind)]
-            .push_back(f);
+      for (std::size_t m = 0; m < drawn.size(); ++m)
+        drew[drawn[m]].push_back(classes_[c].members[m]);
       std::size_t kept = kPacketKinds.size();
       for (std::size_t k = 0; k < kPacketKinds.size(); ++k) {
         if (drew[k].empty()) continue;
