@@ -183,7 +183,7 @@ TEST(DataplaneReference, MatchesOnGoldenSeed20250808) {
 
 // The edge-path input splits classes both ways: WCMP migrations under
 // dataplane.hash faults, and per-flowlet dataplane.packet drops,
-// duplicates and delays, next to tail drops and a dark downshift.
+// duplicates and delays, next to buffer overflow and a dark downshift.
 TEST(DataplaneReference, MatchesOnGoldenEdgePathsUnderFaults) {
   dataplane::XcheckConfig config;
   config.seed = 20171130;

@@ -180,7 +180,7 @@ TEST(GoldenDataplane, XcheckSeed20250808) {
   check_seed_against_golden(20250808);
 }
 
-// Edge paths the seed fixtures never reach: tail drops at an overflowing
+// Edge paths the seed fixtures never reach: drops at an overflowing
 // buffer, a link going dark mid-round with no schedule, HPCC cuts, WCMP
 // migrations under hash faults, and source drop/duplicate/delay. Source
 // drops can push goodput below the oracle's gap, so this input pins the
