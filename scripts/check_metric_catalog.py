@@ -3,11 +3,9 @@
 
     python3 scripts/check_metric_catalog.py [repo-root]
 
-Collects every metric the code under src/ and bench/ registers:
-
-  * the string literal passed to obs::Registry's counter(), gauge() or
-    histogram(), wherever the call breaks its lines;
-  * <name>.seconds for every obs::Span named by a literal.
+Collects every metric the code under src/ and bench/ registers: the
+string literal passed to obs::Registry's counter(), gauge() or histogram(),
+wherever the call breaks its lines.
 
 A literal that is concatenated with a run-time value ("fault.site." + site)
 is a prefix: it stands for every name that starts with it.
@@ -27,7 +25,6 @@ from pathlib import Path
 CALL = re.compile(
     r'\b(?:counter|gauge|histogram)\(\s*(?:std::string\(\s*)?'
     r'"((?:[^"\\]|\\.)*)"\s*\)?\s*(\+)?')
-SPAN = re.compile(r'\bSpan\s+\w+\(\s*"((?:[^"\\]|\\.)*)"')
 BACKTICKED = re.compile(r'`([^`]+)`')
 
 
@@ -67,8 +64,6 @@ def code_metrics(root):
             text = strip_comments(path.read_text())
             for match in CALL.finditer(text):
                 (prefixes if match.group(2) else names).add(match.group(1))
-            for match in SPAN.finditer(text):
-                names.add(match.group(1) + '.seconds')
     return names, prefixes
 
 

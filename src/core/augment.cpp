@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/registry.hpp"
 #include "util/check.hpp"
 
 namespace rwc::core {
@@ -122,94 +121,6 @@ AugmentedTopology augment_topology(
 
   RWC_ENSURES(result.edge_info.size() == result.graph.edge_count());
   return result;
-}
-
-void AugmentCache::invalidate() {
-  valid_ = false;
-  cached_ = AugmentedTopology{};
-  edges_.clear();
-  variable_feasible_.clear();
-  variable_traffic_.clear();
-  last_hit_ = false;
-  last_dirty_.clear();
-}
-
-const AugmentedTopology& AugmentCache::get(
-    const graph::Graph& base, std::span<const VariableLink> variable_links,
-    const PenaltyPolicy& penalty, std::span<const double> current_traffic_gbps,
-    const AugmentOptions& options) {
-  static auto& registry = obs::Registry::global();
-  static auto& hits = registry.counter("augment.cache.hits");
-  static auto& misses = registry.counter("augment.cache.misses");
-  static auto& dirty_links = registry.histogram("core.dirty_links");
-
-  last_hit_ = false;
-  last_dirty_.clear();
-
-  const std::size_t edge_count = base.edge_count();
-  auto traffic_on = [&](std::size_t i) {
-    return current_traffic_gbps.empty() ? 0.0 : current_traffic_gbps[i];
-  };
-
-  // New per-edge keys: edge attributes plus the variable-link overlay
-  // (-1 = not variable) and the traffic the penalty policy would read.
-  std::vector<EdgeKey> edges(edge_count);
-  std::vector<double> variable_feasible(edge_count, -1.0);
-  std::vector<double> variable_traffic(edge_count, 0.0);
-  for (EdgeId edge : base.edge_ids()) {
-    const auto i = static_cast<std::size_t>(edge.value);
-    const graph::Edge& e = base.edge(edge);
-    edges[i] = EdgeKey{e.src.value, e.dst.value, e.capacity.value, e.cost,
-                       e.weight};
-  }
-  for (const VariableLink& link : variable_links) {
-    const auto i = static_cast<std::size_t>(link.edge.value);
-    RWC_EXPECTS(i < edge_count);
-    variable_feasible[i] = link.feasible_capacity.value;
-    variable_traffic[i] = traffic_on(i);
-  }
-
-  // A structural change (cold cache, different shape, different policy or
-  // options) dirties every link; otherwise diff edge by edge.
-  const bool structural = !valid_ || node_count_ != base.node_count() ||
-                          edges_.size() != edge_count ||
-                          penalty_ != &penalty || !(options_ == options);
-  if (structural) {
-    last_dirty_.reserve(edge_count);
-    for (EdgeId edge : base.edge_ids()) last_dirty_.push_back(edge);
-  } else {
-    for (EdgeId edge : base.edge_ids()) {
-      const auto i = static_cast<std::size_t>(edge.value);
-      const bool clean =
-          edges_[i] == edges[i] &&
-          variable_feasible_[i] == variable_feasible[i] &&
-          (variable_feasible[i] < 0.0 ||
-           variable_traffic_[i] == variable_traffic[i]);
-      if (!clean) last_dirty_.push_back(edge);
-    }
-  }
-
-  if (valid_ && last_dirty_.empty()) {
-    last_hit_ = true;
-    hits.add();
-    return cached_;
-  }
-
-  misses.add();
-  // Observed on rebuilds only: a hit contributes no rebuild work, so the
-  // histogram answers "how perturbed were the rounds that cost us a
-  // rebuild" (docs/OBSERVABILITY.md: core.dirty_links).
-  dirty_links.observe(static_cast<double>(last_dirty_.size()));
-  cached_ = augment_topology(base, variable_links, penalty,
-                             current_traffic_gbps, options);
-  valid_ = true;
-  node_count_ = base.node_count();
-  edges_ = std::move(edges);
-  variable_feasible_ = std::move(variable_feasible);
-  variable_traffic_ = std::move(variable_traffic);
-  penalty_ = &penalty;
-  options_ = options;
-  return cached_;
 }
 
 graph::Graph carve_out_protected(

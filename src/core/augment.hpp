@@ -82,66 +82,6 @@ AugmentedTopology augment_topology(
     std::span<const double> current_traffic_gbps = {},
     const AugmentOptions& options = {});
 
-/// Dirty-link tracking for the incremental re-solve hot path (docs/FLEET.md).
-///
-/// The cache remembers the exact inputs of the previous augmentation —
-/// per-edge endpoints/capacity/cost/weight, the variable-link set, the
-/// penalty-relevant traffic (penalty policies only read `traffic_on(edge)`
-/// for VARIABLE links, so only those entries participate), the construction
-/// options and the penalty-policy identity. get() diffs the new inputs edge
-/// by edge: when no base link is dirty the cached AugmentedTopology is
-/// returned untouched, which is bit-identical to rebuilding because
-/// augment_topology is a pure function of exactly the compared inputs.
-/// Node names are assumed stable across calls with an equal node count
-/// (the controller rebuilds the current topology from a fixed physical
-/// graph every round, so this holds by construction).
-class AugmentCache {
- public:
-  /// Returns the augmented view of `base`, reusing the cached topology when
-  /// no link is dirty. The returned reference stays valid until the next
-  /// get() or invalidate(). Same preconditions as augment_topology().
-  const AugmentedTopology& get(const graph::Graph& base,
-                               std::span<const VariableLink> variable_links,
-                               const PenaltyPolicy& penalty,
-                               std::span<const double> current_traffic_gbps,
-                               const AugmentOptions& options);
-
-  /// True when the last get() reused the cached topology.
-  bool last_was_hit() const { return last_hit_; }
-  /// Base links that forced the last rebuild (every base edge when the
-  /// cache was cold or a structural input changed). Empty after a hit.
-  const std::vector<graph::EdgeId>& last_dirty() const { return last_dirty_; }
-
-  /// Drops the cached topology; the next get() rebuilds unconditionally.
-  void invalidate();
-
- private:
-  /// The fields of a base edge that augment_topology reads.
-  struct EdgeKey {
-    std::int32_t src = -1;
-    std::int32_t dst = -1;
-    double capacity = 0.0;
-    double cost = 0.0;
-    double weight = 0.0;
-
-    friend bool operator==(const EdgeKey&, const EdgeKey&) = default;
-  };
-
-  bool valid_ = false;
-  std::size_t node_count_ = 0;
-  std::vector<EdgeKey> edges_;
-  /// Per base edge: feasible rate when variable, -1 when not.
-  std::vector<double> variable_feasible_;
-  /// Per base edge: penalty-relevant traffic (meaningful only when
-  /// variable_feasible_[i] >= 0).
-  std::vector<double> variable_traffic_;
-  const PenaltyPolicy* penalty_ = nullptr;
-  AugmentOptions options_{};
-  AugmentedTopology cached_;
-  bool last_hit_ = false;
-  std::vector<graph::EdgeId> last_dirty_;
-};
-
 /// Section 4.2 (i): a flow that must not be disturbed at all. Its links may
 /// not change capacity and the flow (with the capacity it uses) is hidden
 /// from the TE optimization.

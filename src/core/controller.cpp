@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
@@ -36,7 +38,6 @@ struct ControllerMetrics {
   obs::Histogram& update_seconds;
   obs::Counter& incremental_hits;
   obs::Counter& incremental_misses;
-  obs::Counter& incremental_augment_reuses;
   obs::Histogram& incremental_dirty_links;
   obs::Counter& partial_rounds;
 
@@ -57,7 +58,6 @@ struct ControllerMetrics {
         registry.histogram("controller.round.update.seconds"),
         registry.counter("solver.incremental_hits"),
         registry.counter("solver.incremental_misses"),
-        registry.counter("solver.incremental_augment_reuses"),
         registry.histogram("solver.incremental_dirty_links"),
         registry.counter("solver.partial_rounds"),
     };
@@ -104,6 +104,19 @@ bool transition_fits(std::span<const double> before,
       return false;
   }
   return true;
+}
+
+/// Per base edge: the feasible rate of a variable link (-1 when the link
+/// is not variable) and the traffic its penalty policy reads (0 when not
+/// variable). `traffic` is aligned with `links`.
+std::vector<std::pair<double, double>> variable_overlay(
+    std::size_t edge_count, std::span<const VariableLink> links,
+    std::span<const double> traffic) {
+  std::vector<std::pair<double, double>> overlay(edge_count, {-1.0, 0.0});
+  for (std::size_t k = 0; k < links.size(); ++k)
+    overlay[static_cast<std::size_t>(links[k].edge.value)] = {
+        links[k].feasible_capacity.value, traffic[k]};
+  return overlay;
 }
 
 }  // namespace
@@ -167,10 +180,9 @@ void DynamicCapacityController::restore_state(PersistentState state) {
   last_assignment_ = std::move(state.last_assignment);
   last_traffic_ = std::move(state.last_traffic);
   last_snr_ = std::move(state.last_snr);
-  // The memo/augment cache are deliberately outside PersistentState; drop
-  // them so the first post-restore round performs a clean full re-solve.
+  // The memo is deliberately outside PersistentState; drop it so the first
+  // post-restore round performs a clean full re-solve.
   memo_ = SolveMemo{};
-  augment_cache_.invalidate();
 }
 
 graph::Graph DynamicCapacityController::current_topology() const {
@@ -195,34 +207,22 @@ Gbps DynamicCapacityController::configured_capacity(EdgeId edge) const {
 ReconfigurationPlan DynamicCapacityController::evaluate(
     const graph::Graph& current,
     std::span<const VariableLink> variable_links,
-    const te::TrafficMatrix& demands, RoundStats& stats,
-    AugmentCache* cache) const {
+    const te::TrafficMatrix& demands, RoundStats& stats) const {
   ++stats.evaluations;
   obs::StopWatch watch;
-  // Either path produces the identical augmented view: the cache rebuilds
-  // through the same augment_topology call whenever any input is dirty.
-  AugmentedTopology rebuilt;
-  const AugmentedTopology* augmented;
-  if (cache != nullptr) {
-    augmented = &cache->get(current, variable_links, *options_.penalty,
-                            last_traffic_, options_.augment);
-    if (cache->last_was_hit())
-      ControllerMetrics::instance().incremental_augment_reuses.add();
-  } else {
-    rebuilt = augment_topology(current, variable_links, *options_.penalty,
-                               last_traffic_, options_.augment);
-    augmented = &rebuilt;
-  }
+  const AugmentedTopology augmented =
+      augment_topology(current, variable_links, *options_.penalty,
+                       last_traffic_, options_.augment);
   stats.augment_seconds += watch.seconds();
 
   watch.restart();
   const te::FlowAssignment assignment =
-      engine_.solve(augmented->graph, demands);
+      engine_.solve(augmented.graph, demands);
   stats.solve_seconds += watch.seconds();
 
   watch.restart();
   ReconfigurationPlan plan =
-      translate_assignment(current, *augmented, variable_links, assignment);
+      translate_assignment(current, augmented, variable_links, assignment);
   stats.translate_seconds += watch.seconds();
   return plan;
 }
@@ -261,33 +261,25 @@ void DynamicCapacityController::consolidate(
            trial.upgrades.size() < report.plan.upgrades.size();
   };
 
-  // Trials time into consolidate_seconds alone: each gets scratch stats
-  // and only its evaluation count reaches the round's.
-  if (pool.thread_count() <= 1) {
-    for (const CapacityChange& candidate : by_traffic) {
-      if (report.plan.upgrades.size() <= 1) break;
-      RoundStats trial_stats;
-      ReconfigurationPlan trial =
-          evaluate(current, reduced_links(candidate), demands, trial_stats);
-      report.stats.evaluations += trial_stats.evaluations;
-      if (accept(trial)) report.plan = std::move(trial);
-    }
-    return;
-  }
-
-  // Speculative waves. A window of upcoming candidates is evaluated
-  // concurrently against the frozen current plan, then scanned IN
-  // CANDIDATE ORDER for the first acceptance. In the serial loop, every
-  // rejection before the first acceptance was evaluated against that same
-  // plan, so the scan reproduces the serial decision sequence exactly;
-  // trials past the acceptance point were computed against a stale plan
-  // and are discarded (a later wave re-evaluates them against the updated
-  // plan). The window bounds that speculative waste to window-1
-  // evaluations per acceptance — two chunks per worker keeps every thread
-  // busy without over-speculating past likely acceptances. The only
-  // observable difference from serial is that RoundStats counts the
-  // discarded speculative evaluations as work performed.
-  const std::size_t window = pool.thread_count() * 2;
+  // Waves. A window of upcoming candidates is evaluated against the
+  // frozen current plan, then scanned IN CANDIDATE ORDER for the first
+  // acceptance. In the serial loop, every rejection before the first
+  // acceptance was evaluated against that same plan, so the scan
+  // reproduces the serial decision sequence exactly; trials past the
+  // acceptance point were computed against a stale plan and are discarded
+  // (a later wave re-evaluates them against the updated plan). The window
+  // bounds that speculative waste to window-1 evaluations per acceptance,
+  // and it is wider than one trial only when the trials really run at
+  // once: on a pool of >= 2 threads, from outside its workers
+  // (parallel_for runs a worker's re-entry inline). There, two trials per
+  // worker keep every thread busy without over-speculating past likely
+  // acceptances; everywhere else a window of 1 is the serial loop, with
+  // its evaluation count. Trials time into consolidate_seconds alone: each
+  // gets scratch stats and only its evaluation count reaches the round's.
+  const std::size_t window =
+      pool.thread_count() >= 2 && !pool.on_worker_thread()
+          ? 2 * pool.thread_count()
+          : 1;
   std::size_t next = 0;
   while (next < by_traffic.size() && report.plan.upgrades.size() > 1) {
     const std::size_t wave = std::min(window, by_traffic.size() - next);
@@ -319,14 +311,15 @@ DynamicCapacityController::RoundReport
 DynamicCapacityController::run_round(std::span<const Db> link_snr,
                                      const te::TrafficMatrix& demands) {
   RWC_EXPECTS(link_snr.size() == physical_.edge_count());
+  auto& metrics = ControllerMetrics::instance();
   RoundReport report;
   const SolverCounters counters_before = SolverCounters::read();
   std::size_t variable_link_count = 0;
   {
-    // Nested trace of the round: the span closes into
-    // controller.round.seconds when the pipeline scope ends, before the
-    // stats flush below reads total_seconds.
-    obs::Span round_span("controller.round", &report.stats.total_seconds);
+    // The timer closes into controller.round.seconds when the pipeline
+    // scope ends, before the stats flush below reads total_seconds.
+    obs::ScopedTimer round_timer(metrics.round_seconds,
+                                 &report.stats.total_seconds);
 
     // Step 0 (options_.demand, docs/DEMAND.md): closed-loop demand
     // estimation. The handed-in matrix becomes the offered intent; the
@@ -407,16 +400,13 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
 
     // Restoration: degraded links come back toward their nominal rate as
     // soon as the SNR allows (an operational repair, not a TE decision).
-    if (options_.restore_to_nominal) {
-      for (EdgeId edge : physical_.edge_ids()) {
-        const auto i = static_cast<std::size_t>(edge.value);
-        const Gbps target =
-            std::min(physical_.edge(edge).capacity, feasible[i]);
-        if (target > configured_[i]) {
-          report.restorations.push_back(
-              LinkFlap{edge, configured_[i], target});
-          configured_[i] = target;
-        }
+    // Upgrades beyond nominal remain TE-driven.
+    for (EdgeId edge : physical_.edge_ids()) {
+      const auto i = static_cast<std::size_t>(edge.value);
+      const Gbps target = std::min(physical_.edge(edge).capacity, feasible[i]);
+      if (target > configured_[i]) {
+        report.restorations.push_back(LinkFlap{edge, configured_[i], target});
+        configured_[i] = target;
       }
     }
 
@@ -464,11 +454,24 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
       report.plan = memo_.plan;
       report.stats.incremental_hit = true;
     } else {
+      // RoundStats::dirty_links: the base links whose inputs moved since
+      // the memoized solve; every link when there is none to diff against.
+      if (options_.incremental) {
+        const std::size_t edges = physical_.edge_count();
+        if (!memo_.valid) {
+          report.stats.dirty_links = edges;
+        } else {
+          const auto before = variable_overlay(edges, memo_.variable_links,
+                                               memo_.variable_traffic);
+          const auto after =
+              variable_overlay(edges, variable_links, variable_traffic);
+          for (std::size_t i = 0; i < edges; ++i)
+            if (memo_.configured[i] != configured_[i] || before[i] != after[i])
+              ++report.stats.dirty_links;
+        }
+      }
       report.plan =
-          evaluate(current, variable_links, *round_demands, report.stats,
-                   options_.incremental ? &augment_cache_ : nullptr);
-      if (options_.incremental)
-        report.stats.dirty_links = augment_cache_.last_dirty().size();
+          evaluate(current, variable_links, *round_demands, report.stats);
 
       // Consolidation: drop upgrades whose removal does not hurt throughput
       // or penalty (fewest activations among cost-equal optima).
@@ -552,7 +555,6 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
         static_cast<double>(report.stats.dirty_links) /
         static_cast<double>(physical_.edge_count());
 
-  auto& metrics = ControllerMetrics::instance();
   metrics.rounds.add();
   metrics.reductions.add(report.reductions.size());
   metrics.restorations.add(report.restorations.size());

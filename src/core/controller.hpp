@@ -50,10 +50,6 @@ struct ControllerOptions {
   AugmentOptions augment;
   /// Greedy post-pass dropping upgrades that do not improve throughput.
   bool consolidate = true;
-  /// Automatically restore a degraded link toward its nominal (provisioned)
-  /// rate as soon as the SNR allows, without waiting for TE to need it.
-  /// Upgrades beyond nominal always remain TE-driven.
-  bool restore_to_nominal = true;
   /// Optional dampening of capacity INCREASES (reductions always pass):
   /// suppresses flapping when SNR hovers around a ladder threshold.
   std::optional<HysteresisParams> hysteresis;
@@ -67,13 +63,11 @@ struct ControllerOptions {
   /// penalty-relevant traffic on variable links — are identical to the
   /// previous round's, the controller reuses the previous round's
   /// (post-consolidation) plan instead of re-running augment/solve/
-  /// translate; when only the demands changed but no link is dirty, the
-  /// augmented topology is reused via core::AugmentCache. Results are
-  /// bit-identical to a full re-solve by construction (a full re-solve on
-  /// identical inputs is deterministic, and engine caches are timing-only
-  /// by contract); only RoundStats work counters and timings differ. The
-  /// memo is never checkpointed — a cold memo after restore costs one full
-  /// re-solve, nothing else.
+  /// translate. Results are bit-identical to a full re-solve by
+  /// construction (a full re-solve on identical inputs is deterministic,
+  /// and engine caches are timing-only by contract); only RoundStats work
+  /// counters and timings differ. The memo is never checkpointed — a cold
+  /// memo after restore costs one full re-solve, nothing else.
   bool incremental = false;
   /// Optional consistent-update transition stage (docs/UPDATE.md): when
   /// set, every round also plans an update::UpdateSchedule ordering the
@@ -97,9 +91,11 @@ struct ControllerOptions {
   /// Thread pool for the consolidation pass's candidate evaluations;
   /// nullptr selects exec::ThreadPool::global(). The chosen plan is
   /// identical at every pool size (speculative waves replicate the serial
-  /// acceptance sequence — docs/CONCURRENCY.md); only RoundStats work
-  /// counters may include discarded speculative evaluations at sizes >= 2.
-  /// Requires the TE engine's solve() to be safe to call concurrently.
+  /// acceptance sequence — docs/CONCURRENCY.md). Waves are wider than one
+  /// trial only when the pool has >= 2 threads and the round does not run
+  /// on one of them; only then may RoundStats work counters include
+  /// discarded speculative evaluations. Requires the TE engine's solve()
+  /// to be safe to call concurrently.
   exec::ThreadPool* pool = nullptr;
 };
 
@@ -145,8 +141,9 @@ class DynamicCapacityController {
     /// plan was served from the previous round's memo without a solve.
     /// Work accounting only — never part of a round's result signature.
     bool incremental_hit = false;
-    /// Base links whose inputs changed since the previous augmentation
-    /// (edge_count on the first/cold round; 0 on a memo hit).
+    /// Base links whose configured rate, variable feasible rate or (for
+    /// a variable link) traffic changed since the last solved round
+    /// (edge_count on a cold or post-restore round; 0 on a memo hit).
     std::uint64_t dirty_links = 0;
     /// Whether any solver-rung reuse served work this round: an McfTe
     /// removed-edge prefix resume (solver.trace_resumes) or an LP memo hit
@@ -256,21 +253,16 @@ class DynamicCapacityController {
  private:
   /// One augment -> solve -> translate evaluation against `current`.
   /// Stage wall-times and the evaluation count accumulate into `stats`.
-  /// With `cache` non-null the augmentation goes through the dirty-link
-  /// cache (primary evaluation of an incremental round); consolidation
-  /// trials pass nullptr because their reduced variable sets would thrash
-  /// the cache.
   ReconfigurationPlan evaluate(const graph::Graph& current,
                                std::span<const VariableLink> variable_links,
                                const te::TrafficMatrix& demands,
-                               RoundStats& stats,
-                               AugmentCache* cache = nullptr) const;
+                               RoundStats& stats) const;
 
   /// Consolidation post-pass on report.plan: drops upgrades whose removal
-  /// does not hurt throughput or penalty. Serial at pool sizes <= 1; at
-  /// larger sizes the remaining candidates are evaluated in speculative
-  /// waves whose in-order acceptance scan reproduces the serial decision
-  /// sequence bit-for-bit.
+  /// does not hurt throughput or penalty. The remaining candidates are
+  /// evaluated in waves whose in-order acceptance scan reproduces the
+  /// serial decision sequence bit-for-bit; a wave holds one trial unless
+  /// the trials can really run at once.
   void consolidate(exec::ThreadPool& pool, const graph::Graph& current,
                    std::span<const VariableLink> variable_links,
                    const te::TrafficMatrix& demands,
@@ -298,7 +290,6 @@ class DynamicCapacityController {
   std::unique_ptr<demand::DemandPipeline> demand_pipeline_;
   std::vector<util::Gbps> configured_;
   SolveMemo memo_;
-  AugmentCache augment_cache_;
   std::optional<HysteresisFilter> hysteresis_;
   te::FlowAssignment last_assignment_;
   std::vector<double> last_traffic_;

@@ -38,8 +38,8 @@
 // per-flowlet reference kernel in tests/support/flowlet_reference.hpp.
 // No RNG runs in the tick loop: randomness is hashing (wcmp.hpp), so
 // determinism needs no stream bookkeeping. save_state()/restore_state()
-// capture everything that carries across rounds (the kDataplane
-// checkpoint section, docs/REPLAY.md): restore-then-continue is
+// capture everything that carries across rounds as an in-memory payload
+// (run_xcheck's restore leg, docs/DATAPLANE.md): restore-then-continue is
 // bit-identical.
 #pragma once
 
@@ -167,7 +167,7 @@ class DataplaneSim {
   RoundResult run_round(const te::FlowAssignment& assignment,
                         const CapacityTimeline& timeline);
 
-  /// Wire-encoded evolving state (the kDataplane checkpoint payload).
+  /// Wire-encoded evolving state (restored by run_xcheck's restore leg).
   std::vector<std::byte> save_state() const;
   /// Restores a save_state() payload; throws util::CheckError on corrupt
   /// or mismatched (topology/OD/config) payloads, including counts that

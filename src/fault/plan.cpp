@@ -15,8 +15,7 @@ constexpr std::pair<Kind, std::string_view> kKindNames[] = {
     {Kind::kStall, "stall"},         {Kind::kStale, "stale"},
     {Kind::kNan, "nan"},             {Kind::kGarbage, "garbage"},
     {Kind::kDuplicate, "duplicate"}, {Kind::kDrop, "drop"},
-    {Kind::kBudget, "budget"},       {Kind::kInvalidate, "invalidate"},
-    {Kind::kDelay, "delay"},
+    {Kind::kBudget, "budget"},       {Kind::kDelay, "delay"},
 };
 
 Kind parse_kind(std::string_view token, std::string_view clause) {

@@ -36,7 +36,6 @@ enum class Kind {
   kDuplicate,   ///< sample duplicated in place
   kDrop,        ///< sample/value dropped (arrived too late to use)
   kBudget,      ///< iteration/time budget clamped to `magnitude`
-  kInvalidate,  ///< cache entry force-invalidated (treated as a miss)
   kDelay,       ///< execution delayed `magnitude` milliseconds
 };
 

@@ -1,18 +1,13 @@
 // RAII wall-clock timing for the observability layer (rwc::obs).
 //
-// Two levels of API:
-//   ScopedTimer — zero-lookup hot-path timer recording into a Histogram
-//                 reference the caller obtained (and cached) beforehand.
-//   Span        — nested tracing: spans opened while another span is alive
-//                 on the same thread record under a dotted path joined from
-//                 the enclosing span names, "<a>.<b>.seconds". The
-//                 controller round is traced this way (see
-//                 docs/OBSERVABILITY.md, "Tracing").
+//   StopWatch   — monotonic stopwatch for stage timings.
+//   ScopedTimer — zero-lookup timer recording into a Histogram reference
+//                 the caller obtained (and cached) beforehand; the
+//                 controller round and the TE engines' solves are timed
+//                 this way (docs/OBSERVABILITY.md §1).
 #pragma once
 
 #include <chrono>
-#include <string>
-#include <string_view>
 
 #include "obs/registry.hpp"
 
@@ -55,30 +50,6 @@ class ScopedTimer {
 
  private:
   Histogram& histogram_;
-  double* accumulate_;
-  StopWatch watch_;
-};
-
-/// Nested tracing span. On destruction, records its lifetime (seconds) into
-/// the global registry's histogram named by the dotted join of all enclosing
-/// span names plus ".seconds": a `Span("solve")` inside a
-/// `Span("controller.round")` records into "controller.round.solve.seconds".
-///
-/// The span stack is per-thread; spans must be destroyed in LIFO order
-/// (guaranteed by scoping). Prefer ScopedTimer in per-iteration hot loops —
-/// a Span pays one registry lookup when it closes.
-class Span {
- public:
-  explicit Span(std::string_view name, double* accumulate_seconds = nullptr);
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span();
-
-  /// The full dotted path of the span ("controller.round.solve").
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
   double* accumulate_;
   StopWatch watch_;
 };

@@ -34,11 +34,14 @@ enum class SectionId : std::uint32_t {
   kRetiredWarmStarts = 5,
   /// Retired: SWAN k-shortest-path cache. Decoders skip it.
   kRetiredKspTunnels = 6,
-  kObs = 7,
+  /// Retired: global obs counters and gauges. Decoders skip it.
+  kRetiredObs = 7,
   kServe = 8,
-  kUpdate = 9,
+  /// Retired: update::ScheduleExecutor cursor. Decoders skip it.
+  kRetiredUpdate = 9,
   kDemand = 10,
-  kDataplane = 11,
+  /// Retired: dataplane::DataplaneSim state. Decoders skip it.
+  kRetiredDataplane = 11,
 };
 
 /// Handles into the global registry (docs/OBSERVABILITY.md: replay.*).
@@ -286,42 +289,6 @@ bool decode_rng(std::span<const std::byte> payload, Checkpoint& out) {
   return !reader.failed() && reader.exhausted();
 }
 
-std::vector<std::byte> encode_obs(const Checkpoint& checkpoint) {
-  ByteWriter writer;
-  writer.u64(checkpoint.obs_counters.size());
-  for (const auto& [name, value] : checkpoint.obs_counters) {
-    writer.str(name);
-    writer.u64(value);
-  }
-  writer.u64(checkpoint.obs_gauges.size());
-  for (const auto& [name, value] : checkpoint.obs_gauges) {
-    writer.str(name);
-    writer.f64(value);
-  }
-  return writer.take();
-}
-
-bool decode_obs(std::span<const std::byte> payload, Checkpoint& out) {
-  ByteReader reader(payload);
-  const std::uint64_t counters = reader.u64();
-  if (!reader.fits(counters)) return false;
-  out.obs_counters.reserve(counters);
-  for (std::uint64_t i = 0; i < counters && !reader.failed(); ++i) {
-    std::string name = reader.str();
-    const std::uint64_t value = reader.u64();
-    out.obs_counters.emplace_back(std::move(name), value);
-  }
-  const std::uint64_t gauges = reader.u64();
-  if (!reader.fits(gauges)) return false;
-  out.obs_gauges.reserve(gauges);
-  for (std::uint64_t i = 0; i < gauges && !reader.failed(); ++i) {
-    std::string name = reader.str();
-    const double value = reader.f64();
-    out.obs_gauges.emplace_back(std::move(name), value);
-  }
-  return !reader.failed() && reader.exhausted();
-}
-
 std::vector<std::byte> encode_demand(const Checkpoint& checkpoint) {
   ByteWriter writer;
   const demand::DemandPipeline::State& state = checkpoint.demand_state;
@@ -438,16 +405,10 @@ std::vector<std::byte> encode(const Checkpoint& checkpoint) {
   sections.emplace_back(SectionId::kController, encode_controller(checkpoint));
   sections.emplace_back(SectionId::kCursors, encode_cursors(checkpoint));
   sections.emplace_back(SectionId::kRng, encode_rng(checkpoint));
-  if (checkpoint.obs_present)
-    sections.emplace_back(SectionId::kObs, encode_obs(checkpoint));
   if (checkpoint.serve_present)
     sections.emplace_back(SectionId::kServe, checkpoint.serve_payload);
-  if (checkpoint.update_present)
-    sections.emplace_back(SectionId::kUpdate, checkpoint.update_payload);
   if (checkpoint.demand_present)
     sections.emplace_back(SectionId::kDemand, encode_demand(checkpoint));
-  if (checkpoint.dataplane_present)
-    sections.emplace_back(SectionId::kDataplane, checkpoint.dataplane_payload);
 
   ByteWriter writer;
   for (char c : kMagic) writer.u8(static_cast<std::uint8_t>(c));
@@ -504,10 +465,6 @@ Error decode(std::span<const std::byte> bytes, Checkpoint& out) {
         ok = decode_rng(payload, out);
         saw_rng = true;
         break;
-      case SectionId::kObs:
-        ok = decode_obs(payload, out);
-        out.obs_present = true;
-        break;
       case SectionId::kServe:
         // Opaque subsystem payload: the serve state machine owns the inner
         // framing (serve/service.cpp); the envelope only guarantees CRC
@@ -515,20 +472,9 @@ Error decode(std::span<const std::byte> bytes, Checkpoint& out) {
         out.serve_payload.assign(payload.begin(), payload.end());
         out.serve_present = true;
         break;
-      case SectionId::kUpdate:
-        // Opaque like kServe: update/executor.cpp owns the inner framing.
-        out.update_payload.assign(payload.begin(), payload.end());
-        out.update_present = true;
-        break;
       case SectionId::kDemand:
         ok = decode_demand(payload, out);
         out.demand_present = true;
-        break;
-      case SectionId::kDataplane:
-        // Opaque like kServe: dataplane/dataplane.cpp owns the inner
-        // framing (DataplaneSim::save_state).
-        out.dataplane_payload.assign(payload.begin(), payload.end());
-        out.dataplane_present = true;
         break;
       default:
         // Unknown or retired id within a known version: skip (forward and

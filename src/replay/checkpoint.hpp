@@ -3,8 +3,8 @@
 // A Checkpoint captures everything that evolves across TE rounds of a
 // ReplayDriver — controller hysteresis/round state, the SNR trace cursor
 // positions at the current chunk base, the analytic-accounting Rng stream,
-// cumulative metrics, a rolling round-signature digest, and (optionally)
-// the global obs counters.
+// cumulative metrics and a rolling round-signature digest, plus the
+// optional serve and demand sections of the drivers that run them.
 // A driver built with the same inputs and restored from a checkpoint
 // continues bit-identically to the uninterrupted run (docs/REPLAY.md states
 // the contract; tests/test_replay_driver.cpp proves it at pool sizes
@@ -20,10 +20,11 @@
 // All integers are little-endian; doubles/floats travel as their IEEE-754
 // bit patterns (bit-exactness is the whole point). Unknown section ids are
 // skipped (forward compatibility within a format version); the meta,
-// controller, cursors and rng sections are mandatory. The obs section is
-// optional — its absence is the explicit no-obs marker. Ids 5 and 6 held
-// engine caches in earlier builds; they are retired, and a checkpoint that
-// still carries them decodes with the sections skipped.
+// controller, cursors and rng sections are mandatory. Ids 5 and 6 held
+// engine caches in earlier builds, and ids 7, 9 and 11 the obs registry,
+// an update-executor cursor and a dataplane state that no driver wrote;
+// they are retired, and a checkpoint that still carries them decodes with
+// the sections skipped.
 //
 // docs/REPLAY.md documents the format, versioning policy and the recovery
 // workflow; docs/FAULTS.md documents the `replay.restore` fault site that
@@ -34,8 +35,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -93,13 +92,6 @@ struct Checkpoint {
   // Rng section: the analytic latency-accounting stream.
   util::RngState latency_rng;
 
-  // Obs section (optional): cumulative counters/gauges of the global
-  // registry. Histograms are not captured — a restore resets them
-  // (documented limitation, docs/REPLAY.md).
-  bool obs_present = false;
-  std::vector<std::pair<std::string, std::uint64_t>> obs_counters;
-  std::vector<std::pair<std::string, double>> obs_gauges;
-
   // Serve section (optional): opaque state payload of the rwc::serve
   // control-plane state machine (current demands/SNR, ingest-log cursor —
   // serve/service.cpp owns the inner framing, docs/SERVE.md documents it).
@@ -108,29 +100,12 @@ struct Checkpoint {
   bool serve_present = false;
   std::vector<std::byte> serve_payload;
 
-  // Update section (optional): opaque execution cursor of a mid-flight
-  // update::ScheduleExecutor (committed-round count + timing counters —
-  // update/executor.cpp owns the inner framing, docs/UPDATE.md documents
-  // it). Same envelope contract as the serve section.
-  bool update_present = false;
-  std::vector<std::byte> update_payload;
-
-  // Dataplane section (optional): opaque evolving state of a
-  // dataplane::DataplaneSim riding along with the control-plane run
-  // (flowlet rates, pipeline queues, round counter —
-  // dataplane/dataplane.cpp owns the inner framing, docs/DATAPLANE.md
-  // documents it). Same envelope contract as the serve/update sections:
-  // restore-then-continue is bit-identical to the uninterrupted run.
-  bool dataplane_present = false;
-  std::vector<std::byte> dataplane_payload;
-
   // Demand section (present exactly when the run estimates demands from
   // link counters, core::ControllerOptions::demand): the DemandPipeline's
   // cross-round state — round index, EWMA prior, last observed counters,
-  // capacity peaks (docs/DEMAND.md). Unlike the obs section it
-  // CHANGES RESULTS, so restore() treats it as mandatory whenever the
-  // restoring driver runs estimated and rejects its absence with
-  // kMissingSection.
+  // capacity peaks (docs/DEMAND.md). It CHANGES RESULTS, so restore()
+  // treats it as mandatory whenever the restoring driver runs estimated
+  // and rejects its absence with kMissingSection.
   bool demand_present = false;
   demand::DemandPipeline::State demand_state;
 };

@@ -288,14 +288,6 @@ Checkpoint ReplayDriver::checkpoint() const {
     out.demand_present = true;
     out.demand_state = pipeline->save_state();
   }
-  if (config_.checkpoint_obs) {
-    out.obs_present = true;
-    auto& registry = obs::Registry::global();
-    for (const auto& [name, counter] : registry.counters())
-      out.obs_counters.emplace_back(name, counter->value());
-    for (const auto& [name, gauge] : registry.gauges())
-      out.obs_gauges.emplace_back(name, gauge->value());
-  }
   return out;
 }
 
@@ -321,17 +313,6 @@ Error ReplayDriver::restore(const Checkpoint& checkpoint) {
   if (shape != Error::kNone) {
     driver_metrics.rejected.add();
     return shape;
-  }
-
-  // Optional obs rewind first, so the restore's own bookkeeping lands on
-  // top of the restored values.
-  if (config_.checkpoint_obs && checkpoint.obs_present) {
-    auto& registry = obs::Registry::global();
-    registry.reset_values();
-    for (const auto& [name, value] : checkpoint.obs_counters)
-      registry.counter(name).add(value);
-    for (const auto& [name, value] : checkpoint.obs_gauges)
-      registry.gauge(name).set(value);
   }
 
   controller_.restore_state(checkpoint.controller);

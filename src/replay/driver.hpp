@@ -57,11 +57,6 @@ struct ReplayConfig {
   /// config fingerprint: chunk boundaries decide which cursor states a
   /// checkpoint carries.
   std::uint64_t chunk_rounds = 256;
-  /// Persist (and restore) the global obs counters/gauges. Off by default:
-  /// the registry is process-global, so restoring it rewinds metrics of
-  /// everything else in the process too. Histograms are reset on restore
-  /// (documented limitation, docs/REPLAY.md).
-  bool checkpoint_obs = false;
   /// When non-zero and a store is attached, step() writes a checkpoint
   /// every this many rounds.
   std::uint64_t checkpoint_every = 0;

@@ -5,7 +5,6 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
-#include "replay/wire.hpp"
 #include "util/check.hpp"
 
 namespace rwc::update {
@@ -13,7 +12,6 @@ namespace rwc::update {
 namespace {
 
 constexpr double kEps = 1e-6;
-constexpr std::uint32_t kExecutorStateVersion = 1;
 
 struct ExecMetrics {
   obs::Counter& rounds_committed;
@@ -176,65 +174,6 @@ const ExecutionResult& ScheduleExecutor::run_rounds(
   result_.completed =
       !result_.aborted && next_round_ >= schedule_->rounds.size();
   return result_;
-}
-
-std::vector<std::byte> ScheduleExecutor::save_state() const {
-  replay::wire::ByteWriter writer;
-  writer.u32(kExecutorStateVersion);
-  writer.u8(result_.aborted ? 1 : 0);
-  writer.u8(result_.completed ? 1 : 0);
-  writer.u32(static_cast<std::uint32_t>(next_round_));
-  writer.u64(result_.rounds_committed);
-  writer.u64(result_.commit_attempts);
-  writer.u64(result_.rollbacks);
-  writer.f64(result_.makespan_seconds);
-  return writer.take();
-}
-
-bool ScheduleExecutor::restore_state(std::span<const std::byte> payload) {
-  replay::wire::ByteReader reader(payload);
-  if (reader.u32() != kExecutorStateVersion) return false;
-  ExecutionResult restored;
-  restored.aborted = reader.u8() != 0;
-  restored.completed = reader.u8() != 0;
-  const std::uint32_t next_round = reader.u32();
-  restored.rounds_committed = reader.u64();
-  restored.commit_attempts = reader.u64();
-  restored.rollbacks = reader.u64();
-  restored.makespan_seconds = reader.f64();
-  if (reader.failed() || !reader.exhausted()) return false;
-  if (next_round > schedule_->rounds.size()) return false;
-  if (restored.rounds_committed != next_round) return false;
-  if (restored.completed &&
-      (restored.aborted || next_round != schedule_->rounds.size()))
-    return false;
-
-  // The dataplane is a pure function of (schedule, committed prefix):
-  // re-apply rounds [0, next_round) in canonical order, fault-free and
-  // unobserved, for a bit-identical rebuild.
-  DataplaneState state = schedule_->initial;
-  for (std::uint32_t r = 0; r < next_round; ++r) {
-    for (const Move& move : schedule_->rounds[r].moves) {
-      if (move.kind == Move::Kind::kReconfig) {
-        const auto e = static_cast<std::size_t>(move.edge.value);
-        state.capacity_gbps[e] = move.to.value;
-        state.limit_gbps[e] = move.to.value * (1.0 + schedule_->headroom);
-        continue;
-      }
-      const double sign =
-          move.kind == Move::Kind::kRouteRemove ? -1.0 : 1.0;
-      const RouteKey key{move.demand_index, move.path.edges};
-      for (graph::EdgeId edge : move.path.edges)
-        state.load_gbps[static_cast<std::size_t>(edge.value)] +=
-            sign * move.volume.value;
-      state.routes[key] += sign * move.volume.value;
-      if (state.routes[key] <= kEps) state.routes.erase(key);
-    }
-  }
-  state_ = std::move(state);
-  next_round_ = next_round;
-  result_ = restored;
-  return true;
 }
 
 }  // namespace rwc::update

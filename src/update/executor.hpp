@@ -14,16 +14,11 @@
 // Faults only ever perturb timing (kStall/kDelay inflate the reported
 // makespan) or force retries/aborts at round boundaries; the committed
 // state sequence is bit-identical to a fault-free run of the same prefix.
-// Execution is checkpointable: save_state() captures a tiny cursor
-// (committed-round count + timing/attempt counters) and restore_state()
-// rebuilds the dataplane deterministically by re-applying the committed
-// prefix — restore-then-continue is bit-identical at every pool size.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "update/schedule.hpp"
@@ -66,8 +61,8 @@ class ScheduleExecutor {
   /// result; `observer` (optional) sees every intermediate state.
   const ExecutionResult& run(const StateObserver& observer = {});
 
-  /// Executes up to `count` further rounds (for mid-schedule checkpoint
-  /// tests). No-op once done() or aborted().
+  /// Executes up to `count` further rounds (the committed-prefix oracle of
+  /// tests/prop/prop_update.cpp). No-op once done() or aborted().
   const ExecutionResult& run_rounds(std::size_t count,
                                     const StateObserver& observer = {});
 
@@ -78,17 +73,6 @@ class ScheduleExecutor {
     return next_round_ >= schedule_->rounds.size() || result_.aborted;
   }
   bool aborted() const { return result_.aborted; }
-
-  /// Serializes the execution cursor (committed-round count, attempt and
-  /// timing counters) via replay::wire. The dataplane itself is not
-  /// serialized: it is a pure function of the schedule and the cursor,
-  /// and restore_state() re-derives it bit-identically.
-  std::vector<std::byte> save_state() const;
-
-  /// Restores a cursor produced by save_state() against the same
-  /// schedule. Returns false (state unchanged) on a malformed payload or
-  /// a cursor that does not fit this schedule.
-  bool restore_state(std::span<const std::byte> payload);
 
  private:
   bool attempt_round(const UpdateRound& round, const StateObserver& observer);

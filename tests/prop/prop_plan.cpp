@@ -180,6 +180,7 @@ TEST(PropPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW(fault::FaultPlan::parse("nonsense"), util::CheckError);
   EXPECT_THROW(fault::FaultPlan::parse("site@x:fail"), util::CheckError);
   EXPECT_THROW(fault::FaultPlan::parse("site@1:notakind"), util::CheckError);
+  EXPECT_THROW(fault::FaultPlan::parse("site@1:invalidate"), util::CheckError);
   EXPECT_THROW(fault::FaultPlan::parse("site%0@1:fail;"), util::CheckError);
 }
 

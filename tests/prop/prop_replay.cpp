@@ -144,13 +144,11 @@ TEST(PropReplay, SingleByteFlipsNeverDecode) {
   const te::McfTe engine;
   for (const std::uint64_t seed : kSeeds) {
     const ReplayFixture fixture = make_fixture(seed);
-    ReplayConfig config = fixture.config;
-    // Mandatory sections only: with the optional obs section present, one
-    // flip of a section id could in principle re-tag it as
-    // skippable-unknown and still decode. Every byte of a mandatory-only
-    // checkpoint is load-bearing.
-    config.checkpoint_obs = false;
-    ReplayDriver driver(fixture.topology, engine, fixture.demands, config);
+    // The driver writes mandatory sections only, so every byte is
+    // load-bearing: with an optional section present, one flip of its id
+    // could in principle re-tag it as skippable-unknown and still decode.
+    ReplayDriver driver(fixture.topology, engine, fixture.demands,
+                        fixture.config);
     driver.run(3);
     const std::vector<std::byte> bytes = replay::encode(driver.checkpoint());
 

@@ -52,16 +52,20 @@ inline std::vector<std::byte> splice_section(std::vector<std::byte> bytes,
 }
 
 /// An encoded checkpoint as an older build wrote it: arbitrary bytes under
-/// the retired cache section ids 5 and 6, after the four mandatory
-/// sections, each under a valid CRC.
-inline std::vector<std::byte> with_retired_cache_sections(
+/// each retired section id (5 and 6 held engine caches; 7, 9 and 11 the
+/// obs registry, an update-executor cursor and a dataplane state), after
+/// the four mandatory sections, each under a valid CRC.
+inline std::vector<std::byte> with_retired_sections(
     std::vector<std::byte> bytes) {
-  std::vector<std::byte> warm;
-  std::vector<std::byte> paths;
-  for (int i = 0; i < 53; ++i) warm.push_back(static_cast<std::byte>(i * 29 + 7));
-  for (int i = 0; i < 31; ++i) paths.push_back(static_cast<std::byte>(255 - i * 13));
-  bytes = splice_section(std::move(bytes), 5, warm, 4);
-  return splice_section(std::move(bytes), 6, paths, 5);
+  constexpr std::uint32_t kRetiredIds[] = {5, 6, 7, 9, 11};
+  std::size_t after = 4;
+  for (const std::uint32_t id : kRetiredIds) {
+    std::vector<std::byte> payload;
+    for (std::uint32_t i = 0; i < 17 + 9 * id; ++i)
+      payload.push_back(static_cast<std::byte>((i * 29 + id * 7) & 0xFFu));
+    bytes = splice_section(std::move(bytes), id, payload, after++);
+  }
+  return bytes;
 }
 
 }  // namespace rwc::replay

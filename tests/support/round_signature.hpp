@@ -43,8 +43,8 @@ inline InvariantResult all_of(std::initializer_list<InvariantResult> checks) {
 /// re-solve contract (docs/FLEET.md) promises is bit-identical between
 /// the hot path and a full re-solve. Work counters (evaluations, stage
 /// seconds, incremental_hit, dirty_links) are deliberately excluded —
-/// speculative waves may discard extra evaluations at pool sizes >= 2,
-/// and the hot path exists precisely to skip work.
+/// speculative waves may discard extra evaluations when their trials run
+/// concurrently, and the hot path exists precisely to skip work.
 struct RoundSignature {
   std::vector<std::pair<std::int32_t, double>> upgrades;  // (edge, to)
   double routed = 0.0;

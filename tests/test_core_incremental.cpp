@@ -1,5 +1,5 @@
 // Tests for the controller's incremental re-solve hot path (docs/FLEET.md):
-// the memo fast path, the AugmentCache dirty-link diff, and the contract
+// the memo fast path, the dirty-link diff against the memo, and the contract
 // that the hot path changes work counters and timings only — every round's
 // result is bit-identical to a full re-solve on the same inputs. A
 // non-incremental twin controller is driven with the same per-round inputs
@@ -110,7 +110,7 @@ TEST(CoreIncremental, SnrShiftOnEveryLinkMakesAllLinksDirty) {
   ASSERT_TRUE(report.stats.incremental_hit);
 
   // Every link's SNR now supports only 175 G: every configured capacity
-  // changes, so the memo misses and the augment diff marks every link.
+  // changes, so the memo misses and the diff marks every link.
   report =
       step_pair(incremental, full, uniform_snr(base, 12.0), demands, "shift");
   EXPECT_FALSE(report.stats.incremental_hit);
@@ -118,7 +118,7 @@ TEST(CoreIncremental, SnrShiftOnEveryLinkMakesAllLinksDirty) {
   EXPECT_GE(report.stats.evaluations, 1u);
 }
 
-TEST(CoreIncremental, DemandOnlyChangeReusesAugmentedTopology) {
+TEST(CoreIncremental, DemandOnlyChangeDirtiesNoLink) {
   graph::Graph base = sim::fig7_square();
   te::McfTe engine;
   DynamicCapacityController incremental(
@@ -137,8 +137,8 @@ TEST(CoreIncremental, DemandOnlyChangeReusesAugmentedTopology) {
   ASSERT_TRUE(report.stats.incremental_hit);
 
   // Changing only the demand volume invalidates the memo (the solve must
-  // rerun) but no base link's inputs moved, so the augmented topology is
-  // served from the AugmentCache: zero dirty links on a non-hit round.
+  // rerun) but no base link's inputs moved: zero dirty links on a non-hit
+  // round.
   demands[0].volume = 160_Gbps;
   report = step_pair(incremental, full, snr, demands, "demand change");
   EXPECT_FALSE(report.stats.incremental_hit);
@@ -165,7 +165,7 @@ TEST(CoreIncremental, RestoreStateInvalidatesMemoButNotResults) {
 
   // Round-tripping through PersistentState drops the memo (it is
   // deliberately not checkpointed): the next round costs one full solve
-  // with an all-dirty augment, then the memo re-forms.
+  // with every link dirty, then the memo re-forms.
   incremental.restore_state(incremental.save_state());
   report = step_pair(incremental, full, snr, demands, "post-restore");
   EXPECT_FALSE(report.stats.incremental_hit);
@@ -203,7 +203,7 @@ TEST(CoreIncremental, ZeroHeadroomRoundsHitImmediately) {
 
 TEST(CoreIncremental, SingleLinkSnrShiftDirtiesExactlyThatLink) {
   // The finest-grained perturbation the paper's traces produce: one link's
-  // SNR crosses a modulation threshold. The augment diff must mark exactly
+  // SNR crosses a modulation threshold. The memo diff must mark exactly
   // that link and RoundStats must report the matching dirty fraction.
   graph::Graph base = sim::fig7_square();
   te::McfTe engine;
@@ -332,46 +332,6 @@ TEST(CoreIncremental, AugmentRejectsZeroHeadroomVariableLink) {
   EXPECT_THROW(augment_topology(base, zero_headroom,
                                 TrafficProportionalPenalty{}, {}),
                util::CheckError);
-}
-
-TEST(CoreIncremental, AugmentCachePenaltyIdentityAndTrafficKeying) {
-  // The cache keys on the penalty policy's identity and the traffic on
-  // VARIABLE links only: swapping the policy object or moving variable-link
-  // traffic must miss; moving traffic on a non-variable link must hit.
-  graph::Graph base = sim::fig7_square();
-  const std::vector<VariableLink> variable = {{EdgeId{0}, 200_Gbps}};
-  const TrafficProportionalPenalty penalty_a;
-  const TrafficProportionalPenalty penalty_b;
-  std::vector<double> traffic(base.edge_count(), 0.0);
-
-  AugmentCache cache;
-  cache.get(base, variable, penalty_a, traffic, {});
-  EXPECT_FALSE(cache.last_was_hit());
-  EXPECT_EQ(cache.last_dirty().size(), base.edge_count());
-
-  cache.get(base, variable, penalty_a, traffic, {});
-  EXPECT_TRUE(cache.last_was_hit());
-
-  // Traffic on a NON-variable link is irrelevant to the augmentation.
-  traffic[1] = 40.0;
-  cache.get(base, variable, penalty_a, traffic, {});
-  EXPECT_TRUE(cache.last_was_hit());
-
-  // Traffic on the variable link feeds the penalty policy: dirty.
-  traffic[0] = 40.0;
-  cache.get(base, variable, penalty_a, traffic, {});
-  EXPECT_FALSE(cache.last_was_hit());
-  ASSERT_EQ(cache.last_dirty().size(), 1u);
-  EXPECT_EQ(cache.last_dirty()[0], EdgeId{0});
-
-  // Same parameters, different policy object: identity keying must miss.
-  cache.get(base, variable, penalty_b, traffic, {});
-  EXPECT_FALSE(cache.last_was_hit());
-
-  cache.invalidate();
-  cache.get(base, variable, penalty_b, traffic, {});
-  EXPECT_FALSE(cache.last_was_hit());
-  EXPECT_EQ(cache.last_dirty().size(), base.edge_count());
 }
 
 }  // namespace

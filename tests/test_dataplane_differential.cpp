@@ -1,7 +1,7 @@
 // Differential tests of the dataplane against the solver allocation
 // (docs/DATAPLANE.md §5): the gap oracle for both TE engines over two
 // seeds, capacity safety, bitwise determinism across thread-pool sizes,
-// checkpoint restore-then-continue, the pinned kDataplane wire format, and
+// save/restore-then-continue, the pinned save_state() wire format, and
 // the dataplane-backed demand counter source certifying exact recovery on a
 // clean round.
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
-#include "replay/checkpoint.hpp"
 #include "replay/wire.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
@@ -428,18 +427,6 @@ TEST(DataplaneDifferential, ConservationIsExactOverMigratingRounds) {
         << "round " << round;
   }
   EXPECT_GT(migrations, 0u) << "the plans must move flowlets";
-}
-
-TEST(DataplaneDifferential, CheckpointCarriesTheDataplaneSection) {
-  replay::Checkpoint checkpoint;
-  checkpoint.dataplane_present = true;
-  checkpoint.dataplane_payload = {std::byte{0x52}, std::byte{0x57},
-                                  std::byte{0x43}, std::byte{0x44}};
-  const std::vector<std::byte> encoded = replay::encode(checkpoint);
-  replay::Checkpoint decoded;
-  ASSERT_EQ(replay::decode(encoded, decoded), replay::Error::kNone);
-  EXPECT_TRUE(decoded.dataplane_present);
-  EXPECT_EQ(decoded.dataplane_payload, checkpoint.dataplane_payload);
 }
 
 // The dataplane-backed counter source (docs/DATAPLANE.md §6): on a clean

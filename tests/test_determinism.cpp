@@ -1,7 +1,7 @@
 // Pool-size invariance: the parallel hot paths (speculative-wave
 // consolidation, scenario sweeps) must produce bit-identical results at
-// every pool size, including the serial pool that runs the original
-// pre-parallel code path. The signature extraction and comparison live in
+// every pool size, including the serial pool, whose one-trial waves are the
+// serial decision sequence. The signature extraction and comparison live in
 // tests/prop/invariants.hpp, shared with the property harness (which
 // re-checks the same contract under active fault plans).
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/controller.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "optical/modulation.hpp"
 #include "prop/invariants.hpp"
@@ -28,20 +29,23 @@ struct RoundOutcome {
   std::uint64_t evaluations = 0;
 };
 
-/// One controller round on a loaded WAN with SNR headroom everywhere, so
-/// the consolidation pass has real candidates to try.
+/// One controller round on a WAN loaded to `load` of its capacity with SNR
+/// headroom everywhere, so the consolidation pass has real candidates to
+/// try.
 RoundOutcome run_controller_round(const te::TeAlgorithm& engine,
-                                  exec::ThreadPool& pool) {
+                                  exec::ThreadPool& pool, double load = 0.5,
+                                  bool consolidate = true) {
   util::Rng topo_rng = util::Rng::stream(21, 0);
   const graph::Graph g = sim::waxman(16, topo_rng);
   util::Rng demand_rng = util::Rng::stream(21, 1);
   sim::GravityParams gravity;
-  gravity.total = util::Gbps{g.total_capacity().value / 2.0};
+  gravity.total = util::Gbps{g.total_capacity().value * load};
   gravity.sparsity = 0.9;
   const auto demands = sim::gravity_matrix(g, gravity, demand_rng);
   const std::vector<util::Db> snr(g.edge_count(), util::Db{20.0});
 
   core::ControllerOptions options;
+  options.consolidate = consolidate;
   options.pool = &pool;
   core::DynamicCapacityController controller(
       g, optical::ModulationTable::standard(), engine, options);
@@ -62,7 +66,7 @@ TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithMcf) {
   te::McfTe::Options engine_options;
   engine_options.prefix_reuse = false;
   const te::McfTe engine(engine_options);
-  exec::ThreadPool serial(0);  // exact pre-parallel serial loop
+  exec::ThreadPool serial(0);  // one-trial waves: the serial loop
   const RoundOutcome expected = run_controller_round(engine, serial);
   // The fixture must actually exercise consolidation, or this test proves
   // nothing about the speculative waves.
@@ -71,6 +75,38 @@ TEST(Determinism, ControllerRoundIsPoolSizeInvariantWithMcf) {
     exec::ThreadPool pool(threads);
     expect_same_outcome(expected, run_controller_round(engine, pool),
                         threads);
+  }
+}
+
+TEST(Determinism, ControllerRoundIsPoolSizeInvariantWhenTrialsAccept) {
+  // At 0.3 of capacity consolidation accepts trials, so a wave's first
+  // acceptance must win over the later trials of its window. Each pool
+  // size also runs two rounds at once on its own workers, where
+  // parallel_for runs inline: there the window is one trial, so the
+  // evaluation count must be the serial one too. Cold engine, as above.
+  te::McfTe::Options engine_options;
+  engine_options.prefix_reuse = false;
+  const te::McfTe engine(engine_options);
+  exec::ThreadPool serial(0);
+  const RoundOutcome expected = run_controller_round(engine, serial, 0.3);
+  const RoundOutcome unconsolidated =
+      run_controller_round(engine, serial, 0.3, /*consolidate=*/false);
+  ASSERT_LT(expected.signature.upgrades.size(),
+            unconsolidated.signature.upgrades.size())
+      << "the fixture must accept at least one consolidation trial";
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    exec::ThreadPool pool(threads);
+    expect_same_outcome(expected, run_controller_round(engine, pool, 0.3),
+                        threads);
+    std::vector<RoundOutcome> nested(2);
+    exec::parallel_for(pool, nested.size(), [&](std::size_t i) {
+      nested[i] = run_controller_round(engine, pool, 0.3);
+    });
+    for (const RoundOutcome& outcome : nested) {
+      expect_same_outcome(expected, outcome, threads);
+      EXPECT_EQ(outcome.evaluations, expected.evaluations)
+          << threads << " threads, nested";
+    }
   }
 }
 

@@ -1,15 +1,12 @@
 // Cross-thread stress for the observability layer: instruments record from
-// many pool workers at once, registry lookups race with recordings, and the
-// per-thread span stack keeps nesting paths isolated between threads.
+// many pool workers at once and registry lookups race with recordings.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
-#include "obs/timer.hpp"
 
 namespace rwc::obs {
 namespace {
@@ -57,27 +54,6 @@ TEST(ObsConcurrent, RegistryLookupsRaceSafelyWithRecordings) {
                                  std::to_string(i))
                         .value();
   EXPECT_EQ(unique_total, 512u);
-}
-
-TEST(ObsConcurrent, SpanStacksAreThreadLocal) {
-  // Each worker nests its own spans; the dotted path must reflect only the
-  // worker's own stack, never a sibling thread's. A cross-thread leak would
-  // produce paths like "a.a" or mismatched accumulations.
-  exec::ThreadPool pool(8);
-  std::atomic<int> bad_paths{0};
-  exec::parallel_for(pool, 256, [&](std::size_t i) {
-    const std::string outer_name =
-        "test.span.t" + std::to_string(i % 8);
-    double outer_seconds = 0.0;
-    {
-      Span outer(outer_name, &outer_seconds);
-      if (outer.path() != outer_name) ++bad_paths;
-      Span inner("leaf");
-      if (inner.path() != outer_name + ".leaf") ++bad_paths;
-    }
-    if (outer_seconds <= 0.0) ++bad_paths;
-  });
-  EXPECT_EQ(bad_paths.load(), 0);
 }
 
 }  // namespace

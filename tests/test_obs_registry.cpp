@@ -1,6 +1,6 @@
 // Tests for the observability primitives: counter/gauge/histogram
 // semantics, histogram quantile accuracy against the exact sample quantiles,
-// the Span tracing API, and the JSON exporter round-trip.
+// the ScopedTimer, and the JSON exporter round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,20 +167,6 @@ TEST(ObsRegistry, ConcurrentCountingIsLossless) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
   EXPECT_EQ(histogram.count(), kThreads * kPerThread);
-}
-
-TEST(ObsSpan, NestedSpansBuildDottedPaths) {
-  double outer_seconds = 0.0;
-  {
-    Span outer("obs_test.outer", &outer_seconds);
-    EXPECT_EQ(outer.path(), "obs_test.outer");
-    Span inner("stage");
-    EXPECT_EQ(inner.path(), "obs_test.outer.stage");
-  }
-  EXPECT_GT(outer_seconds, 0.0);
-  auto& registry = Registry::global();
-  EXPECT_EQ(registry.histogram("obs_test.outer.seconds").count(), 1u);
-  EXPECT_EQ(registry.histogram("obs_test.outer.stage.seconds").count(), 1u);
 }
 
 TEST(ObsScopedTimer, RecordsAndAccumulates) {

@@ -25,8 +25,9 @@ using replay::Checkpoint;
 using replay::CheckpointStore;
 using replay::Error;
 
-/// A checkpoint exercising every section with non-default content.
-Checkpoint sample_checkpoint(bool with_obs = true) {
+/// A checkpoint exercising every section with non-default content; the
+/// optional serve section only `with_serve`.
+Checkpoint sample_checkpoint(bool with_serve = true) {
   Checkpoint ck;
   ck.config_fingerprint = 0xFEEDFACECAFEBEEFull;
   ck.round = 40;
@@ -78,10 +79,10 @@ Checkpoint sample_checkpoint(bool with_obs = true) {
   ck.latency_rng.cached_normal = -1.25;
   ck.latency_rng.has_cached_normal = true;
 
-  if (with_obs) {
-    ck.obs_present = true;
-    ck.obs_counters = {{"replay.rounds", 40}, {"flow.mincost.runs", 123}};
-    ck.obs_gauges = {{"exec.pool_utilization", 0.75}};
+  if (with_serve) {
+    ck.serve_present = true;
+    for (int i = 0; i < 19; ++i)
+      ck.serve_payload.push_back(static_cast<std::byte>(i * 41 + 3));
   }
   return ck;
 }
@@ -153,9 +154,8 @@ void expect_checkpoints_equal(const Checkpoint& a, const Checkpoint& b) {
     EXPECT_EQ(a.cursors[i], b.cursors[i]);
   EXPECT_EQ(a.latency_rng, b.latency_rng);
 
-  EXPECT_EQ(a.obs_present, b.obs_present);
-  EXPECT_EQ(a.obs_counters, b.obs_counters);
-  EXPECT_EQ(a.obs_gauges, b.obs_gauges);
+  EXPECT_EQ(a.serve_present, b.serve_present);
+  EXPECT_EQ(a.serve_payload, b.serve_payload);
 }
 
 /// Scratch directory per test, removed on destruction.
@@ -185,28 +185,32 @@ TEST(ReplayCheckpoint, EncodeDecodeRoundTripsAllSections) {
 }
 
 TEST(ReplayCheckpoint, ColdCacheMarkerRoundTrips) {
-  const Checkpoint original = sample_checkpoint(/*with_obs=*/false);
+  // Absent optional sections decode as absent, not as empty payloads.
+  const Checkpoint original = sample_checkpoint(/*with_serve=*/false);
   const std::vector<std::byte> bytes = replay::encode(original);
   Checkpoint decoded;
   ASSERT_EQ(replay::decode(bytes, decoded), Error::kNone);
-  EXPECT_FALSE(decoded.obs_present);
+  expect_checkpoints_equal(original, decoded);
+  EXPECT_FALSE(decoded.serve_present);
+  EXPECT_FALSE(decoded.demand_present);
 }
 
 TEST(ReplayCheckpoint, RetiredCacheSectionsAreSkipped) {
-  // Earlier builds wrote engine caches under ids 5 and 6. A checkpoint that
+  // Earlier builds wrote engine caches under ids 5 and 6 and the obs,
+  // update and dataplane sections under ids 7, 9 and 11. A checkpoint that
   // still carries them, whatever their bytes, must decode to the same
   // fields as one without them.
-  for (const bool with_obs : {false, true}) {
-    const Checkpoint original = sample_checkpoint(with_obs);
+  for (const bool with_serve : {false, true}) {
+    const Checkpoint original = sample_checkpoint(with_serve);
     const std::vector<std::byte> plain = replay::encode(original);
     const std::vector<std::byte> spliced =
-        replay::with_retired_cache_sections(plain);
+        replay::with_retired_sections(plain);
     ASSERT_GT(spliced.size(), plain.size());
     Checkpoint decoded;
     ASSERT_EQ(replay::decode(spliced, decoded), Error::kNone)
-        << "with_obs=" << with_obs;
+        << "with_serve=" << with_serve;
     expect_checkpoints_equal(original, decoded);
-    EXPECT_EQ(replay::encode(decoded), plain) << "with_obs=" << with_obs;
+    EXPECT_EQ(replay::encode(decoded), plain) << "with_serve=" << with_serve;
   }
 }
 
@@ -246,7 +250,7 @@ TEST(ReplayCheckpoint, DecodeRejectsPayloadBitRot) {
 }
 
 TEST(ReplayCheckpoint, DecodeRejectsMissingMandatorySection) {
-  const Checkpoint original = sample_checkpoint(/*with_obs=*/false);
+  const Checkpoint original = sample_checkpoint(/*with_serve=*/false);
   std::vector<std::byte> bytes = replay::encode(original);
   // Retag the first section (kMeta, id at offset 16) as an unknown id; the
   // decoder skips unknown sections, leaving the mandatory meta one absent.

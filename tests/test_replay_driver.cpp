@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "obs/registry.hpp"
 #include "prop/invariants.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/driver.hpp"
@@ -203,8 +202,8 @@ TEST(ReplayDriver, SwanEngineKillRestoreIsBitIdentical) {
 }
 
 TEST(ReplayDriver, RestoresCheckpointCarryingRetiredCacheSections) {
-  // A mid-run checkpoint as an earlier build wrote it, with engine caches
-  // under the retired ids 5 and 6, restores and finishes the horizon on
+  // A mid-run checkpoint as an earlier build wrote it, with sections under
+  // the retired ids 5, 6, 7, 9 and 11, restores and finishes the horizon on
   // the uninterrupted run's chain.
   const Fixture f = make_fixture(20170701, /*nodes=*/8);
   const te::McfTe engine;
@@ -214,7 +213,7 @@ TEST(ReplayDriver, RestoresCheckpointCarryingRetiredCacheSections) {
   ReplayDriver source(f.topology, engine, f.demands, config);
   source.run(5);
   const std::vector<std::byte> bytes =
-      replay::with_retired_cache_sections(replay::encode(source.checkpoint()));
+      replay::with_retired_sections(replay::encode(source.checkpoint()));
   Checkpoint checkpoint;
   ASSERT_EQ(replay::decode(bytes, checkpoint), Error::kNone);
   ReplayDriver resumed(f.topology, engine, f.demands, config);
@@ -275,28 +274,6 @@ TEST(ReplayDriver, PeriodicStoreAndRestoreLatestResumeTheRun) {
     expect_metrics_equal(ref.metrics, resumed.metrics(), "restore_latest");
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST(ReplayDriver, ObsCheckpointRewindsCounters) {
-  const Fixture f = make_fixture(20170701, /*nodes=*/8);
-  const te::McfTe engine;
-  ReplayConfig config = small_config(/*rounds=*/10, /*chunk_rounds=*/8);
-  config.checkpoint_obs = true;
-
-  ReplayDriver driver(f.topology, engine, f.demands, config);
-  driver.run(4);
-  const Checkpoint ck = driver.checkpoint();
-  const std::uint64_t rounds_at_capture =
-      obs::Registry::global().counter("replay.rounds").value();
-
-  driver.run(4);  // counter moves on
-  ASSERT_GT(obs::Registry::global().counter("replay.rounds").value(),
-            rounds_at_capture);
-
-  ASSERT_EQ(driver.restore(ck), Error::kNone);
-  EXPECT_EQ(obs::Registry::global().counter("replay.rounds").value(),
-            rounds_at_capture)
-      << "checkpoint_obs restore must rewind the captured counters";
 }
 
 TEST(ReplayDriver, ConfigFingerprintSeparatesRuns) {

@@ -535,48 +535,5 @@ TEST_F(ExecutorFixture, StallsAndDelaysAreTimingOnly) {
   EXPECT_TRUE(executor.state() == reference);
 }
 
-TEST_F(ExecutorFixture, SaveRestoreMidScheduleContinuesBitIdentically) {
-  const DataplaneState reference = reference_final();
-  ScheduleExecutor first(g, schedule);
-  first.run_rounds(1);
-  ASSERT_FALSE(first.done());
-  const std::vector<std::byte> saved = first.save_state();
-
-  ScheduleExecutor second(g, schedule);
-  ASSERT_TRUE(second.restore_state(saved));
-  EXPECT_EQ(second.next_round(), 1u);
-  EXPECT_TRUE(second.state() == first.state());  // bitwise
-  second.run();
-  EXPECT_TRUE(second.result().completed);
-  EXPECT_TRUE(second.state() == reference);
-}
-
-TEST_F(ExecutorFixture, RestoreRejectsMalformedPayloads) {
-  ScheduleExecutor executor(g, schedule);
-  executor.run_rounds(1);
-  std::vector<std::byte> saved = executor.save_state();
-
-  ScheduleExecutor fresh(g, schedule);
-  // Truncation at every length.
-  for (std::size_t cut = 0; cut < saved.size(); ++cut) {
-    const std::vector<std::byte> truncated(
-        saved.begin(), saved.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(fresh.restore_state(truncated)) << "cut=" << cut;
-  }
-  // Wrong version.
-  std::vector<std::byte> wrong = saved;
-  wrong[0] = std::byte{0xEE};
-  EXPECT_FALSE(fresh.restore_state(wrong));
-  // Cursor beyond the schedule (next_round low byte).
-  std::vector<std::byte> beyond = saved;
-  beyond[6] = std::byte{0x7F};
-  EXPECT_FALSE(fresh.restore_state(beyond));
-  // The failed restores left the fresh executor untouched...
-  EXPECT_EQ(fresh.next_round(), 0u);
-  EXPECT_TRUE(fresh.state() == schedule.initial);
-  // ...and the intact payload still works.
-  EXPECT_TRUE(fresh.restore_state(saved));
-}
-
 }  // namespace
 }  // namespace rwc::update
