@@ -144,7 +144,7 @@ TEST(PropReplay, SingleByteFlipsNeverDecode) {
   const te::McfTe engine;
   for (const std::uint64_t seed : kSeeds) {
     const ReplayFixture fixture = make_fixture(seed);
-    // The driver writes mandatory sections only, so every byte is
+    // ReplayDriver writes mandatory sections only, so every byte is
     // load-bearing: with an optional section present, one flip of its id
     // could in principle re-tag it as skippable-unknown and still decode.
     ReplayDriver driver(fixture.topology, engine, fixture.demands,
