@@ -39,8 +39,8 @@
 // No RNG runs in the tick loop: randomness is hashing (wcmp.hpp), so
 // determinism needs no stream bookkeeping. save_state()/restore_state()
 // capture everything that carries across rounds as an in-memory payload
-// (run_xcheck's restore leg, docs/DATAPLANE.md): restore-then-continue is
-// bit-identical.
+// (part of ClosedLoop::State, docs/DATAPLANE.md §8): restore-then-continue
+// is bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -167,7 +167,7 @@ class DataplaneSim {
   RoundResult run_round(const te::FlowAssignment& assignment,
                         const CapacityTimeline& timeline);
 
-  /// Wire-encoded evolving state (restored by run_xcheck's restore leg).
+  /// Wire-encoded evolving state (carried by ClosedLoop::State).
   std::vector<std::byte> save_state() const;
   /// Restores a save_state() payload; throws util::CheckError on corrupt
   /// or mismatched (topology/OD/config) payloads, including counts that

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "core/controller.hpp"
-#include "exec/thread_pool.hpp"
-#include "optical/modulation.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
@@ -66,95 +64,68 @@ void fail(XcheckOutcome& outcome, std::string message) {
 
 }  // namespace
 
-XcheckOutcome run_xcheck(const XcheckConfig& config) {
+XcheckOutcome run_xcheck(const XcheckConfig& config,
+                         const XcheckObserver& observer) {
   const Fixture fixture = make_fixture(config);
   const std::size_t edges = fixture.topology.edge_count();
 
   core::ControllerOptions options;
   options.pool = config.pool;
-  if (config.schedule_updates) {
-    update::SchedulerConfig update;
-    update.headroom = 0.1;
-    update.seed = config.seed;
-    options.update = update;
-  }
+  update::SchedulerConfig update;
+  update.headroom = 0.1;
+  update.seed = config.seed;
+  options.update = update;
   const te::McfTe mcf;
   const te::SwanTe swan;
   const te::TeAlgorithm& engine =
       config.engine == XcheckEngine::kMcf
           ? static_cast<const te::TeAlgorithm&>(mcf)
           : static_cast<const te::TeAlgorithm&>(swan);
-  auto controller = std::make_unique<core::DynamicCapacityController>(
-      fixture.topology, optical::ModulationTable::standard(), engine,
-      options);
-
-  const DataplaneConfig& dp_config = config.dataplane;
-  auto sim = std::make_unique<DataplaneSim>(
-      fixture.topology, fixture.demands.size(), dp_config);
+  const auto make_loop = [&] {
+    return std::make_unique<ClosedLoop>(fixture.topology, fixture.demands,
+                                        engine, options, config.dataplane);
+  };
+  std::unique_ptr<ClosedLoop> loop = make_loop();
 
   XcheckOutcome outcome;
   outcome.chain = 0x78636865636bull;  // "xcheck"
   for (std::size_t r = 0; r < config.rounds; ++r) {
     if (r == config.checkpoint_round) {
-      // Restore-then-continue must be invisible: rebuild both the
-      // controller and the dataplane from their captured state.
-      core::DynamicCapacityController::PersistentState ctrl_state =
-          controller->save_state();
-      const std::vector<std::byte> dp_state = sim->save_state();
-      controller = std::make_unique<core::DynamicCapacityController>(
-          fixture.topology, optical::ModulationTable::standard(), engine,
-          options);
-      controller->restore_state(std::move(ctrl_state));
-      sim = std::make_unique<DataplaneSim>(
-          fixture.topology, fixture.demands.size(), dp_config);
-      sim->restore_state(dp_state);
+      // Restore-then-continue must be invisible.
+      ClosedLoop::State state = loop->save_state();
+      loop = make_loop();
+      loop->restore_state(std::move(state));
     }
-
-    const std::span<const util::Gbps> configured =
-        controller->configured_capacities();
-    const std::vector<util::Gbps> before(configured.begin(),
-                                         configured.end());
-    const core::DynamicCapacityController::RoundReport report =
-        controller->run_round(fixture.snr_rounds[r], fixture.demands);
-    const std::span<const util::Gbps> after =
-        controller->configured_capacities();
-
-    const update::UpdateSchedule* schedule =
-        report.update.has_value() && report.update_valid
-            ? &*report.update
-            : nullptr;
-    CapacityTimeline timeline = build_timeline(
-        before, after, schedule, dp_config.ticks_per_round,
-        dp_config.tick_seconds);
 
     XcheckRound round;
-    round.scheduled = schedule != nullptr;
-    if (r == config.downshift_round && edges > 0) {
-      // Force an UNSCHEDULED mid-round downshift of the busiest link:
-      // the HPCC reaction leg. The tick sits inside the measurement
-      // region on purpose — the shortfall clause is exempted below.
-      const std::vector<double>& load =
-          controller->last_assignment().edge_load_gbps;
-      std::size_t busiest = 0;
-      for (std::size_t e = 1; e < load.size(); ++e)
-        if (load[e] > load[busiest]) busiest = e;
-      const double now = timeline.capacity_gbps(
-          busiest, dp_config.ticks_per_round - 1);
-      timeline.add_event(
-          busiest,
-          static_cast<std::uint32_t>(dp_config.ticks_per_round * 5 / 8),
-          now * config.downshift_factor);
-      round.downshifted = true;
-    }
-
-    const RoundResult result =
-        sim->run_round(controller->last_assignment(), timeline);
+    const ClosedLoop::Round step = loop->step(
+        fixture.snr_rounds[r],
+        [&](const te::FlowAssignment& assignment, CapacityTimeline& timeline) {
+          if (r != config.downshift_round || edges == 0) return;
+          // Force an UNSCHEDULED mid-round downshift of the busiest link:
+          // the HPCC reaction leg. The tick sits inside the measurement
+          // region on purpose — the shortfall clause is exempted below.
+          const std::vector<double>& load = assignment.edge_load_gbps;
+          std::size_t busiest = 0;
+          for (std::size_t e = 1; e < load.size(); ++e)
+            if (load[e] > load[busiest]) busiest = e;
+          const std::size_t ticks = timeline.ticks;
+          const double now = timeline.capacity_gbps(busiest, ticks - 1);
+          timeline.add_event(busiest,
+                             static_cast<std::uint32_t>(ticks * 5 / 8),
+                             now * config.downshift_factor);
+          round.downshifted = true;
+        });
+    if (observer) observer(r, *loop, step);
+    round.scheduled = step.execution.has_value();
+    const RoundResult& result = step.result;
 
     // Gap oracle against the solver allocation.
-    const te::FlowAssignment& assignment = controller->last_assignment();
+    const te::FlowAssignment& assignment =
+        step.report.plan.physical_assignment;
     for (std::size_t i = 0; i < assignment.routings.size(); ++i) {
       const double alloc = assignment.routings[i].routed.value;
-      if (alloc < config.min_alloc_gbps) continue;
+      if (alloc < kMinAllocGbps) continue;
       const double goodput = result.od_goodput_gbps[i];
       round.total_alloc_gbps += alloc;
       round.total_goodput_gbps += goodput;
@@ -178,14 +149,14 @@ XcheckOutcome run_xcheck(const XcheckConfig& config) {
           std::max(round.max_queued_bytes, bytes(link.max_queued_bytes));
     round.signature = result.signature;
 
-    if (!round.downshifted && round.max_shortfall > config.gap_tolerance)
+    if (!round.downshifted && round.max_shortfall > kGapTolerance)
       fail(outcome, "round " + std::to_string(r) + ": goodput shortfall " +
                         std::to_string(round.max_shortfall) + " > " +
-                        std::to_string(config.gap_tolerance));
-    if (round.max_overshoot > config.overshoot_tolerance)
+                        std::to_string(kGapTolerance));
+    if (round.max_overshoot > kOvershootTolerance)
       fail(outcome, "round " + std::to_string(r) + ": goodput overshoot " +
                         std::to_string(round.max_overshoot) + " > " +
-                        std::to_string(config.overshoot_tolerance));
+                        std::to_string(kOvershootTolerance));
     if (round.capacity_violations > 0)
       fail(outcome, "round " + std::to_string(r) +
                         ": capacity violated outside update windows");

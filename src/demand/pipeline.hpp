@@ -53,7 +53,7 @@ class DemandPipeline {
 
   /// Queues a recorded CounterSet; the next round() consumes it instead of
   /// synthesizing (and no demand.counter faults fire — they already fired
-  /// before the set was recorded).
+  /// before the set was recorded). restore_state() drops the queue.
   void push_replay(CounterSet counters) {
     replay_queue_.push_back(std::move(counters));
   }
@@ -66,9 +66,12 @@ class DemandPipeline {
   const CapacityEstimator& capacity() const { return capacity_; }
 
   /// Everything that evolves across rounds (the kDemand checkpoint
-  /// section's payload). The CounterLog and the replay queue are
-  /// deliberately excluded: they are test/diagnostic substrate, never
-  /// inputs to future rounds.
+  /// section's payload). The CounterLog is excluded: it is diagnostic
+  /// substrate, never an input to future rounds. The replay queue is
+  /// excluded too, and restore_state() clears it, although a queued set
+  /// is the next round's input: a driver that pushes counters for the
+  /// next round must hold them across a restore itself, as
+  /// dataplane::ClosedLoop does.
   struct State {
     std::uint64_t round = 0;
     bool ewma_warm = false;

@@ -1,24 +1,30 @@
 // The closed-loop fixture of the benchmark's loop_dataplane workload
 // (perfbench/loop_dataplane.cpp): a 12-node Waxman WAN with gravity intent
 // at 0.4 load snapped to the estimator's grid, the benchmark's SNR walk
-// with recovery fronts, and its round fold. The golden loop rows
-// (tests/golden/round-chains.golden) step a loop over it for kRounds
-// rounds, so they compare bit for bit with the `loop chain` the benchmark
-// prints for the same seed.
+// with recovery fronts, and its round fold. loop_chain steps a
+// dataplane::ClosedLoop over it in estimated-demand mode for kRounds
+// rounds, so the golden loop rows (tests/golden/round-chains.golden)
+// compare bit for bit with the `loop chain` the benchmark prints for the
+// same seed.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/controller.hpp"
+#include "dataplane/loop.hpp"
 #include "demand/estimator.hpp"
 #include "graph/graph.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
 #include "te/demand.hpp"
+#include "te/mcf_te.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -86,6 +92,47 @@ inline std::uint64_t fold_round(std::uint64_t chain,
   chain = util::mix64(chain, dataplane_signature);
   chain = util::mix64(chain, std::bit_cast<std::uint64_t>(total_routed.value));
   return util::mix64(chain, upgrades);
+}
+
+/// The benchmark loop's controller options at `seed`: estimated demand
+/// and the update stage at 10% headroom, on `pool` (nullptr: the global
+/// pool).
+inline core::ControllerOptions loop_options(std::uint64_t seed,
+                                            exec::ThreadPool* pool) {
+  core::ControllerOptions options;
+  options.pool = pool;
+  options.demand.source = demand::DemandSource::kEstimated;
+  update::SchedulerConfig update;
+  update.headroom = 0.1;
+  update.seed = seed;
+  options.update = update;
+  return options;
+}
+
+/// The chain of kRounds loop rounds at `seed`. With `restore`, the loop is
+/// saved before every round and restored into a fresh loop that runs it.
+inline std::uint64_t loop_chain(std::uint64_t seed,
+                                exec::ThreadPool* pool = nullptr,
+                                bool restore = false) {
+  const Fixture fixture = make_fixture();
+  const te::McfTe engine;
+  const core::ControllerOptions options = loop_options(seed, pool);
+  std::optional<dataplane::ClosedLoop> loop;
+  loop.emplace(fixture.topology, fixture.intent, engine, options);
+  SnrWalk walk(fixture.topology.edge_count(), seed);
+  std::uint64_t chain = kChainSeed;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    if (restore) {
+      dataplane::ClosedLoop::State state = loop->save_state();
+      loop.emplace(fixture.topology, fixture.intent, engine, options);
+      loop->restore_state(std::move(state));
+    }
+    const dataplane::ClosedLoop::Round round = loop->step(walk.next());
+    chain = fold_round(chain, round.result.signature,
+                       round.report.total_routed,
+                       round.report.plan.upgrades.size());
+  }
+  return chain;
 }
 
 }  // namespace rwc::loop_fixture

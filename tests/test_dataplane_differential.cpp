@@ -353,19 +353,18 @@ TEST(DataplaneDifferential, EveryRoundObservesTheRoundHistogram) {
 
 // The quantum (docs/DATAPLANE.md §2): sources inject whole quanta and
 // carry the remainder. An OD at the oracle's smallest scored allocation
-// (XcheckConfig::min_alloc_gbps, 1 Mbps: 5000 quanta per flowlet per tick)
+// (dataplane::kMinAllocGbps, 1 Mbps: 5000 quanta per flowlet per tick)
 // and one whose flowlets generate 19.5 quanta per tick, where rounding
 // down without the carry would lose 2.6%, both hold the 2% gap over 16
 // clean rounds.
 TEST(DataplaneDifferential, SmallAllocationsHoldTheGapOverCleanRounds) {
   const FirstRound fixture(59);
-  const dataplane::XcheckConfig oracle;
   const double quanta_per_gbps_tick = fixture.config.tick_seconds * 1e9 /
                                       8.0 *
                                       static_cast<double>(
                                           dataplane::kQuantaPerByte);
   const double allocations[] = {
-      oracle.min_alloc_gbps,
+      dataplane::kMinAllocGbps,
       19.5 * static_cast<double>(fixture.config.flowlets_per_od) /
           quanta_per_gbps_tick};
   // Each allocation replaces a routed OD's split with its first path.
@@ -391,7 +390,7 @@ TEST(DataplaneDifferential, SmallAllocationsHoldTheGapOverCleanRounds) {
     for (const std::size_t od : small) {
       const double alloc = assignment.routings[od].routed.value;
       const double gap = (alloc - result.od_goodput_gbps[od]) / alloc;
-      EXPECT_LE(std::abs(gap), oracle.gap_tolerance)
+      EXPECT_LE(std::abs(gap), dataplane::kGapTolerance)
           << "round " << round << " od " << od << " at " << alloc << " Gbps";
     }
   }

@@ -24,15 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/controller.hpp"
-#include "dataplane/counters.hpp"
-#include "dataplane/dataplane.hpp"
-#include "dataplane/timeline.hpp"
-#include "demand/pipeline.hpp"
-#include "demand/routing_matrix.hpp"
-#include "exec/thread_pool.hpp"
 #include "fleet/fleet.hpp"
-#include "optical/modulation.hpp"
 #include "replay/driver.hpp"
 #include "serve/service.hpp"
 #include "sim/topology.hpp"
@@ -40,8 +32,6 @@
 #include "support/loop_fixture.hpp"
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
-#include "update/executor.hpp"
-#include "update/schedule.hpp"
 #include "util/rng.hpp"
 
 #ifndef RWC_GOLDEN_DIR
@@ -182,75 +172,10 @@ std::vector<std::string> fleet_lines() {
 
 /// loop-<seed> chain: loop_fixture::kRounds rounds of the benchmark's
 /// closed loop at `seed` in estimated-demand mode, each round's dataplane
-/// counters feeding the next round's estimate. A copy of the benchmark's
-/// Loop::step without its timers and oracle.
+/// counters feeding the next round's estimate.
 std::string loop_line(std::uint64_t seed) {
-  const loop_fixture::Fixture fixture = loop_fixture::make_fixture();
-  const graph::Graph& topology = fixture.topology;
-  const std::size_t edges = topology.edge_count();
-  exec::ThreadPool pool(0);
-  core::ControllerOptions options;
-  options.pool = &pool;
-  const te::McfTe engine;
-  core::DynamicCapacityController controller(
-      topology, optical::ModulationTable::standard(), engine, options);
-  const dataplane::DataplaneConfig dp;
-  dataplane::DataplaneSim sim(topology, fixture.intent.size(), dp);
-  demand::DemandPipeline pipeline(edges, demand::DemandConfig{});
-  update::SchedulerConfig schedule_config;
-  schedule_config.headroom = 0.1;
-  schedule_config.seed = seed;
-
-  loop_fixture::SnrWalk walk(edges, seed);
-  std::uint64_t chain = loop_fixture::kChainSeed;
-  for (std::size_t r = 0; r < loop_fixture::kRounds; ++r) {
-    const std::span<const util::Db> snr = walk.next();
-    const demand::DemandPipeline::Result estimate =
-        pipeline.round(fixture.intent, controller.last_assignment());
-    const std::span<const util::Gbps> configured =
-        controller.configured_capacities();
-    const std::vector<util::Gbps> before(configured.begin(),
-                                         configured.end());
-    te::FlowAssignment previous = controller.last_assignment();
-    const core::DynamicCapacityController::RoundReport report =
-        controller.run_round(snr, estimate.demands);
-    const std::span<const util::Gbps> after_span =
-        controller.configured_capacities();
-    const std::vector<util::Gbps> after(after_span.begin(), after_span.end());
-    const te::FlowAssignment& assignment = report.plan.physical_assignment;
-
-    std::vector<util::Gbps> pre_upgrade = after;
-    for (const core::CapacityChange& change : report.plan.upgrades)
-      pre_upgrade[static_cast<std::size_t>(change.edge.value)] = change.from;
-    previous.edge_load_gbps.resize(edges, 0.0);
-    const update::UpdateSchedule schedule = update::plan_schedule(
-        topology, pre_upgrade, after, previous, assignment, schedule_config);
-    const bool scheduled =
-        schedule.feasible &&
-        update::validate_schedule(topology, schedule, after, assignment);
-    if (scheduled) update::ScheduleExecutor(topology, schedule).run();
-
-    const dataplane::CapacityTimeline timeline = dataplane::build_timeline(
-        before, after, scheduled ? &schedule : nullptr, dp.ticks_per_round,
-        dp.tick_seconds);
-    const dataplane::RoundResult result = sim.run_round(assignment, timeline);
-
-    std::vector<double> installed;
-    for (const te::FlowAssignment::DemandRouting& routing :
-         assignment.routings)
-      installed.push_back(routing.routed.value);
-    const demand::RoutingMatrix matrix =
-        demand::build_routing_matrix(edges, estimate.demands, assignment);
-    pipeline.push_replay(demand::counters_from_observations(
-        matrix, installed,
-        dataplane::counter_observations(result, matrix, installed),
-        pipeline.config().interval_seconds, r));
-
-    chain = loop_fixture::fold_round(chain, result.signature,
-                                     report.total_routed,
-                                     report.plan.upgrades.size());
-  }
-  return "loop-" + std::to_string(seed) + ' ' + hex(chain);
+  return "loop-" + std::to_string(seed) + ' ' +
+         hex(loop_fixture::loop_chain(seed));
 }
 
 std::vector<std::string> golden_lines() {
