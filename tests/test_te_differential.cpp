@@ -48,49 +48,54 @@ Instance make_instance(std::uint64_t seed) {
   return instance;
 }
 
-TEST(TeDifferential, LpUpperBoundsMcfThroughputWithinTolerance) {
+// One test per seed, so ctest runs the seeds at once: the dense-tableau
+// LP oracle takes seconds per instance.
+class TeDifferentialLp : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TeDifferentialLp, LpUpperBoundsMcfThroughputWithinTolerance) {
   const te::McfTe mcf;
   const te::McfLpTe lp;
-  for (const std::uint64_t seed : kSeeds) {
-    const Instance instance = make_instance(seed);
-    const std::string context = "seed " + std::to_string(seed);
+  const std::uint64_t seed = GetParam();
+  const Instance instance = make_instance(seed);
+  const std::string context = "seed " + std::to_string(seed);
 
-    const te::FlowAssignment heuristic =
-        mcf.solve(instance.topology, instance.demands);
-    const te::FlowAssignment reference =
-        lp.solve(instance.topology, instance.demands);
+  const te::FlowAssignment heuristic =
+      mcf.solve(instance.topology, instance.demands);
+  const te::FlowAssignment reference =
+      lp.solve(instance.topology, instance.demands);
 
-    // Both must be feasible before their objectives mean anything.
-    const prop::InvariantResult mcf_ok =
-        prop::check_flow_conservation(instance.topology, heuristic);
-    ASSERT_TRUE(mcf_ok.ok) << context << ": mcf " << mcf_ok.detail;
-    const prop::InvariantResult lp_ok =
-        prop::check_flow_conservation(instance.topology, reference);
-    ASSERT_TRUE(lp_ok.ok) << context << ": lp " << lp_ok.detail;
+  // Both must be feasible before their objectives mean anything.
+  const prop::InvariantResult mcf_ok =
+      prop::check_flow_conservation(instance.topology, heuristic);
+  ASSERT_TRUE(mcf_ok.ok) << context << ": mcf " << mcf_ok.detail;
+  const prop::InvariantResult lp_ok =
+      prop::check_flow_conservation(instance.topology, reference);
+  ASSERT_TRUE(lp_ok.ok) << context << ": lp " << lp_ok.detail;
 
-    const double mcf_routed = heuristic.total_routed.value;
-    const double lp_routed = reference.total_routed.value;
-    EXPECT_GE(lp_routed, mcf_routed - kAbsoluteTolerance)
-        << context << ": the LP reference routed less than the heuristic";
-    ASSERT_GT(lp_routed, 0.0) << context;
-    EXPECT_LE((lp_routed - mcf_routed) / lp_routed, kRelativeGapTolerance)
-        << context << ": heuristic routed " << mcf_routed << " Gbps vs LP "
-        << lp_routed << " Gbps";
+  const double mcf_routed = heuristic.total_routed.value;
+  const double lp_routed = reference.total_routed.value;
+  EXPECT_GE(lp_routed, mcf_routed - kAbsoluteTolerance)
+      << context << ": the LP reference routed less than the heuristic";
+  ASSERT_GT(lp_routed, 0.0) << context;
+  EXPECT_LE((lp_routed - mcf_routed) / lp_routed, kRelativeGapTolerance)
+      << context << ": heuristic routed " << mcf_routed << " Gbps vs LP "
+      << lp_routed << " Gbps";
 
-    const double offered = te::total_demand(instance.demands).value;
-    const bool both_route_everything =
-        mcf_routed >= offered - kAbsoluteTolerance &&
-        lp_routed >= offered - kAbsoluteTolerance;
-    if (both_route_everything) {
-      // Same throughput -> the LP's cost-minimizing tiebreak must not lose
-      // to the heuristic (relative slack for simplex pivoting noise).
-      EXPECT_LE(reference.total_cost,
-                heuristic.total_cost * (1.0 + 1e-9) + kAbsoluteTolerance)
-          << context << ": lp cost " << reference.total_cost
-          << " exceeds mcf cost " << heuristic.total_cost;
-    }
+  const double offered = te::total_demand(instance.demands).value;
+  const bool both_route_everything =
+      mcf_routed >= offered - kAbsoluteTolerance &&
+      lp_routed >= offered - kAbsoluteTolerance;
+  if (both_route_everything) {
+    // Same throughput -> the LP's cost-minimizing tiebreak must not lose
+    // to the heuristic (relative slack for simplex pivoting noise).
+    EXPECT_LE(reference.total_cost,
+              heuristic.total_cost * (1.0 + 1e-9) + kAbsoluteTolerance)
+        << context << ": lp cost " << reference.total_cost
+        << " exceeds mcf cost " << heuristic.total_cost;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TeDifferentialLp, ::testing::ValuesIn(kSeeds));
 
 TEST(TeDifferential, GreedyEnginesRespectAugmentedCapacities) {
   const te::SwanTe swan;
