@@ -84,7 +84,6 @@ class ClosedLoop {
     return controller_;
   }
   const DataplaneSim& dataplane() const { return sim_; }
-  const te::TrafficMatrix& intent() const { return intent_; }
 
  private:
   core::DynamicCapacityController controller_;

@@ -5,7 +5,7 @@
 // dataplane::ClosedLoop over it in estimated-demand mode for kRounds
 // rounds, so the golden loop rows (tests/golden/round-chains.golden)
 // compare bit for bit with the `loop chain` the benchmark prints for the
-// same seed.
+// same seed. bench/perf_solvers' BM_ClosedLoopRound times the same loop.
 #pragma once
 
 #include <algorithm>
@@ -43,13 +43,14 @@ struct Fixture {
   te::TrafficMatrix intent;
 };
 
-inline Fixture make_fixture() {
+/// The benchmark's fixture at `nodes` nodes (12 is the benchmark's own).
+inline Fixture make_fixture(int nodes = 12) {
   util::Rng rng = util::Rng::stream(20171130, 0x4c4f4f50);
-  Fixture fixture{sim::waxman(12, rng), {}};
+  Fixture fixture{sim::waxman(nodes, rng), {}};
   sim::GravityParams gravity;
   gravity.total = util::Gbps{fixture.topology.total_capacity().value * 0.4};
   fixture.intent = sim::gravity_matrix(fixture.topology, gravity, rng);
-  // On the estimator's grid, so clean counters certify exact recovery.
+  // Snapped to the estimator's grid, as the benchmark does.
   for (te::Demand& demand : fixture.intent)
     demand.volume = util::Gbps{demand::snap_to_grid(demand.volume.value)};
   return fixture;
