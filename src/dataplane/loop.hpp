@@ -22,6 +22,7 @@
 // restored into a fresh loop continues bit-identically.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <span>

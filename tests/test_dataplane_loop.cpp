@@ -8,8 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "dataplane/loop.hpp"
 #include "exec/thread_pool.hpp"
@@ -49,7 +49,8 @@ TEST(ClosedLoop, RestoreBeforeEveryRoundIsInvisible) {
 TEST(ClosedLoop, RestoreWithoutThePendingSetDiverges) {
   const loop_fixture::Fixture fixture = loop_fixture::make_fixture();
   const te::McfTe engine;
-  const core::ControllerOptions options = loop_fixture::loop_options(1, nullptr);
+  const core::ControllerOptions options =
+      loop_fixture::loop_options(1, nullptr);
   std::optional<ClosedLoop> kept, dropped;
   kept.emplace(fixture.topology, fixture.intent, engine, options);
   dropped.emplace(fixture.topology, fixture.intent, engine, options);

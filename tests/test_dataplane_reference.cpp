@@ -45,74 +45,64 @@ void expect_same_state(const dataplane::DataplaneSim& sim,
 
 /// Runs the class kernel and the reference on the inputs of every round
 /// run_xcheck(`config`) runs: the assignment and timeline its loop's
-/// dataplane ran. Before round `handoff` (if set) each kernel is rebuilt
-/// from the other's payload, so a checkpoint written by either restores
-/// into either. Returns the class kernel's per-round signatures, and the
-/// outcome in `outcome` when set.
-std::vector<std::uint64_t> compare_on_xcheck_inputs(
-    const dataplane::XcheckConfig& config,
-    std::optional<std::size_t> handoff = std::nullopt,
-    dataplane::XcheckOutcome* outcome = nullptr) {
-  std::vector<std::uint64_t> signatures;
+/// dataplane ran. Both must reproduce the loop's own round. Before round
+/// `handoff` (if set) each kernel is rebuilt from the other's payload, so
+/// a checkpoint written by either restores into either.
+void compare_on_xcheck_inputs(const dataplane::XcheckConfig& config,
+                              std::optional<std::size_t> handoff) {
   std::unique_ptr<dataplane::DataplaneSim> sim;
   std::unique_ptr<FlowletReference> reference;
-  const dataplane::XcheckOutcome run = dataplane::run_xcheck(
-      config, [&](std::size_t r, const dataplane::ClosedLoop& loop,
-                  const dataplane::ClosedLoop::Round& step) {
-        const graph::Graph& topology = loop.controller().physical_topology();
-        const te::FlowAssignment& assignment =
-            step.report.plan.physical_assignment;
-        const std::size_t ods = assignment.routings.size();
-        if (sim == nullptr) {
-          sim = std::make_unique<dataplane::DataplaneSim>(topology, ods,
-                                                          config.dataplane);
-          reference = std::make_unique<FlowletReference>(topology, ods,
-                                                         config.dataplane);
-        }
-        if (handoff == r) {
-          const std::vector<std::byte> from_sim = sim->save_state();
-          const std::vector<std::byte> from_reference =
-              reference->save_state();
-          sim = std::make_unique<dataplane::DataplaneSim>(topology, ods,
-                                                          config.dataplane);
-          sim->restore_state(from_reference);
-          reference = std::make_unique<FlowletReference>(topology, ods,
-                                                         config.dataplane);
-          reference->restore_state(from_sim);
-          expect_same_state(*sim, *reference,
-                            "restored before round " + std::to_string(r));
-        }
-        const dataplane::RoundResult got =
-            sim->run_round(assignment, step.timeline);
-        const dataplane::RoundResult want =
-            reference->run_round(assignment, step.timeline);
-        EXPECT_EQ(first_difference(got, want), "") << "round " << r;
-        expect_same_state(*sim, *reference,
-                          "after round " + std::to_string(r));
-        signatures.push_back(got.signature);
-      });
-  if (outcome != nullptr) *outcome = run;
-  return signatures;
+  std::size_t rounds = 0;
+  dataplane::run_xcheck(config, [&](std::size_t r,
+                                    const dataplane::ClosedLoop& loop,
+                                    const dataplane::ClosedLoop::Round& step) {
+    const graph::Graph& topology = loop.controller().physical_topology();
+    const te::FlowAssignment& assignment = step.report.plan.physical_assignment;
+    const std::size_t ods = assignment.routings.size();
+    if (sim == nullptr) {
+      sim = std::make_unique<dataplane::DataplaneSim>(topology, ods,
+                                                      config.dataplane);
+      reference =
+          std::make_unique<FlowletReference>(topology, ods, config.dataplane);
+    }
+    if (handoff == r) {
+      const std::vector<std::byte> from_sim = sim->save_state();
+      const std::vector<std::byte> from_reference = reference->save_state();
+      sim = std::make_unique<dataplane::DataplaneSim>(topology, ods,
+                                                      config.dataplane);
+      sim->restore_state(from_reference);
+      reference =
+          std::make_unique<FlowletReference>(topology, ods, config.dataplane);
+      reference->restore_state(from_sim);
+      expect_same_state(*sim, *reference,
+                        "restored before round " + std::to_string(r));
+    }
+    const dataplane::RoundResult got =
+        sim->run_round(assignment, step.timeline);
+    const dataplane::RoundResult want =
+        reference->run_round(assignment, step.timeline);
+    EXPECT_EQ(first_difference(got, want), "") << "round " << r;
+    EXPECT_EQ(got.signature, step.result.signature)
+        << "round " << r << " is not the loop's";
+    expect_same_state(*sim, *reference, "after round " + std::to_string(r));
+    ++rounds;
+  });
+  EXPECT_EQ(rounds, config.rounds);
 }
 
-/// The golden input `config` (under `plan` when set): a fresh class kernel
-/// on the loop's inputs reproduces the loop's own rounds, the two kernels
-/// agree on every one, and they keep agreeing after a checkpoint crosses
-/// between them.
+/// The golden input `config` (under `plan` when set): the two kernels
+/// agree on every round of the loop's, and keep agreeing after a
+/// checkpoint crosses between them.
 void check_golden_input(const dataplane::XcheckConfig& config,
                         const char* plan = nullptr) {
   std::optional<fault::ScopedPlan> armed;
   if (plan != nullptr) armed.emplace(fault::FaultPlan::parse(plan));
-  dataplane::XcheckOutcome outcome;
-  const std::vector<std::uint64_t> signatures =
-      compare_on_xcheck_inputs(config, std::nullopt, &outcome);
-  ASSERT_EQ(signatures.size(), outcome.rounds.size());
-  for (std::size_t r = 0; r < signatures.size(); ++r)
-    EXPECT_EQ(signatures[r], outcome.rounds[r].signature)
-        << "round " << r << " is not the golden input's";
-  for (const std::size_t handoff : {std::size_t{1}, config.rounds / 2 + 1})
-    EXPECT_EQ(compare_on_xcheck_inputs(config, handoff), signatures)
-        << "checkpoint handed over before round " << handoff;
+  compare_on_xcheck_inputs(config, std::nullopt);
+  for (const std::size_t handoff : {std::size_t{1}, config.rounds / 2 + 1}) {
+    SCOPED_TRACE("checkpoint handed over before round " +
+                 std::to_string(handoff));
+    compare_on_xcheck_inputs(config, handoff);
+  }
 }
 
 dataplane::XcheckConfig golden_seed(std::uint64_t seed) {
