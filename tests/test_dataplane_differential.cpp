@@ -132,7 +132,8 @@ std::uint64_t payload_hash(const std::vector<std::byte>& bytes) {
 // pipelines), then a round with one OD's routing emptied (its sources stop
 // and its active pipelines retire to draining). The final payload's hash
 // was recorded from the reference kernel; any change to the encoding, the
-// field order or the tick arithmetic moves it.
+// field order or the tick arithmetic moves it. The final
+// state_signature() pins the same state apart from its encoding.
 TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
   util::Rng topo_rng = util::Rng::stream(43, 810);
   const graph::Graph topology = sim::waxman(8, topo_rng);
@@ -196,6 +197,8 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
   const std::vector<std::byte> state = sim.save_state();
   EXPECT_EQ(payload_hash(state), 0x59d7e3dc759c3488ull)
       << std::hex << payload_hash(state);
+  EXPECT_EQ(sim.state_signature(), 0xe77aff3dc99c0971ull)
+      << std::hex << sim.state_signature();
 }
 
 using util::combine64;

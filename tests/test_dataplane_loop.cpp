@@ -1,8 +1,9 @@
 // The closed loop (dataplane::ClosedLoop, docs/DATAPLANE.md §5): its chain
 // at pool sizes {1,2,8} and across a restore into a fresh loop before
-// every round, the pending counter set that restore must carry, and the
-// hook between the executed schedule and the dataplane. The chains
-// themselves are pinned by GoldenRoundChains (loop-1, loop-7).
+// every round, the pending counter set that restore must carry, the
+// refusal of a foreign state, and the hook between the executed schedule
+// and the dataplane. The chains themselves are pinned by
+// GoldenRoundChains (loop-1, loop-7).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -14,6 +15,7 @@
 #include "dataplane/loop.hpp"
 #include "exec/thread_pool.hpp"
 #include "support/loop_fixture.hpp"
+#include "support/round_signature.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
 
@@ -110,6 +112,52 @@ TEST(ClosedLoop, HookEditsTheTimelineTheDataplaneRuns) {
   EXPECT_TRUE(round.execution->completed);
   EXPECT_EQ(round.timeline.capacity_gbps(0, round.timeline.ticks - 1), 0.0);
   EXPECT_EQ(loop.dataplane().rounds(), 1u);
+}
+
+// A state saved from a loop built with other arguments is refused, and
+// the refusal leaves the loop as it was: its next round equals that of a
+// twin that never saw the state. One foreign state has one OD fewer (the
+// dataplane's shape differs), the other another topology (the
+// controller's does).
+TEST(ClosedLoop, RestoreRejectsAForeignStateAndLeavesTheLoopUntouched) {
+  const loop_fixture::Fixture fixture = loop_fixture::make_fixture();
+  const loop_fixture::Fixture other = loop_fixture::make_fixture(10);
+  ASSERT_NE(other.topology.edge_count(), fixture.topology.edge_count());
+  te::TrafficMatrix fewer = fixture.intent;
+  fewer.pop_back();
+  const te::McfTe engine;
+  const core::ControllerOptions options =
+      loop_fixture::loop_options(1, nullptr);
+  auto state_after_two_rounds = [&](const loop_fixture::Fixture& built,
+                                    const te::TrafficMatrix& intent) {
+    ClosedLoop loop(built.topology, intent, engine, options);
+    loop_fixture::SnrWalk walk(built.topology.edge_count(), 1);
+    for (int r = 0; r < 2; ++r) loop.step(walk.next());
+    return loop.save_state();
+  };
+  const ClosedLoop::State foreign[] = {
+      state_after_two_rounds(fixture, fewer),
+      state_after_two_rounds(other, other.intent)};
+
+  ClosedLoop victim(fixture.topology, fixture.intent, engine, options);
+  ClosedLoop twin(fixture.topology, fixture.intent, engine, options);
+  loop_fixture::SnrWalk walk(fixture.topology.edge_count(), 1);
+  for (int r = 0; r < 2; ++r) {
+    const std::span<const util::Db> snr = walk.next();
+    victim.step(snr);
+    twin.step(snr);
+  }
+  for (std::size_t s = 0; s < std::size(foreign); ++s) {
+    EXPECT_THROW(victim.restore_state(foreign[s]), util::CheckError)
+        << "foreign state " << s;
+    const std::span<const util::Db> snr = walk.next();
+    const ClosedLoop::Round got = victim.step(snr);
+    const ClosedLoop::Round want = twin.step(snr);
+    EXPECT_EQ(prop::signature_of(got.report), prop::signature_of(want.report))
+        << "foreign state " << s;
+    EXPECT_EQ(got.result.signature, want.result.signature)
+        << "foreign state " << s;
+  }
 }
 
 TEST(ClosedLoop, RequiresTheUpdateStage) {
