@@ -10,7 +10,6 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
-#include "replay/wire.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -31,11 +30,6 @@ constexpr double kMinRateFraction = 0x1.0p-20;
 /// the products in share() round at most once.
 constexpr double kMaxQuanta = 0x1.0p53;
 constexpr double kQuanta = static_cast<double>(kQuantaPerByte);
-
-constexpr std::uint32_t kStateMagic = 0x52574344u;  // "RWCD"
-/// 2: whole-byte state (u64 queues and ledgers, the injection carry);
-/// link queue totals are rebuilt from the hops instead of stored.
-constexpr std::uint32_t kStateVersion = 2;
 
 struct Metrics {
   obs::Counter& rounds;
@@ -788,148 +782,109 @@ std::uint64_t DataplaneSim::state_signature() const {
   return hash;
 }
 
-std::vector<std::byte> DataplaneSim::save_state() const {
-  replay::wire::ByteWriter writer;
-  auto encode_pipeline = [&writer](std::uint64_t path_id,
-                                   std::span<const Hop> hops) {
-    writer.u64(path_id);
-    writer.u32(static_cast<std::uint32_t>(hops.size()));
-    for (const Hop& hop : hops) {
-      writer.i32(hop.edge);
-      writer.u64(hop.queued);
-      writer.u64(hop.arriving);
-    }
+DataplaneSim::State DataplaneSim::save_state() const {
+  auto save_pipeline = [](std::uint64_t path_id, std::span<const Hop> hops) {
+    State::Pipeline pipeline{path_id, {}};
+    for (const Hop& hop : hops)
+      pipeline.hops.push_back({hop.edge, hop.queued, hop.arriving});
+    return pipeline;
   };
-  writer.u32(kStateMagic);
-  writer.u32(kStateVersion);
-  writer.u64(static_cast<std::uint64_t>(edge_count_));
-  writer.u64(static_cast<std::uint64_t>(ods_));
-  writer.u64(static_cast<std::uint64_t>(config_.flowlets_per_od));
-  writer.u64(round_);
+  State state;
+  state.round = round_;
   // One record per flowlet, as if every flowlet were simulated alone.
+  state.flowlets.reserve(class_of_.size());
   for (std::size_t f = 0; f < class_of_.size(); ++f) {
     const FlowletClass& cls = classes_[class_of_[f]];
-    const Ledger& ledger = ledgers_[f];
-    writer.u32(cls.od);
-    writer.f64(cls.offered_gbps);
-    writer.f64(cls.rate_gbps);
-    writer.f64(cls.carry);
-    writer.u64(cls.deferred);
-    writer.u64(ledger.injected);
-    writer.u64(ledger.delivered);
-    writer.u64(ledger.dropped);
-    encode_pipeline(cls.path_id, active_hops(cls));
-    writer.u32(static_cast<std::uint32_t>(cls.draining.size()));
+    State::Flowlet& flowlet = state.flowlets.emplace_back();
+    flowlet.od = cls.od;
+    flowlet.offered_gbps = cls.offered_gbps;
+    flowlet.rate_gbps = cls.rate_gbps;
+    flowlet.carry = cls.carry;
+    flowlet.deferred = cls.deferred;
+    flowlet.ledger = ledgers_[f];
+    flowlet.active = save_pipeline(cls.path_id, active_hops(cls));
     for (const Pipeline& pipeline : cls.draining)
-      encode_pipeline(pipeline.path_id, pipeline.hops);
+      flowlet.draining.push_back(
+          save_pipeline(pipeline.path_id, pipeline.hops));
   }
-  for (const double util : link_util_) writer.f64(util);
-  // Trailing integrity fold: restore_state recomputes the signature of the
-  // decoded state and rejects any payload whose bytes were disturbed —
-  // framing checks alone cannot catch a flipped bit inside a double.
-  writer.u64(state_signature());
-  return writer.take();
+  state.link_util = link_util_;
+  return state;
 }
 
-void DataplaneSim::restore_state(std::span<const std::byte> payload) {
-  replay::wire::ByteReader reader(payload);
-  RWC_CHECK_MSG(reader.u32() == kStateMagic && reader.u32() == kStateVersion,
-                "dataplane: unrecognized state payload");
-  RWC_CHECK_MSG(reader.u64() == edge_count_ && reader.u64() == ods_ &&
-                    reader.u64() == config_.flowlets_per_od,
-                "dataplane: state payload shape mismatch");
-  const std::uint64_t round = reader.u64();
+void DataplaneSim::restore_state(const State& state) {
   const std::size_t nf = class_of_.size();
-  // One draft per flowlet; layout() merges the bit-equal ones.
-  std::vector<Draft> drafts(nf);
-  std::vector<Ledger> ledgers(nf);
+  RWC_CHECK_MSG(state.flowlets.size() == nf &&
+                    state.link_util.size() == edge_count_,
+                "dataplane: state shape mismatch");
+  // Everything run_round indexes or converts is checked before the sim
+  // changes: hop edges index per-link state, and rates, carries and
+  // quanta convert between double and integer.
   std::vector<std::uint64_t> link_queued(edge_count_, 0);
-  // Every count is checked against the remaining payload before anything
-  // is sized by it, every hop edge against the topology, because
-  // run_round indexes per-link state with them, and every byte count and
-  // rate against the whole-quantum model's range, because run_round
-  // converts them between double and integer. A truncated payload reads
-  // zeros from here on and is rejected by the final check.
   auto check_quanta = [](std::uint64_t quanta) {
     RWC_CHECK_MSG(static_cast<double>(quanta) < kMaxQuanta,
-                  "dataplane: state payload byte count out of range");
+                  "dataplane: state quanta count out of range");
   };
-  auto read_pipeline = [&](std::vector<Hop>& out) {
-    const std::uint64_t path_id = reader.u64();
-    const std::uint32_t count = reader.u32();
-    RWC_CHECK_MSG(reader.fits(count), "dataplane: corrupt state payload");
-    for (std::uint32_t h = 0; h < count; ++h) {
-      Hop hop;
-      hop.edge = reader.i32();
-      hop.queued = reader.u64();
-      hop.arriving = reader.u64();
+  auto check_pipeline = [&](const State::Pipeline& pipeline) {
+    for (const State::Hop& hop : pipeline.hops) {
       RWC_CHECK_MSG(hop.edge >= 0 && static_cast<std::size_t>(hop.edge) <
                                          edge_count_,
-                    "dataplane: state payload hop edge out of range");
+                    "dataplane: state hop edge out of range");
       check_quanta(hop.queued);
       check_quanta(hop.arriving);
       std::uint64_t& queued = link_queued[static_cast<std::size_t>(hop.edge)];
       queued += hop.queued;
       check_quanta(queued);
-      out.push_back(hop);
     }
-    if (count > 0) out.back().last = 1;
-    return path_id;
   };
   for (std::size_t f = 0; f < nf; ++f) {
-    Draft& draft = drafts[f];
-    FlowletClass& cls = draft.cls;
-    cls.members.push_back(static_cast<std::uint32_t>(f));
-    cls.od = reader.u32();
-    RWC_CHECK_MSG(reader.failed() || cls.od == f / config_.flowlets_per_od,
-                  "dataplane: state payload flowlet under the wrong OD");
-    cls.offered_gbps = reader.f64();
-    cls.rate_gbps = reader.f64();
-    cls.carry = reader.f64();
-    RWC_CHECK_MSG(std::isfinite(cls.offered_gbps) &&
-                      cls.offered_gbps >= 0.0 &&
-                      std::isfinite(cls.rate_gbps) && cls.rate_gbps >= 0.0 &&
-                      cls.carry >= 0.0 && cls.carry < 1.0,
-                  "dataplane: state payload rate out of range");
-    cls.deferred = reader.u64();
-    check_quanta(cls.deferred);
-    ledgers[f].injected = reader.u64();
-    ledgers[f].delivered = reader.u64();
-    ledgers[f].dropped = reader.u64();
-    cls.path_id = read_pipeline(draft.active);
-    const std::uint32_t draining = reader.u32();
-    RWC_CHECK_MSG(reader.fits(draining), "dataplane: corrupt state payload");
-    cls.draining.resize(draining);
-    for (Pipeline& pipeline : cls.draining)
-      pipeline.path_id = read_pipeline(pipeline.hops);
+    const State::Flowlet& flowlet = state.flowlets[f];
+    RWC_CHECK_MSG(flowlet.od == f / config_.flowlets_per_od,
+                  "dataplane: state flowlet under the wrong OD");
+    RWC_CHECK_MSG(std::isfinite(flowlet.offered_gbps) &&
+                      flowlet.offered_gbps >= 0.0 &&
+                      std::isfinite(flowlet.rate_gbps) &&
+                      flowlet.rate_gbps >= 0.0 && flowlet.carry >= 0.0 &&
+                      flowlet.carry < 1.0,
+                  "dataplane: state rate out of range");
+    check_quanta(flowlet.deferred);
+    check_pipeline(flowlet.active);
+    for (const State::Pipeline& pipeline : flowlet.draining)
+      check_pipeline(pipeline);
   }
-  std::vector<double> link_util(edge_count_);
-  for (double& util : link_util) util = reader.f64();
-  const std::uint64_t stored_signature = reader.u64();
-  RWC_CHECK_MSG(!reader.failed() && reader.exhausted(),
-                "dataplane: truncated state payload");
 
-  // Install the decoded state, keeping the old one for the strong
-  // guarantee if its signature disagrees.
-  std::uint64_t restored_round = round;
-  std::vector<FlowletClass> classes = std::move(classes_);
-  std::vector<std::uint32_t> class_of = class_of_;
-  std::vector<Hop> hops = std::move(hops_);
-  layout(drafts);
-  std::swap(round_, restored_round);
-  std::swap(ledgers_, ledgers);
-  std::swap(link_queued_, link_queued);
-  std::swap(link_util_, link_util);
-  if (state_signature() != stored_signature) {
-    std::swap(round_, restored_round);
-    classes_ = std::move(classes);
-    class_of_ = std::move(class_of);
-    hops_ = std::move(hops);
-    std::swap(ledgers_, ledgers);
-    std::swap(link_queued_, link_queued);
-    std::swap(link_util_, link_util);
-    RWC_CHECK_MSG(false, "dataplane: state payload signature mismatch");
+  // One draft per flowlet; layout() merges the bit-equal ones.
+  auto restore_hops = [](const State::Pipeline& pipeline) {
+    std::vector<Hop> hops;
+    for (const State::Hop& saved : pipeline.hops) {
+      Hop& hop = hops.emplace_back();
+      hop.edge = saved.edge;
+      hop.queued = saved.queued;
+      hop.arriving = saved.arriving;
+    }
+    if (!hops.empty()) hops.back().last = 1;
+    return hops;
+  };
+  std::vector<Draft> drafts(nf);
+  for (std::size_t f = 0; f < nf; ++f) {
+    const State::Flowlet& flowlet = state.flowlets[f];
+    FlowletClass& cls = drafts[f].cls;
+    cls.od = flowlet.od;
+    cls.path_id = flowlet.active.path_id;
+    cls.offered_gbps = flowlet.offered_gbps;
+    cls.rate_gbps = flowlet.rate_gbps;
+    cls.carry = flowlet.carry;
+    cls.deferred = flowlet.deferred;
+    for (const State::Pipeline& pipeline : flowlet.draining)
+      cls.draining.push_back(
+          Pipeline{restore_hops(pipeline), pipeline.path_id});
+    cls.members.push_back(static_cast<std::uint32_t>(f));
+    drafts[f].active = restore_hops(flowlet.active);
   }
+  layout(drafts);
+  round_ = state.round;
+  for (std::size_t f = 0; f < nf; ++f) ledgers_[f] = state.flowlets[f].ledger;
+  link_queued_ = std::move(link_queued);
+  link_util_ = state.link_util;
 }
 
 }  // namespace rwc::dataplane

@@ -34,13 +34,12 @@
 // multiplicity times its member's. A class splits when an event treats
 // its members differently (a `dataplane.packet` fault, a WCMP move) and
 // bit-equal members merge at install and restore. Results, signatures
-// and the checkpoint payload stay per flowlet, bit-identical to the
-// per-flowlet reference kernel in tests/support/flowlet_reference.hpp.
-// No RNG runs in the tick loop: randomness is hashing (wcmp.hpp), so
-// determinism needs no stream bookkeeping. save_state()/restore_state()
-// capture everything that carries across rounds as an in-memory payload
-// (part of ClosedLoop::State, docs/DATAPLANE.md §8): restore-then-continue
-// is bit-identical.
+// and the saved state stay per flowlet, bit-identical to the per-flowlet
+// reference kernel in tests/support/flowlet_reference.hpp. No RNG runs in
+// the tick loop: randomness is hashing (wcmp.hpp), so determinism needs
+// no stream bookkeeping. save_state()/restore_state() capture everything
+// that carries across rounds as a typed State (part of ClosedLoop::State,
+// docs/DATAPLANE.md §8): restore-then-continue is bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -155,6 +154,55 @@ struct RoundResult {
 
 class DataplaneSim {
  public:
+  /// One flowlet's cumulative ledger, in quanta.
+  struct Ledger {
+    std::uint64_t injected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+
+    friend bool operator==(const Ledger&, const Ledger&) = default;
+  };
+
+  /// Everything that carries across rounds, one record per flowlet
+  /// whatever class it runs in. The defaulted == compares doubles by
+  /// value, not bitwise; state_signature() is the bitwise comparison.
+  struct State {
+    struct Hop {
+      std::int32_t edge = -1;
+      std::uint64_t queued = 0;    ///< quanta awaiting service
+      std::uint64_t arriving = 0;  ///< quanta landing next tick
+
+      friend bool operator==(const Hop&, const Hop&) = default;
+    };
+    struct Pipeline {
+      std::uint64_t path_id = 0;  ///< wcmp::path_identity (0 = none)
+      std::vector<Hop> hops;
+
+      friend bool operator==(const Pipeline&, const Pipeline&) = default;
+    };
+    struct Flowlet {
+      std::uint32_t od = 0;
+      double offered_gbps = 0.0;
+      double rate_gbps = 0.0;
+      double carry = 0.0;
+      std::uint64_t deferred = 0;
+      Ledger ledger;
+      Pipeline active;
+      std::vector<Pipeline> draining;
+
+      friend bool operator==(const Flowlet&, const Flowlet&) = default;
+    };
+
+    std::uint64_t round = 0;
+    /// ods * flowlets_per_od, in flowlet order.
+    std::vector<Flowlet> flowlets;
+    /// Per link: the utilization signal the next tick's rate control
+    /// reads.
+    std::vector<double> link_util;
+
+    friend bool operator==(const State&, const State&) = default;
+  };
+
   /// `ods` fixes the OD-slot count for the simulator's lifetime: round
   /// assignments must carry exactly this many routings (the controller's
   /// TrafficMatrix order). Flowlet state persists across rounds.
@@ -167,13 +215,15 @@ class DataplaneSim {
   RoundResult run_round(const te::FlowAssignment& assignment,
                         const CapacityTimeline& timeline);
 
-  /// Wire-encoded evolving state (carried by ClosedLoop::State).
-  std::vector<std::byte> save_state() const;
-  /// Restores a save_state() payload; throws util::CheckError on corrupt
-  /// or mismatched (topology/OD/config) payloads, including counts that
-  /// overrun the payload, hop edges outside the topology and flowlets
-  /// filed under the wrong OD. The sim is untouched on throw.
-  void restore_state(std::span<const std::byte> payload);
+  /// The evolving state (carried by ClosedLoop::State).
+  State save_state() const;
+  /// Restores a save_state() of a sim of the same shape. Throws
+  /// util::CheckError, with the sim untouched, on anything run_round
+  /// would misuse: a flowlet or link count that does not fit, a flowlet
+  /// under the wrong OD, a hop edge outside the topology, a rate that is
+  /// negative or not finite, a carry outside [0, 1), or a quanta count
+  /// or per-link queued total of 2^53 or more.
+  void restore_state(const State& state);
 
   /// Fold of the live flowlet/queue state — equal iff bitwise-equal.
   std::uint64_t state_signature() const;
@@ -188,7 +238,7 @@ class DataplaneSim {
     std::int32_t edge = -1;
     /// Owning class, and whether this hop ends its path (it delivers
     /// instead of forwarding), so a sweep over hops needs no per-path
-    /// loop. Derived from the layout; not part of the wire format.
+    /// loop. Derived from the layout; not part of the saved state.
     std::uint32_t cls : 31 = 0;
     std::uint32_t last : 1 = 0;
     /// Per member of the class, in quanta.
@@ -200,13 +250,6 @@ class DataplaneSim {
   struct Pipeline {
     std::vector<Hop> hops;
     std::uint64_t path_id = 0;  ///< wcmp::path_identity of the edge seq
-  };
-
-  /// One flowlet's cumulative ledger, in quanta.
-  struct Ledger {
-    std::uint64_t injected = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;
   };
 
   /// Flowlets of one OD with bit-equal state, simulated once. The state

@@ -72,13 +72,13 @@ class ClosedLoop {
   struct State {
     core::DynamicCapacityController::PersistentState controller;
     std::optional<demand::DemandPipeline::State> demand;
-    std::vector<std::byte> dataplane;
+    DataplaneSim::State dataplane;
     std::optional<demand::CounterSet> pending;
   };
   State save_state() const;
   /// Restores a save_state() of a loop built with the same arguments.
-  /// Throws util::CheckError on a corrupt dataplane payload, with this
-  /// loop untouched.
+  /// Throws util::CheckError, with this loop untouched, on a state whose
+  /// controller or dataplane part does not fit this loop.
   void restore_state(State state);
 
   const core::DynamicCapacityController& controller() const {

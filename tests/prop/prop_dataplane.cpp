@@ -250,9 +250,10 @@ prop::InvariantResult kernels_agree(DataplaneFixture& fixture,
       if (!differs.empty())
         return prop::InvariantResult::fail(
             at + differs + " differs from the per-flowlet reference");
-      if (sim.save_state() != reference.save_state())
+      if (sim.state_signature() != reference.state_signature() ||
+          sim.save_state() != reference.save_state())
         return prop::InvariantResult::fail(
-            at + "save_state bytes differ from the per-flowlet reference");
+            at + "saved state differs from the per-flowlet reference");
     }
     return prop::InvariantResult::pass();
   } catch (const util::CheckError& error) {

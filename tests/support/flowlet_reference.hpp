@@ -3,10 +3,10 @@
 // (tests/test_dataplane_reference.cpp, tests/prop/prop_dataplane.cpp;
 // docs/DATAPLANE.md §2). It simulates every flowlet on its own, in
 // flowlet order, with the same whole-quantum arithmetic, the same fault
-// sites and the same kDataplane payload, so state_signature(), every
-// RoundResult field and the save_state() bytes of the two kernels agree
-// exactly, and each can restore the other's payload. It registers no
-// metrics.
+// sites and the same saved state (DataplaneSim::State), so
+// state_signature(), every RoundResult field and the save_state() of the
+// two kernels agree exactly, and each can restore the other's state. It
+// registers no metrics.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include "dataplane/wcmp.hpp"
 #include "fault/registry.hpp"
 #include "graph/graph.hpp"
-#include "replay/wire.hpp"
 #include "te/demand.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -46,11 +45,6 @@ inline constexpr double kMinRateFraction = 0x1.0p-20;
 /// the products in share() round at most once.
 inline constexpr double kMaxQuanta = 0x1.0p53;
 inline constexpr double kQuanta = static_cast<double>(kQuantaPerByte);
-
-inline constexpr std::uint32_t kStateMagic = 0x52574344u;  // "RWCD"
-/// 2: whole-byte state (u64 queues and ledgers, the injection carry);
-/// link queue totals are rebuilt from the hops instead of stored.
-inline constexpr std::uint32_t kStateVersion = 2;
 
 inline bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
@@ -92,13 +86,12 @@ class FlowletReference {
   RoundResult run_round(const te::FlowAssignment& assignment,
                         const CapacityTimeline& timeline);
 
-  /// Wire-encoded evolving state (the kDataplane checkpoint payload).
-  std::vector<std::byte> save_state() const;
-  /// Restores a save_state() payload; throws util::CheckError on corrupt
-  /// or mismatched (topology/OD/config) payloads, including counts that
-  /// overrun the payload, hop edges outside the topology and flowlets
-  /// filed under the wrong OD. The sim is untouched on throw.
-  void restore_state(std::span<const std::byte> payload);
+  /// The evolving state, in the class kernel's type.
+  DataplaneSim::State save_state() const;
+  /// Restores a save_state() of either kernel; throws util::CheckError,
+  /// with the kernel untouched, on what DataplaneSim::restore_state
+  /// refuses.
+  void restore_state(const DataplaneSim::State& state);
 
   /// Fold of the live flowlet/queue state — equal iff bitwise-equal.
   std::uint64_t state_signature() const;
@@ -113,7 +106,7 @@ class FlowletReference {
     std::int32_t edge = -1;
     /// Owning flowlet, and whether this hop ends its path (it delivers
     /// instead of forwarding), so a sweep over hops needs no per-path
-    /// loop. Derived from the layout; not part of the wire format.
+    /// loop. Derived from the layout; not part of the saved state.
     std::uint32_t flowlet : 31 = 0;
     std::uint32_t last : 1 = 0;
     std::uint64_t queued = 0;    ///< quanta awaiting service
@@ -667,139 +660,101 @@ inline std::uint64_t FlowletReference::state_signature() const {
   return hash;
 }
 
-inline std::vector<std::byte> FlowletReference::save_state() const {
-  replay::wire::ByteWriter writer;
-  auto encode_pipeline = [&writer](std::uint64_t path_id,
-                                   std::span<const Hop> hops) {
-    writer.u64(path_id);
-    writer.u32(static_cast<std::uint32_t>(hops.size()));
-    for (const Hop& hop : hops) {
-      writer.i32(hop.edge);
-      writer.u64(hop.queued);
-      writer.u64(hop.arriving);
-    }
+inline DataplaneSim::State FlowletReference::save_state() const {
+  using State = DataplaneSim::State;
+  auto save_pipeline = [](std::uint64_t path_id, std::span<const Hop> hops) {
+    State::Pipeline pipeline{path_id, {}};
+    for (const Hop& hop : hops)
+      pipeline.hops.push_back({hop.edge, hop.queued, hop.arriving});
+    return pipeline;
   };
-  writer.u32(kStateMagic);
-  writer.u32(kStateVersion);
-  writer.u64(static_cast<std::uint64_t>(edge_count_));
-  writer.u64(static_cast<std::uint64_t>(ods_));
-  writer.u64(static_cast<std::uint64_t>(config_.flowlets_per_od));
-  writer.u64(round_);
+  State state;
+  state.round = round_;
   for (const Flowlet& fl : flowlets_) {
-    writer.u32(fl.od);
-    writer.f64(fl.offered_gbps);
-    writer.f64(fl.rate_gbps);
-    writer.f64(fl.carry);
-    writer.u64(fl.deferred);
-    writer.u64(fl.injected);
-    writer.u64(fl.delivered);
-    writer.u64(fl.dropped);
-    encode_pipeline(fl.path_id, active_hops(fl));
-    writer.u32(static_cast<std::uint32_t>(fl.draining.size()));
+    State::Flowlet& flowlet = state.flowlets.emplace_back();
+    flowlet.od = fl.od;
+    flowlet.offered_gbps = fl.offered_gbps;
+    flowlet.rate_gbps = fl.rate_gbps;
+    flowlet.carry = fl.carry;
+    flowlet.deferred = fl.deferred;
+    flowlet.ledger = {fl.injected, fl.delivered, fl.dropped};
+    flowlet.active = save_pipeline(fl.path_id, active_hops(fl));
     for (const Pipeline& pipeline : fl.draining)
-      encode_pipeline(pipeline.path_id, pipeline.hops);
+      flowlet.draining.push_back(
+          save_pipeline(pipeline.path_id, pipeline.hops));
   }
-  for (const double util : link_util_) writer.f64(util);
-  // Trailing integrity fold: restore_state recomputes the signature of the
-  // decoded state and rejects any payload whose bytes were disturbed —
-  // framing checks alone cannot catch a flipped bit inside a double.
-  writer.u64(state_signature());
-  return writer.take();
+  state.link_util = link_util_;
+  return state;
 }
 
 inline void FlowletReference::restore_state(
-    std::span<const std::byte> payload) {
-  replay::wire::ByteReader reader(payload);
-  RWC_CHECK_MSG(reader.u32() == kStateMagic && reader.u32() == kStateVersion,
-                "dataplane: unrecognized state payload");
-  RWC_CHECK_MSG(reader.u64() == edge_count_ && reader.u64() == ods_ &&
-                    reader.u64() == config_.flowlets_per_od,
-                "dataplane: state payload shape mismatch");
-  const std::uint64_t round = reader.u64();
+    const DataplaneSim::State& state) {
+  using State = DataplaneSim::State;
+  RWC_CHECK_MSG(state.flowlets.size() == flowlets_.size() &&
+                    state.link_util.size() == edge_count_,
+                "dataplane: state shape mismatch");
   std::vector<Flowlet> flowlets(flowlets_.size());
   std::vector<Hop> hops;
   std::vector<std::uint64_t> link_queued(edge_count_, 0);
-  // Every count is checked against the remaining payload before anything
-  // is sized by it, every hop edge against the topology, because
-  // run_round indexes per-link state with them, and every byte count and
-  // rate against the whole-byte model's range, because run_round converts
-  // them between double and integer. A truncated payload reads zeros from
-  // here on and is rejected by the final check.
-  auto check_bytes = [](std::uint64_t quanta) {
+  // Hop edges index per-link state, and rates, carries and quanta convert
+  // between double and integer: each is checked before the kernel
+  // changes.
+  auto check_quanta = [](std::uint64_t quanta) {
     RWC_CHECK_MSG(static_cast<double>(quanta) < kMaxQuanta,
-                  "dataplane: state payload byte count out of range");
+                  "dataplane: state quanta count out of range");
   };
-  auto read_pipeline = [&](std::vector<Hop>& out, std::size_t flowlet) {
-    const std::uint64_t path_id = reader.u64();
-    const std::uint32_t count = reader.u32();
-    RWC_CHECK_MSG(reader.fits(count), "dataplane: corrupt state payload");
-    for (std::uint32_t h = 0; h < count; ++h) {
-      Hop hop;
-      hop.edge = reader.i32();
-      hop.queued = reader.u64();
-      hop.arriving = reader.u64();
-      RWC_CHECK_MSG(hop.edge >= 0 && static_cast<std::size_t>(hop.edge) <
-                                         edge_count_,
-                    "dataplane: state payload hop edge out of range");
-      check_bytes(hop.queued);
-      check_bytes(hop.arriving);
-      std::uint64_t& queued = link_queued[static_cast<std::size_t>(hop.edge)];
-      queued += hop.queued;
-      check_bytes(queued);
+  auto restore_pipeline = [&](const State::Pipeline& pipeline,
+                              std::vector<Hop>& out, std::size_t flowlet) {
+    for (const State::Hop& saved : pipeline.hops) {
+      RWC_CHECK_MSG(saved.edge >= 0 && static_cast<std::size_t>(saved.edge) <
+                                           edge_count_,
+                    "dataplane: state hop edge out of range");
+      check_quanta(saved.queued);
+      check_quanta(saved.arriving);
+      std::uint64_t& queued = link_queued[static_cast<std::size_t>(saved.edge)];
+      queued += saved.queued;
+      check_quanta(queued);
+      Hop& hop = out.emplace_back();
+      hop.edge = saved.edge;
       hop.flowlet = static_cast<std::uint32_t>(flowlet);
-      out.push_back(hop);
+      hop.queued = saved.queued;
+      hop.arriving = saved.arriving;
     }
-    if (count > 0) out.back().last = 1;
-    return path_id;
+    if (!pipeline.hops.empty()) out.back().last = 1;
+    return pipeline.path_id;
   };
   for (std::size_t f = 0; f < flowlets.size(); ++f) {
+    const State::Flowlet& saved = state.flowlets[f];
     Flowlet& fl = flowlets[f];
-    fl.od = reader.u32();
-    RWC_CHECK_MSG(reader.failed() || fl.od == f / config_.flowlets_per_od,
-                  "dataplane: state payload flowlet under the wrong OD");
-    fl.offered_gbps = reader.f64();
-    fl.rate_gbps = reader.f64();
-    fl.carry = reader.f64();
+    fl.od = saved.od;
+    RWC_CHECK_MSG(fl.od == f / config_.flowlets_per_od,
+                  "dataplane: state flowlet under the wrong OD");
+    fl.offered_gbps = saved.offered_gbps;
+    fl.rate_gbps = saved.rate_gbps;
+    fl.carry = saved.carry;
     RWC_CHECK_MSG(std::isfinite(fl.offered_gbps) && fl.offered_gbps >= 0.0 &&
                       std::isfinite(fl.rate_gbps) && fl.rate_gbps >= 0.0 &&
                       fl.carry >= 0.0 && fl.carry < 1.0,
-                  "dataplane: state payload rate out of range");
-    fl.deferred = reader.u64();
-    check_bytes(fl.deferred);
-    fl.injected = reader.u64();
-    fl.delivered = reader.u64();
-    fl.dropped = reader.u64();
+                  "dataplane: state rate out of range");
+    fl.deferred = saved.deferred;
+    check_quanta(fl.deferred);
+    fl.injected = saved.ledger.injected;
+    fl.delivered = saved.ledger.delivered;
+    fl.dropped = saved.ledger.dropped;
     fl.hops_begin = static_cast<std::uint32_t>(hops.size());
-    fl.path_id = read_pipeline(hops, f);
+    fl.path_id = restore_pipeline(saved.active, hops, f);
     fl.hops_end = static_cast<std::uint32_t>(hops.size());
-    const std::uint32_t draining = reader.u32();
-    RWC_CHECK_MSG(reader.fits(draining), "dataplane: corrupt state payload");
-    fl.draining.resize(draining);
-    for (Pipeline& pipeline : fl.draining)
-      pipeline.path_id = read_pipeline(pipeline.hops, f);
+    fl.draining.resize(saved.draining.size());
+    for (std::size_t d = 0; d < saved.draining.size(); ++d)
+      fl.draining[d].path_id =
+          restore_pipeline(saved.draining[d], fl.draining[d].hops, f);
   }
-  std::vector<double> link_util(edge_count_);
-  for (double& util : link_util) util = reader.f64();
-  const std::uint64_t stored_signature = reader.u64();
-  RWC_CHECK_MSG(!reader.failed() && reader.exhausted(),
-                "dataplane: truncated state payload");
-  std::uint64_t restored_round = round;
-  std::swap(round_, restored_round);
-  std::swap(flowlets_, flowlets);
-  std::swap(hops_, hops);
-  std::swap(link_queued_, link_queued);
-  std::swap(link_util_, link_util);
-  if (state_signature() != stored_signature) {
-    // Strong guarantee: put the pre-restore state back before rejecting.
-    std::swap(round_, restored_round);
-    std::swap(flowlets_, flowlets);
-    std::swap(hops_, hops);
-    std::swap(link_queued_, link_queued);
-    std::swap(link_util_, link_util);
-    RWC_CHECK_MSG(false, "dataplane: state payload signature mismatch");
-  }
+  round_ = state.round;
+  flowlets_ = std::move(flowlets);
+  hops_ = std::move(hops);
+  link_queued_ = std::move(link_queued);
+  link_util_ = state.link_util;
 }
-
 
 /// The first field on which two rounds' results differ ("" when every
 /// field is bit-identical): the comparison the class kernel is held to.

@@ -1,14 +1,15 @@
 // Differential tests of the dataplane against the solver allocation
 // (docs/DATAPLANE.md §5): the gap oracle for both TE engines over two
 // seeds, capacity safety, bitwise determinism across thread-pool sizes,
-// save/restore-then-continue, the pinned save_state() wire format, and
-// the dataplane-backed demand counter source certifying exact recovery on a
-// clean round.
+// save/restore-then-continue, restore's range checks, a pinned state
+// signature, and the dataplane-backed demand counter source certifying
+// exact recovery on a clean round.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -21,12 +22,10 @@
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
-#include "replay/wire.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace rwc {
@@ -101,39 +100,24 @@ TEST(DataplaneDifferential, SimStateRoundTripsThroughSaveRestore) {
   const graph::Graph topology = sim::waxman(8, topo_rng);
   dataplane::DataplaneConfig config;
   dataplane::DataplaneSim sim(topology, 12, config);
-  const std::vector<std::byte> state = sim.save_state();
+  const dataplane::DataplaneSim::State state = sim.save_state();
 
   dataplane::DataplaneSim restored(topology, 12, config);
   restored.restore_state(state);
   EXPECT_EQ(restored.state_signature(), sim.state_signature());
+  EXPECT_TRUE(restored.save_state() == state);
 
-  // Corrupt payloads are rejected, not absorbed.
-  std::vector<std::byte> corrupt = state;
-  corrupt[corrupt.size() / 2] ^= std::byte{0x40};
-  dataplane::DataplaneSim victim(topology, 12, config);
-  EXPECT_THROW(victim.restore_state(corrupt), util::CheckError);
-  // Mismatched shape (different OD count) is rejected too.
+  // Mismatched shape (different OD count) is rejected.
   dataplane::DataplaneSim other(topology, 13, config);
   EXPECT_THROW(other.restore_state(state), util::CheckError);
 }
 
-/// FNV-1a over a save_state() payload.
-std::uint64_t payload_hash(const std::vector<std::byte>& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const std::byte b : bytes) {
-    hash ^= std::to_integer<std::uint64_t>(b);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-// Pins the kDataplane wire format and the transition paths behind it: a
-// re-install that migrates flowlets with bytes still in flight (draining
-// pipelines), then a round with one OD's routing emptied (its sources stop
-// and its active pipelines retire to draining). The final payload's hash
-// was recorded from the reference kernel; any change to the encoding, the
-// field order or the tick arithmetic moves it. The final
-// state_signature() pins the same state apart from its encoding.
+// Pins the transition paths behind the saved state: a re-install that
+// migrates flowlets with bytes still in flight (draining pipelines), then
+// a round with one OD's routing emptied (its sources stop and its active
+// pipelines retire to draining). The final state_signature() was recorded
+// from the reference kernel; any change to the tick arithmetic or the
+// state it leaves moves it.
 TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
   util::Rng topo_rng = util::Rng::stream(43, 810);
   const graph::Graph topology = sim::waxman(8, topo_rng);
@@ -194,68 +178,9 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
                                 dp_config.tick_seconds));
   EXPECT_EQ(last.od_goodput_gbps[emptied], 0.0);
 
-  const std::vector<std::byte> state = sim.save_state();
-  EXPECT_EQ(payload_hash(state), 0x59d7e3dc759c3488ull)
-      << std::hex << payload_hash(state);
   EXPECT_EQ(sim.state_signature(), 0xe77aff3dc99c0971ull)
       << std::hex << sim.state_signature();
 }
-
-using util::combine64;
-
-/// Per flowlet after its u32 od: offered, rate and carry (f64), then the
-/// deferred, injected, delivered and dropped quanta (u64).
-constexpr int kFlowletWords = 7;
-
-/// Rewrites a save_state() payload's trailing integrity fold, walking the
-/// fields in state_signature() order, so a tampered payload gets past the
-/// signature check and reaches restore_state's field checks.
-void resign(std::vector<std::byte>& payload) {
-  replay::wire::ByteReader reader(payload);
-  reader.u32();  // magic
-  reader.u32();  // version
-  const std::uint64_t edges = reader.u64();
-  const std::uint64_t flowlets = reader.u64() * reader.u64();
-  std::uint64_t hash = combine64(0x64617461706c616eull, reader.u64());
-  auto fold_pipeline = [&] {
-    hash = combine64(hash, reader.u64());  // path id
-    const std::uint32_t hops = reader.u32();
-    for (std::uint32_t h = 0; h < hops; ++h) {
-      hash = combine64(hash, reader.u32());  // edge
-      hash = combine64(hash, reader.u64());  // queued
-      hash = combine64(hash, reader.u64());  // arriving
-    }
-  };
-  for (std::uint64_t f = 0; f < flowlets; ++f) {
-    hash = combine64(hash, reader.u32());  // od
-    for (int field = 0; field < kFlowletWords; ++field)
-      hash = combine64(hash, reader.u64());
-    fold_pipeline();
-    const std::uint32_t draining = reader.u32();
-    hash = combine64(hash, draining);
-    for (std::uint32_t d = 0; d < draining; ++d) fold_pipeline();
-  }
-  for (std::uint64_t e = 0; e < edges; ++e)
-    hash = combine64(hash, reader.u64());  // utilization signal
-  ASSERT_FALSE(reader.failed());
-  for (int b = 0; b < 8; ++b)
-    payload[payload.size() - 8 + b] =
-        std::byte{static_cast<std::uint8_t>(hash >> (8 * b))};
-}
-
-void put_u32(std::vector<std::byte>& payload, std::size_t at,
-             std::uint32_t value) {
-  for (int b = 0; b < 4; ++b)
-    payload[at + b] = std::byte{static_cast<std::uint8_t>(value >> (8 * b))};
-}
-
-// Payload layout (DataplaneSim::save_state): a 40-byte header (magic,
-// version, edge/OD/flowlet counts, round), then per flowlet its u32 od,
-// kFlowletWords 8-byte fields and the active pipeline (u64 path id, u32
-// hop count, hops).
-constexpr std::size_t kFirstOd = 40;
-constexpr std::size_t kFirstHopCount = kFirstOd + 4 + kFlowletWords * 8 + 8;
-constexpr std::size_t kFirstHopEdge = kFirstHopCount + 4;
 
 /// A seeded Waxman WAN with gravity demands, the controller's first
 /// assignment, and a steady timeline at its configured capacities.
@@ -289,53 +214,61 @@ struct FirstRound {
   }
 };
 
-// restore_state must reject a malformed payload with CheckError before it
-// allocates or indexes anything with the decoded values, and leave the
-// sim untouched.
-TEST(DataplaneDifferential, RestoreRejectsMalformedCountsEdgesAndOds) {
+// restore_state must refuse, with CheckError, any state that run_round
+// would index out of range or convert out of range, and leave the sim
+// untouched.
+TEST(DataplaneDifferential, RestoreRejectsOutOfRangeState) {
+  using State = dataplane::DataplaneSim::State;
   const FirstRound fixture(47);
   const graph::Graph& topology = fixture.topology;
   dataplane::DataplaneSim sim(topology, fixture.demands.size(),
                               fixture.config);
   sim.run_round(fixture.assignment, fixture.timeline);
-  const std::vector<std::byte> state = sim.save_state();
-
-  // The test-local fold reproduces the real one on an untampered payload.
-  std::vector<std::byte> resigned = state;
-  resign(resigned);
-  ASSERT_EQ(resigned, state);
+  const State state = sim.save_state();
+  ASSERT_GE(state.flowlets[0].active.hops.size(), 1u)
+      << "flowlet 0 has no path";
 
   dataplane::DataplaneSim victim(topology, fixture.demands.size(),
                                  fixture.config);
   const std::uint64_t before = victim.state_signature();
-  auto expect_rejected = [&](const std::vector<std::byte>& payload,
-                             const char* what) {
-    EXPECT_THROW(victim.restore_state(payload), util::CheckError) << what;
+  auto expect_rejected = [&](const char* what, auto&& edit) {
+    State bad = state;
+    edit(bad);
+    EXPECT_THROW(victim.restore_state(bad), util::CheckError) << what;
     EXPECT_EQ(victim.state_signature(), before) << what;
   };
+  auto first_hop = [](State& s) -> State::Hop& {
+    return s.flowlets[0].active.hops[0];
+  };
+  const std::int32_t edges = static_cast<std::int32_t>(topology.edge_count());
+  constexpr std::uint64_t k2p53 = std::uint64_t{1} << 53;
 
-  // A hop count the payload cannot hold: no allocation is attempted.
-  std::vector<std::byte> huge = state;
-  ASSERT_GT(huge[kFirstHopCount], std::byte{0}) << "flowlet 0 has no path";
-  put_u32(huge, kFirstHopCount, 0xFFFFFFFFu);
-  expect_rejected(huge, "hop count 0xFFFFFFFF");
+  expect_rejected("hop edge -1", [&](State& s) { first_hop(s).edge = -1; });
+  expect_rejected("hop edge == edge_count",
+                  [&](State& s) { first_hop(s).edge = edges; });
+  expect_rejected("flowlet 0 under OD 1",
+                  [](State& s) { s.flowlets[0].od = 1; });
+  expect_rejected("NaN rate", [](State& s) {
+    s.flowlets[0].rate_gbps = std::numeric_limits<double>::quiet_NaN();
+  });
+  expect_rejected("negative rate",
+                  [](State& s) { s.flowlets[0].offered_gbps = -1.0; });
+  expect_rejected("carry 1.0", [](State& s) { s.flowlets[0].carry = 1.0; });
+  expect_rejected("2^53 quanta",
+                  [&](State& s) { first_hop(s).queued = k2p53; });
+  // Two hops of 2^52 quanta each on one link: each count is in range,
+  // their per-link total is not.
+  expect_rejected("per-link total of 2^53", [&](State& s) {
+    State::Hop& other = s.flowlets[1].active.hops.at(0);
+    first_hop(s).queued = k2p53 / 2;
+    other = first_hop(s);
+  });
+  expect_rejected("one flowlet too few",
+                  [](State& s) { s.flowlets.pop_back(); });
+  expect_rejected("one link too few",
+                  [](State& s) { s.link_util.pop_back(); });
 
-  // Hop edges outside the topology, behind a valid signature.
-  for (const std::int32_t edge :
-       {std::int32_t{-1}, static_cast<std::int32_t>(topology.edge_count())}) {
-    std::vector<std::byte> bad_edge = state;
-    put_u32(bad_edge, kFirstHopEdge, static_cast<std::uint32_t>(edge));
-    resign(bad_edge);
-    expect_rejected(bad_edge, "out-of-range hop edge");
-  }
-
-  // Flowlet 0 filed under OD 1, behind a valid signature.
-  std::vector<std::byte> bad_od = state;
-  put_u32(bad_od, kFirstOd, 1);
-  resign(bad_od);
-  expect_rejected(bad_od, "flowlet under the wrong OD");
-
-  // The untampered payload still restores.
+  // The untouched state still restores.
   victim.restore_state(state);
   EXPECT_EQ(victim.state_signature(), sim.state_signature());
 }

@@ -1,9 +1,9 @@
 // The flowlet-class kernel (dataplane::DataplaneSim) against the
 // per-flowlet reference kernel (tests/support/flowlet_reference.hpp,
 // docs/DATAPLANE.md §2): on the inputs the three GoldenDataplane fixtures
-// pin, with and without a checkpoint handed between the kernels, every
-// RoundResult field, state_signature() and the save_state() bytes agree
-// bit for bit. The prop harness runs the same comparison under random
+// pin, with and without a saved state handed between the kernels, every
+// RoundResult field, state_signature() and the save_state() agree bit for
+// bit. The prop harness runs the same comparison under random
 // dataplane.packet / dataplane.hash plans (tests/prop/prop_dataplane.cpp).
 #include <gtest/gtest.h>
 
@@ -40,14 +40,14 @@ void expect_same_state(const dataplane::DataplaneSim& sim,
                        const std::string& where) {
   EXPECT_EQ(sim.state_signature(), reference.state_signature()) << where;
   EXPECT_TRUE(sim.save_state() == reference.save_state())
-      << where << ": save_state bytes differ";
+      << where << ": saved states differ";
 }
 
 /// Runs the class kernel and the reference on the inputs of every round
 /// run_xcheck(`config`) runs: the assignment and timeline its loop's
 /// dataplane ran. Both must reproduce the loop's own round. Before round
-/// `handoff` (if set) each kernel is rebuilt from the other's payload, so
-/// a checkpoint written by either restores into either.
+/// `handoff` (if set) each kernel is rebuilt from the other's state, so
+/// a state saved by either restores into either.
 void compare_on_xcheck_inputs(const dataplane::XcheckConfig& config,
                               std::optional<std::size_t> handoff) {
   std::unique_ptr<dataplane::DataplaneSim> sim;
@@ -66,8 +66,9 @@ void compare_on_xcheck_inputs(const dataplane::XcheckConfig& config,
           std::make_unique<FlowletReference>(topology, ods, config.dataplane);
     }
     if (handoff == r) {
-      const std::vector<std::byte> from_sim = sim->save_state();
-      const std::vector<std::byte> from_reference = reference->save_state();
+      const dataplane::DataplaneSim::State from_sim = sim->save_state();
+      const dataplane::DataplaneSim::State from_reference =
+          reference->save_state();
       sim = std::make_unique<dataplane::DataplaneSim>(topology, ods,
                                                       config.dataplane);
       sim->restore_state(from_reference);
@@ -91,15 +92,15 @@ void compare_on_xcheck_inputs(const dataplane::XcheckConfig& config,
 }
 
 /// The golden input `config` (under `plan` when set): the two kernels
-/// agree on every round of the loop's, and keep agreeing after a
-/// checkpoint crosses between them.
+/// agree on every round of the loop's, and keep agreeing after a saved
+/// state crosses between them.
 void check_golden_input(const dataplane::XcheckConfig& config,
                         const char* plan = nullptr) {
   std::optional<fault::ScopedPlan> armed;
   if (plan != nullptr) armed.emplace(fault::FaultPlan::parse(plan));
   compare_on_xcheck_inputs(config, std::nullopt);
   for (const std::size_t handoff : {std::size_t{1}, config.rounds / 2 + 1}) {
-    SCOPED_TRACE("checkpoint handed over before round " +
+    SCOPED_TRACE("state handed over before round " +
                  std::to_string(handoff));
     compare_on_xcheck_inputs(config, handoff);
   }
