@@ -11,6 +11,9 @@ using util::Gbps;
 
 namespace {
 
+/// Routed-throughput slack when comparing a subset with the target.
+constexpr double kThroughputTolerance = 1e-6;
+
 /// Throughput with the given subset of variable links activated.
 double evaluate_subset(const graph::Graph& base,
                        std::span<const VariableLink> variable_links,
@@ -40,14 +43,17 @@ std::vector<VariableLink> subset_links(
   return chosen;
 }
 
-FixedChargeResult solve_exact(const graph::Graph& base,
-                              std::span<const VariableLink> variable_links,
-                              std::span<const double> activation_cost,
-                              const te::TeAlgorithm& engine,
-                              const te::TrafficMatrix& demands,
-                              const FixedChargeOptions& options) {
-  const auto n = variable_links.size();
-  const std::uint32_t subsets = 1u << n;
+}  // namespace
+
+FixedChargeResult solve_fixed_charge(
+    const graph::Graph& base, std::span<const VariableLink> variable_links,
+    std::span<const double> activation_cost, const te::TeAlgorithm& engine,
+    const te::TrafficMatrix& demands) {
+  RWC_EXPECTS(activation_cost.size() == variable_links.size());
+  RWC_EXPECTS(variable_links.size() <= kMaxFixedChargeLinks);
+  for (double cost : activation_cost) RWC_EXPECTS(cost >= 0.0);
+
+  const std::uint32_t subsets = 1u << variable_links.size();
 
   // Target throughput: everything activated.
   const double best_throughput = evaluate_subset(
@@ -65,11 +71,10 @@ FixedChargeResult solve_exact(const graph::Graph& base,
   });
 
   FixedChargeResult result;
-  result.exact = true;
   for (std::uint32_t mask : order) {
     const double routed =
         evaluate_subset(base, variable_links, mask, engine, demands);
-    if (routed + options.throughput_epsilon >= best_throughput) {
+    if (routed + kThroughputTolerance >= best_throughput) {
       result.activated = subset_links(variable_links, mask);
       result.routed = Gbps{routed};
       result.activation_cost = subset_cost(activation_cost, mask);
@@ -79,78 +84,6 @@ FixedChargeResult solve_exact(const graph::Graph& base,
   // Unreachable: the full set achieves its own throughput.
   RWC_CHECK_MSG(false, "fixed-charge enumeration found no subset");
   return result;
-}
-
-FixedChargeResult solve_greedy(const graph::Graph& base,
-                               std::span<const VariableLink> variable_links,
-                               std::span<const double> activation_cost,
-                               const te::TeAlgorithm& engine,
-                               const te::TrafficMatrix& demands,
-                               const FixedChargeOptions& options) {
-  std::vector<bool> active(variable_links.size(), true);
-  auto mask_of = [&]() {
-    std::uint32_t mask = 0;
-    for (std::size_t i = 0; i < active.size(); ++i)
-      if (active[i]) mask |= 1u << i;
-    return mask;
-  };
-  double current =
-      evaluate_subset(base, variable_links, mask_of(), engine, demands);
-
-  // Drop the most expensive activation whose removal is throughput-free;
-  // repeat until no drop survives.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    std::vector<std::size_t> by_cost;
-    for (std::size_t i = 0; i < active.size(); ++i)
-      if (active[i]) by_cost.push_back(i);
-    std::sort(by_cost.begin(), by_cost.end(),
-              [&](std::size_t a, std::size_t b) {
-                return activation_cost[a] > activation_cost[b];
-              });
-    for (std::size_t candidate : by_cost) {
-      active[candidate] = false;
-      const double routed =
-          evaluate_subset(base, variable_links, mask_of(), engine, demands);
-      if (routed + options.throughput_epsilon >= current) {
-        current = std::max(current, routed);
-        progressed = true;
-        break;
-      }
-      active[candidate] = true;
-    }
-  }
-
-  FixedChargeResult result;
-  result.exact = false;
-  result.activated = subset_links(variable_links, mask_of());
-  result.routed = Gbps{current};
-  result.activation_cost = subset_cost(activation_cost, mask_of());
-  return result;
-}
-
-}  // namespace
-
-FixedChargeResult solve_fixed_charge(
-    const graph::Graph& base, std::span<const VariableLink> variable_links,
-    std::span<const double> activation_cost, const te::TeAlgorithm& engine,
-    const te::TrafficMatrix& demands, const FixedChargeOptions& options) {
-  RWC_EXPECTS(activation_cost.size() == variable_links.size());
-  RWC_EXPECTS(variable_links.size() < 31);
-  for (double cost : activation_cost) RWC_EXPECTS(cost >= 0.0);
-
-  if (variable_links.empty()) {
-    FixedChargeResult result;
-    result.exact = true;
-    result.routed = engine.solve(base, demands).total_routed;
-    return result;
-  }
-  if (variable_links.size() <= options.exact_limit)
-    return solve_exact(base, variable_links, activation_cost, engine,
-                       demands, options);
-  return solve_greedy(base, variable_links, activation_cost, engine, demands,
-                      options);
 }
 
 }  // namespace rwc::core
