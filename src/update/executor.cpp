@@ -1,7 +1,5 @@
 #include "update/executor.hpp"
 
-#include <algorithm>
-
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
@@ -31,12 +29,6 @@ struct ExecMetrics {
     return metrics;
   }
 };
-
-double drain_limit_for(bvt::Procedure procedure, double from, double to,
-                       double headroom) {
-  if (procedure == bvt::Procedure::kStandard) return 0.0;
-  return std::min(from, to) * (1.0 + headroom);
-}
 
 /// Injected stall/delay time in seconds (kDelay magnitudes travel in
 /// milliseconds — fault/plan.hpp).

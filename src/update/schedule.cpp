@@ -34,12 +34,6 @@ graph::Path make_path(const graph::Graph& graph,
   return path;
 }
 
-double drain_limit_for(bvt::Procedure procedure, double from, double to,
-                       double headroom) {
-  if (procedure == bvt::Procedure::kStandard) return 0.0;
-  return std::min(from, to) * (1.0 + headroom);
-}
-
 /// One pending BVT reconfiguration.
 struct PendingReconfig {
   graph::EdgeId edge;

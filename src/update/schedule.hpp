@@ -26,6 +26,7 @@
 // and fault injection lives in update/executor.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -140,6 +141,16 @@ struct UpdateSchedule {
   /// linearizes: reconfig-waits-for-drain plus add-waits-for-reconfig.
   std::size_t dependency_edges = 0;
 };
+
+/// The load a link may keep while its BVT reconfigures from `from` to `to`
+/// Gbps: none under kStandard (the link is dark), min(from, to) *
+/// (1 + headroom) under kEfficient. The planner and the executor derive
+/// every drain limit from it.
+inline double drain_limit_for(bvt::Procedure procedure, double from,
+                              double to, double headroom) {
+  if (procedure == bvt::Procedure::kStandard) return 0.0;
+  return std::min(from, to) * (1.0 + headroom);
+}
 
 /// Plans the transition from (`before_capacity`, `before`) to
 /// (`after_capacity`, `after`) on `topology` (which supplies edge
