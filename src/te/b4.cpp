@@ -14,9 +14,17 @@ namespace rwc::te {
 
 using util::Gbps;
 
+namespace {
+
+/// Preinstalled tunnels (k shortest paths) per demand.
+constexpr std::size_t kPathsPerDemand = 4;
+/// Bandwidth one progressive-filling step hands a demand, Gbps.
+constexpr double kQuantumGbps = 1.0;
+
+}  // namespace
+
 FlowAssignment B4Te::solve(const graph::Graph& graph,
                            const TrafficMatrix& demands) const {
-  RWC_EXPECTS(options_.quantum.value > 0.0);
   static auto& solves = obs::Registry::global().counter("te.b4.solves");
   static auto& seconds =
       obs::Registry::global().histogram("te.b4.solve_seconds");
@@ -47,7 +55,7 @@ FlowAssignment B4Te::solve(const graph::Graph& graph,
     RWC_EXPECTS(demands[d].src != demands[d].dst);
     for (graph::Path& path :
          graph::k_shortest_paths(graph, demands[d].src, demands[d].dst,
-                                 options_.paths_per_demand)) {
+                                 kPathsPerDemand)) {
       Tunnel tunnel;
       tunnel.metric = path.weight;
       for (graph::EdgeId edge : path.edges)
@@ -94,7 +102,7 @@ FlowAssignment B4Te::solve(const graph::Graph& graph,
                              remaining[static_cast<std::size_t>(edge.value)]);
           if (spare <= flow::kFlowEps) continue;
           const double amount =
-              std::min({options_.quantum.value, unmet[d], spare});
+              std::min({kQuantumGbps, unmet[d], spare});
           for (graph::EdgeId edge : tunnels[d][t].path.edges)
             remaining[static_cast<std::size_t>(edge.value)] -= amount;
           allocation[d][t] += amount;

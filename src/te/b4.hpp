@@ -1,7 +1,7 @@
 // B4-style greedy TE (Jain et al., SIGCOMM 2013): demands are grouped by
-// priority; within a class, bandwidth is handed out in small quanta,
+// priority; within a class, bandwidth is handed out in 1 Gbps quanta,
 // round-robin across demands (progressive filling — approximate max-min
-// fairness), each demand taking its best available tunnel from k
+// fairness), each demand taking its best available tunnel from its 4
 // preinstalled shortest paths.
 #pragma once
 
@@ -11,21 +11,10 @@ namespace rwc::te {
 
 class B4Te final : public TeAlgorithm {
  public:
-  struct Options {
-    std::size_t paths_per_demand = 4;
-    util::Gbps quantum{1.0};
-  };
-
-  B4Te() : options_{} {}
-  explicit B4Te(Options options) : options_(options) {}
-
   std::string name() const override { return "b4"; }
 
   FlowAssignment solve(const graph::Graph& graph,
                        const TrafficMatrix& demands) const override;
-
- private:
-  Options options_;
 };
 
 }  // namespace rwc::te

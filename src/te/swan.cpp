@@ -16,6 +16,12 @@ using util::Gbps;
 
 namespace {
 
+/// Preinstalled tunnels (k shortest paths) per demand.
+constexpr std::size_t kPathsPerDemand = 4;
+/// Relative slack when fixing a class's throughput between the two
+/// passes.
+constexpr double kThroughputSlack = 1e-9;
+
 /// One LP variable: volume on `path` of demand `demand_index`.
 struct PathVariable {
   std::size_t demand_index;
@@ -91,7 +97,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
   for (std::size_t i = 0; i < demands.size(); ++i)
     result.routings[i].demand = demands[i];
 
-  const LpShape shape = build_shape(graph, demands, options_.paths_per_demand);
+  const LpShape shape = build_shape(graph, demands, kPathsPerDemand);
   const int n_vars = static_cast<int>(shape.variables.size());
   if (n_vars == 0) {
     finalize_assignment(graph, result);
@@ -125,7 +131,7 @@ FlowAssignment SwanTe::solve(const graph::Graph& graph,
       if (terms.empty()) continue;
       problem.add_constraint(
           std::move(terms), lp::Relation::kGreaterEqual,
-          throughput * (1.0 - options_.throughput_slack) - 1e-9);
+          throughput * (1.0 - kThroughputSlack) - 1e-9);
     }
   };
 

@@ -1,5 +1,5 @@
 // SWAN-style LP traffic engineering (Hong et al., SIGCOMM 2013):
-// path-based multi-commodity flow over k preinstalled tunnels per demand,
+// path-based multi-commodity flow over 4 preinstalled tunnels per demand,
 // solved lexicographically — priority classes high to low, maximize
 // throughput, then minimize total edge cost at that throughput (the pass
 // that makes augmentation penalties effective), with optional approximate
@@ -20,10 +20,7 @@ namespace rwc::te {
 class SwanTe final : public TeAlgorithm {
  public:
   struct Options {
-    std::size_t paths_per_demand = 4;
     bool max_min_fairness = false;
-    /// Relative slack when fixing the throughput between the two passes.
-    double throughput_slack = 1e-9;
     /// Serve bit-identical LPs from the memo. Timing only;
     /// RWC_PARTIAL_RESOLVE=0 flips the default off for bisection and as the
     /// reference arm of the differential tests.
