@@ -115,9 +115,8 @@ TEST(DataplaneDifferential, SimStateRoundTripsThroughSaveRestore) {
 // Pins the transition paths behind the saved state: a re-install that
 // migrates flowlets with bytes still in flight (draining pipelines), then
 // a round with one OD's routing emptied (its sources stop and its active
-// pipelines retire to draining). The final state_signature() was recorded
-// from the reference kernel; any change to the tick arithmetic or the
-// state it leaves moves it.
+// pipelines retire to draining). The pinned final state_signature() moves
+// with any change to the tick arithmetic or to the state it leaves.
 TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
   util::Rng topo_rng = util::Rng::stream(43, 810);
   const graph::Graph topology = sim::waxman(8, topo_rng);
