@@ -40,11 +40,6 @@ struct DemandConfig {
   double staleness = 0.0;
   /// Counter collection interval: the bytes<->Gbps conversion scale.
   double interval_seconds = 900.0;
-  /// EWMA blend factor of the estimate history prior (regularizes damped
-  /// solves on rank-deficient / under-determined instances).
-  double ewma_alpha = 0.3;
-  /// Relative ridge damping of the least-squares fallback.
-  double damping = 1e-3;
   /// Stream family for the noise/loss/staleness draws.
   std::uint64_t seed = 1;
   /// Counter-log ring capacity in rounds (0 = no recording). The log is

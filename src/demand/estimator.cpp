@@ -197,7 +197,7 @@ EstimateResult estimate_od_volumes(const RoutingMatrix& matrix,
   if (cholesky(factor, n, 1e-10 * std::max(max_diag, 1.0))) {
     x = cholesky_solve(factor, n, b);
   } else {
-    const double lambda = config.damping * std::max(max_diag, 1.0);
+    const double lambda = kRidgeDamping * std::max(max_diag, 1.0);
     factor = a;
     for (std::size_t c = 0; c < n; ++c) factor[c * n + c] += lambda;
     std::vector<double> damped_b = b;

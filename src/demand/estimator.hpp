@@ -42,6 +42,10 @@ namespace rwc::demand {
 /// 1e-6 Gbps (~1 kbit/s) estimate quantization grid.
 inline constexpr double kVolumeGridGbps = 1e-6;
 
+/// Ridge damping of the least-squares fallback, relative to the largest
+/// squared column norm of the routing matrix (floored at 1).
+inline constexpr double kRidgeDamping = 1e-3;
+
 /// Snaps a volume onto the estimate grid (idempotent for the magnitudes the
 /// ladder deals in).
 double snap_to_grid(double gbps);

@@ -67,8 +67,8 @@ DemandPipeline::Result DemandPipeline::round(
     ewma_warm_ = true;
   } else {
     for (std::size_t j = 0; j < ewma_.size(); ++j)
-      ewma_[j] = config_.ewma_alpha * estimate.volumes[j] +
-                 (1.0 - config_.ewma_alpha) * ewma_[j];
+      ewma_[j] = kEwmaAlpha * estimate.volumes[j] +
+                 (1.0 - kEwmaAlpha) * ewma_[j];
   }
 
   Result result;

@@ -35,6 +35,10 @@
 
 namespace rwc::demand {
 
+/// EWMA blend factor of the estimate history prior, the anchor of damped
+/// solves on rank-deficient and under-determined instances.
+inline constexpr double kEwmaAlpha = 0.3;
+
 class DemandPipeline {
  public:
   DemandPipeline(std::size_t edge_count, DemandConfig config);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <span>
 
+#include "demand/estimator.hpp"
+#include "demand/pipeline.hpp"
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
@@ -146,8 +148,10 @@ std::uint64_t fingerprint_demand(std::uint64_t hash,
   hash = mix_double(hash, config.loss_rate);
   hash = mix_double(hash, config.staleness);
   hash = mix_double(hash, config.interval_seconds);
-  hash = mix_double(hash, config.ewma_alpha);
-  hash = mix_double(hash, config.damping);
+  // The two estimator constants are folded where their settable
+  // predecessors were, so checkpoint fingerprints keep their values.
+  hash = mix_double(hash, demand::kEwmaAlpha);
+  hash = mix_double(hash, demand::kRidgeDamping);
   return mix64(hash, config.seed);
 }
 
