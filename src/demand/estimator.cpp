@@ -45,6 +45,12 @@ struct UsableRow {
   double offered_gbps = 0.0;  ///< delivered rate divided back by (1 - loss)
 };
 
+/// One entry of a routing column: `fraction` on usable row `row`.
+struct ColumnEntry {
+  std::size_t row = 0;
+  double fraction = 0.0;
+};
+
 bool finite_non_negative(double value) {
   return std::isfinite(value) && value >= 0.0;
 }
@@ -172,44 +178,86 @@ EstimateResult estimate_od_volumes(const RoutingMatrix& matrix,
     return result;
   }
 
-  // Normal equations A = R^T R, b = R^T y over the usable rows.
+  // The sparse columns of R over the usable rows, each in ascending row
+  // order, and the largest squared column norm (the largest diagonal entry
+  // of R^T R), which scales the damping.
   const std::size_t n = cols.size();
-  std::vector<double> a(n * n, 0.0);
-  std::vector<double> b(n, 0.0);
-  for (const UsableRow& row : rows) {
-    const auto& entries = matrix.rows[row.link];
-    for (const RoutingMatrix::Entry& e1 : entries) {
-      const auto c1 = static_cast<std::size_t>(col_of[e1.od]);
-      b[c1] += e1.fraction * row.offered_gbps;
-      for (const RoutingMatrix::Entry& e2 : entries) {
-        const auto c2 = static_cast<std::size_t>(col_of[e2.od]);
-        a[c1 * n + c2] += e1.fraction * e2.fraction;
+  const std::size_t m = rows.size();
+  std::vector<std::size_t> col_start(n + 1, 0);
+  for (const UsableRow& row : rows)
+    for (const RoutingMatrix::Entry& entry : matrix.rows[row.link])
+      ++col_start[static_cast<std::size_t>(col_of[entry.od]) + 1];
+  for (std::size_t c = 0; c < n; ++c) col_start[c + 1] += col_start[c];
+  std::vector<ColumnEntry> column(col_start[n]);
+  std::vector<std::size_t> fill(col_start.begin(), col_start.end() - 1);
+  for (std::size_t r = 0; r < m; ++r)
+    for (const RoutingMatrix::Entry& entry : matrix.rows[rows[r].link])
+      column[fill[static_cast<std::size_t>(col_of[entry.od])]++] = {
+          r, entry.fraction};
+  double max_diag = 0.0;
+  for (std::size_t c = 0; c < n; ++c) {
+    double norm = 0.0;
+    for (std::size_t p = col_start[c]; p < col_start[c + 1]; ++p)
+      norm += column[p].fraction * column[p].fraction;
+    max_diag = std::max(max_diag, norm);
+  }
+
+  // Undamped OD-space normal equations R^T R x = R^T y, attempted only when
+  // n <= m: R^T R has rank at most m, so for n > m it is always singular.
+  std::vector<double> x;
+  if (n <= m) {
+    std::vector<double> a(n * n, 0.0);
+    std::vector<double> b(n, 0.0);
+    for (const UsableRow& row : rows) {
+      const auto& entries = matrix.rows[row.link];
+      for (const RoutingMatrix::Entry& e1 : entries) {
+        const auto c1 = static_cast<std::size_t>(col_of[e1.od]);
+        b[c1] += e1.fraction * row.offered_gbps;
+        for (const RoutingMatrix::Entry& e2 : entries) {
+          const auto c2 = static_cast<std::size_t>(col_of[e2.od]);
+          a[c1 * n + c2] += e1.fraction * e2.fraction;
+        }
       }
     }
+    if (cholesky(a, n, 1e-10 * std::max(max_diag, 1.0)))
+      x = cholesky_solve(a, n, std::move(b));
   }
-  double max_diag = 0.0;
-  for (std::size_t c = 0; c < n; ++c) max_diag = std::max(max_diag, a[c * n + c]);
 
-  // Undamped first; ridge-damped toward the EWMA/intent prior on rank
-  // deficiency (under-determined instances, duplicated columns).
-  std::vector<double> factor = a;
-  std::vector<double> x;
-  if (cholesky(factor, n, 1e-10 * std::max(max_diag, 1.0))) {
-    x = cholesky_solve(factor, n, b);
-  } else {
+  // Otherwise ridge-damped toward the EWMA/intent prior x0, solved in link
+  // space: x = x0 + R^T (R R^T + lambda I)^-1 (y - R x0). Only the lower
+  // triangle of the m x m Gram matrix is accumulated; cholesky() reads no
+  // other entry.
+  if (x.empty()) {
+    std::vector<double> x0(matrix.ods);
+    for (std::size_t j = 0; j < matrix.ods; ++j)
+      x0[j] = prior_of(static_cast<std::uint32_t>(j));
     const double lambda = kRidgeDamping * std::max(max_diag, 1.0);
-    factor = a;
-    for (std::size_t c = 0; c < n; ++c) factor[c * n + c] += lambda;
-    std::vector<double> damped_b = b;
+    std::vector<double> gram(m * m, 0.0);
     for (std::size_t c = 0; c < n; ++c)
-      damped_b[c] += lambda * prior_of(cols[c]);
-    if (!cholesky(factor, n, 0.0)) {
-      // Degenerate beyond repair (all-zero rows): fall back to the prior.
+      for (std::size_t p = col_start[c]; p < col_start[c + 1]; ++p)
+        for (std::size_t q = col_start[c]; q <= p; ++q)
+          gram[column[p].row * m + column[q].row] +=
+              column[p].fraction * column[q].fraction;
+    for (std::size_t r = 0; r < m; ++r) gram[r * m + r] += lambda;
+    if (!cholesky(gram, m, 0.0)) {
+      // Degenerate beyond repair (non-finite routing): fall back to the
+      // prior.
       for (const std::uint32_t od : cols)
         result.volumes[od] = std::max(0.0, prior_of(od));
       return result;
     }
-    x = cholesky_solve(factor, n, damped_b);
+    std::vector<double> misfit(m);
+    for (std::size_t r = 0; r < m; ++r)
+      misfit[r] = rows[r].offered_gbps -
+                  offered_load(matrix.rows[rows[r].link], x0);
+    const std::vector<double> z = cholesky_solve(gram, m, std::move(misfit));
+    x.resize(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      double value = x0[cols[c]];
+      for (std::size_t p = col_start[c]; p < col_start[c + 1]; ++p)
+        value += column[p].fraction * z[column[p].row];
+      x[c] = value;
+    }
     stats.damped = true;
     metrics.damped.add();
   }

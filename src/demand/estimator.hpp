@@ -9,17 +9,31 @@
 //   2. Loss composition: each usable link's offered load is its delivered
 //      rate divided back by (1 - loss_rate), loss_rate from the packet
 //      counters (0/0 -> 0: a zero-packet interval is a clean empty link).
-//   3. Solve min ||R x - y||^2 over the observable ODs via undamped normal
-//      equations first; on rank deficiency, retry ridge-damped toward the
-//      EWMA/intent prior: min ||R x - y||^2 + lambda ||x - x0||^2.
-//   4. Project onto x >= 0 and quantize to the 1e-6 Gbps grid; the
-//      EXACT-RECOVERY CERTIFICATE re-synthesizes every link's byte counter
-//      from the snapped candidate in the contractual row-entry order and
-//      accepts the snapped solution iff every counter matches bit-for-bit.
-//      On clean zero-noise rounds with on-grid true volumes the certificate
-//      fires and the estimate IS the truth — which is what makes
-//      estimated-demand rounds reproduce oracle round signatures exactly
-//      (docs/DEMAND.md §4, tests/test_demand_differential.cpp).
+//   3. Solve min ||R x - y||^2 over the observable ODs (n columns) and the
+//      usable links (m rows). When n <= m the undamped OD-space normal
+//      equations R^T R x = R^T y are factored first (n x n Cholesky); for
+//      n > m, R^T R has rank at most m and cannot be factored, so that
+//      attempt is skipped. On rank deficiency, or for n > m, the ridge
+//      problem min ||R x - y||^2 + lambda ||x - x0||^2, damped toward the
+//      EWMA/intent prior x0 with lambda = kRidgeDamping * max(largest
+//      squared column norm, 1), is solved in LINK space:
+//        x = x0 + R^T (R R^T + lambda I)^-1 (y - R x0),
+//      an m x m Cholesky of R R^T + lambda I accumulated from the sparse
+//      routing columns. Both forms of the ridge have the same solution;
+//      the link-space one costs O(m^3) where the OD-space one cost O(n^3),
+//      and gravity matrices have far more ODs than links.
+//   4. Project onto x >= 0. The EXACT-RECOVERY CERTIFICATE snaps the
+//      projected candidate to the 1e-6 Gbps grid, re-synthesizes every
+//      link's byte counter from it in the contractual row-entry order and
+//      accepts the snapped candidate iff every counter matches
+//      bit-for-bit; otherwise the estimate is returned unsnapped. The
+//      certificate does not need n <= m: a damped solve certifies too
+//      whenever its snapped candidate reproduces the counters, as it does
+//      when the prior already explains them. On clean zero-noise rounds
+//      with on-grid true volumes it fires and the estimate IS the truth,
+//      which is what makes estimated-demand rounds reproduce oracle round
+//      signatures exactly (docs/DEMAND.md §4,
+//      tests/test_demand_differential.cpp).
 //   5. Unobservable ODs (empty routing column) fall back to the offered
 //      intent — the host-reported demand a real controller has anyway.
 //
@@ -39,7 +53,7 @@
 
 namespace rwc::demand {
 
-/// 1e-6 Gbps (~1 kbit/s) estimate quantization grid.
+/// 1e-6 Gbps (~1 kbit/s) grid a certified estimate is snapped to.
 inline constexpr double kVolumeGridGbps = 1e-6;
 
 /// Ridge damping of the least-squares fallback, relative to the largest

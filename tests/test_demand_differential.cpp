@@ -5,20 +5,28 @@
 // truth), the estimated loop's signature chain must be invariant to the
 // thread-pool size, and noisy estimation must degrade gracefully — every
 // round still satisfies the capacity bound and flow conservation, and every
-// estimate stays finite and non-negative.
+// estimate stays finite and non-negative. On under-determined instances
+// the estimator's link-space damped solve must match the dense OD-space
+// ridge of tests/support/dense_ridge.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "demand/counters.hpp"
 #include "demand/estimator.hpp"
+#include "demand/routing_matrix.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "prop/invariants.hpp"
 #include "replay/driver.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
+#include "support/dense_ridge.hpp"
 #include "te/mcf_te.hpp"
 #include "util/rng.hpp"
 
@@ -164,6 +172,172 @@ TEST(DemandDifferential, NoisyEstimationDegradesGracefully) {
   driver.run();
   EXPECT_GT(estimator_rounds, 0u)
       << "noisy arm never ran a least-squares solve — vacuous test";
+}
+
+/// Per OD, its routing column: (link, fraction) pairs.
+using Columns = std::vector<std::vector<std::pair<std::size_t, double>>>;
+
+/// `ods` random columns over `links` links: each OD splits over one to
+/// three paths of one to four random links, the split fractions summing
+/// to one, and a link two paths share carries their sum.
+Columns random_columns(std::size_t links, std::size_t ods, util::Rng& rng) {
+  Columns columns(ods);
+  for (auto& column : columns) {
+    std::map<std::size_t, double> fraction_of;
+    const auto paths = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t p = 0; p < paths; ++p) {
+      const double share = 1.0 / static_cast<double>(paths);
+      const auto hops = static_cast<std::size_t>(rng.uniform_int(1, 4));
+      std::vector<std::size_t> path;
+      for (std::size_t h = 0; h < hops; ++h) {
+        const auto link = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(links) - 1));
+        if (std::find(path.begin(), path.end(), link) == path.end())
+          path.push_back(link);
+      }
+      for (const std::size_t link : path) fraction_of[link] += share;
+    }
+    column.assign(fraction_of.begin(), fraction_of.end());
+  }
+  return columns;
+}
+
+/// The routing matrix of `columns`: every OD observable, each row's
+/// entries in ascending OD order.
+demand::RoutingMatrix matrix_of(std::size_t links, const Columns& columns) {
+  demand::RoutingMatrix matrix;
+  matrix.links = links;
+  matrix.ods = columns.size();
+  matrix.rows.resize(links);
+  matrix.observable.assign(columns.size(), 1);
+  for (std::size_t j = 0; j < columns.size(); ++j)
+    for (const auto& [link, fraction] : columns[j])
+      matrix.rows[link].push_back({static_cast<std::uint32_t>(j), fraction});
+  return matrix;
+}
+
+/// Estimates `truth` back from 1%-noise counters over `matrix`, with the
+/// links in `missing` unreported, and checks that the estimate took the
+/// damped solve and matches the dense OD-space ridge within 1e-9 of the
+/// reference's largest volume.
+void expect_matches_dense_ridge(const demand::RoutingMatrix& matrix,
+                                const std::vector<double>& truth,
+                                const std::vector<double>& intent,
+                                const std::vector<double>& prior,
+                                const std::vector<std::size_t>& missing,
+                                std::uint64_t round, const std::string& label) {
+  demand::DemandConfig config;
+  config.source = demand::DemandSource::kEstimated;
+  config.noise = 0.01;
+  config.seed = 41;
+  demand::CounterSet counters =
+      demand::synthesize_counters(matrix, truth, {}, config, round);
+  for (const std::size_t link : missing)
+    counters.samples[link].missing = true;
+
+  const demand::EstimateResult estimate =
+      demand::estimate_od_volumes(matrix, counters, intent, prior, config);
+  const std::vector<double> reference = demand::dense_ridge_estimate(
+      matrix, counters, intent, prior, config.interval_seconds);
+  ASSERT_EQ(reference.size(), estimate.volumes.size()) << label;
+  EXPECT_TRUE(estimate.stats.damped) << label;
+  EXPECT_FALSE(estimate.stats.exact) << label;
+
+  double scale = 0.0;
+  double error = 0.0;
+  for (std::size_t j = 0; j < reference.size(); ++j) {
+    scale = std::max(scale, std::abs(reference[j]));
+    error = std::max(error, std::abs(estimate.volumes[j] - reference[j]));
+  }
+  ASSERT_GT(scale, 0.0) << label;
+  EXPECT_LE(error, 1e-9 * scale) << label << ": max |link - dense| "
+                                 << error << " at scale " << scale;
+}
+
+std::vector<double> random_volumes(std::size_t ods, double low, double high,
+                                   util::Rng& rng) {
+  std::vector<double> volumes(ods);
+  for (double& volume : volumes) volume = rng.uniform(low, high);
+  return volumes;
+}
+
+// More ODs than usable links, so the undamped attempt is skipped: random
+// sizes and splits, some links unreported, cold and warm priors.
+TEST(DemandDifferential, LinkSpaceRidgeMatchesDenseReferenceUnderdetermined) {
+  util::Rng rng = util::Rng::stream(2017, 1);
+  for (std::uint64_t instance = 0; instance < 40; ++instance) {
+    const auto links = static_cast<std::size_t>(rng.uniform_int(2, 24));
+    const auto ods = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(links) + 1,
+        3 * static_cast<std::int64_t>(links)));
+    const demand::RoutingMatrix matrix =
+        matrix_of(links, random_columns(links, ods, rng));
+    const std::vector<double> truth = random_volumes(ods, 1.0, 100.0, rng);
+    const std::vector<double> intent = random_volumes(ods, 1.0, 100.0, rng);
+    std::vector<double> prior;
+    if (instance % 2 == 1) {
+      prior = truth;
+      for (double& volume : prior) volume *= rng.uniform(0.8, 1.2);
+    }
+    std::vector<std::size_t> missing;
+    if (instance % 3 == 2) missing.push_back(instance % links);
+    expect_matches_dense_ridge(matrix, truth, intent, prior, missing,
+                               instance,
+                               "instance " + std::to_string(instance));
+  }
+}
+
+// One OD more than there are links: the smallest under-determined size.
+TEST(DemandDifferential, LinkSpaceRidgeMatchesDenseReferenceOneOdOverLinks) {
+  util::Rng rng = util::Rng::stream(2017, 2);
+  for (std::size_t links = 1; links <= 24; ++links) {
+    const std::size_t ods = links + 1;
+    const demand::RoutingMatrix matrix =
+        matrix_of(links, random_columns(links, ods, rng));
+    const std::vector<double> truth = random_volumes(ods, 1.0, 100.0, rng);
+    const std::vector<double> intent = random_volumes(ods, 1.0, 100.0, rng);
+    expect_matches_dense_ridge(matrix, truth, intent, {}, {}, links,
+                               "links " + std::to_string(links));
+  }
+}
+
+// Duplicated routing columns make R^T R singular even with fewer ODs than
+// links, so the undamped attempt runs and refuses, and with more ODs too.
+TEST(DemandDifferential, LinkSpaceRidgeMatchesDenseReferenceDuplicatedColumns) {
+  util::Rng rng = util::Rng::stream(2017, 3);
+  for (std::uint64_t instance = 0; instance < 20; ++instance) {
+    const auto links = static_cast<std::size_t>(rng.uniform_int(6, 20));
+    const std::size_t ods =
+        instance % 2 == 0 ? links / 2 : links + links / 2;
+    Columns columns = random_columns(links, ods, rng);
+    for (std::size_t j = 1; j < ods; j += 3) columns[j] = columns[j - 1];
+    const demand::RoutingMatrix matrix = matrix_of(links, columns);
+    const std::vector<double> truth = random_volumes(ods, 1.0, 100.0, rng);
+    const std::vector<double> intent = random_volumes(ods, 1.0, 100.0, rng);
+    expect_matches_dense_ridge(matrix, truth, intent, {}, {}, instance,
+                               "instance " + std::to_string(instance) +
+                                   ", " + std::to_string(ods) + " ODs over " +
+                                   std::to_string(links) + " links");
+  }
+}
+
+// A prior far from the truth, up to twenty times the largest true volume
+// or zero, pulls some ridge components negative; both sides project them
+// onto zero.
+TEST(DemandDifferential, LinkSpaceRidgeMatchesDenseReferenceFarPrior) {
+  util::Rng rng = util::Rng::stream(2017, 4);
+  for (std::uint64_t instance = 0; instance < 20; ++instance) {
+    const auto links = static_cast<std::size_t>(rng.uniform_int(4, 20));
+    const std::size_t ods = 2 * links;
+    const demand::RoutingMatrix matrix =
+        matrix_of(links, random_columns(links, ods, rng));
+    const std::vector<double> truth = random_volumes(ods, 1.0, 100.0, rng);
+    const std::vector<double> prior =
+        instance % 4 == 3 ? std::vector<double>(ods, 0.0)
+                          : random_volumes(ods, 0.0, 2000.0, rng);
+    expect_matches_dense_ridge(matrix, truth, truth, prior, {}, instance,
+                               "instance " + std::to_string(instance));
+  }
 }
 
 }  // namespace
