@@ -13,6 +13,7 @@
 #include "dataplane/dataplane.hpp"
 #include "dataplane/loop.hpp"
 #include "dataplane/timeline.hpp"
+#include "demand/pipeline.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/plan.hpp"
 #include "fault/registry.hpp"
@@ -356,6 +357,44 @@ void BM_DataplaneRoundSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_DataplaneRoundSplit)->Arg(10);
 
+// One DemandPipeline::round (docs/DEMAND.md §4) at 1% counter noise on a
+// Waxman WAN with gravity intent at 0.3 load, routed by McfTe: counter
+// synthesis over the installed routing, then the estimate of the OD matrix
+// back from the counters. Gravity intent has far more ODs than the WAN has
+// links, so every round takes the damped solve, whose link-space factor
+// sets the cost. Each iteration is the pipeline's next round, with its
+// own noise draw and a warmer EWMA prior.
+void BM_DemandEstimate(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  util::Rng rng = util::Rng::stream(1, 830);
+  const graph::Graph topology = sim::waxman(nodes, rng);
+  sim::GravityParams gravity;
+  gravity.total = util::Gbps{topology.total_capacity().value * 0.3};
+  const te::TrafficMatrix intent = sim::gravity_matrix(topology, gravity, rng);
+  const te::FlowAssignment routing = te::McfTe{}.solve(topology, intent);
+  demand::DemandConfig config;
+  config.source = demand::DemandSource::kEstimated;
+  config.noise = 0.01;
+  demand::DemandPipeline pipeline(topology.edge_count(), config);
+  std::int64_t damped = 0;
+  for (auto _ : state) {
+    const demand::DemandPipeline::Result result =
+        pipeline.round(intent, routing);
+    benchmark::DoNotOptimize(result.demands.data());
+    damped += result.stats.damped ? 1 : 0;
+  }
+  state.counters["damped_frac"] =
+      benchmark::Counter(static_cast<double>(damped),
+                         benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::to_string(topology.edge_count()) + " links, " +
+                 std::to_string(intent.size()) + " ODs");
+}
+BENCHMARK(BM_DemandEstimate)
+    ->Arg(12)
+    ->Arg(24)
+    ->Arg(50)
+    ->Unit(benchmark::kMillisecond);
+
 // Steady closed-loop rounds (dataplane::ClosedLoop, docs/DATAPLANE.md §5)
 // on the loop_dataplane workload's fixture at `nodes` nodes, in the
 // golden loop rows' configuration (tests/support/loop_fixture.hpp):
@@ -383,6 +422,7 @@ void BM_ClosedLoopRound(benchmark::State& state) {
 BENCHMARK(BM_ClosedLoopRound)
     ->Arg(12)
     ->Arg(24)
+    ->Arg(50)
     ->Iterations(32)
     ->Unit(benchmark::kMillisecond);
 
