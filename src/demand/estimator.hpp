@@ -69,7 +69,7 @@ double snap_to_grid(double gbps);
 struct EstimateStats {
   bool estimated = false;         ///< a least-squares solve ran
   bool exact = false;             ///< exact-recovery certificate fired
-  bool damped = false;            ///< ridge fallback engaged
+  bool damped = false;            ///< the ridge-damped link-space solve ran
   bool budget_exhausted = false;  ///< demand.solve budget fell back to prior
   std::uint64_t sanitized = 0;    ///< non-finite/negative samples excluded
   std::uint64_t dropped = 0;      ///< missing samples
