@@ -20,7 +20,7 @@
 //        x = x0 + R^T (R R^T + lambda I)^-1 (y - R x0),
 //      an m x m Cholesky of R R^T + lambda I accumulated from the sparse
 //      routing columns. Both forms of the ridge have the same solution;
-//      the link-space one costs O(m^3) where the OD-space one cost O(n^3),
+//      the link-space form costs O(m^3) and the OD-space form O(n^3),
 //      and gravity matrices have far more ODs than links.
 //   4. Project onto x >= 0. The EXACT-RECOVERY CERTIFICATE snaps the
 //      projected candidate to the 1e-6 Gbps grid, re-synthesizes every
