@@ -426,6 +426,72 @@ BENCHMARK(BM_ClosedLoopRound)
     ->Iterations(32)
     ->Unit(benchmark::kMillisecond);
 
+// The dataplane rounds the closed loop runs, without the rest of the loop:
+// BM_DataplaneRound replays one static plan on an unchanging timeline, so
+// it never migrates a flowlet, opens an update window or drains a
+// pipeline. Setup steps the BM_ClosedLoopRound loop once over its
+// loop_fixture::kRounds rounds and records, through the hook, every
+// round's installed assignment and timeline. Each iteration then runs a
+// fresh DataplaneSim, restored to the loop's state after the cold first
+// round, over the other 32 rounds and checks every signature against the
+// loop's own.
+void BM_DataplaneLoopRound(benchmark::State& state) {
+  const loop_fixture::Fixture fixture =
+      loop_fixture::make_fixture(static_cast<int>(state.range(0)));
+  exec::ThreadPool pool(0);
+  const te::McfTe engine;
+  dataplane::ClosedLoop loop(fixture.topology, fixture.intent, engine,
+                             loop_fixture::loop_options(1, &pool));
+  loop_fixture::SnrWalk walk(fixture.topology.edge_count(), 1);
+  struct Input {
+    te::FlowAssignment assignment;
+    dataplane::CapacityTimeline timeline;
+    std::uint64_t signature = 0;
+  };
+  std::vector<Input> inputs;
+  const dataplane::ClosedLoop::Hook record =
+      [&inputs](const te::FlowAssignment& assignment,
+                dataplane::CapacityTimeline& timeline) {
+        inputs.push_back({assignment, timeline, 0});
+      };
+  std::optional<dataplane::DataplaneSim::State> after_cold;
+  for (std::size_t r = 0; r < loop_fixture::kRounds; ++r) {
+    const std::uint64_t signature =
+        loop.step(walk.next(), record).result.signature;
+    inputs.back().signature = signature;
+    if (r == 0) after_cold = loop.dataplane().save_state();
+  }
+
+  const graph::Graph& topology = loop.controller().physical_topology();
+  const dataplane::DataplaneConfig& config = loop.dataplane().config();
+  for (auto _ : state) {
+    state.PauseTiming();
+    dataplane::DataplaneSim sim(topology, fixture.intent.size(), config);
+    sim.restore_state(*after_cold);
+    state.ResumeTiming();
+    for (std::size_t r = 1; r < inputs.size(); ++r) {
+      const dataplane::RoundResult result =
+          sim.run_round(inputs[r].assignment, inputs[r].timeline);
+      if (result.signature != inputs[r].signature) {
+        state.SkipWithError(
+            ("round " + std::to_string(r) + " is not the loop's").c_str());
+        return;
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inputs.size() - 1));
+  state.counters["classes"] =
+      obs::Registry::global().gauge("dataplane.classes").value();
+  state.SetLabel(std::to_string(inputs.size() - 1) + " rounds, " +
+                 std::to_string(topology.edge_count()) + " links, " +
+                 std::to_string(fixture.intent.size()) + " ODs");
+}
+BENCHMARK(BM_DataplaneLoopRound)
+    ->Arg(12)
+    ->Arg(24)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SimplexDense(benchmark::State& state) {
   // Random feasible LP: n variables, n/2 constraints.
   const int n = static_cast<int>(state.range(0));

@@ -5,7 +5,8 @@
 // dataplane::ClosedLoop over it in estimated-demand mode for kRounds
 // rounds, so the golden loop rows (tests/golden/round-chains.golden)
 // compare bit for bit with the `loop chain` the benchmark prints for the
-// same seed. bench/perf_solvers' BM_ClosedLoopRound times the same loop.
+// same seed. bench/perf_solvers' BM_ClosedLoopRound times the same loop,
+// and BM_DataplaneLoopRound its dataplane rounds alone.
 #pragma once
 
 #include <algorithm>
