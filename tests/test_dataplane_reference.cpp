@@ -7,6 +7,7 @@
 // dataplane.packet / dataplane.hash plans (tests/prop/prop_dataplane.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -48,11 +49,12 @@ void expect_same_state(const dataplane::DataplaneSim& sim,
 /// dataplane ran. Both must reproduce the loop's own round. Before round
 /// `handoff` (if set) each kernel is rebuilt from the other's state, so
 /// a state saved by either restores into either.
-void compare_on_xcheck_inputs(const dataplane::XcheckConfig& config,
-                              std::optional<std::size_t> handoff) {
+std::vector<dataplane::RoundResult> compare_on_xcheck_inputs(
+    const dataplane::XcheckConfig& config,
+    std::optional<std::size_t> handoff) {
   std::unique_ptr<dataplane::DataplaneSim> sim;
   std::unique_ptr<FlowletReference> reference;
-  std::size_t rounds = 0;
+  std::vector<dataplane::RoundResult> rounds;
   dataplane::run_xcheck(config, [&](std::size_t r,
                                     const dataplane::ClosedLoop& loop,
                                     const dataplane::ClosedLoop::Round& step) {
@@ -86,24 +88,27 @@ void compare_on_xcheck_inputs(const dataplane::XcheckConfig& config,
     EXPECT_EQ(got.signature, step.result.signature)
         << "round " << r << " is not the loop's";
     expect_same_state(*sim, *reference, "after round " + std::to_string(r));
-    ++rounds;
+    rounds.push_back(got);
   });
-  EXPECT_EQ(rounds, config.rounds);
+  EXPECT_EQ(rounds.size(), config.rounds);
+  return rounds;
 }
 
 /// The golden input `config` (under `plan` when set): the two kernels
 /// agree on every round of the loop's, and keep agreeing after a saved
-/// state crosses between them.
-void check_golden_input(const dataplane::XcheckConfig& config,
-                        const char* plan = nullptr) {
+/// state crosses between them. Returns the class kernel's rounds.
+std::vector<dataplane::RoundResult> check_golden_input(
+    const dataplane::XcheckConfig& config, const char* plan = nullptr) {
   std::optional<fault::ScopedPlan> armed;
   if (plan != nullptr) armed.emplace(fault::FaultPlan::parse(plan));
-  compare_on_xcheck_inputs(config, std::nullopt);
+  std::vector<dataplane::RoundResult> rounds =
+      compare_on_xcheck_inputs(config, std::nullopt);
   for (const std::size_t handoff : {std::size_t{1}, config.rounds / 2 + 1}) {
     SCOPED_TRACE("state handed over before round " +
                  std::to_string(handoff));
     compare_on_xcheck_inputs(config, handoff);
   }
+  return rounds;
 }
 
 dataplane::XcheckConfig golden_seed(std::uint64_t seed) {
@@ -121,21 +126,47 @@ TEST(DataplaneReference, MatchesOnGoldenSeed20250808) {
   check_golden_input(golden_seed(20250808));
 }
 
-// The edge-path input splits classes both ways: WCMP migrations under
-// dataplane.hash faults, and per-flowlet dataplane.packet drops,
-// duplicates and delays, next to buffer overflow and a dark downshift.
-TEST(DataplaneReference, MatchesOnGoldenEdgePathsUnderFaults) {
+// The edge-path input: a load heavy enough to overflow link buffers and a
+// dark downshift at round 3.
+dataplane::XcheckConfig edge_paths() {
   dataplane::XcheckConfig config;
   config.seed = 20171130;
   config.rounds = 6;
   config.demand_load = 0.9;
   config.downshift_round = 3;
   config.downshift_factor = 0.0;
+  return config;
+}
+
+// The edge-path input splits classes both ways: WCMP migrations under
+// dataplane.hash faults, and per-flowlet dataplane.packet drops,
+// duplicates and delays, next to buffer overflow and a dark downshift.
+TEST(DataplaneReference, MatchesOnGoldenEdgePathsUnderFaults) {
   check_golden_input(
-      config,
+      edge_paths(),
       "dataplane.packet%53@3:drop;dataplane.packet%59@7:duplicate;"
       "dataplane.packet%61@11:delay;dataplane.hash%13@5:garbage=7;"
       "dataplane.hash%17@2:stale");
+}
+
+// The edge-path input with no fault plan. Armed faults send injection
+// down the per-member path, so only here does the fault-free path, which
+// injects each class whole, meet links short of room in a comparison
+// with the reference, next to WCMP migrations.
+TEST(DataplaneReference, MatchesOnOverflowingRoundsWithoutFaults) {
+  const std::vector<dataplane::RoundResult> rounds =
+      check_golden_input(edge_paths());
+  auto drops_at_a_buffer = [](const dataplane::RoundResult& round) {
+    return std::any_of(round.links.begin(), round.links.end(),
+                       [](const dataplane::LinkRoundStats& link) {
+                         return link.dropped_bytes > 0;
+                       });
+  };
+  auto migrates = [](const dataplane::RoundResult& round) {
+    return round.migrations > 0;
+  };
+  EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(), drops_at_a_buffer));
+  EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(), migrates));
 }
 
 // dataplane.classes reports the live classes after each round: on a
