@@ -62,17 +62,32 @@ struct Metrics {
 
 bool is_pow2(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
+/// Quanta counts to and from double go through std::int64_t, one
+/// instruction each way; below 2^53 both conversions are exact, as the
+/// unsigned ones are.
+double to_double(std::uint64_t quanta) {
+  return static_cast<double>(static_cast<std::int64_t>(quanta));
+}
+std::uint64_t to_quanta(double quanta) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(quanta));
+}
+
+/// whole_quanta's failure, out of line so that the check inlines.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_quanta_overflow() {
+  util::throw_check_failure("check", "!(quanta >= kMaxQuanta)", __FILE__,
+                            __LINE__, "dataplane: byte count overflow");
+}
+
 /// Whole quanta in `quanta` (rounded down; 0 for anything not positive).
 std::uint64_t whole_quanta(double quanta) {
-  RWC_CHECK_MSG(!(quanta >= kMaxQuanta), "dataplane: byte count overflow");
-  return quanta > 0.0 ? static_cast<std::uint64_t>(quanta) : 0;
+  if (quanta >= kMaxQuanta) [[unlikely]]
+    throw_quanta_overflow();
+  return quanta > 0.0 ? to_quanta(quanta) : 0;
 }
 
 /// The ratio that scales `demand` quanta into `supply`: 1 when it fits.
 double fit_ratio(std::uint64_t supply, std::uint64_t demand) {
-  return demand > supply
-             ? static_cast<double>(supply) / static_cast<double>(demand)
-             : 1.0;
+  return demand > supply ? to_double(supply) / to_double(demand) : 1.0;
 }
 
 /// floor(quanta * ratio): the whole quanta a proportional discipline
@@ -83,7 +98,7 @@ double fit_ratio(std::uint64_t supply, std::uint64_t demand) {
 /// supply, a whole number below 2^51. With ratio 1 the grant is `quanta`
 /// itself.
 std::uint64_t share(std::uint64_t quanta, double ratio) {
-  return static_cast<std::uint64_t>(static_cast<double>(quanta) * ratio);
+  return to_quanta(to_double(quanta) * ratio);
 }
 
 /// The dataplane.packet kinds a source honors (docs/DATAPLANE.md §7), in
@@ -236,10 +251,13 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
           else if (action.kind == fault::Kind::kStale)
             stale = true;
         }
-        std::size_t pick = wcmp_pick(
-            flowlet_key(static_cast<std::uint32_t>(i),
-                        static_cast<std::uint32_t>(j), salt),
-            weights, identities);
+        // One path is every flowlet's pick, whatever the hash.
+        std::size_t pick =
+            paths.size() == 1
+                ? 0
+                : wcmp_pick(flowlet_key(static_cast<std::uint32_t>(i),
+                                        static_cast<std::uint32_t>(j), salt),
+                            weights, identities);
         if (stale && current_path != 0) {
           for (std::size_t p = 0; p < identities.size(); ++p)
             if (identities[p] == current_path) {
@@ -393,21 +411,22 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   const std::size_t nf = class_of_.size();
   std::vector<std::uint64_t> cap(edge_count_, 0);
   std::vector<std::uint64_t> buffer(edge_count_, 0);
-  // Per link: this tick's arrivals, the share of them the buffer admits,
-  // the share of the queue served, and what was served.
+  // Per link: the quanta landing next tick (kept up to date as sources
+  // inject and hops forward), whether this tick's arrivals overflow the
+  // free buffer and the share of them it then admits, the share of the
+  // queue served, and what was served.
   std::vector<std::uint64_t> incoming(edge_count_, 0);
+  std::vector<std::uint8_t> short_of_room(edge_count_, 0);
   std::vector<double> admit(edge_count_, 1.0);
   std::vector<double> frac(edge_count_, 1.0);
   std::vector<std::uint64_t> tick_serviced(edge_count_, 0);
   std::vector<std::size_t> event_cursor(edge_count_, 0);
-  // Per class (growing as classes split): multiplicity, OD, the
-  // rate-control signal (max utilization over the active path; sweep 2
-  // refreshes it for the next tick) and what one member's pipelines
-  // delivered but have not yet credited.
+  // Per class (growing as classes split): multiplicity, OD and the
+  // rate-control signal (max utilization over the active path; the
+  // service pass refreshes it for the next tick).
   std::vector<std::uint64_t> mult;
   std::vector<std::uint32_t> od_of;
   std::vector<double> path_util(classes_.size(), 0.0);
-  std::vector<std::uint64_t> delivered(classes_.size(), 0);
   // Classes with draining pipelines.
   std::vector<std::uint32_t> drainers;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -419,9 +438,6 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     if (!cls.draining.empty())
       drainers.push_back(static_cast<std::uint32_t>(c));
   }
-  for (const Hop& hop : hops_)
-    path_util[hop.cls] = std::max(
-        path_util[hop.cls], link_util_[static_cast<std::size_t>(hop.edge)]);
   // Visits every hop: the flat active array, then each draining pipeline.
   auto for_each_pipeline = [&](auto&& visit) {
     visit(std::span<Hop>(hops_), true);
@@ -429,18 +445,28 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       for (Pipeline& pipeline : classes_[c].draining)
         visit(std::span<Hop>(pipeline.hops), false);
   };
+  // The first tick's rate-control signal, and its arrivals: what the
+  // previous round left in flight.
+  for_each_pipeline([&](std::span<Hop> hops, bool active) {
+    for (const Hop& hop : hops) {
+      const std::size_t e = static_cast<std::size_t>(hop.edge);
+      if (active)
+        path_util[hop.cls] = std::max(path_util[hop.cls], link_util_[e]);
+      incoming[e] += mult[hop.cls] * hop.arriving;
+    }
+  });
 
   const bool faults_armed = fault::Registry::global().armed();
   bool measuring = false;
 
-  // Arrivals land; a link whose buffer cannot hold all of them admits
-  // each hop's share (fit_ratio/share) and drops the rest.
-  auto land = [&](std::span<Hop> hops, bool) {
+  // A link short of room admits each hop's share of its arrivals
+  // (fit_ratio/share) and drops the rest.
+  auto land_short = [&](std::span<Hop> hops, bool) {
     for (Hop& hop : hops) {
-      const std::uint64_t arrived = hop.arriving;
-      hop.arriving = 0;
-      if (arrived == 0) continue;
       const std::size_t e = static_cast<std::size_t>(hop.edge);
+      const std::uint64_t arrived = hop.arriving;
+      if (arrived == 0 || short_of_room[e] == 0) continue;
+      hop.arriving = 0;
       const std::uint64_t k = mult[hop.cls];
       const std::uint64_t accepted = share(arrived, admit[e]);
       const std::uint64_t dropped = arrived - accepted;
@@ -453,51 +479,51 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       link_queued_[e] += k * accepted;
     }
   };
-  // Proportional service, store-and-forward to the next hop (the quanta
-  // land next tick), and the per-link / per-OD accounting of what left.
+  // Each hop lands what is left of its arrivals, then proportional
+  // service, store-and-forward to the next hop, delivery credited to the
+  // class, and the per-link / per-OD accounting of what left. The walk
+  // runs from each path's last hop to its first, so a hop forwards into
+  // a hop that has already landed and served this tick: the grant lands
+  // next tick.
   auto serve = [&](std::span<Hop> hops, bool active) {
-    for (std::size_t h = 0; h < hops.size(); ++h) {
+    for (std::size_t h = hops.size(); h-- > 0;) {
       Hop& hop = hops[h];
       const std::size_t e = static_cast<std::size_t>(hop.edge);
       const std::uint32_t c = hop.cls;
       if (active) path_util[c] = std::max(path_util[c], link_util_[e]);
-      if (hop.queued == 0) continue;
-      const std::uint64_t s = share(hop.queued, frac[e]);
+      const std::uint64_t queued = hop.queued + hop.arriving;
+      hop.arriving = 0;
+      const std::uint64_t s = queued == 0 ? 0 : share(queued, frac[e]);
+      hop.queued = queued - s;
       if (s == 0) continue;
-      hop.queued -= s;
-      if (hop.last)
-        delivered[c] += s;
-      else
-        hops[h + 1].arriving += s;
       const std::uint64_t served = mult[c] * s;
-      link_queued_[e] -= served;
       tick_serviced[e] += served;
-      result.links[e].serviced_bytes += served;
-      if (measuring) {
-        result.links[e].measured_bytes += served;
+      if (measuring)
         result.link_od_measured_bytes[e * ods_ + od_of[c]] += served;
+      if (hop.last) {
+        FlowletClass& cls = classes_[c];
+        cls.pending.delivered += s;
+        cls.round_delivered += s;
+        if (measuring) cls.measured += s;
+      } else {
+        Hop& next = hops[h + 1];
+        next.arriving += s;
+        incoming[static_cast<std::size_t>(next.edge)] += served;
       }
     }
-  };
-  // Credits what class c's pipelines delivered on a (`measured`) tick to
-  // its members' ledgers, at its next rate-control step.
-  auto credit = [&](std::size_t c, bool measured) {
-    FlowletClass& cls = classes_[c];
-    const std::uint64_t d = delivered[c];
-    delivered[c] = 0;
-    cls.pending.delivered += d;
-    cls.round_delivered += d;
-    if (measured) cls.measured += d;
   };
   // Sends what class c's sources put on the wire this tick.
   auto inject = [&](std::size_t c, std::uint64_t quanta) {
     FlowletClass& cls = classes_[c];
-    if (cls.hops_end != cls.hops_begin)
-      hops_[cls.hops_begin].arriving += quanta;
-    else
+    if (cls.hops_end != cls.hops_begin) {
+      Hop& first = hops_[cls.hops_begin];
+      first.arriving += quanta;
+      incoming[static_cast<std::size_t>(first.edge)] += mult[c] * quanta;
+    } else {
       // Already charged at generation; a class with no installed path
       // parks its quanta back at the source instead of leaking them.
       cls.deferred += quanta;
+    }
   };
   // Applies a dataplane.packet action to one member's `attempt` quanta.
   auto apply = [&](std::size_t c, fault::Kind kind, std::uint64_t attempt) {
@@ -519,7 +545,9 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
         return inject(c, attempt);
     }
   };
-  // Moves `members` out of class c into a new class with c's state.
+  // Moves `members` out of class c into a new class with c's state. The
+  // members' arrivals already count in `incoming`: a split moves them
+  // between classes without changing any link's total.
   auto split_off = [&](std::size_t c, std::vector<std::uint32_t> members) {
     const std::uint32_t n = static_cast<std::uint32_t>(classes_.size());
     FlowletClass copy = classes_[c];
@@ -540,7 +568,6 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     mult[c] -= copy.members.size();
     od_of.push_back(copy.od);
     path_util.push_back(path_util[c]);
-    delivered.push_back(0);
     classes_.push_back(std::move(copy));
     return n;
   };
@@ -555,9 +582,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   };
   for (std::size_t e = 0; e < edge_count_; ++e) set_capacity(e, 0.0);
 
-  bool was_measuring = false;
   for (std::size_t tick = 0; tick < ticks; ++tick) {
-    was_measuring = measuring;
     measuring = tick >= result.measure_begin;
     const bool in_window = timeline.in_window(tick);
 
@@ -571,14 +596,12 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       }
     }
 
-    // Sweep 1: credit, rate control and injection per class, then every
-    // hop lands. Rate control reads only path_util and the class's own
-    // state, and injection only adds to the class's first hop, so every
-    // class may inject before the first one lands. Classes split off
-    // here are complete for this tick and not revisited.
+    // Sweep 1: rate control and injection per class. Rate control reads
+    // only path_util and the class's own state, and injection only adds
+    // to the class's first hop. Classes split off here are complete for
+    // this tick and not revisited.
     const std::size_t live = classes_.size();
     for (std::size_t c = 0; c < live; ++c) {
-      credit(c, was_measuring);
       FlowletClass& cls = classes_[c];
       const bool routed = cls.hops_end != cls.hops_begin;
       if (cls.offered_gbps > 0.0 && routed) {
@@ -605,7 +628,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       const double generating =
           cls.rate_gbps * quanta_per_gbps_tick + cls.carry;
       const std::uint64_t generated = whole_quanta(generating);
-      cls.carry = generating - static_cast<double>(generated);
+      cls.carry = generating - to_double(generated);
       const std::uint64_t attempt = generated + cls.deferred;
       cls.deferred = 0;
       // The ledger charges quanta when the source GENERATES them (quanta
@@ -648,36 +671,41 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       classes_[c].members = std::move(drew[kept]);
       apply(c, kPacketKinds[kept], attempt);
     }
-    // Each link admits what its free buffer holds.
-    for_each_pipeline([&](std::span<Hop> hops, bool) {
-      for (const Hop& hop : hops)
-        incoming[static_cast<std::size_t>(hop.edge)] +=
-            mult[hop.cls] * hop.arriving;
-    });
+
+    // Admission: a link whose free buffer cannot hold all of this tick's
+    // arrivals (the branch fit_ratio takes) is short of room, and its
+    // hops land one by one in a pre-pass. Every other link admits them
+    // whole: its queue total takes them in the link pass below, and its
+    // hops land in the service pass.
+    bool any_short = false;
     for (std::size_t e = 0; e < edge_count_; ++e) {
       const std::uint64_t room =
           buffer[e] > link_queued_[e] ? buffer[e] - link_queued_[e] : 0;
-      admit[e] = fit_ratio(room, incoming[e]);
-      incoming[e] = 0;
+      short_of_room[e] = incoming[e] > room;
+      if (short_of_room[e] != 0) {
+        admit[e] = fit_ratio(room, incoming[e]);
+        any_short = true;
+      }
     }
-    for_each_pipeline(land);
+    if (any_short) for_each_pipeline(land_short);
 
     // Links: peak occupancy (a queue only grows while quanta land), the
     // service ratio and the utilization signal the NEXT tick's rate
     // control reads.
     for (std::size_t e = 0; e < edge_count_; ++e) {
+      if (short_of_room[e] == 0) link_queued_[e] += incoming[e];
+      incoming[e] = 0;
       const std::uint64_t queued = link_queued_[e];
       LinkRoundStats& link = result.links[e];
       link.max_queued_bytes = std::max(link.max_queued_bytes, queued);
       frac[e] = fit_ratio(cap[e], queued);
-      link_util_[e] = cap[e] > 0 ? static_cast<double>(queued) /
-                                       static_cast<double>(cap[e])
+      link_util_[e] = cap[e] > 0 ? to_double(queued) / to_double(cap[e])
                                  : (queued > 0 ? kDarkUtilization : 0.0);
     }
 
-    // Sweep 2: service and accounting for every hop, drained-pipeline
-    // retirement. Service reads only frac and the hop's own pipeline.
-    std::fill(tick_serviced.begin(), tick_serviced.end(), 0);
+    // Service pass: every hop lands, serves and forwards, with the
+    // per-OD accounting; drained-pipeline retirement. Service reads only
+    // frac and the hop's own pipeline.
     std::fill(path_util.begin(), path_util.end(), 0.0);
     for_each_pipeline(serve);
     for (const std::uint32_t c : drainers)
@@ -688,9 +716,15 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       return classes_[c].draining.empty();
     });
 
-    // Capacity-safety audit.
+    // Per-link totals of what left, and the capacity-safety audit.
     for (std::size_t e = 0; e < edge_count_; ++e) {
-      if (tick_serviced[e] > cap[e]) {
+      const std::uint64_t served = tick_serviced[e];
+      tick_serviced[e] = 0;
+      link_queued_[e] -= served;
+      LinkRoundStats& link = result.links[e];
+      link.serviced_bytes += served;
+      if (measuring) link.measured_bytes += served;
+      if (served > cap[e]) {
         if (in_window)
           ++result.window_violations;
         else
@@ -703,7 +737,6 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   // per-OD figures take each class's multiplicity of its member's.
   std::vector<std::uint64_t> od_measured(ods_, 0);
   for (std::size_t c = 0; c < classes_.size(); ++c) {
-    credit(c, measuring);
     FlowletClass& cls = classes_[c];
     for (const std::uint32_t f : cls.members) {
       Ledger& ledger = ledgers_[f];
