@@ -493,7 +493,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       if (active) path_util[c] = std::max(path_util[c], link_util_[e]);
       const std::uint64_t queued = hop.queued + hop.arriving;
       hop.arriving = 0;
-      const std::uint64_t s = queued == 0 ? 0 : share(queued, frac[e]);
+      const std::uint64_t s = share(queued, frac[e]);
       hop.queued = queued - s;
       if (s == 0) continue;
       const std::uint64_t served = mult[c] * s;
