@@ -9,24 +9,31 @@
 // reconfig dark windows included), and runs an HPCC-style end-host rate
 // controller per flowlet: sources shape to their allocated share, cut
 // multiplicatively when a path link's utilization exceeds the target, and
-// recover additively. Each tick is two sweeps around one pass over the
-// links:
+// recover additively. Each tick walks every hop once:
 //
 //   sweep 1   rate control + injection per flowlet (`dataplane.packet`
-//             faults fire here), then every hop's arrivals land, each
-//             admitted in proportion to the link's free buffer;
-//   links     service ratio min(1, cap / queued) + the next tick's
-//             utilization signal;
-//   sweep 2   every hop: proportional service, store-and-forward to the
-//             next hop, per-link and per-OD accounting, the next tick's
-//             per-path utilization; drained-pipeline retirement;
-//   audit     per-link capacity safety.
+//             faults fire here); each link's arrivals are kept up to
+//             date as sources inject and hops forward;
+//   links     a link whose free buffer holds all of its arrivals takes
+//             them into its queue total; a link short of room lands its
+//             hops one by one in a pre-pass, each admitted in
+//             proportion; then the service ratio min(1, cap / queued)
+//             and the next tick's utilization signal;
+//   service   every hop, each path from its last hop to its first: its
+//             arrivals land, proportional service, store-and-forward to
+//             the next hop, delivery credited, per-OD accounting, the
+//             next tick's per-path utilization; drained-pipeline
+//             retirement;
+//   audit     per-link serviced and queued totals, capacity safety.
+//
+// Walking a path backwards means a hop forwards into a hop that has
+// already landed and served this tick, so the grant lands next tick.
 //
 // Every byte quantity is a whole number of quanta (kQuantaPerByte per
 // byte): injection rounds down and carries its sub-quantum remainder per
 // flowlet, and service and buffer admission grant each hop floor(its
 // quanta * the link's ratio). Byte sums are therefore exact, and no step
-// depends on the order in which the sweeps visit flowlets or hops.
+// depends on the order in which the passes visit flowlets or hops.
 //
 // That is what lets the simulator run each distinct flowlet state once:
 // flowlets of one OD whose state is bit-equal form a class, simulated as
@@ -308,7 +315,7 @@ class DataplaneSim {
   /// Every class's active-path hops, contiguous in class order.
   std::vector<Hop> hops_;
   /// Per link: live queued total over every flowlet's hops (maintained
-  /// by the sweeps, rebuilt by restore_state).
+  /// by the tick loop, rebuilt by restore_state).
   std::vector<std::uint64_t> link_queued_;
   /// Per link: previous tick's utilization signal for rate control.
   std::vector<double> link_util_;
