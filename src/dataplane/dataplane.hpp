@@ -9,7 +9,8 @@
 // reconfig dark windows included), and runs an HPCC-style end-host rate
 // controller per flowlet: sources shape to their allocated share, cut
 // multiplicatively when a path link's utilization exceeds the target, and
-// recover additively. Each tick walks every hop once:
+// recover additively. Each tick walks every hop once, and once more when
+// some link's arrivals overflow its free buffer:
 //
 //   sweep 1   rate control + injection per flowlet (`dataplane.packet`
 //             faults fire here); each link's arrivals are kept up to
