@@ -421,12 +421,9 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   std::vector<double> frac(edge_count_, 1.0);
   std::vector<std::uint64_t> tick_serviced(edge_count_, 0);
   std::vector<std::size_t> event_cursor(edge_count_, 0);
-  // Per class (growing as classes split): multiplicity, OD and the
-  // rate-control signal (max utilization over the active path; the
-  // service pass refreshes it for the next tick).
+  // Per class (growing as classes split): multiplicity and OD.
   std::vector<std::uint64_t> mult;
   std::vector<std::uint32_t> od_of;
-  std::vector<double> path_util(classes_.size(), 0.0);
   // Classes with draining pipelines.
   std::vector<std::uint32_t> drainers;
   for (std::size_t c = 0; c < classes_.size(); ++c) {
@@ -445,15 +442,11 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       for (Pipeline& pipeline : classes_[c].draining)
         visit(std::span<Hop>(pipeline.hops), false);
   };
-  // The first tick's rate-control signal, and its arrivals: what the
-  // previous round left in flight.
-  for_each_pipeline([&](std::span<Hop> hops, bool active) {
-    for (const Hop& hop : hops) {
-      const std::size_t e = static_cast<std::size_t>(hop.edge);
-      if (active)
-        path_util[hop.cls] = std::max(path_util[hop.cls], link_util_[e]);
-      incoming[e] += mult[hop.cls] * hop.arriving;
-    }
+  // The first tick's arrivals: what the previous round left in flight.
+  for_each_pipeline([&](std::span<Hop> hops, bool) {
+    for (const Hop& hop : hops)
+      incoming[static_cast<std::size_t>(hop.edge)] +=
+          mult[hop.cls] * hop.arriving;
   });
 
   const bool faults_armed = fault::Registry::global().armed();
@@ -485,12 +478,11 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   // runs from each path's last hop to its first, so a hop forwards into
   // a hop that has already landed and served this tick: the grant lands
   // next tick.
-  auto serve = [&](std::span<Hop> hops, bool active) {
+  auto serve = [&](std::span<Hop> hops, bool) {
     for (std::size_t h = hops.size(); h-- > 0;) {
       Hop& hop = hops[h];
       const std::size_t e = static_cast<std::size_t>(hop.edge);
       const std::uint32_t c = hop.cls;
-      if (active) path_util[c] = std::max(path_util[c], link_util_[e]);
       const std::uint64_t queued = hop.queued + hop.arriving;
       hop.arriving = 0;
       const std::uint64_t s = share(queued, frac[e]);
@@ -567,7 +559,6 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     mult.push_back(copy.members.size());
     mult[c] -= copy.members.size();
     od_of.push_back(copy.od);
-    path_util.push_back(path_util[c]);
     classes_.push_back(std::move(copy));
     return n;
   };
@@ -575,6 +566,48 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   // kind the members that drew it.
   std::vector<std::size_t> drawn;
   std::array<std::vector<std::uint32_t>, kPacketKinds.size()> drew;
+  // Rate control for class c, then what its sources put on the wire this
+  // tick: the whole quanta generated (the sub-quantum remainder carries
+  // to the next tick) and any deferred ones.
+  auto generate = [&](std::size_t c) {
+    FlowletClass& cls = classes_[c];
+    if (cls.offered_gbps > 0.0 && cls.hops_end != cls.hops_begin) {
+      // The maximum utilization over the class's path links, as the
+      // previous tick's link pass left it.
+      double util = 0.0;
+      for (std::uint32_t h = cls.hops_begin; h < cls.hops_end; ++h)
+        util = std::max(util,
+                        link_util_[static_cast<std::size_t>(hops_[h].edge)]);
+      // Congested when some path link's standing queue exceeds 1/eta
+      // ticks' worth of service. util == 1 is the steady state of a
+      // link the solver fills to capacity (each tick's arrivals are
+      // exactly one tick's service) — NOT congestion; only backlog
+      // growth beyond that margin cuts.
+      if (util * eta > 1.0) {
+        cls.rate_gbps = std::max(cls.rate_gbps * (eta / util),
+                                 cls.offered_gbps * kMinRateFraction);
+        result.rate_cuts += mult[c];
+      } else {
+        cls.rate_gbps = std::min(
+            cls.offered_gbps,
+            cls.rate_gbps + config_.additive_increase * cls.offered_gbps);
+      }
+    } else {
+      cls.rate_gbps = 0.0;
+    }
+    const double generating = cls.rate_gbps * quanta_per_gbps_tick + cls.carry;
+    const std::uint64_t generated = whole_quanta(generating);
+    cls.carry = generating - to_double(generated);
+    const std::uint64_t attempt = generated + cls.deferred;
+    cls.deferred = 0;
+    // The ledger charges quanta when the source GENERATES them (quanta
+    // pulled back out of deferred were charged on their original tick),
+    // so kDelay parking balances against the inflight term: cumulative
+    // injected == delivered + dropped + inflight holds under every fault
+    // plan, not just clean runs.
+    cls.pending.injected += generated;
+    return attempt;
+  };
   auto set_capacity = [&](std::size_t e, double gbps) {
     cap[e] = whole_quanta(gbps * quanta_per_gbps_tick);
     buffer[e] = whole_quanta(std::max(gbps, config_.min_buffer_gbps) *
@@ -597,47 +630,16 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     }
 
     // Sweep 1: rate control and injection per class. Rate control reads
-    // only path_util and the class's own state, and injection only adds
-    // to the class's first hop. Classes split off here are complete for
-    // this tick and not revisited.
+    // the utilization the link pass left on the class's own path links
+    // and the class's own state, and injection only adds to the class's
+    // first hop. Classes split off here are complete for this tick and
+    // not revisited.
     const std::size_t live = classes_.size();
-    for (std::size_t c = 0; c < live; ++c) {
-      FlowletClass& cls = classes_[c];
-      const bool routed = cls.hops_end != cls.hops_begin;
-      if (cls.offered_gbps > 0.0 && routed) {
-        const double util = path_util[c];
-        // Congested when some path link's standing queue exceeds 1/eta
-        // ticks' worth of service. util == 1 is the steady state of a
-        // link the solver fills to capacity (each tick's arrivals are
-        // exactly one tick's service) — NOT congestion; only backlog
-        // growth beyond that margin cuts.
-        if (util * eta > 1.0) {
-          cls.rate_gbps = std::max(cls.rate_gbps * (eta / util),
-                                   cls.offered_gbps * kMinRateFraction);
-          result.rate_cuts += mult[c];
-        } else {
-          cls.rate_gbps =
-              std::min(cls.offered_gbps,
-                       cls.rate_gbps +
-                           config_.additive_increase * cls.offered_gbps);
-        }
-      } else {
-        cls.rate_gbps = 0.0;
-      }
-      // Whole quanta: the sub-quantum remainder carries to the next tick.
-      const double generating =
-          cls.rate_gbps * quanta_per_gbps_tick + cls.carry;
-      const std::uint64_t generated = whole_quanta(generating);
-      cls.carry = generating - to_double(generated);
-      const std::uint64_t attempt = generated + cls.deferred;
-      cls.deferred = 0;
-      // The ledger charges quanta when the source GENERATES them (quanta
-      // pulled back out of deferred were charged on their original
-      // tick), so kDelay parking balances against the inflight term:
-      // cumulative injected == delivered + dropped + inflight holds
-      // under every fault plan, not just clean runs.
-      cls.pending.injected += generated;
-      if (!faults_armed || attempt == 0) {
+    if (!faults_armed)
+      for (std::size_t c = 0; c < live; ++c) inject(c, generate(c));
+    for (std::size_t c = 0; faults_armed && c < live; ++c) {
+      const std::uint64_t attempt = generate(c);
+      if (attempt == 0) {
         inject(c, attempt);
         continue;
       }
@@ -646,7 +648,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
       // members of the first kind drawn and each other kind splits off.
       drawn.clear();
       bool uniform = true;
-      for (const std::uint32_t f : cls.members) {
+      for (const std::uint32_t f : classes_[c].members) {
         const fault::Action action = fault::at(
             "dataplane.packet", static_cast<std::uint64_t>(tick) * nf + f);
         drawn.push_back(packet_kind_index(action.kind));
@@ -706,7 +708,6 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     // Service pass: every hop lands, serves and forwards, with the
     // per-OD accounting; drained-pipeline retirement. Service reads only
     // frac and the hop's own pipeline.
-    std::fill(path_util.begin(), path_util.end(), 0.0);
     for_each_pipeline(serve);
     for (const std::uint32_t c : drainers)
       std::erase_if(classes_[c].draining, [](const Pipeline& pipeline) {
