@@ -347,11 +347,10 @@ void BM_DataplaneRound(benchmark::State& state) {
 }
 BENCHMARK(BM_DataplaneRound)->Arg(10)->Arg(24);
 
-// The flowlet-class kernel's worst case: every tick a delay fault hits one
-// flowlet in 97, at an offset that moves with the tick, so each class
-// sheds a member per hit and is down to single flowlets within the
-// round; every install merges them back. The armed registry also costs
-// one evaluation per flowlet per tick.
+// BM_DataplaneRound under an armed registry: every tick a delay fault hits
+// one flowlet in 97, at an offset that moves with the tick. Classes never
+// split, so this times the per-member fault draws, one registry
+// evaluation per flowlet per tick, and the deferred totals they feed.
 void BM_DataplaneRoundSplit(benchmark::State& state) {
   run_dataplane_rounds(state, "dataplane.packet%97@0:delay");
 }
@@ -402,7 +401,7 @@ BENCHMARK(BM_DemandEstimate)
 // 10% headroom and the SNR walk, at seed 1. The cold first round runs
 // untimed; the 32 timed iterations are the next 32 rounds, one benchmark
 // pass. The count is fixed because the loop's state moves from round to
-// round (the dataplane's classes fragment), so the mean depends on it.
+// round, so the mean depends on it.
 void BM_ClosedLoopRound(benchmark::State& state) {
   const loop_fixture::Fixture fixture =
       loop_fixture::make_fixture(static_cast<int>(state.range(0)));

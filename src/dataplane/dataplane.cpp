@@ -101,29 +101,7 @@ std::uint64_t share(std::uint64_t quanta, double ratio) {
   return to_quanta(to_double(quanta) * ratio);
 }
 
-/// The dataplane.packet kinds a source honors (docs/DATAPLANE.md §7), in
-/// the order run_round groups a class's members by them.
-constexpr std::array<fault::Kind, 4> kPacketKinds = {
-    fault::Kind::kNone, fault::Kind::kDrop, fault::Kind::kDuplicate,
-    fault::Kind::kDelay};
-
-std::size_t packet_kind_index(fault::Kind kind) {
-  for (std::size_t k = 1; k < kPacketKinds.size(); ++k)
-    if (kPacketKinds[k] == kind) return k;
-  return 0;
-}
-
-std::uint64_t bits_of(double value) {
-  return std::bit_cast<std::uint64_t>(value);
-}
-
 }  // namespace
-
-struct DataplaneSim::Draft {
-  FlowletClass cls;
-  std::vector<Hop> active;
-  bool migrated = false;  ///< install moved the members off a live path
-};
 
 DataplaneSim::DataplaneSim(const graph::Graph& topology, std::size_t ods,
                            DataplaneConfig config)
@@ -139,20 +117,33 @@ DataplaneSim::DataplaneSim(const graph::Graph& topology, std::size_t ods,
   const std::size_t flowlets = ods_ * config_.flowlets_per_od;
   RWC_CHECK_MSG(flowlets < (std::size_t{1} << 31),
                 "dataplane: too many flowlets");
-  // Every OD's flowlets start idle and identical: one class each.
-  class_of_.resize(flowlets);
-  ledgers_.resize(flowlets);
-  classes_.resize(ods_);
-  for (std::size_t i = 0; i < ods_; ++i) {
-    classes_[i].od = static_cast<std::uint32_t>(i);
-    for (std::size_t j = 0; j < config_.flowlets_per_od; ++j) {
-      const std::size_t f = i * config_.flowlets_per_od + j;
-      classes_[i].members.push_back(static_cast<std::uint32_t>(f));
-      class_of_[f] = static_cast<std::uint32_t>(i);
-    }
-  }
+  // Every flowlet starts idle, on no path and in no class.
+  picks_.assign(flowlets, 0);
+  ledgers_.assign(ods_, Ledger{});
+  draining_.assign(ods_, {});
+  parked_.assign(ods_, 0);
   link_queued_.assign(edge_count_, 0);
   link_util_.assign(edge_count_, 0.0);
+}
+
+void DataplaneSim::retire(std::uint32_t od, std::uint64_t path_id,
+                          std::span<const Hop> hops) {
+  if (inflight(hops) == 0) return;
+  auto same_edges = [hops](const Pipeline& pipeline) {
+    return std::equal(hops.begin(), hops.end(), pipeline.hops.begin(),
+                      pipeline.hops.end(), [](const Hop& a, const Hop& b) {
+                        return a.edge == b.edge;
+                      });
+  };
+  for (Pipeline& pipeline : draining_[od]) {
+    if (pipeline.path_id != path_id || !same_edges(pipeline)) continue;
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      pipeline.hops[h].queued += hops[h].queued;
+      pipeline.hops[h].arriving += hops[h].arriving;
+    }
+    return;
+  }
+  draining_[od].push_back(Pipeline{{hops.begin(), hops.end()}, path_id});
 }
 
 void DataplaneSim::install(const te::FlowAssignment& assignment,
@@ -165,82 +156,49 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
   std::vector<const graph::Path*> paths;
   std::vector<std::uint32_t> counts;
   std::vector<std::size_t> picks(kF);
+  // Per path of the OD: its class among `classes`. Per class before
+  // install: whether a member stays on its path.
+  std::vector<std::size_t> class_of_path;
+  std::vector<std::uint8_t> kept;
 
-  // Every flowlet's next state is a function of its class and its pick,
-  // so the members of a class that share a pick stay one draft; a class
-  // whose members pick differently splits.
-  auto draft_of = [&](const FlowletClass& old, std::size_t pick) {
-    Draft draft;
-    FlowletClass& cls = draft.cls;
-    cls = old;
-    cls.members.clear();
-    const std::span<const Hop> active = active_hops(old);
-    // A replaced active path keeps draining while it still holds quanta.
-    auto retire = [&] {
-      if (inflight(active) > 0)
-        cls.draining.push_back(
-            Pipeline{{active.begin(), active.end()}, cls.path_id});
-    };
-    if (paths.empty()) {
-      // Unrouted OD: sources stop injecting; in-flight quanta keep
-      // draining on their old paths.
-      cls.offered_gbps = 0.0;
-      cls.rate_gbps = 0.0;
-      if (!active.empty()) {
-        retire();
-        cls.path_id = 0;
-      }
-      return draft;
-    }
-    // Shape each path's flowlets to an equal share of the installed path
-    // volume, so per-path offered load equals the solver's split exactly
-    // (goodput can never exceed the allocation except by transient queue
-    // drain — docs/DATAPLANE.md §5).
-    const double offered = weights[pick] / static_cast<double>(counts[pick]);
-    const std::uint64_t path_id = identities[pick];
-    if (cls.path_id != path_id) {
-      draft.migrated = cls.path_id != 0;
-      retire();
-      cls.path_id = path_id;
-      for (const graph::EdgeId edge : paths[pick]->edges) {
-        Hop hop;
-        hop.edge = edge.value;
-        draft.active.push_back(hop);
-      }
-      draft.active.back().last = 1;
-      cls.rate_gbps = offered;
-    } else {
-      draft.active.assign(active.begin(), active.end());
-      // Same path, new allocation: the controller re-shapes the source.
-      if (cls.offered_gbps != offered) cls.rate_gbps = offered;
-    }
-    cls.offered_gbps = offered;
-    return draft;
-  };
-
-  std::vector<Draft> drafts;
-  drafts.reserve(classes_.size());
-  // The OD's drafts so far, keyed by (class before install, pick).
-  std::vector<std::pair<std::uint32_t, std::size_t>> keys;
+  std::vector<PathClass> classes;
+  classes.reserve(classes_.size());
+  std::vector<Hop> hops;
+  hops.reserve(hops_.size());
+  std::size_t next_old = 0;  // classes_ is grouped by OD, ascending
   for (std::size_t i = 0; i < ods_; ++i) {
+    const std::uint32_t od = static_cast<std::uint32_t>(i);
+    const std::size_t old_begin = next_old;
+    while (next_old < classes_.size() && classes_[next_old].od == od)
+      ++next_old;
+    const std::span<const PathClass> before(classes_.data() + old_begin,
+                                            next_old - old_begin);
     const te::FlowAssignment::DemandRouting& routing = assignment.routings[i];
     weights.clear();
     identities.clear();
     paths.clear();
     for (const auto& [path, volume] : routing.paths) {
       if (!(volume.value > 0.0) || path.empty()) continue;
+      const std::uint64_t identity = path_identity(path.edges);
+      // A path listed twice is one path carrying both volumes.
+      const auto same = std::find(identities.begin(), identities.end(),
+                                  identity);
+      if (same != identities.end()) {
+        weights[static_cast<std::size_t>(same - identities.begin())] +=
+            volume.value;
+        continue;
+      }
       weights.push_back(volume.value);
-      identities.push_back(path_identity(path.edges));
+      identities.push_back(identity);
       paths.push_back(&path);
     }
 
+    std::uint64_t* const pick_of = picks_.data() + i * kF;
     std::fill(picks.begin(), picks.end(), 0);
     if (!paths.empty()) {
       // WCMP placement (dataplane.hash faults perturb per flowlet).
       counts.assign(paths.size(), 0);
       for (std::size_t j = 0; j < kF; ++j) {
-        const std::uint64_t current_path =
-            classes_[class_of_[i * kF + j]].path_id;
         std::uint64_t salt = config_.hash_salt;
         bool stale = false;
         if (const fault::Action action = fault::at(
@@ -255,12 +213,12 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
         std::size_t pick =
             paths.size() == 1
                 ? 0
-                : wcmp_pick(flowlet_key(static_cast<std::uint32_t>(i),
-                                        static_cast<std::uint32_t>(j), salt),
+                : wcmp_pick(flowlet_key(od, static_cast<std::uint32_t>(j),
+                                        salt),
                             weights, identities);
-        if (stale && current_path != 0) {
+        if (stale && pick_of[j] != 0) {
           for (std::size_t p = 0; p < identities.size(); ++p)
-            if (identities[p] == current_path) {
+            if (identities[p] == pick_of[j]) {
               pick = p;
               break;
             }
@@ -287,86 +245,84 @@ void DataplaneSim::install(const te::FlowAssignment& assignment,
       }
     }
 
-    const std::size_t first = drafts.size();
-    keys.clear();
+    // A class keeps its pipeline while one of its members stays on its
+    // path; every flowlet that leaves a path for another migrates.
+    kept.assign(before.size(), 0);
     for (std::size_t j = 0; j < kF; ++j) {
-      const std::uint32_t f = static_cast<std::uint32_t>(i * kF + j);
-      const std::pair<std::uint32_t, std::size_t> key{class_of_[f], picks[j]};
-      std::size_t g = 0;
-      while (g < keys.size() && keys[g] != key) ++g;
-      if (g == keys.size()) {
-        keys.push_back(key);
-        drafts.push_back(draft_of(classes_[key.first], key.second));
+      const std::uint64_t from = pick_of[j];
+      const std::uint64_t to = paths.empty() ? 0 : identities[picks[j]];
+      pick_of[j] = to;
+      if (from == 0 || to == 0) continue;
+      if (from != to) {
+        ++result.migrations;
+        continue;
       }
-      drafts[first + g].cls.members.push_back(f);
+      for (std::size_t b = 0; b < before.size(); ++b)
+        if (before[b].path_id == from) kept[b] = 1;
     }
-    for (std::size_t d = first; d < drafts.size(); ++d)
-      if (drafts[d].migrated) result.migrations += drafts[d].cls.members.size();
-  }
-  layout(drafts);
-}
 
-void DataplaneSim::layout(std::vector<Draft>& drafts) {
-  auto same_hops = [](std::span<const Hop> a, std::span<const Hop> b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [](const Hop& x, const Hop& y) {
-                        return x.edge == y.edge && x.queued == y.queued &&
-                               x.arriving == y.arriving;
-                      });
-  };
-  // Bit-equal per-member state: everything but the members' ledgers.
-  auto same_state = [&](const FlowletClass& cls, const Draft& draft) {
-    const FlowletClass& other = draft.cls;
-    if (cls.path_id != other.path_id ||
-        bits_of(cls.offered_gbps) != bits_of(other.offered_gbps) ||
-        bits_of(cls.rate_gbps) != bits_of(other.rate_gbps) ||
-        bits_of(cls.carry) != bits_of(other.carry) ||
-        cls.deferred != other.deferred ||
-        !same_hops(active_hops(cls), draft.active) ||
-        cls.draining.size() != other.draining.size())
-      return false;
-    for (std::size_t d = 0; d < cls.draining.size(); ++d)
-      if (cls.draining[d].path_id != other.draining[d].path_id ||
-          !same_hops(cls.draining[d].hops, other.draining[d].hops))
-        return false;
-    return true;
-  };
+    // One class per loaded path, in the routing's path order. Each member
+    // is shaped to an equal share of its path's installed volume, so
+    // per-path offered load equals the solver's split exactly (goodput
+    // can never exceed the allocation except by transient queue drain —
+    // docs/DATAPLANE.md §5).
+    const std::size_t first = classes.size();
+    class_of_path.assign(paths.size(), 0);
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      if (counts[p] == 0) continue;
+      class_of_path[p] = classes.size();
+      PathClass& cls = classes.emplace_back();
+      cls.od = od;
+      cls.path_id = identities[p];
+      cls.offered_gbps = weights[p] / static_cast<double>(counts[p]);
+      cls.hops_begin = static_cast<std::uint32_t>(hops.size());
+      std::size_t b = 0;
+      while (b < before.size() &&
+             !(kept[b] != 0 && before[b].path_id == cls.path_id))
+        ++b;
+      if (b < before.size()) {
+        // Joining members take the class's rate and carry. Their own
+        // carry, under one quantum, was never charged.
+        const PathClass& prev = before[b];
+        const std::span<const Hop> active = active_hops(prev);
+        hops.insert(hops.end(), active.begin(), active.end());
+        // Same path, new allocation: the controller re-shapes the source.
+        cls.rate_gbps = prev.offered_gbps != cls.offered_gbps
+                            ? cls.offered_gbps
+                            : prev.rate_gbps;
+        cls.carry = prev.carry;
+        cls.deferred = prev.deferred;
+      } else {
+        for (const graph::EdgeId edge : paths[p]->edges) {
+          Hop& hop = hops.emplace_back();
+          hop.edge = edge.value;
+          hop.od = od;
+        }
+        hops.back().last = 1;
+        cls.rate_gbps = cls.offered_gbps;
+      }
+      cls.hops_end = static_cast<std::uint32_t>(hops.size());
+    }
+    if (!paths.empty())
+      for (std::size_t j = 0; j < kF; ++j)
+        classes[class_of_path[picks[j]]].members.push_back(
+            static_cast<std::uint32_t>(i * kF + j));
 
-  // Drafts arrive grouped by OD; each merges into the first laid-out
-  // class of its OD whose state it matches.
-  classes_.clear();
-  hops_.clear();
-  std::size_t od_begin = 0;
-  for (Draft& draft : drafts) {
-    FlowletClass& incoming = draft.cls;
-    if (classes_.empty() || classes_.back().od != incoming.od)
-      od_begin = classes_.size();
-    std::size_t c = od_begin;
-    while (c < classes_.size() && !same_state(classes_[c], draft)) ++c;
-    if (c < classes_.size()) {
-      std::vector<std::uint32_t>& members = classes_[c].members;
-      const std::size_t middle = members.size();
-      members.insert(members.end(), incoming.members.begin(),
-                     incoming.members.end());
-      std::inplace_merge(members.begin(),
-                         members.begin() + static_cast<std::ptrdiff_t>(middle),
-                         members.end());
-      continue;
+    // A class that lost every member leaves its in-flight quanta
+    // draining on its path and its deferred ones parked; the OD's first
+    // class sends whatever is parked.
+    for (std::size_t b = 0; b < before.size(); ++b) {
+      if (kept[b] != 0) continue;
+      retire(od, before[b].path_id, active_hops(before[b]));
+      parked_[i] += before[b].deferred;
     }
-    const std::uint32_t cls = static_cast<std::uint32_t>(c);
-    incoming.hops_begin = static_cast<std::uint32_t>(hops_.size());
-    for (Hop& hop : draft.active) {
-      hop.cls = cls;
-      hops_.push_back(hop);
+    if (classes.size() > first) {
+      classes[first].deferred += parked_[i];
+      parked_[i] = 0;
     }
-    incoming.hops_end = static_cast<std::uint32_t>(hops_.size());
-    for (Pipeline& pipeline : incoming.draining)
-      for (Hop& hop : pipeline.hops) hop.cls = cls;
-    classes_.push_back(std::move(incoming));
   }
-  for (std::size_t c = 0; c < classes_.size(); ++c)
-    for (const std::uint32_t f : classes_[c].members)
-      class_of_[f] = static_cast<std::uint32_t>(c);
+  classes_ = std::move(classes);
+  hops_ = std::move(hops);
 }
 
 RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
@@ -408,7 +364,7 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   result.measure_seconds =
       static_cast<double>(ticks - result.measure_begin) * dt;
 
-  const std::size_t nf = class_of_.size();
+  const std::size_t nf = picks_.size();
   std::vector<std::uint64_t> cap(edge_count_, 0);
   std::vector<std::uint64_t> buffer(edge_count_, 0);
   // Per link: the quanta landing next tick (kept up to date as sources
@@ -421,32 +377,24 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
   std::vector<double> frac(edge_count_, 1.0);
   std::vector<std::uint64_t> tick_serviced(edge_count_, 0);
   std::vector<std::size_t> event_cursor(edge_count_, 0);
-  // Per class (growing as classes split): multiplicity and OD.
-  std::vector<std::uint64_t> mult;
-  std::vector<std::uint32_t> od_of;
-  // Classes with draining pipelines.
+  // Per OD: delivered this round, in total and over the measurement.
+  std::vector<std::uint64_t>& od_delivered = result.od_delivered_bytes;
+  std::vector<std::uint64_t> od_measured(ods_, 0);
+  // ODs with draining pipelines.
   std::vector<std::uint32_t> drainers;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    FlowletClass& cls = classes_[c];
-    cls.measured = 0;
-    cls.round_delivered = 0;
-    mult.push_back(cls.members.size());
-    od_of.push_back(cls.od);
-    if (!cls.draining.empty())
-      drainers.push_back(static_cast<std::uint32_t>(c));
-  }
+  for (std::size_t i = 0; i < ods_; ++i)
+    if (!draining_[i].empty()) drainers.push_back(static_cast<std::uint32_t>(i));
   // Visits every hop: the flat active array, then each draining pipeline.
   auto for_each_pipeline = [&](auto&& visit) {
-    visit(std::span<Hop>(hops_), true);
-    for (const std::uint32_t c : drainers)
-      for (Pipeline& pipeline : classes_[c].draining)
-        visit(std::span<Hop>(pipeline.hops), false);
+    visit(std::span<Hop>(hops_));
+    for (const std::uint32_t od : drainers)
+      for (Pipeline& pipeline : draining_[od])
+        visit(std::span<Hop>(pipeline.hops));
   };
   // The first tick's arrivals: what the previous round left in flight.
-  for_each_pipeline([&](std::span<Hop> hops, bool) {
+  for_each_pipeline([&](std::span<Hop> hops) {
     for (const Hop& hop : hops)
-      incoming[static_cast<std::size_t>(hop.edge)] +=
-          mult[hop.cls] * hop.arriving;
+      incoming[static_cast<std::size_t>(hop.edge)] += hop.arriving;
   });
 
   const bool faults_armed = fault::Registry::global().armed();
@@ -454,159 +402,49 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
 
   // A link short of room admits each hop's share of its arrivals
   // (fit_ratio/share) and drops the rest.
-  auto land_short = [&](std::span<Hop> hops, bool) {
+  auto land_short = [&](std::span<Hop> hops) {
     for (Hop& hop : hops) {
       const std::size_t e = static_cast<std::size_t>(hop.edge);
       const std::uint64_t arrived = hop.arriving;
       if (arrived == 0 || short_of_room[e] == 0) continue;
       hop.arriving = 0;
-      const std::uint64_t k = mult[hop.cls];
       const std::uint64_t accepted = share(arrived, admit[e]);
       const std::uint64_t dropped = arrived - accepted;
       if (dropped > 0) {
-        classes_[hop.cls].pending.dropped += dropped;
-        result.links[e].dropped_bytes += k * dropped;
-        if (measuring) result.links[e].measured_dropped_bytes += k * dropped;
+        ledgers_[hop.od].dropped += dropped;
+        result.links[e].dropped_bytes += dropped;
+        if (measuring) result.links[e].measured_dropped_bytes += dropped;
       }
       hop.queued += accepted;
-      link_queued_[e] += k * accepted;
+      link_queued_[e] += accepted;
     }
   };
   // Each hop lands what is left of its arrivals, then proportional
   // service, store-and-forward to the next hop, delivery credited to the
-  // class, and the per-link / per-OD accounting of what left. The walk
-  // runs from each path's last hop to its first, so a hop forwards into
-  // a hop that has already landed and served this tick: the grant lands
-  // next tick.
-  auto serve = [&](std::span<Hop> hops, bool) {
+  // OD, and the per-link / per-OD accounting of what left. The walk runs
+  // from each path's last hop to its first, so a hop forwards into a hop
+  // that has already landed and served this tick: the grant lands next
+  // tick.
+  auto serve = [&](std::span<Hop> hops) {
     for (std::size_t h = hops.size(); h-- > 0;) {
       Hop& hop = hops[h];
       const std::size_t e = static_cast<std::size_t>(hop.edge);
-      const std::uint32_t c = hop.cls;
       const std::uint64_t queued = hop.queued + hop.arriving;
       hop.arriving = 0;
       const std::uint64_t s = share(queued, frac[e]);
       hop.queued = queued - s;
       if (s == 0) continue;
-      const std::uint64_t served = mult[c] * s;
-      tick_serviced[e] += served;
-      if (measuring)
-        result.link_od_measured_bytes[e * ods_ + od_of[c]] += served;
+      tick_serviced[e] += s;
+      if (measuring) result.link_od_measured_bytes[e * ods_ + hop.od] += s;
       if (hop.last) {
-        FlowletClass& cls = classes_[c];
-        cls.pending.delivered += s;
-        cls.round_delivered += s;
-        if (measuring) cls.measured += s;
+        od_delivered[hop.od] += s;
+        if (measuring) od_measured[hop.od] += s;
       } else {
         Hop& next = hops[h + 1];
         next.arriving += s;
-        incoming[static_cast<std::size_t>(next.edge)] += served;
+        incoming[static_cast<std::size_t>(next.edge)] += s;
       }
     }
-  };
-  // Sends what class c's sources put on the wire this tick.
-  auto inject = [&](std::size_t c, std::uint64_t quanta) {
-    FlowletClass& cls = classes_[c];
-    if (cls.hops_end != cls.hops_begin) {
-      Hop& first = hops_[cls.hops_begin];
-      first.arriving += quanta;
-      incoming[static_cast<std::size_t>(first.edge)] += mult[c] * quanta;
-    } else {
-      // Already charged at generation; a class with no installed path
-      // parks its quanta back at the source instead of leaking them.
-      cls.deferred += quanta;
-    }
-  };
-  // Applies a dataplane.packet action to one member's `attempt` quanta.
-  auto apply = [&](std::size_t c, fault::Kind kind, std::uint64_t attempt) {
-    FlowletClass& cls = classes_[c];
-    switch (kind) {
-      case fault::Kind::kDrop:
-        // Lost before entering the network: dropped at the source (the
-        // generation charge keeps the ledger balanced).
-        cls.pending.dropped += attempt;
-        return inject(c, 0);
-      case fault::Kind::kDuplicate:
-        // The duplicated copies are new quanta on the wire.
-        cls.pending.injected += attempt;
-        return inject(c, attempt * 2);
-      case fault::Kind::kDelay:
-        cls.deferred = attempt;
-        return inject(c, 0);
-      default:
-        return inject(c, attempt);
-    }
-  };
-  // Moves `members` out of class c into a new class with c's state. The
-  // members' arrivals already count in `incoming`: a split moves them
-  // between classes without changing any link's total.
-  auto split_off = [&](std::size_t c, std::vector<std::uint32_t> members) {
-    const std::uint32_t n = static_cast<std::uint32_t>(classes_.size());
-    FlowletClass copy = classes_[c];
-    copy.members = std::move(members);
-    copy.hops_begin = static_cast<std::uint32_t>(hops_.size());
-    for (std::uint32_t h = classes_[c].hops_begin; h < classes_[c].hops_end;
-         ++h) {
-      Hop hop = hops_[h];
-      hop.cls = n;
-      hops_.push_back(hop);
-    }
-    copy.hops_end = static_cast<std::uint32_t>(hops_.size());
-    for (Pipeline& pipeline : copy.draining)
-      for (Hop& hop : pipeline.hops) hop.cls = n;
-    for (const std::uint32_t f : copy.members) class_of_[f] = n;
-    if (!copy.draining.empty()) drainers.push_back(n);
-    mult.push_back(copy.members.size());
-    mult[c] -= copy.members.size();
-    od_of.push_back(copy.od);
-    classes_.push_back(std::move(copy));
-    return n;
-  };
-  // The packet kind each member of the class being faulted drew, and per
-  // kind the members that drew it.
-  std::vector<std::size_t> drawn;
-  std::array<std::vector<std::uint32_t>, kPacketKinds.size()> drew;
-  // Rate control for class c, then what its sources put on the wire this
-  // tick: the whole quanta generated (the sub-quantum remainder carries
-  // to the next tick) and any deferred ones.
-  auto generate = [&](std::size_t c) {
-    FlowletClass& cls = classes_[c];
-    if (cls.offered_gbps > 0.0 && cls.hops_end != cls.hops_begin) {
-      // The maximum utilization over the class's path links, as the
-      // previous tick's link pass left it.
-      double util = 0.0;
-      for (std::uint32_t h = cls.hops_begin; h < cls.hops_end; ++h)
-        util = std::max(util,
-                        link_util_[static_cast<std::size_t>(hops_[h].edge)]);
-      // Congested when some path link's standing queue exceeds 1/eta
-      // ticks' worth of service. util == 1 is the steady state of a
-      // link the solver fills to capacity (each tick's arrivals are
-      // exactly one tick's service) — NOT congestion; only backlog
-      // growth beyond that margin cuts.
-      if (util * eta > 1.0) {
-        cls.rate_gbps = std::max(cls.rate_gbps * (eta / util),
-                                 cls.offered_gbps * kMinRateFraction);
-        result.rate_cuts += mult[c];
-      } else {
-        cls.rate_gbps = std::min(
-            cls.offered_gbps,
-            cls.rate_gbps + config_.additive_increase * cls.offered_gbps);
-      }
-    } else {
-      cls.rate_gbps = 0.0;
-    }
-    const double generating = cls.rate_gbps * quanta_per_gbps_tick + cls.carry;
-    const std::uint64_t generated = whole_quanta(generating);
-    cls.carry = generating - to_double(generated);
-    const std::uint64_t attempt = generated + cls.deferred;
-    cls.deferred = 0;
-    // The ledger charges quanta when the source GENERATES them (quanta
-    // pulled back out of deferred were charged on their original tick),
-    // so kDelay parking balances against the inflight term: cumulative
-    // injected == delivered + dropped + inflight holds under every fault
-    // plan, not just clean runs.
-    cls.pending.injected += generated;
-    return attempt;
   };
   auto set_capacity = [&](std::size_t e, double gbps) {
     cap[e] = whole_quanta(gbps * quanta_per_gbps_tick);
@@ -631,47 +469,79 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
 
     // Sweep 1: rate control and injection per class. Rate control reads
     // the utilization the link pass left on the class's own path links
-    // and the class's own state, and injection only adds to the class's
-    // first hop. Classes split off here are complete for this tick and
-    // not revisited.
-    const std::size_t live = classes_.size();
-    if (!faults_armed)
-      for (std::size_t c = 0; c < live; ++c) inject(c, generate(c));
-    for (std::size_t c = 0; faults_armed && c < live; ++c) {
-      const std::uint64_t attempt = generate(c);
-      if (attempt == 0) {
-        inject(c, attempt);
-        continue;
-      }
-      // Each member draws its own (tick, flowlet) action. When they all
-      // draw one kind the class stays whole; otherwise class c keeps the
-      // members of the first kind drawn and each other kind splits off.
-      drawn.clear();
-      bool uniform = true;
-      for (const std::uint32_t f : classes_[c].members) {
-        const fault::Action action = fault::at(
-            "dataplane.packet", static_cast<std::uint64_t>(tick) * nf + f);
-        drawn.push_back(packet_kind_index(action.kind));
-        uniform = uniform && drawn.back() == drawn.front();
-      }
-      if (uniform) {
-        apply(c, kPacketKinds[drawn.front()], attempt);
-        continue;
-      }
-      for (std::vector<std::uint32_t>& members : drew) members.clear();
-      for (std::size_t m = 0; m < drawn.size(); ++m)
-        drew[drawn[m]].push_back(classes_[c].members[m]);
-      std::size_t kept = kPacketKinds.size();
-      for (std::size_t k = 0; k < kPacketKinds.size(); ++k) {
-        if (drew[k].empty()) continue;
-        if (kept == kPacketKinds.size()) {
-          kept = k;
-          continue;
+    // and the class's own state; injection adds to the class's first hop
+    // and to its link's arrivals.
+    for (PathClass& cls : classes_) {
+      const std::uint64_t k = cls.members.size();
+      if (cls.offered_gbps > 0.0) {
+        double util = 0.0;
+        for (std::uint32_t h = cls.hops_begin; h < cls.hops_end; ++h)
+          util = std::max(
+              util, link_util_[static_cast<std::size_t>(hops_[h].edge)]);
+        // Congested when some path link's standing queue exceeds 1/eta
+        // ticks' worth of service. util == 1 is the steady state of a
+        // link the solver fills to capacity (each tick's arrivals are
+        // exactly one tick's service) — NOT congestion; only backlog
+        // growth beyond that margin cuts.
+        if (util * eta > 1.0) {
+          cls.rate_gbps = std::max(cls.rate_gbps * (eta / util),
+                                   cls.offered_gbps * kMinRateFraction);
+          result.rate_cuts += k;
+        } else {
+          cls.rate_gbps = std::min(
+              cls.offered_gbps,
+              cls.rate_gbps + config_.additive_increase * cls.offered_gbps);
         }
-        apply(split_off(c, std::move(drew[k])), kPacketKinds[k], attempt);
+      } else {
+        cls.rate_gbps = 0.0;
       }
-      classes_[c].members = std::move(drew[kept]);
-      apply(c, kPacketKinds[kept], attempt);
+      // Each member generates the whole quanta of its rate; the
+      // sub-quantum remainder carries to the next tick. Quanta deferred
+      // on the class's last tick go out first.
+      const double generating =
+          cls.rate_gbps * quanta_per_gbps_tick + cls.carry;
+      const std::uint64_t generated = whole_quanta(generating);
+      cls.carry = generating - to_double(generated);
+      std::uint64_t sent = cls.deferred;
+      cls.deferred = 0;
+      // The ledger charges quanta when a source GENERATES them (deferred
+      // quanta were charged on the tick that generated them), so kDelay
+      // parking balances against the inflight term: cumulative injected
+      // == delivered + dropped + inflight holds under every fault plan,
+      // not just clean runs.
+      Ledger& ledger = ledgers_[cls.od];
+      ledger.injected += k * generated;
+      if (!faults_armed || generated == 0) {
+        sent += k * generated;
+      } else {
+        // Each member draws its own (tick, flowlet) action, and its
+        // outcome adds to the class's totals.
+        for (const std::uint32_t f : cls.members) {
+          switch (fault::at("dataplane.packet",
+                            static_cast<std::uint64_t>(tick) * nf + f)
+                      .kind) {
+            case fault::Kind::kDrop:
+              // Lost before entering the network: dropped at the source
+              // (the generation charge keeps the ledger balanced).
+              ledger.dropped += generated;
+              break;
+            case fault::Kind::kDuplicate:
+              // The duplicated copies are new quanta on the wire.
+              ledger.injected += generated;
+              sent += 2 * generated;
+              break;
+            case fault::Kind::kDelay:
+              cls.deferred += generated;
+              break;
+            default:
+              sent += generated;
+              break;
+          }
+        }
+      }
+      Hop& first = hops_[cls.hops_begin];
+      first.arriving += sent;
+      incoming[static_cast<std::size_t>(first.edge)] += sent;
     }
 
     // Admission: a link whose free buffer cannot hold all of this tick's
@@ -709,13 +579,12 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     // per-OD accounting; drained-pipeline retirement. Service reads only
     // frac and the hop's own pipeline.
     for_each_pipeline(serve);
-    for (const std::uint32_t c : drainers)
-      std::erase_if(classes_[c].draining, [](const Pipeline& pipeline) {
+    for (const std::uint32_t od : drainers)
+      std::erase_if(draining_[od], [](const Pipeline& pipeline) {
         return inflight(pipeline.hops) == 0;
       });
-    std::erase_if(drainers, [this](std::uint32_t c) {
-      return classes_[c].draining.empty();
-    });
+    std::erase_if(drainers,
+                  [this](std::uint32_t od) { return draining_[od].empty(); });
 
     // Per-link totals of what left, and the capacity-safety audit.
     for (std::size_t e = 0; e < edge_count_; ++e) {
@@ -734,40 +603,27 @@ RoundResult DataplaneSim::run_round(const te::FlowAssignment& assignment,
     }
   }
 
-  // Round end: every member's ledger takes its class's growth, and the
-  // per-OD figures take each class's multiplicity of its member's.
-  std::vector<std::uint64_t> od_measured(ods_, 0);
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    FlowletClass& cls = classes_[c];
-    for (const std::uint32_t f : cls.members) {
-      Ledger& ledger = ledgers_[f];
-      ledger.injected += cls.pending.injected;
-      ledger.delivered += cls.pending.delivered;
-      ledger.dropped += cls.pending.dropped;
-    }
-    cls.pending = Ledger{};
-    const std::uint64_t k = cls.members.size();
-    od_measured[cls.od] += k * cls.measured;
-    result.od_delivered_bytes[cls.od] += k * cls.round_delivered;
-    std::uint64_t inflight_quanta = inflight(active_hops(cls)) + cls.deferred;
-    for (const Pipeline& pipeline : cls.draining)
-      inflight_quanta += inflight(pipeline.hops);
-    result.inflight_bytes += k * inflight_quanta;
-  }
-  for (const Ledger& ledger : ledgers_) {
+  // Round end: each OD's ledger takes its deliveries, and what is still
+  // queued, arriving, deferred or parked is in flight.
+  for (const PathClass& cls : classes_)
+    result.inflight_bytes += inflight(active_hops(cls)) + cls.deferred;
+  for (std::size_t i = 0; i < ods_; ++i) {
+    Ledger& ledger = ledgers_[i];
+    ledger.delivered += od_delivered[i];
     result.injected_bytes += ledger.injected;
     result.delivered_bytes += ledger.delivered;
     result.dropped_bytes += ledger.dropped;
-  }
-  for (std::size_t i = 0; i < ods_; ++i)
+    result.inflight_bytes += parked_[i];
+    for (const Pipeline& pipeline : draining_[i])
+      result.inflight_bytes += inflight(pipeline.hops);
     result.od_goodput_gbps[i] = static_cast<double>(od_measured[i]) /
                                 kQuanta * 8.0 / result.measure_seconds / 1e9;
+  }
   result.signature = state_signature();
   ++round_;
 
   std::uint64_t round_delivered = 0;
-  for (const std::uint64_t quanta : result.od_delivered_bytes)
-    round_delivered += quanta;
+  for (const std::uint64_t quanta : od_delivered) round_delivered += quanta;
   metrics.rounds.add(1);
   metrics.ticks.add(static_cast<std::uint64_t>(ticks));
   metrics.migrations.add(result.migrations);
@@ -789,6 +645,7 @@ std::uint64_t DataplaneSim::state_signature() const {
   auto fold_pipeline = [&hash](std::uint64_t path_id,
                                std::span<const Hop> hops) {
     hash = combine64(hash, path_id);
+    hash = combine64(hash, hops.size());
     for (const Hop& hop : hops) {
       hash = combine64(hash, static_cast<std::uint64_t>(
                                  static_cast<std::uint32_t>(hop.edge)));
@@ -796,20 +653,23 @@ std::uint64_t DataplaneSim::state_signature() const {
       hash = combine64(hash, hop.arriving);
     }
   };
-  for (std::size_t f = 0; f < class_of_.size(); ++f) {
-    const FlowletClass& cls = classes_[class_of_[f]];
-    const Ledger& ledger = ledgers_[f];
-    hash = combine64(hash, static_cast<std::uint64_t>(cls.od));
+  for (const std::uint64_t pick : picks_) hash = combine64(hash, pick);
+  hash = combine64(hash, classes_.size());
+  for (const PathClass& cls : classes_) {
+    hash = combine64(hash, cls.od);
     hash = combine_double(hash, cls.offered_gbps);
     hash = combine_double(hash, cls.rate_gbps);
     hash = combine_double(hash, cls.carry);
     hash = combine64(hash, cls.deferred);
-    hash = combine64(hash, ledger.injected);
-    hash = combine64(hash, ledger.delivered);
-    hash = combine64(hash, ledger.dropped);
     fold_pipeline(cls.path_id, active_hops(cls));
-    hash = combine64(hash, static_cast<std::uint64_t>(cls.draining.size()));
-    for (const Pipeline& pipeline : cls.draining)
+  }
+  for (std::size_t i = 0; i < ods_; ++i) {
+    hash = combine64(hash, ledgers_[i].injected);
+    hash = combine64(hash, ledgers_[i].delivered);
+    hash = combine64(hash, ledgers_[i].dropped);
+    hash = combine64(hash, parked_[i]);
+    hash = combine64(hash, draining_[i].size());
+    for (const Pipeline& pipeline : draining_[i])
       fold_pipeline(pipeline.path_id, pipeline.hops);
   }
   for (const double util : link_util_) hash = combine_double(hash, util);
@@ -825,34 +685,32 @@ DataplaneSim::State DataplaneSim::save_state() const {
   };
   State state;
   state.round = round_;
-  // One record per flowlet, as if every flowlet were simulated alone.
-  state.flowlets.reserve(class_of_.size());
-  for (std::size_t f = 0; f < class_of_.size(); ++f) {
-    const FlowletClass& cls = classes_[class_of_[f]];
-    State::Flowlet& flowlet = state.flowlets.emplace_back();
-    flowlet.od = cls.od;
-    flowlet.offered_gbps = cls.offered_gbps;
-    flowlet.rate_gbps = cls.rate_gbps;
-    flowlet.carry = cls.carry;
-    flowlet.deferred = cls.deferred;
-    flowlet.ledger = ledgers_[f];
-    flowlet.active = save_pipeline(cls.path_id, active_hops(cls));
-    for (const Pipeline& pipeline : cls.draining)
-      flowlet.draining.push_back(
-          save_pipeline(pipeline.path_id, pipeline.hops));
+  state.picks = picks_;
+  for (const PathClass& cls : classes_)
+    state.classes.push_back({cls.od, cls.offered_gbps, cls.rate_gbps,
+                             cls.carry, cls.deferred,
+                             save_pipeline(cls.path_id, active_hops(cls))});
+  for (std::size_t i = 0; i < ods_; ++i) {
+    State::Od& od = state.ods.emplace_back();
+    for (const Pipeline& pipeline : draining_[i])
+      od.draining.push_back(save_pipeline(pipeline.path_id, pipeline.hops));
+    od.parked = parked_[i];
+    od.ledger = ledgers_[i];
   }
   state.link_util = link_util_;
   return state;
 }
 
 void DataplaneSim::restore_state(const State& state) {
-  const std::size_t nf = class_of_.size();
-  RWC_CHECK_MSG(state.flowlets.size() == nf &&
+  const std::size_t kF = config_.flowlets_per_od;
+  RWC_CHECK_MSG(state.picks.size() == picks_.size() &&
+                    state.ods.size() == ods_ &&
                     state.link_util.size() == edge_count_,
                 "dataplane: state shape mismatch");
   // Everything run_round indexes or converts is checked before the sim
-  // changes: hop edges index per-link state, and rates, carries and
-  // quanta convert between double and integer.
+  // changes: classes and picks index per-OD state, hop edges per-link
+  // state, and rates, carries and quanta convert between double and
+  // integer.
   std::vector<std::uint64_t> link_queued(edge_count_, 0);
   auto check_quanta = [](std::uint64_t quanta) {
     RWC_CHECK_MSG(static_cast<double>(quanta) < kMaxQuanta,
@@ -870,53 +728,100 @@ void DataplaneSim::restore_state(const State& state) {
       check_quanta(queued);
     }
   };
-  for (std::size_t f = 0; f < nf; ++f) {
-    const State::Flowlet& flowlet = state.flowlets[f];
-    RWC_CHECK_MSG(flowlet.od == f / config_.flowlets_per_od,
-                  "dataplane: state flowlet under the wrong OD");
-    RWC_CHECK_MSG(std::isfinite(flowlet.offered_gbps) &&
-                      flowlet.offered_gbps >= 0.0 &&
-                      std::isfinite(flowlet.rate_gbps) &&
-                      flowlet.rate_gbps >= 0.0 && flowlet.carry >= 0.0 &&
-                      flowlet.carry < 1.0,
+  // The classes of OD i are [od_first[i], od_first[i + 1]).
+  std::vector<std::size_t> od_first(ods_ + 1, 0);
+  for (std::size_t c = 0; c < state.classes.size(); ++c) {
+    const std::uint32_t od = state.classes[c].od;
+    RWC_CHECK_MSG(od < ods_, "dataplane: state class outside the ODs");
+    RWC_CHECK_MSG(c == 0 || state.classes[c - 1].od <= od,
+                  "dataplane: state classes out of OD order");
+    ++od_first[od + 1];
+  }
+  for (std::size_t i = 0; i < ods_; ++i) od_first[i + 1] += od_first[i];
+  for (std::size_t c = 0; c < state.classes.size(); ++c) {
+    const State::Class& cls = state.classes[c];
+    RWC_CHECK_MSG(cls.active.path_id != 0 && !cls.active.hops.empty(),
+                  "dataplane: state class without a path");
+    for (std::size_t other = od_first[cls.od]; other < c; ++other)
+      RWC_CHECK_MSG(state.classes[other].active.path_id != cls.active.path_id,
+                    "dataplane: two state classes on one path");
+    RWC_CHECK_MSG(std::isfinite(cls.offered_gbps) && cls.offered_gbps >= 0.0 &&
+                      std::isfinite(cls.rate_gbps) && cls.rate_gbps >= 0.0 &&
+                      cls.carry >= 0.0 && cls.carry < 1.0,
                   "dataplane: state rate out of range");
-    check_quanta(flowlet.deferred);
-    check_pipeline(flowlet.active);
-    for (const State::Pipeline& pipeline : flowlet.draining)
+    check_quanta(cls.deferred);
+    check_pipeline(cls.active);
+  }
+  // Every pick names a class of its flowlet's OD, and every class has a
+  // member.
+  std::vector<std::size_t> class_of(picks_.size(), 0);
+  std::vector<std::uint8_t> has_member(state.classes.size(), 0);
+  for (std::size_t f = 0; f < state.picks.size(); ++f) {
+    if (state.picks[f] == 0) continue;
+    const std::size_t od = f / kF;
+    std::size_t c = od_first[od];
+    while (c < od_first[od + 1] &&
+           state.classes[c].active.path_id != state.picks[f])
+      ++c;
+    RWC_CHECK_MSG(c < od_first[od + 1],
+                  "dataplane: state pick names no class of its OD");
+    class_of[f] = c;
+    has_member[c] = 1;
+  }
+  RWC_CHECK_MSG(std::find(has_member.begin(), has_member.end(), 0) ==
+                    has_member.end(),
+                "dataplane: state class without members");
+  for (const State::Od& od : state.ods) {
+    for (const State::Pipeline& pipeline : od.draining)
       check_pipeline(pipeline);
+    check_quanta(od.parked);
   }
 
-  // One draft per flowlet; layout() merges the bit-equal ones.
-  auto restore_hops = [](const State::Pipeline& pipeline) {
-    std::vector<Hop> hops;
+  auto restore_hops = [](const State::Pipeline& pipeline, std::uint32_t od,
+                         std::vector<Hop>& out) {
     for (const State::Hop& saved : pipeline.hops) {
-      Hop& hop = hops.emplace_back();
+      Hop& hop = out.emplace_back();
       hop.edge = saved.edge;
+      hop.od = od;
       hop.queued = saved.queued;
       hop.arriving = saved.arriving;
     }
-    if (!hops.empty()) hops.back().last = 1;
-    return hops;
+    if (!pipeline.hops.empty()) out.back().last = 1;
   };
-  std::vector<Draft> drafts(nf);
-  for (std::size_t f = 0; f < nf; ++f) {
-    const State::Flowlet& flowlet = state.flowlets[f];
-    FlowletClass& cls = drafts[f].cls;
-    cls.od = flowlet.od;
-    cls.path_id = flowlet.active.path_id;
-    cls.offered_gbps = flowlet.offered_gbps;
-    cls.rate_gbps = flowlet.rate_gbps;
-    cls.carry = flowlet.carry;
-    cls.deferred = flowlet.deferred;
-    for (const State::Pipeline& pipeline : flowlet.draining)
-      cls.draining.push_back(
-          Pipeline{restore_hops(pipeline), pipeline.path_id});
-    cls.members.push_back(static_cast<std::uint32_t>(f));
-    drafts[f].active = restore_hops(flowlet.active);
+  std::vector<PathClass> classes(state.classes.size());
+  std::vector<Hop> hops;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const State::Class& saved = state.classes[c];
+    PathClass& cls = classes[c];
+    cls.od = saved.od;
+    cls.path_id = saved.active.path_id;
+    cls.offered_gbps = saved.offered_gbps;
+    cls.rate_gbps = saved.rate_gbps;
+    cls.carry = saved.carry;
+    cls.deferred = saved.deferred;
+    cls.hops_begin = static_cast<std::uint32_t>(hops.size());
+    restore_hops(saved.active, saved.od, hops);
+    cls.hops_end = static_cast<std::uint32_t>(hops.size());
   }
-  layout(drafts);
+  for (std::size_t f = 0; f < state.picks.size(); ++f)
+    if (state.picks[f] != 0)
+      classes[class_of[f]].members.push_back(static_cast<std::uint32_t>(f));
+  for (std::size_t i = 0; i < ods_; ++i) {
+    const State::Od& saved = state.ods[i];
+    std::vector<Pipeline>& draining = draining_[i];
+    draining.clear();
+    for (const State::Pipeline& pipeline : saved.draining) {
+      Pipeline& restored = draining.emplace_back();
+      restored.path_id = pipeline.path_id;
+      restore_hops(pipeline, static_cast<std::uint32_t>(i), restored.hops);
+    }
+    parked_[i] = saved.parked;
+    ledgers_[i] = saved.ledger;
+  }
   round_ = state.round;
-  for (std::size_t f = 0; f < nf; ++f) ledgers_[f] = state.flowlets[f].ledger;
+  picks_ = state.picks;
+  classes_ = std::move(classes);
+  hops_ = std::move(hops);
   link_queued_ = std::move(link_queued);
   link_util_ = state.link_util;
 }

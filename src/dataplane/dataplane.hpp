@@ -9,12 +9,21 @@
 // reconfig dark windows included), and runs an HPCC-style end-host rate
 // controller per flowlet: sources shape to their allocated share, cut
 // multiplicatively when a path link's utilization exceeds the target, and
-// recover additively. Each tick walks every hop once, and once more when
-// some link's arrivals overflow its free buffer:
+// recover additively.
 //
-//   sweep 1   rate control + injection per flowlet (`dataplane.packet`
-//             faults fire here); each link's arrivals are kept up to
-//             date as sources inject and hops forward;
+// The flowlets of one OD whose WCMP pick is one path form that (OD, path)
+// class, simulated once: its members share one rate and one injection
+// carry, and its hop queues, arrivals and deferred quanta are totals over
+// them, as is each OD's byte ledger. A class never splits; install only
+// moves members between classes, and a class that loses every member
+// hands its in-flight quanta to its OD's draining pipelines. Each tick
+// walks every hop once, and once more when some link's arrivals overflow
+// its free buffer:
+//
+//   sweep 1   rate control + injection per class (`dataplane.packet`
+//             faults fire here, one draw per member); each link's
+//             arrivals are kept up to date as sources inject and hops
+//             forward;
 //   links     a link whose free buffer holds all of its arrivals takes
 //             them into its queue total; a link short of room lands its
 //             hops one by one in a pre-pass, each admitted in
@@ -22,9 +31,8 @@
 //             and the next tick's utilization signal;
 //   service   every hop, each path from its last hop to its first: its
 //             arrivals land, proportional service, store-and-forward to
-//             the next hop, delivery credited, per-OD accounting, the
-//             next tick's per-path utilization; drained-pipeline
-//             retirement;
+//             the next hop, delivery credited to the OD, per-OD
+//             accounting; drained-pipeline retirement;
 //   audit     per-link serviced and queued totals, capacity safety.
 //
 // Walking a path backwards means a hop forwards into a hop that has
@@ -32,22 +40,16 @@
 //
 // Every byte quantity is a whole number of quanta (kQuantaPerByte per
 // byte): injection rounds down and carries its sub-quantum remainder per
-// flowlet, and service and buffer admission grant each hop floor(its
+// member, and service and buffer admission grant each hop floor(its
 // quanta * the link's ratio). Byte sums are therefore exact, and no step
-// depends on the order in which the passes visit flowlets or hops.
-//
-// That is what lets the simulator run each distinct flowlet state once:
-// flowlets of one OD whose state is bit-equal form a class, simulated as
-// one flowlet, and every per-link and per-OD amount is the class's
-// multiplicity times its member's. A class splits when an event treats
-// its members differently (a `dataplane.packet` fault, a WCMP move) and
-// bit-equal members merge at install and restore. Results, signatures
-// and the saved state stay per flowlet, bit-identical to the per-flowlet
-// reference kernel in tests/support/flowlet_reference.hpp. No RNG runs in
-// the tick loop: randomness is hashing (wcmp.hpp), so determinism needs
-// no stream bookkeeping. save_state()/restore_state() capture everything
-// that carries across rounds as a typed State (part of ClosedLoop::State,
-// docs/DATAPLANE.md §8): restore-then-continue is bit-identical.
+// depends on the order in which the passes visit classes or hops. The
+// test-only reference kernel in tests/support/path_reference.hpp runs
+// the same model with the plain three-pass tick, and the two agree bit
+// for bit. No RNG runs in the tick loop: randomness is hashing
+// (wcmp.hpp), so determinism needs no stream bookkeeping.
+// save_state()/restore_state() capture everything that carries across
+// rounds as a typed State (part of ClosedLoop::State, docs/DATAPLANE.md
+// §8): restore-then-continue is bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -155,14 +157,14 @@ struct RoundResult {
   /// Bytes still queued/arriving/deferred at round end.
   std::uint64_t inflight_bytes = 0;
 
-  /// Fold of the full post-round flowlet/queue state (bitwise): two runs
+  /// Fold of the full post-round state (state_signature()): two runs
   /// agree on a round iff the signatures and the per-OD goodputs agree.
   std::uint64_t signature = 0;
 };
 
 class DataplaneSim {
  public:
-  /// One flowlet's cumulative ledger, in quanta.
+  /// One OD's cumulative ledger, in quanta.
   struct Ledger {
     std::uint64_t injected = 0;
     std::uint64_t delivered = 0;
@@ -171,9 +173,9 @@ class DataplaneSim {
     friend bool operator==(const Ledger&, const Ledger&) = default;
   };
 
-  /// Everything that carries across rounds, one record per flowlet
-  /// whatever class it runs in. The defaulted == compares doubles by
-  /// value, not bitwise; state_signature() is the bitwise comparison.
+  /// Everything that carries across rounds. The defaulted == compares
+  /// doubles by value, not bitwise; state_signature() is the bitwise
+  /// comparison.
   struct State {
     struct Hop {
       std::int32_t edge = -1;
@@ -188,22 +190,37 @@ class DataplaneSim {
 
       friend bool operator==(const Pipeline&, const Pipeline&) = default;
     };
-    struct Flowlet {
+    /// The flowlets of one OD whose pick is `active.path_id`. Rates and
+    /// carry are each member's; deferred and the hops are totals.
+    struct Class {
       std::uint32_t od = 0;
       double offered_gbps = 0.0;
       double rate_gbps = 0.0;
       double carry = 0.0;
       std::uint64_t deferred = 0;
-      Ledger ledger;
       Pipeline active;
-      std::vector<Pipeline> draining;
 
-      friend bool operator==(const Flowlet&, const Flowlet&) = default;
+      friend bool operator==(const Class&, const Class&) = default;
+    };
+    struct Od {
+      /// Pre-migration paths still flushing, one per path.
+      std::vector<Pipeline> draining;
+      /// Deferred quanta of classes that lost every member while the OD
+      /// had no class to take them.
+      std::uint64_t parked = 0;
+      Ledger ledger;
+
+      friend bool operator==(const Od&, const Od&) = default;
     };
 
     std::uint64_t round = 0;
-    /// ods * flowlets_per_od, in flowlet order.
-    std::vector<Flowlet> flowlets;
+    /// ods * flowlets_per_od, in flowlet order: the path identity of the
+    /// flowlet's class (0 = none).
+    std::vector<std::uint64_t> picks;
+    /// Grouped by OD, ascending; at most one per (OD, path).
+    std::vector<Class> classes;
+    /// Per OD.
+    std::vector<Od> ods;
     /// Per link: the utilization signal the next tick's rate control
     /// reads.
     std::vector<double> link_util;
@@ -227,13 +244,16 @@ class DataplaneSim {
   State save_state() const;
   /// Restores a save_state() of a sim of the same shape. Throws
   /// util::CheckError, with the sim untouched, on anything run_round
-  /// would misuse: a flowlet or link count that does not fit, a flowlet
-  /// under the wrong OD, a hop edge outside the topology, a rate that is
+  /// would misuse: a flowlet, OD or link count that does not fit, a
+  /// class out of OD order or outside the ODs, two classes on one path,
+  /// a class without a path or without a member, a pick that names no
+  /// class of its OD, a hop edge outside the topology, a rate that is
   /// negative or not finite, a carry outside [0, 1), or a quanta count
   /// or per-link queued total of 2^53 or more.
   void restore_state(const State& state);
 
-  /// Fold of the live flowlet/queue state — equal iff bitwise-equal.
+  /// Fold of the live state — equal iff the saved states are
+  /// bitwise-equal.
   std::uint64_t state_signature() const;
 
   std::uint64_t rounds() const { return round_; }
@@ -244,12 +264,12 @@ class DataplaneSim {
  private:
   struct Hop {
     std::int32_t edge = -1;
-    /// Owning class, and whether this hop ends its path (it delivers
+    /// Owning OD, and whether this hop ends its path (it delivers
     /// instead of forwarding), so a sweep over hops needs no per-path
     /// loop. Derived from the layout; not part of the saved state.
-    std::uint32_t cls : 31 = 0;
+    std::uint32_t od : 31 = 0;
     std::uint32_t last : 1 = 0;
-    /// Per member of the class, in quanta.
+    /// Totals over the pipeline's flowlets, in quanta.
     std::uint64_t queued = 0;    ///< awaiting service
     std::uint64_t arriving = 0;  ///< store-and-forward: lands next tick
   };
@@ -260,34 +280,22 @@ class DataplaneSim {
     std::uint64_t path_id = 0;  ///< wcmp::path_identity of the edge seq
   };
 
-  /// Flowlets of one OD with bit-equal state, simulated once. The state
-  /// fields are each member's; the members' ledgers stay in ledgers_.
-  struct FlowletClass {
+  /// The flowlets of one OD whose WCMP pick is one path.
+  struct PathClass {
     std::uint32_t od = 0;
-    /// Active path: hops_[hops_begin, hops_end), rebuilt by layout().
+    /// Active path: hops_[hops_begin, hops_end).
     std::uint32_t hops_begin = 0;
     std::uint32_t hops_end = 0;
-    std::uint64_t path_id = 0;  ///< active path identity (0 = none)
-    double offered_gbps = 0.0;  ///< allocated share (rate ceiling)
-    double rate_gbps = 0.0;     ///< HPCC-controlled current rate
-    /// Sub-quantum injection remainder in [0, 1): what rate * tick
-    /// generated beyond the whole quanta injected so far.
+    std::uint64_t path_id = 0;  ///< active path identity
+    double offered_gbps = 0.0;  ///< each member's allocated share
+    double rate_gbps = 0.0;     ///< each member's HPCC-controlled rate
+    /// Each member's sub-quantum injection remainder in [0, 1): what
+    /// rate * tick generated beyond the whole quanta injected so far.
     double carry = 0.0;
-    std::uint64_t deferred = 0;  ///< kDelay faults park quanta here
-    std::vector<Pipeline> draining;  ///< pre-migration paths, flushing
+    std::uint64_t deferred = 0;  ///< total parked by kDelay faults
     /// Flowlet indices, ascending; their count is the multiplicity.
     std::vector<std::uint32_t> members;
-    /// Each member's ledger growth this round, folded into ledgers_ when
-    /// the round ends, and its deliveries this round: in the measurement
-    /// region and in total.
-    Ledger pending;
-    std::uint64_t measured = 0;
-    std::uint64_t round_delivered = 0;
   };
-
-  /// A class being rebuilt by install() or restore_state(), with its
-  /// active hops held apart until layout() packs them into hops_.
-  struct Draft;
 
   static std::uint64_t inflight(std::span<const Hop> hops) {
     std::uint64_t total = 0;
@@ -295,28 +303,33 @@ class DataplaneSim {
     return total;
   }
 
-  std::span<const Hop> active_hops(const FlowletClass& cls) const {
+  std::span<const Hop> active_hops(const PathClass& cls) const {
     return {hops_.data() + cls.hops_begin, hops_.data() + cls.hops_end};
   }
 
   void install(const te::FlowAssignment& assignment, RoundResult& result);
-  /// Merges each OD's bit-equal drafts and lays the survivors out as
-  /// classes_, hops_ and class_of_.
-  void layout(std::vector<Draft>& drafts);
+  /// Hands a pipeline's in-flight quanta to OD `od`'s draining pipeline
+  /// on the same path, or to a new one.
+  void retire(std::uint32_t od, std::uint64_t path_id,
+              std::span<const Hop> hops);
 
   DataplaneConfig config_;
   std::size_t edge_count_ = 0;
   std::size_t ods_ = 0;
   std::uint64_t round_ = 0;
-  std::vector<FlowletClass> classes_;
-  /// Per flowlet (ods * flowlets_per_od, fixed order): its class and its
-  /// cumulative ledger.
-  std::vector<std::uint32_t> class_of_;
-  std::vector<Ledger> ledgers_;
+  /// Per flowlet (ods * flowlets_per_od, fixed order): the path identity
+  /// of its class, 0 when it has none.
+  std::vector<std::uint64_t> picks_;
+  /// Grouped by OD, ascending.
+  std::vector<PathClass> classes_;
   /// Every class's active-path hops, contiguous in class order.
   std::vector<Hop> hops_;
-  /// Per link: live queued total over every flowlet's hops (maintained
-  /// by the tick loop, rebuilt by restore_state).
+  /// Per OD: cumulative ledger, draining pipelines and parked quanta.
+  std::vector<Ledger> ledgers_;
+  std::vector<std::vector<Pipeline>> draining_;
+  std::vector<std::uint64_t> parked_;
+  /// Per link: live queued total over every hop (maintained by the tick
+  /// loop, rebuilt by restore_state).
   std::vector<std::uint64_t> link_queued_;
   /// Per link: previous tick's utilization signal for rate control.
   std::vector<double> link_util_;

@@ -2,12 +2,13 @@
 // docs/DATAPLANE.md §7): whatever a random dataplane.packet /
 // dataplane.hash plan does to injection and flowlet placement, (1) the
 // byte ledger still conserves exactly (cumulative injected == delivered +
-// dropped + in-flight), per-OD goodput stays finite and non-negative, and
-// no link buffer ever holds more than its budget; (2) a faulted run is
-// a pure function of (fixture, plan): re-running the same plan on a fresh
-// simulator reproduces every round's state signature bit-for-bit; (3)
-// the flowlet-class kernel matches the per-flowlet reference
-// (tests/support/flowlet_reference.hpp) bit for bit under the plan.
+// dropped + in-flight), in total and per OD, per-OD goodput stays finite
+// and non-negative, no link buffer ever holds more than its budget, and
+// the classes never outnumber the (OD, active path) pairs; (2) a faulted
+// run is a pure function of (fixture, plan): re-running the same plan on
+// a fresh simulator reproduces every round's state signature
+// bit-for-bit; (3) the kernel matches the (OD, path) reference
+// (tests/support/path_reference.hpp) bit for bit under the plan.
 // Violations report the seed plus the halving-minimized plan spec
 // (prop/shrink.hpp).
 #include <gtest/gtest.h>
@@ -29,7 +30,7 @@
 #include "prop/invariants.hpp"
 #include "prop/seeds.hpp"
 #include "prop/shrink.hpp"
-#include "support/flowlet_reference.hpp"
+#include "support/path_reference.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -130,6 +131,15 @@ prop::InvariantResult invariants_hold(DataplaneFixture& fixture,
             at + "byte conservation broken (injected " +
             std::to_string(result.injected_bytes) + " vs accounted " +
             std::to_string(ledger) + ")");
+      const dataplane::DataplaneSim::State state = sim.save_state();
+      if (const std::string od = dataplane::reference::unbalanced_od(state);
+          !od.empty())
+        return prop::InvariantResult::fail(at + "per-OD conservation broken: " +
+                                           od);
+      if (state.classes.size() > dataplane::reference::od_path_pairs(state))
+        return prop::InvariantResult::fail(
+            at + std::to_string(state.classes.size()) +
+            " classes for fewer (OD, path) pairs");
       for (std::size_t od = 0; od < result.od_goodput_gbps.size(); ++od) {
         const double goodput = result.od_goodput_gbps[od];
         if (!std::isfinite(goodput) || goodput < 0.0)
@@ -229,14 +239,14 @@ TEST(PropDataplane, FaultedRunsReplayBitIdentically) {
       << "no generated injection ever fired — the property is vacuous";
 }
 
-/// Runs the class kernel and the reference side by side under `plan`,
+/// Runs the kernel and the reference side by side under `plan`,
 /// installing the fixture's plan, its faded plan and the plan again.
 prop::InvariantResult kernels_agree(DataplaneFixture& fixture,
                                     const fault::FaultPlan& plan) {
   try {
     dataplane::DataplaneSim sim(fixture.topology, fixture.demands.size(),
                                 fixture.config);
-    dataplane::reference::FlowletReference reference(
+    dataplane::reference::PathReference reference(
         fixture.topology, fixture.demands.size(), fixture.config);
     fault::ScopedPlan armed(plan);
     const te::FlowAssignment* plans[] = {&fixture.assignment, &fixture.faded,
@@ -249,11 +259,11 @@ prop::InvariantResult kernels_agree(DataplaneFixture& fixture,
           reference.run_round(*plans[round], fixture.timeline));
       if (!differs.empty())
         return prop::InvariantResult::fail(
-            at + differs + " differs from the per-flowlet reference");
+            at + differs + " differs from the (OD, path) reference");
       if (sim.state_signature() != reference.state_signature() ||
           sim.save_state() != reference.save_state())
         return prop::InvariantResult::fail(
-            at + "saved state differs from the per-flowlet reference");
+            at + "saved state differs from the (OD, path) reference");
     }
     return prop::InvariantResult::pass();
   } catch (const util::CheckError& error) {

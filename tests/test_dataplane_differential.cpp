@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -177,7 +178,7 @@ TEST(DataplaneDifferential, SaveStatePinnedAcrossMigrationAndUnrouting) {
                                 dp_config.tick_seconds));
   EXPECT_EQ(last.od_goodput_gbps[emptied], 0.0);
 
-  EXPECT_EQ(sim.state_signature(), 0xe77aff3dc99c0971ull)
+  EXPECT_EQ(sim.state_signature(), 0x9e1f96cc4b72c0cdull)
       << std::hex << sim.state_signature();
 }
 
@@ -224,8 +225,9 @@ TEST(DataplaneDifferential, RestoreRejectsOutOfRangeState) {
                               fixture.config);
   sim.run_round(fixture.assignment, fixture.timeline);
   const State state = sim.save_state();
-  ASSERT_GE(state.flowlets[0].active.hops.size(), 1u)
-      << "flowlet 0 has no path";
+  ASSERT_GE(state.classes.size(), 2u) << "the round left fewer than 2 classes";
+  ASSERT_NE(state.classes[0].od, state.classes[1].od)
+      << "classes 0 and 1 share an OD";
 
   dataplane::DataplaneSim victim(topology, fixture.demands.size(),
                                  fixture.config);
@@ -237,7 +239,14 @@ TEST(DataplaneDifferential, RestoreRejectsOutOfRangeState) {
     EXPECT_EQ(victim.state_signature(), before) << what;
   };
   auto first_hop = [](State& s) -> State::Hop& {
-    return s.flowlets[0].active.hops[0];
+    return s.classes[0].active.hops[0];
+  };
+  // A flowlet of class 0's OD that picks it.
+  auto member_of_first = [&](const State& s) {
+    const std::size_t kF = fixture.config.flowlets_per_od;
+    std::size_t f = s.classes[0].od * kF;
+    while (s.picks[f] != s.classes[0].active.path_id) ++f;
+    return f;
   };
   const std::int32_t edges = static_cast<std::int32_t>(topology.edge_count());
   constexpr std::uint64_t k2p53 = std::uint64_t{1} << 53;
@@ -245,25 +254,44 @@ TEST(DataplaneDifferential, RestoreRejectsOutOfRangeState) {
   expect_rejected("hop edge -1", [&](State& s) { first_hop(s).edge = -1; });
   expect_rejected("hop edge == edge_count",
                   [&](State& s) { first_hop(s).edge = edges; });
-  expect_rejected("flowlet 0 under OD 1",
-                  [](State& s) { s.flowlets[0].od = 1; });
+  expect_rejected("class under no OD", [&](State& s) {
+    s.classes.back().od = static_cast<std::uint32_t>(s.ods.size());
+  });
+  expect_rejected("classes out of OD order",
+                  [](State& s) { std::swap(s.classes[0], s.classes[1]); });
+  expect_rejected("two classes on one path", [](State& s) {
+    s.classes.insert(s.classes.begin() + 1, s.classes[0]);
+  });
+  expect_rejected("class without a path",
+                  [](State& s) { s.classes[0].active.hops.clear(); });
+  expect_rejected("pick naming no class of its OD", [&](State& s) {
+    s.picks[member_of_first(s)] = s.classes[1].active.path_id;
+  });
+  expect_rejected("class without members", [&](State& s) {
+    for (std::uint64_t& pick : s.picks)
+      if (pick == s.classes[0].active.path_id) pick = 0;
+  });
   expect_rejected("NaN rate", [](State& s) {
-    s.flowlets[0].rate_gbps = std::numeric_limits<double>::quiet_NaN();
+    s.classes[0].rate_gbps = std::numeric_limits<double>::quiet_NaN();
   });
   expect_rejected("negative rate",
-                  [](State& s) { s.flowlets[0].offered_gbps = -1.0; });
-  expect_rejected("carry 1.0", [](State& s) { s.flowlets[0].carry = 1.0; });
+                  [](State& s) { s.classes[0].offered_gbps = -1.0; });
+  expect_rejected("carry 1.0", [](State& s) { s.classes[0].carry = 1.0; });
   expect_rejected("2^53 quanta",
                   [&](State& s) { first_hop(s).queued = k2p53; });
+  expect_rejected("2^53 deferred quanta",
+                  [](State& s) { s.classes[0].deferred = k2p53; });
+  expect_rejected("2^53 parked quanta",
+                  [](State& s) { s.ods[0].parked = k2p53; });
   // Two hops of 2^52 quanta each on one link: each count is in range,
   // their per-link total is not.
   expect_rejected("per-link total of 2^53", [&](State& s) {
-    State::Hop& other = s.flowlets[1].active.hops.at(0);
+    State::Hop& other = s.classes[1].active.hops.at(0);
     first_hop(s).queued = k2p53 / 2;
     other = first_hop(s);
   });
-  expect_rejected("one flowlet too few",
-                  [](State& s) { s.flowlets.pop_back(); });
+  expect_rejected("one flowlet too few", [](State& s) { s.picks.pop_back(); });
+  expect_rejected("one OD too few", [](State& s) { s.ods.pop_back(); });
   expect_rejected("one link too few",
                   [](State& s) { s.link_util.pop_back(); });
 

@@ -1,10 +1,11 @@
-// The flowlet-class kernel (dataplane::DataplaneSim) against the
-// per-flowlet reference kernel (tests/support/flowlet_reference.hpp,
-// docs/DATAPLANE.md §2): on the inputs the three GoldenDataplane fixtures
-// pin, with and without a saved state handed between the kernels, every
-// RoundResult field, state_signature() and the save_state() agree bit for
-// bit. The prop harness runs the same comparison under random
-// dataplane.packet / dataplane.hash plans (tests/prop/prop_dataplane.cpp).
+// The (OD, path) kernel (dataplane::DataplaneSim) against the reference
+// kernel (tests/support/path_reference.hpp, docs/DATAPLANE.md §2): on the
+// inputs the three GoldenDataplane fixtures pin, with and without a saved
+// state handed between the kernels, every RoundResult field,
+// state_signature() and the save_state() agree bit for bit, and every
+// OD's ledger balances after every round. The prop harness runs the same
+// comparison under random dataplane.packet / dataplane.hash plans
+// (tests/prop/prop_dataplane.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,25 +27,28 @@
 #include "optical/modulation.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
-#include "support/flowlet_reference.hpp"
+#include "support/path_reference.hpp"
 #include "te/mcf_te.hpp"
 #include "util/rng.hpp"
 
 namespace rwc {
 namespace {
 
-using dataplane::reference::FlowletReference;
+using dataplane::reference::PathReference;
 using dataplane::reference::first_difference;
+using dataplane::reference::unbalanced_od;
 
 void expect_same_state(const dataplane::DataplaneSim& sim,
-                       const FlowletReference& reference,
+                       const PathReference& reference,
                        const std::string& where) {
   EXPECT_EQ(sim.state_signature(), reference.state_signature()) << where;
-  EXPECT_TRUE(sim.save_state() == reference.save_state())
+  const dataplane::DataplaneSim::State state = sim.save_state();
+  EXPECT_TRUE(state == reference.save_state())
       << where << ": saved states differ";
+  EXPECT_EQ(unbalanced_od(state), "") << where;
 }
 
-/// Runs the class kernel and the reference on the inputs of every round
+/// Runs the kernel and the reference on the inputs of every round
 /// run_xcheck(`config`) runs: the assignment and timeline its loop's
 /// dataplane ran. Both must reproduce the loop's own round. Before round
 /// `handoff` (if set) each kernel is rebuilt from the other's state, so
@@ -53,7 +57,7 @@ std::vector<dataplane::RoundResult> compare_on_xcheck_inputs(
     const dataplane::XcheckConfig& config,
     std::optional<std::size_t> handoff) {
   std::unique_ptr<dataplane::DataplaneSim> sim;
-  std::unique_ptr<FlowletReference> reference;
+  std::unique_ptr<PathReference> reference;
   std::vector<dataplane::RoundResult> rounds;
   dataplane::run_xcheck(config, [&](std::size_t r,
                                     const dataplane::ClosedLoop& loop,
@@ -65,7 +69,7 @@ std::vector<dataplane::RoundResult> compare_on_xcheck_inputs(
       sim = std::make_unique<dataplane::DataplaneSim>(topology, ods,
                                                       config.dataplane);
       reference =
-          std::make_unique<FlowletReference>(topology, ods, config.dataplane);
+          std::make_unique<PathReference>(topology, ods, config.dataplane);
     }
     if (handoff == r) {
       const dataplane::DataplaneSim::State from_sim = sim->save_state();
@@ -75,7 +79,7 @@ std::vector<dataplane::RoundResult> compare_on_xcheck_inputs(
                                                       config.dataplane);
       sim->restore_state(from_reference);
       reference =
-          std::make_unique<FlowletReference>(topology, ods, config.dataplane);
+          std::make_unique<PathReference>(topology, ods, config.dataplane);
       reference->restore_state(from_sim);
       expect_same_state(*sim, *reference,
                         "restored before round " + std::to_string(r));
@@ -96,7 +100,7 @@ std::vector<dataplane::RoundResult> compare_on_xcheck_inputs(
 
 /// The golden input `config` (under `plan` when set): the two kernels
 /// agree on every round of the loop's, and keep agreeing after a saved
-/// state crosses between them. Returns the class kernel's rounds.
+/// state crosses between them. Returns the kernel's rounds.
 std::vector<dataplane::RoundResult> check_golden_input(
     const dataplane::XcheckConfig& config, const char* plan = nullptr) {
   std::optional<fault::ScopedPlan> armed;
@@ -138,9 +142,10 @@ dataplane::XcheckConfig edge_paths() {
   return config;
 }
 
-// The edge-path input splits classes both ways: WCMP migrations under
-// dataplane.hash faults, and per-flowlet dataplane.packet drops,
-// duplicates and delays, next to buffer overflow and a dark downshift.
+// The edge-path input moves members between classes (WCMP migrations
+// under dataplane.hash faults) and draws per-member dataplane.packet
+// drops, duplicates and delays inside a class, next to buffer overflow
+// and a dark downshift.
 TEST(DataplaneReference, MatchesOnGoldenEdgePathsUnderFaults) {
   check_golden_input(
       edge_paths(),
@@ -150,9 +155,9 @@ TEST(DataplaneReference, MatchesOnGoldenEdgePathsUnderFaults) {
 }
 
 // The edge-path input with no fault plan. Armed faults send injection
-// down the per-member path, so only here does the fault-free path, which
-// injects each class whole, meet links short of room in a comparison
-// with the reference, next to WCMP migrations.
+// down the per-member draws, so only here does the fault-free path, which
+// injects each class's generation whole, meet links short of room in a
+// comparison with the reference, next to WCMP migrations.
 TEST(DataplaneReference, MatchesOnOverflowingRoundsWithoutFaults) {
   const std::vector<dataplane::RoundResult> rounds =
       check_golden_input(edge_paths());
@@ -169,9 +174,9 @@ TEST(DataplaneReference, MatchesOnOverflowingRoundsWithoutFaults) {
   EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(), migrates));
 }
 
-// dataplane.classes reports the live classes after each round: on a
-// clean round at least one per OD and, with most ODs on one path, far
-// fewer than the flowlets.
+// dataplane.classes reports the live classes after each round: one per
+// (OD, active path) of the saved state, so at least one per routed OD
+// and, with most ODs on one path, far fewer than the flowlets.
 TEST(DataplaneReference, ClassGaugeCountsLiveClasses) {
   util::Rng topo_rng = util::Rng::stream(67, 810);
   const graph::Graph topology = sim::waxman(8, topo_rng);
@@ -196,6 +201,8 @@ TEST(DataplaneReference, ClassGaugeCountsLiveClasses) {
                                           config.tick_seconds));
   const double classes =
       obs::Registry::global().gauge("dataplane.classes").value();
+  EXPECT_EQ(classes, static_cast<double>(
+                         dataplane::reference::od_path_pairs(sim.save_state())));
   EXPECT_GE(classes, static_cast<double>(demands.size()));
   EXPECT_LT(classes, static_cast<double>(demands.size() *
                                          config.flowlets_per_od) /
