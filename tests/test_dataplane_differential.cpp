@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "dataplane/counters.hpp"
 #include "dataplane/dataplane.hpp"
 #include "dataplane/xcheck.hpp"
+#include "fault/plan.hpp"
 #include "demand/estimator.hpp"
 #include "demand/routing_matrix.hpp"
 #include "exec/thread_pool.hpp"
@@ -25,6 +27,7 @@
 #include "optical/modulation.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
+#include "support/path_reference.hpp"
 #include "te/mcf_te.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -389,6 +392,119 @@ TEST(DataplaneDifferential, ConservationIsExactOverMigratingRounds) {
         << "round " << round;
   }
   EXPECT_GT(migrations, 0u) << "the plans must move flowlets";
+}
+
+// dataplane.packet faults on aggregates (docs/DATAPLANE.md §7): a plan
+// that hits one member of a class on every tick, and no other flowlet,
+// leaves the class whole, and each outcome adds that member's quanta to
+// the class's totals. At half load no rate is cut and no buffer
+// overflows, so every class generates, per member, the whole quanta of
+// its offered rate plus its carry, and the OD's ledger deltas are sums
+// over members: a drop charges the member's quanta as injected and as
+// dropped, a duplicate charges them twice, and a delay leaves its last
+// tick's quanta deferred.
+TEST(DataplaneDifferential, PacketFaultsOnOneMemberAddToItsClassTotals) {
+  using State = dataplane::DataplaneSim::State;
+  FirstRound fixture(67);
+  for (te::FlowAssignment::DemandRouting& routing :
+       fixture.assignment.routings) {
+    for (auto& [path, volume] : routing.paths)
+      volume = util::Gbps{volume.value * 0.5};
+    routing.routed = util::Gbps{routing.routed.value * 0.5};
+  }
+  const std::size_t kF = fixture.config.flowlets_per_od;
+  const double quanta_per_gbps_tick =
+      fixture.config.tick_seconds * 1e9 / 8.0 *
+      static_cast<double>(dataplane::kQuantaPerByte);
+  auto members = [kF](const State& state, const State::Class& cls) {
+    std::vector<std::size_t> out;
+    for (std::size_t f = cls.od * kF; f < (cls.od + 1) * kF; ++f)
+      if (state.picks[f] == cls.active.path_id) out.push_back(f);
+    return out;
+  };
+
+  // The class to hit: the first with at least two members.
+  dataplane::DataplaneSim probe(fixture.topology, fixture.demands.size(),
+                                fixture.config);
+  probe.run_round(fixture.assignment, fixture.timeline);
+  const State placed = probe.save_state();
+  std::size_t target = 0;
+  while (target < placed.classes.size() &&
+         members(placed, placed.classes[target]).size() < 2)
+    ++target;
+  ASSERT_LT(target, placed.classes.size());
+  const std::uint32_t od = placed.classes[target].od;
+  const std::uint64_t path = placed.classes[target].active.path_id;
+  const std::size_t hit = members(placed, placed.classes[target])[1];
+
+  for (const std::string kind : {"drop", "duplicate", "delay"}) {
+    SCOPED_TRACE(kind);
+    // Keys are tick * flowlets + flowlet, so period `flowlets` at offset
+    // `hit` fires for that flowlet on every tick and for no other.
+    const fault::ScopedPlan armed(fault::FaultPlan::parse(
+        "dataplane.packet%" + std::to_string(placed.picks.size()) + "@" +
+        std::to_string(hit) + ":" + kind));
+    dataplane::DataplaneSim sim(fixture.topology, fixture.demands.size(),
+                                fixture.config);
+    State before = sim.save_state();
+    for (int round = 0; round < 3; ++round) {
+      const dataplane::RoundResult result =
+          sim.run_round(fixture.assignment, fixture.timeline);
+      const State after = sim.save_state();
+      ASSERT_EQ(result.rate_cuts, 0u) << "round " << round;
+      for (const dataplane::LinkRoundStats& link : result.links)
+        ASSERT_EQ(link.dropped_bytes, 0u) << "round " << round;
+      EXPECT_LE(after.classes.size(),
+                dataplane::reference::od_path_pairs(after))
+          << "round " << round;
+      EXPECT_EQ(dataplane::reference::unbalanced_od(after), "")
+          << "round " << round;
+
+      // Per class of the OD: its members' generation over the round,
+      // from its rate and its carry when the round began.
+      std::uint64_t generated = 0, hit_generated = 0, hit_last = 0;
+      const State::Class* hit_class = nullptr;
+      for (const State::Class& cls : after.classes) {
+        if (cls.od != od) continue;
+        ASSERT_EQ(cls.rate_gbps, cls.offered_gbps) << "round " << round;
+        double carry = 0.0;
+        for (const State::Class& old : before.classes)
+          if (old.od == od && old.active.path_id == cls.active.path_id)
+            carry = old.carry;
+        std::uint64_t sum = 0, last = 0;
+        for (std::size_t t = 0; t < fixture.config.ticks_per_round; ++t) {
+          const double generating =
+              cls.rate_gbps * quanta_per_gbps_tick + carry;
+          last = static_cast<std::uint64_t>(generating);
+          carry = generating - static_cast<double>(last);
+          sum += last;
+        }
+        EXPECT_EQ(cls.carry, carry) << "round " << round;
+        generated += members(after, cls).size() * sum;
+        if (cls.active.path_id == path) {
+          hit_class = &cls;
+          hit_generated = sum;
+          hit_last = last;
+        }
+      }
+      ASSERT_NE(hit_class, nullptr) << "round " << round;
+      ASSERT_GE(members(after, *hit_class).size(), 2u) << "round " << round;
+      ASSERT_GT(hit_generated, 0u) << "round " << round;
+      const dataplane::DataplaneSim::Ledger& then = before.ods[od].ledger;
+      const dataplane::DataplaneSim::Ledger& now = after.ods[od].ledger;
+      EXPECT_EQ(now.injected - then.injected,
+                generated + (kind == "duplicate" ? hit_generated : 0))
+          << "round " << round;
+      EXPECT_EQ(now.dropped - then.dropped,
+                kind == "drop" ? hit_generated : 0)
+          << "round " << round;
+      EXPECT_EQ(hit_class->deferred, kind == "delay" ? hit_last : 0)
+          << "round " << round;
+      before = after;
+    }
+    EXPECT_EQ(fault::Registry::global().injected("dataplane.packet"),
+              3 * fixture.config.ticks_per_round);
+  }
 }
 
 // The dataplane-backed counter source (docs/DATAPLANE.md §6): on a clean
