@@ -1,8 +1,6 @@
 #include "dataplane/dataplane.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <utility>
 
