@@ -154,7 +154,7 @@ struct RoundResult {
   std::uint64_t injected_bytes = 0;
   std::uint64_t delivered_bytes = 0;
   std::uint64_t dropped_bytes = 0;
-  /// Bytes still queued/arriving/deferred at round end.
+  /// Bytes still queued, arriving, deferred or parked at round end.
   std::uint64_t inflight_bytes = 0;
 
   /// Fold of the full post-round state (state_signature()): two runs

@@ -2,8 +2,9 @@
 // (docs/DATAPLANE.md §5): the gap oracle for both TE engines over two
 // seeds, capacity safety, bitwise determinism across thread-pool sizes,
 // save/restore-then-continue, restore's range checks, a pinned state
-// signature, and the dataplane-backed demand counter source certifying
-// exact recovery on a clean round.
+// signature, packet faults on one member of a class, and the
+// dataplane-backed demand counter source certifying exact recovery on a
+// clean round.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,10 +19,10 @@
 #include "dataplane/counters.hpp"
 #include "dataplane/dataplane.hpp"
 #include "dataplane/xcheck.hpp"
-#include "fault/plan.hpp"
 #include "demand/estimator.hpp"
 #include "demand/routing_matrix.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/plan.hpp"
 #include "fault/registry.hpp"
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
