@@ -3,8 +3,11 @@
 // layer adds negligible cost on top of the TE solve itself.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/augment.hpp"
@@ -30,6 +33,8 @@
 #include "te/mcf_te.hpp"
 #include "te/swan.hpp"
 #include "telemetry/analysis.hpp"
+#include "update/executor.hpp"
+#include "update/schedule.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -489,6 +494,118 @@ void BM_DataplaneLoopRound(benchmark::State& state) {
 BENCHMARK(BM_DataplaneLoopRound)
     ->Arg(12)
     ->Arg(24)
+    ->Unit(benchmark::kMillisecond);
+
+// The inputs of one round's consistent-update stage (docs/UPDATE.md) and
+// the shape of the schedule the loop's controller planned from them.
+struct UpdateInput {
+  te::FlowAssignment installed;
+  std::vector<util::Gbps> before;  ///< pre-upgrade capacities
+  std::vector<util::Gbps> after;   ///< capacities after the round
+  std::size_t rounds = 0;
+  std::size_t moves = 0;
+};
+
+// Steps the BM_ClosedLoopRound loop at `nodes` nodes over its
+// loop_fixture::kRounds rounds once per process and keeps every round's
+// update-stage inputs; input r's previous assignment is input r-1's
+// installed one.
+const std::vector<UpdateInput>& loop_update_inputs(int nodes) {
+  static std::map<int, std::vector<UpdateInput>> cache;
+  if (const auto it = cache.find(nodes); it != cache.end()) return it->second;
+  const loop_fixture::Fixture fixture = loop_fixture::make_fixture(nodes);
+  exec::ThreadPool pool(0);
+  const te::McfTe engine;
+  dataplane::ClosedLoop loop(fixture.topology, fixture.intent, engine,
+                             loop_fixture::loop_options(1, &pool));
+  loop_fixture::SnrWalk walk(fixture.topology.edge_count(), 1);
+  std::vector<UpdateInput>& inputs = cache[nodes];
+  for (std::size_t r = 0; r < loop_fixture::kRounds; ++r) {
+    const core::DynamicCapacityController::RoundReport report =
+        loop.step(walk.next()).report;
+    const std::span<const util::Gbps> after =
+        loop.controller().configured_capacities();
+    UpdateInput input{loop.controller().last_assignment(), {},
+                      {after.begin(), after.end()},
+                      report.stats.update_rounds,
+                      report.stats.update_route_moves +
+                          report.stats.update_reconfigs};
+    for (const double gbps : report.update->initial.capacity_gbps)
+      input.before.push_back(util::Gbps{gbps});
+    inputs.push_back(std::move(input));
+  }
+  return inputs;
+}
+
+// plan_schedule + validate_schedule + ScheduleExecutor::run over rounds
+// 1..32 of the loop, each schedule executed when it validates, as the
+// loop's own update stage does. With `unchanged`, every round plans from
+// its installed assignment and capacities to themselves instead, the
+// shape of a serve_steady memo-hit round, and must plan an empty
+// schedule; otherwise each schedule's round and move counts must equal
+// the loop's.
+void run_update_rounds(benchmark::State& state, bool unchanged) {
+  const int nodes = static_cast<int>(state.range(0));
+  const std::vector<UpdateInput>& inputs = loop_update_inputs(nodes);
+  const loop_fixture::Fixture fixture = loop_fixture::make_fixture(nodes);
+  const graph::Graph& topology = fixture.topology;
+  const update::SchedulerConfig config =
+      *loop_fixture::loop_options(1, nullptr).update;
+  std::size_t moves = 0;
+  for (auto _ : state) {
+    for (std::size_t r = 1; r < inputs.size(); ++r) {
+      const UpdateInput& input = inputs[r];
+      const te::FlowAssignment& previous =
+          unchanged ? input.installed : inputs[r - 1].installed;
+      const std::vector<util::Gbps>& before =
+          unchanged ? input.after : input.before;
+      const update::UpdateSchedule schedule = update::plan_schedule(
+          topology, before, input.after, previous, input.installed, config);
+      const bool valid =
+          schedule.feasible && update::validate_schedule(
+                                   topology, schedule, input.after,
+                                   input.installed);
+      if (valid) {
+        update::ScheduleExecutor executor(topology, schedule);
+        benchmark::DoNotOptimize(executor.run().rounds_committed);
+      }
+      const std::size_t planned = schedule.route_moves + schedule.reconfigs;
+      const bool expected =
+          unchanged ? valid && schedule.rounds.empty()
+                    : schedule.rounds.size() == input.rounds &&
+                          planned == input.moves;
+      if (!expected) {
+        state.SkipWithError(
+            ("round " + std::to_string(r) + " is not the loop's").c_str());
+        return;
+      }
+      moves += planned;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(inputs.size() - 1));
+  state.counters["moves"] = benchmark::Counter(
+      static_cast<double>(moves), benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::to_string(inputs.size() - 1) + " rounds, " +
+                 std::to_string(topology.edge_count()) + " links, " +
+                 std::to_string(inputs.back().installed.routings.size()) +
+                 " ODs");
+}
+
+void BM_UpdateLoopRound(benchmark::State& state) {
+  run_update_rounds(state, false);
+}
+BENCHMARK(BM_UpdateLoopRound)
+    ->Arg(12)
+    ->Arg(50)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_UpdateUnchangedRound(benchmark::State& state) {
+  run_update_rounds(state, true);
+}
+BENCHMARK(BM_UpdateUnchangedRound)
+    ->Arg(12)
+    ->Arg(50)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SimplexDense(benchmark::State& state) {

@@ -6,7 +6,8 @@
 // rounds, so the golden loop rows (tests/golden/round-chains.golden)
 // compare bit for bit with the `loop chain` the benchmark prints for the
 // same seed. bench/perf_solvers' BM_ClosedLoopRound times the same loop,
-// and BM_DataplaneLoopRound its dataplane rounds alone.
+// BM_DataplaneLoopRound its dataplane rounds alone and BM_UpdateLoopRound
+// its update stage alone.
 #pragma once
 
 #include <algorithm>
