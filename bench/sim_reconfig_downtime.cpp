@@ -84,9 +84,9 @@ int main(int argc, char** argv) {
   }
   rows.print(std::cout);
 
-  // Consistent-update timeline of one real upgrade: the controller plans
-  // the transition schedule (update::plan_schedule, docs/UPDATE.md) and the
-  // numbers below come from executing that schedule — not a hand-rolled
+  // Consistent-update timeline of one real upgrade: the controller plans,
+  // validates and executes the transition schedule (docs/UPDATE.md) and
+  // the numbers below come from that execution — not a hand-rolled
   // single-upgrade makespan. Parked traffic is the volume the scheduler
   // had to force-churn (remove, wait out the reconfig, re-add), weighted
   // by how long it sat off the network.
@@ -111,9 +111,9 @@ int main(int argc, char** argv) {
     controller.run_round(snr, {{a, b, util::Gbps{90.0}, 0}});
     const auto round =
         controller.run_round(snr, {{a, b, util::Gbps{150.0}, 0}});
-    if (!round.update.has_value() || !round.update->feasible) {
+    if (!round.execution.has_value()) {
       std::cout << "  [" << bvt::to_string(procedure)
-                << "] no feasible transition schedule\n";
+                << "] no valid transition schedule\n";
       continue;
     }
     const update::UpdateSchedule& schedule = *round.update;
@@ -143,11 +143,9 @@ int main(int argc, char** argv) {
       clock = round_end;
     }
 
-    update::ScheduleExecutor executor(base, schedule);
-    executor.run();
     std::cout << "  [" << bvt::to_string(procedure) << "] "
               << schedule.rounds.size() << " rounds, makespan "
-              << util::format_double(executor.result().makespan_seconds, 3)
+              << util::format_double(round.execution->makespan_seconds, 3)
               << " s, forced churn " << schedule.forced_churn
               << ", parked traffic "
               << util::format_double(parked_gbps_seconds, 1)

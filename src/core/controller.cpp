@@ -510,8 +510,9 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
 
     // Optional consistent-update stage (docs/UPDATE.md): order this
     // round's reconfigs + route moves into invariant-checked update
-    // rounds. Observational by contract — plan_schedule reads controller
-    // state, never writes it, so results are identical with it on or off.
+    // rounds, then execute a valid schedule. Observational by contract —
+    // planning and execution read controller state, never write it, so
+    // results are identical with the stage on or off.
     if (options_.update.has_value()) {
       obs::StopWatch update_watch;
       report.update = update::plan_schedule(
@@ -527,6 +528,9 @@ DynamicCapacityController::run_round(std::span<const Db> link_snr,
       report.stats.update_makespan_seconds =
           report.update->makespan_seconds;
       report.stats.update_seconds = update_watch.seconds();
+      if (report.update_valid)
+        report.execution =
+            update::ScheduleExecutor(physical_, *report.update).run();
     }
 
     report.total_routed = report.plan.physical_assignment.total_routed;

@@ -15,7 +15,8 @@
 //      "only one link is increased").
 //   6. The transition from the previous round's routing is checked against
 //      the post-upgrade capacities (Section 4.2 (ii)); with options.update
-//      an ordered update schedule is planned for it too.
+//      an ordered update schedule is planned and validated for it too, and
+//      a valid one is executed (update::ScheduleExecutor).
 #pragma once
 
 #include <memory>
@@ -29,7 +30,7 @@
 #include "obs/registry.hpp"
 #include "optical/modulation.hpp"
 #include "te/algorithm.hpp"
-#include "update/schedule.hpp"
+#include "update/executor.hpp"
 
 namespace rwc::exec {
 class ThreadPool;
@@ -73,9 +74,11 @@ struct ControllerOptions {
   /// set, every round also plans an update::UpdateSchedule ordering the
   /// round's BVT reconfigs and route moves into congestion-free /
   /// loop-free update rounds (from the previous round's capacities +
-  /// routing to the new ones). Purely observational: the schedule rides
-  /// in RoundReport::update and its shape in RoundStats, but controller
-  /// results and signatures are bit-identical with the stage on or off.
+  /// routing to the new ones), validates it, and executes a valid one.
+  /// Purely observational: the schedule rides in RoundReport::update, its
+  /// outcome in RoundReport::execution and its shape in RoundStats, but
+  /// controller results and signatures are bit-identical with the stage on
+  /// or off.
   std::optional<update::SchedulerConfig> update;
   /// Closed-loop demand estimation (docs/DEMAND.md). With the default
   /// kOracle source the controller consumes the handed-in matrix directly,
@@ -161,7 +164,7 @@ class DynamicCapacityController {
     std::uint64_t update_route_moves = 0;
     std::uint64_t update_reconfigs = 0;
     double update_makespan_seconds = 0.0;
-    /// Schedule planning + validation wall time.
+    /// Schedule planning + validation wall time (execution excluded).
     double update_seconds = 0.0;
   };
 
@@ -191,11 +194,15 @@ class DynamicCapacityController {
     /// via demand_pipeline()->last_estimated()).
     std::optional<demand::EstimateStats> demand;
     /// Ordered update schedule for this round's transition (only when
-    /// options.update is set) — executable via update::ScheduleExecutor.
+    /// options.update is set).
     std::optional<update::UpdateSchedule> update;
     /// Whether the schedule is feasible AND passed validate_schedule.
     /// Meaningless when options.update is unset.
     bool update_valid = false;
+    /// The outcome of executing the schedule (update::ScheduleExecutor, with
+    /// its update.commit/update.rollback fault sites live); engaged iff
+    /// update_valid. Observational — never part of a round's signature.
+    std::optional<update::ExecutionResult> execution;
     /// Per-stage timings and solver counters for this round.
     RoundStats stats;
   };

@@ -34,12 +34,8 @@ ClosedLoop::Round ClosedLoop::step(std::span<const util::Db> snr,
   const std::vector<util::Gbps> before(configured.begin(), configured.end());
   round.report = controller_.run_round(snr, intent_);
 
-  const graph::Graph& topology = controller_.physical_topology();
   const update::UpdateSchedule* schedule =
       round.report.update_valid ? &*round.report.update : nullptr;
-  if (schedule != nullptr)
-    round.execution = update::ScheduleExecutor(topology, *schedule).run();
-
   const DataplaneConfig& config = sim_.config();
   round.timeline =
       build_timeline(before, controller_.configured_capacities(), schedule,
@@ -58,7 +54,8 @@ ClosedLoop::Round ClosedLoop::step(std::span<const util::Db> snr,
          assignment.routings)
       installed.push_back(routing.routed.value);
     const demand::RoutingMatrix matrix = demand::build_routing_matrix(
-        topology.edge_count(), pipeline->last_estimated(), assignment);
+        controller_.physical_topology().edge_count(),
+        pipeline->last_estimated(), assignment);
     pending_ = demand::counters_from_observations(
         matrix, installed,
         counter_observations(round.result, matrix, installed),

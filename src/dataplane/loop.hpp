@@ -7,12 +7,11 @@
 // round:
 //
 //   1. the controller round (core::DynamicCapacityController::run_round),
-//      whose own update stage plans and validates the schedule
-//      (ControllerOptions::update);
-//   2. the valid schedule executes (update::ScheduleExecutor);
-//   3. the round's capacity timeline is built from that schedule;
-//   4. the DataplaneSim runs the installed plan over the timeline;
-//   5. when the controller estimates demand (ControllerOptions::demand),
+//      whose own update stage plans, validates and executes the schedule
+//      (ControllerOptions::update; the outcome is RoundReport::execution);
+//   2. the round's capacity timeline is built from the valid schedule;
+//   3. the DataplaneSim runs the installed plan over the timeline;
+//   4. when the controller estimates demand (ControllerOptions::demand),
 //      the round's dataplane counters become the CounterSet the next
 //      round's estimate consumes.
 //
@@ -33,7 +32,6 @@
 #include "dataplane/timeline.hpp"
 #include "demand/counters.hpp"
 #include "demand/pipeline.hpp"
-#include "update/executor.hpp"
 
 namespace rwc::dataplane {
 
@@ -47,10 +45,10 @@ class ClosedLoop {
              DataplaneConfig dataplane = {});
 
   struct Round {
+    /// The controller's round. Its `execution` is the executed schedule's
+    /// outcome, empty when the round had no valid schedule and its
+    /// capacity changes took the synthetic window.
     core::DynamicCapacityController::RoundReport report;
-    /// The executed schedule's outcome; empty when the round had no valid
-    /// schedule and its capacity changes took the synthetic window.
-    std::optional<update::ExecutionResult> execution;
     /// What the dataplane ran: the schedule's timeline after the hook.
     CapacityTimeline timeline;
     RoundResult result;

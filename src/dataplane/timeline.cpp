@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "bvt/latency.hpp"
 #include "util/check.hpp"
 
 namespace rwc::dataplane {
@@ -115,14 +114,11 @@ CapacityTimeline build_timeline(std::span<const util::Gbps> before,
       if (move.kind != update::Move::Kind::kReconfig) continue;
       const std::size_t e = static_cast<std::size_t>(move.edge.value);
       RWC_CHECK_MSG(e < before.size(), "timeline: reconfig edge out of range");
-      const double limit =
-          schedule->procedure == bvt::Procedure::kStandard
-              ? 0.0
-              : std::min(move.from.value, move.to.value);
+      const double limit = update::drain_limit_for(
+          schedule->procedure, move.from.value, move.to.value, 0.0);
       const auto [begin, end] = round_window[k];
-      CapacityTimeline& t = timeline;
-      t.add_event(e, begin, limit);
-      t.add_event(e, end, move.to.value);
+      timeline.add_event(e, begin, limit);
+      timeline.add_event(e, end, move.to.value);
     }
   }
   // Whatever the schedule did, the round must end at the configured

@@ -117,7 +117,7 @@ XcheckOutcome run_xcheck(const XcheckConfig& config,
           round.downshifted = true;
         });
     if (observer) observer(r, *loop, step);
-    round.scheduled = step.execution.has_value();
+    round.scheduled = step.report.execution.has_value();
     const RoundResult& result = step.result;
 
     // Gap oracle against the solver allocation.

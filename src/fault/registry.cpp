@@ -69,9 +69,10 @@ Action Registry::match_locked(SiteState& state, std::string_view site,
     ++state.injected;
     metrics.injected.add();
     // Per-site injection counter, created lazily on first fire.
-    obs::Registry::global()
-        .counter("fault.site." + std::string(site))
-        .add();
+    if (state.fired == nullptr)
+      state.fired = &obs::Registry::global().counter("fault.site." +
+                                                     std::string(site));
+    state.fired->add();
     return injection.action;
   }
   return {};

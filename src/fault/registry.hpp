@@ -30,6 +30,10 @@
 
 #include "fault/plan.hpp"
 
+namespace rwc::obs {
+class Counter;
+}
+
 namespace rwc::fault {
 
 class Registry {
@@ -71,6 +75,8 @@ class Registry {
     std::uint64_t next_hit = 0;
     std::uint64_t evaluations = 0;
     std::uint64_t injected = 0;
+    /// The site's fault.site.<site> counter, looked up on its first fire.
+    obs::Counter* fired = nullptr;
   };
 
   Action match_locked(SiteState& state, std::string_view site,

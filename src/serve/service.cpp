@@ -10,7 +10,6 @@
 #include "obs/registry.hpp"
 #include "replay/driver.hpp"
 #include "replay/wire.hpp"
-#include "update/executor.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -146,24 +145,19 @@ ServeService::RoundReport ServeService::step(
   log_.append(batch);
   for (const IngestEvent& event : batch) apply_event(event);
 
+  // Consistent-update stage (config_.update): run_round executes the
+  // round's validated schedule BEFORE the epoch below becomes visible, so
+  // readers never observe a plan whose dataplane transition has not
+  // finished. Execution is observational (controller state already
+  // advanced; the executor walks its own copy of the schedule's
+  // dataplane), so the chain is identical with the stage on or off;
+  // update.commit/update.rollback faults can stretch or abort the
+  // transition but never perturb the published state.
   RoundReport report = controller_.run_round(snr_, demands_);
 
   // The same fold as replay::ReplayDriver, so serve and replay rounds
   // chain identically given identical reports.
   signature_chain_ = replay::fold_round(signature_chain_, round_, report);
-
-  // Consistent-update stage (config_.update): commit the round's schedule
-  // BEFORE the epoch becomes visible — readers never observe a plan whose
-  // dataplane transition has not finished. Execution is observational
-  // (controller state already advanced; the executor walks its own copy of
-  // the schedule's dataplane), so the chain above is identical with the
-  // stage on or off; update.commit/update.rollback faults can stretch or
-  // abort the transition but never perturb the published state.
-  if (report.update.has_value() && report.update->feasible) {
-    update::ScheduleExecutor executor(controller_.physical_topology(),
-                                      *report.update);
-    executor.run();
-  }
 
   publish_epoch(report);
 

@@ -82,9 +82,10 @@ struct ServeConfig {
   /// (docs/CONCURRENCY.md), so not fingerprinted.
   exec::ThreadPool* pool = nullptr;
 
-  /// Optional consistent-update transition stage (docs/UPDATE.md): each
-  /// round's schedule is planned and EXECUTED (update::ScheduleExecutor,
-  /// update.commit/update.rollback fault sites live) before the epoch
+  /// Optional consistent-update transition stage (docs/UPDATE.md): the
+  /// controller plans, validates and EXECUTES each round's schedule
+  /// (update::ScheduleExecutor, update.commit/update.rollback fault sites
+  /// live; the outcome is RoundReport::execution) before the epoch
   /// publishes — an epoch never becomes visible ahead of its transition.
   /// Observational by the controller's contract, so NOT fingerprinted — a
   /// restored service may flip it freely.

@@ -9,8 +9,6 @@ namespace rwc::update {
 
 namespace {
 
-constexpr double kEps = 1e-6;
-
 struct ExecMetrics {
   obs::Counter& rounds_committed;
   obs::Counter& commit_attempts;
@@ -41,65 +39,10 @@ double injected_seconds(const fault::Action& action) {
 }  // namespace
 
 ScheduleExecutor::ScheduleExecutor(const graph::Graph& topology,
-                                   const UpdateSchedule& schedule,
-                                   ExecutorOptions options)
-    : topology_(&topology),
-      schedule_(&schedule),
-      options_(options),
-      state_(schedule.initial) {
-  RWC_CHECK_MSG(options_.max_attempts_per_round >= 1,
-                "ScheduleExecutor: max_attempts_per_round must be >= 1");
+                                   const UpdateSchedule& schedule)
+    : schedule_(&schedule), state_(schedule.initial) {
   RWC_CHECK_MSG(state_.load_gbps.size() == topology.edge_count(),
                 "ScheduleExecutor: schedule does not match the topology");
-}
-
-void ScheduleExecutor::apply_move(const Move& move,
-                                  const StateObserver& observer) {
-  if (move.kind == Move::Kind::kReconfig) {
-    const auto e = static_cast<std::size_t>(move.edge.value);
-    // Drain phase: the link's admissible load collapses to the drain limit
-    // (0 when the laser power-cycles) for the duration of the modulation
-    // change. Observable so the invariant layer audits the dark window.
-    state_.limit_gbps[e] =
-        drain_limit_for(schedule_->procedure, move.from.value, move.to.value,
-                        schedule_->headroom);
-    if (observer) observer(state_);
-    // Commit: the BVT now runs at the target rate.
-    state_.capacity_gbps[e] = move.to.value;
-    state_.limit_gbps[e] = move.to.value * (1.0 + schedule_->headroom);
-    if (observer) observer(state_);
-    return;
-  }
-  const double sign = move.kind == Move::Kind::kRouteRemove ? -1.0 : 1.0;
-  const RouteKey key{move.demand_index, move.path.edges};
-  for (graph::EdgeId edge : move.path.edges)
-    state_.load_gbps[static_cast<std::size_t>(edge.value)] +=
-        sign * move.volume.value;
-  state_.routes[key] += sign * move.volume.value;
-  if (state_.routes[key] <= kEps) state_.routes.erase(key);
-  if (observer) observer(state_);
-}
-
-void ScheduleExecutor::revert_move(const Move& move,
-                                   const StateObserver& observer) {
-  if (move.kind == Move::Kind::kReconfig) {
-    const auto e = static_cast<std::size_t>(move.edge.value);
-    // Safe in one step: the edge's load was at or below the drain limit
-    // when the reconfig applied, and every later same-round move has
-    // already been reverted, so the pre-move limit re-admits it.
-    state_.capacity_gbps[e] = move.from.value;
-    state_.limit_gbps[e] = move.from.value * (1.0 + schedule_->headroom);
-    if (observer) observer(state_);
-    return;
-  }
-  const double sign = move.kind == Move::Kind::kRouteRemove ? 1.0 : -1.0;
-  const RouteKey key{move.demand_index, move.path.edges};
-  for (graph::EdgeId edge : move.path.edges)
-    state_.load_gbps[static_cast<std::size_t>(edge.value)] +=
-        sign * move.volume.value;
-  state_.routes[key] += sign * move.volume.value;
-  if (state_.routes[key] <= kEps) state_.routes.erase(key);
-  if (observer) observer(state_);
 }
 
 bool ScheduleExecutor::attempt_round(const UpdateRound& round,
@@ -110,7 +53,20 @@ bool ScheduleExecutor::attempt_round(const UpdateRound& round,
   // attempt leaves the state BIT-identical to before (inverse floating-
   // point arithmetic alone would drift in the last ulp).
   const DataplaneState checkpoint = state_;
-  for (const Move& move : round.moves) apply_move(move, observer);
+  for (const Move& move : round.moves) {
+    if (move.kind == Move::Kind::kReconfig) {
+      // Drain phase: the link's admissible load collapses to the drain
+      // limit (0 when the laser power-cycles) for the duration of the
+      // modulation change. Observable so the invariant layer audits the
+      // dark window; apply_move then commits the target rate.
+      state_.limit_gbps[static_cast<std::size_t>(move.edge.value)] =
+          drain_limit_for(schedule_->procedure, move.from.value,
+                          move.to.value, schedule_->headroom);
+      if (observer) observer(state_);
+    }
+    apply_move(state_, move, schedule_->headroom);
+    if (observer) observer(state_);
+  }
 
   // Fault site: the round's commit barrier. kFail forces a full rollback
   // and retry; kStall/kDelay are timing-only (inflate makespan, commit
@@ -126,8 +82,13 @@ bool ScheduleExecutor::attempt_round(const UpdateRound& round,
   ExecMetrics::instance().rollbacks.add();
   // The failed attempt and its rollback each cost a round's wall time.
   result_.makespan_seconds += 2.0 * round.duration_seconds;
-  for (auto it = round.moves.rbegin(); it != round.moves.rend(); ++it)
-    revert_move(*it, observer);
+  // A reverted reconfig is safe in one step: its edge's load was at or
+  // below the drain limit when it applied, and every later same-round move
+  // is already reverted, so the pre-move limit re-admits it.
+  for (auto it = round.moves.rbegin(); it != round.moves.rend(); ++it) {
+    apply_move(state_, *it, schedule_->headroom, /*inverse=*/true);
+    if (observer) observer(state_);
+  }
   state_ = checkpoint;  // exact restore (see snapshot note above)
   if (observer) observer(state_);
   // Fault site: rollback path. Contractually timing-only — state motion
@@ -149,8 +110,8 @@ const ExecutionResult& ScheduleExecutor::run_rounds(
   for (std::size_t i = 0; i < count && !done(); ++i) {
     const UpdateRound& round = schedule_->rounds[next_round_];
     bool committed = false;
-    for (std::size_t attempt = 0;
-         attempt < options_.max_attempts_per_round && !committed; ++attempt)
+    for (std::size_t attempt = 0; attempt < kMaxCommitAttempts && !committed;
+         ++attempt)
       committed = attempt_round(round, observer);
     if (!committed) {
       // Clean abort at the round boundary: the dataplane is exactly the

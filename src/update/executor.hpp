@@ -6,10 +6,16 @@
 // `update.commit` fault-site evaluation decides the round's fate, and a
 // kFail injection rolls every move back (inverse moves in reverse order,
 // themselves observable and subject to `update.rollback` timing faults)
-// before retrying. Progress is monotone: the dataplane state between
-// rounds is always the prefix of committed rounds, never a torn round —
-// the property tests/prop/prop_update.cpp proves under random mid-update
-// fault plans.
+// before retrying, up to kMaxCommitAttempts attempts per round. Moves
+// apply through update::apply_move, as in the planner and the validator.
+// Progress is monotone: the dataplane state between rounds is always the
+// prefix of committed rounds, never a torn round — the property
+// tests/prop/prop_update.cpp proves under random mid-update fault plans.
+//
+// A controller with an update stage (core::ControllerOptions::update)
+// executes every schedule it validated and reports the outcome in
+// RoundReport::execution; the closed loop and the serve tier read it
+// there.
 //
 // Faults only ever perturb timing (kStall/kDelay inflate the reported
 // makespan) or force retries/aborts at round boundaries; the committed
@@ -25,16 +31,14 @@
 
 namespace rwc::update {
 
-struct ExecutorOptions {
-  /// Commit attempts per round before the executor aborts the schedule at
-  /// the current round boundary (bounds livelock under periodic kFail
-  /// plans). Must be >= 1.
-  std::size_t max_attempts_per_round = 8;
-};
+/// Commit attempts per round before the executor aborts the schedule at
+/// the current round boundary (bounds livelock under periodic kFail
+/// plans).
+inline constexpr std::size_t kMaxCommitAttempts = 8;
 
 struct ExecutionResult {
   bool completed = false;  ///< every round committed
-  bool aborted = false;    ///< gave up after max_attempts_per_round
+  bool aborted = false;    ///< gave up after kMaxCommitAttempts
   std::size_t rounds_committed = 0;
   std::uint64_t commit_attempts = 0;
   std::uint64_t rollbacks = 0;
@@ -54,8 +58,8 @@ using StateObserver = std::function<void(const DataplaneState&)>;
 
 class ScheduleExecutor {
  public:
-  ScheduleExecutor(const graph::Graph& topology, const UpdateSchedule& schedule,
-                   ExecutorOptions options = {});
+  ScheduleExecutor(const graph::Graph& topology,
+                   const UpdateSchedule& schedule);
 
   /// Executes every remaining round (or until abort). Returns the final
   /// result; `observer` (optional) sees every intermediate state.
@@ -76,12 +80,8 @@ class ScheduleExecutor {
 
  private:
   bool attempt_round(const UpdateRound& round, const StateObserver& observer);
-  void apply_move(const Move& move, const StateObserver& observer);
-  void revert_move(const Move& move, const StateObserver& observer);
 
-  const graph::Graph* topology_;
   const UpdateSchedule* schedule_;
-  ExecutorOptions options_;
   DataplaneState state_;
   std::size_t next_round_ = 0;
   ExecutionResult result_;

@@ -17,6 +17,12 @@ constexpr double kEps = 1e-6;
 /// Stream id base for per-edge reconfig-duration sampling: XORed with the
 /// edge id so durations are independent of scheduling order and pool size.
 constexpr std::uint64_t kDurationStream = 0x75706474'00000000ULL;  // "updt"
+/// Dataplane latency of one batched route-update round.
+constexpr double kRouteStepSeconds = 0.005;
+/// Planner bail-out: the greedy wave construction needs at most a handful
+/// of rounds (docs/UPDATE.md §3), so reaching this many marks the schedule
+/// infeasible instead of looping.
+constexpr std::size_t kMaxRounds = 64;
 
 std::map<RouteKey, double> path_volumes(const te::FlowAssignment& assignment) {
   std::map<RouteKey, double> volumes;
@@ -26,12 +32,21 @@ std::map<RouteKey, double> path_volumes(const te::FlowAssignment& assignment) {
   return volumes;
 }
 
-graph::Path make_path(const graph::Graph& graph,
-                      const std::vector<graph::EdgeId>& edges) {
-  graph::Path path;
-  path.edges = edges;
-  for (graph::EdgeId edge : edges) path.weight += graph.edge(edge).weight;
-  return path;
+/// Adds `volume` Gbps (negative: removes it) on every edge of `key`'s
+/// path and on its route, dropping the route once at or below kEps.
+void shift_route(DataplaneState& state, RouteKey key, double volume) {
+  for (graph::EdgeId edge : key.second)
+    state.load_gbps[static_cast<std::size_t>(edge.value)] += volume;
+  const auto it = state.routes.try_emplace(std::move(key), 0.0).first;
+  it->second += volume;
+  if (it->second <= kEps) state.routes.erase(it);
+}
+
+/// Runs edge `e` at `gbps` with that rate's normal limit.
+void set_rate(DataplaneState& state, std::size_t e, double gbps,
+              double headroom) {
+  state.capacity_gbps[e] = gbps;
+  state.limit_gbps[e] = gbps * (1.0 + headroom);
 }
 
 /// One pending BVT reconfiguration.
@@ -67,6 +82,18 @@ struct UpdateMetrics {
 };
 
 }  // namespace
+
+void apply_move(DataplaneState& state, const Move& move, double headroom,
+                bool inverse) {
+  if (move.kind == Move::Kind::kReconfig) {
+    set_rate(state, static_cast<std::size_t>(move.edge.value),
+             inverse ? move.from.value : move.to.value, headroom);
+    return;
+  }
+  const bool adds = (move.kind == Move::Kind::kRouteAdd) != inverse;
+  shift_route(state, {move.demand_index, move.edges},
+              adds ? move.volume.value : -move.volume.value);
+}
 
 UpdateSchedule plan_schedule(const graph::Graph& topology,
                              std::span<const util::Gbps> before_capacity,
@@ -105,10 +132,8 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
   state.load_gbps.assign(edge_count, 0.0);
   state.capacity_gbps.resize(edge_count);
   state.limit_gbps.resize(edge_count);
-  for (std::size_t e = 0; e < edge_count; ++e) {
-    state.capacity_gbps[e] = before_capacity[e].value;
-    state.limit_gbps[e] = before_capacity[e].value * (1.0 + config.headroom);
-  }
+  for (std::size_t e = 0; e < edge_count; ++e)
+    set_rate(state, e, before_capacity[e].value, config.headroom);
   state.routes = old_routes;
   for (const auto& [key, volume] : old_routes)
     for (graph::EdgeId edge : key.second)
@@ -173,7 +198,6 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
   // every other edge the churned path crosses.
   std::set<RouteKey> churned;
   for (const PendingReconfig& reconfig : reconfigs) {
-    const auto e = static_cast<std::size_t>(reconfig.edge.value);
     double kept_load = 0.0;
     std::vector<const RouteKey*> crossing;
     for (const auto& [key, old_volume] : old_routes) {
@@ -197,23 +221,8 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
       if (it != new_routes.end() && it->second > kEps)
         additions[*key] = it->second;
     }
-    (void)e;
   }
   schedule.forced_churn = churned.size();
-
-  // Dependency-DAG size (reporting only — the wave construction below
-  // linearizes it implicitly): each reconfig waits on every removal
-  // crossing its edge; each addition waits on every reconfig on its path.
-  for (const PendingReconfig& reconfig : reconfigs)
-    for (const auto& [key, volume] : removals)
-      if (std::find(key.second.begin(), key.second.end(), reconfig.edge) !=
-          key.second.end())
-        ++schedule.dependency_edges;
-  for (const auto& [key, volume] : additions)
-    for (const PendingReconfig& reconfig : reconfigs)
-      if (std::find(key.second.begin(), key.second.end(), reconfig.edge) !=
-          key.second.end())
-        ++schedule.dependency_edges;
 
   // Greedy wave construction. Each round: every pending removal; then
   // every reconfig whose edge is drained at round start and untouched by
@@ -226,7 +235,7 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
 
   bool pending_removals = !removals.empty();
   while (pending_removals || !reconfigs.empty() || !additions.empty()) {
-    if (schedule.rounds.size() >= config.max_rounds) {
+    if (schedule.rounds.size() >= kMaxRounds) {
       schedule.feasible = false;
       break;
     }
@@ -240,17 +249,10 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
       Move move;
       move.kind = Move::Kind::kRouteRemove;
       move.demand_index = key.first;
-      move.path = make_path(topology, key.second);
+      move.edges = key.second;
       move.volume = Gbps{volume};
-      for (graph::EdgeId edge : key.second) {
-        state.load_gbps[static_cast<std::size_t>(edge.value)] -= volume;
-        route_touched.insert(edge);
-      }
-      auto it = state.routes.find(key);
-      if (it != state.routes.end()) {
-        it->second -= volume;
-        if (it->second <= kEps) state.routes.erase(it);
-      }
+      apply_move(state, move, config.headroom);
+      route_touched.insert(key.second.begin(), key.second.end());
       round.moves.push_back(std::move(move));
     }
     removals.clear();
@@ -272,8 +274,7 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
       move.from = Gbps{reconfig.from};
       move.to = Gbps{reconfig.to};
       move.duration_seconds = reconfig.duration;
-      state.capacity_gbps[e] = reconfig.to;
-      state.limit_gbps[e] = reconfig.to * (1.0 + config.headroom);
+      apply_move(state, move, config.headroom);
       reconfiguring_now.insert(reconfig.edge);
       pending_reconfig_edges.erase(reconfig.edge);
       round.moves.push_back(std::move(move));
@@ -304,15 +305,13 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
       Move move;
       move.kind = Move::Kind::kRouteAdd;
       move.demand_index = key.first;
-      move.path = make_path(topology, key.second);
+      move.edges = key.second;
       move.volume = Gbps{volume};
+      apply_move(state, move, config.headroom);
       for (graph::EdgeId edge : key.second) {
-        const auto e = static_cast<std::size_t>(edge.value);
-        state.load_gbps[e] += volume;
-        round_added[e] += volume;
+        round_added[static_cast<std::size_t>(edge.value)] += volume;
         route_touched.insert(edge);
       }
-      state.routes[key] += volume;
       round.moves.push_back(std::move(move));
     }
     additions = std::move(deferred_adds);
@@ -328,7 +327,7 @@ UpdateSchedule plan_schedule(const graph::Graph& topology,
       round.duration_seconds =
           std::max(round.duration_seconds, move.kind == Move::Kind::kReconfig
                                                ? move.duration_seconds
-                                               : config.route_step_seconds);
+                                               : kRouteStepSeconds);
       if (move.kind == Move::Kind::kReconfig)
         ++schedule.reconfigs;
       else
@@ -475,7 +474,7 @@ bool validate_schedule(const graph::Graph& topology,
           return fail(os.str());
         }
       } else {
-        for (graph::EdgeId edge : move.path.edges) {
+        for (graph::EdgeId edge : move.edges) {
           route_edges.insert(edge);
           if (move.kind == Move::Kind::kRouteAdd)
             added[static_cast<std::size_t>(edge.value)] += move.volume.value;
@@ -507,22 +506,8 @@ bool validate_schedule(const graph::Graph& topology,
     }
 
     // Apply the round and re-run the single-state oracle.
-    for (const Move& move : round.moves) {
-      if (move.kind == Move::Kind::kReconfig) {
-        const auto e = static_cast<std::size_t>(move.edge.value);
-        state.capacity_gbps[e] = move.to.value;
-        state.limit_gbps[e] = move.to.value * (1.0 + schedule.headroom);
-        continue;
-      }
-      const double sign =
-          move.kind == Move::Kind::kRouteRemove ? -1.0 : 1.0;
-      const RouteKey key{move.demand_index, move.path.edges};
-      for (graph::EdgeId edge : move.path.edges)
-        state.load_gbps[static_cast<std::size_t>(edge.value)] +=
-            sign * move.volume.value;
-      state.routes[key] += sign * move.volume.value;
-      if (state.routes[key] <= kEps) state.routes.erase(key);
-    }
+    for (const Move& move : round.moves)
+      apply_move(state, move, schedule.headroom);
     if (!check_dataplane(topology, schedule, state, violation)) return false;
   }
 

@@ -22,8 +22,10 @@
 //
 // Planning is a pure deterministic function of its inputs (reconfig
 // durations come from Rng::stream(seed, kDurationStream ^ edge), so they
-// are order- and pool-size-independent). Execution with commit/rollback
-// and fault injection lives in update/executor.hpp.
+// are order- and pool-size-independent). The planner, the validator and
+// the executor evolve a DataplaneState through one routine, apply_move.
+// Execution with commit/rollback and fault injection lives in
+// update/executor.hpp.
 #pragma once
 
 #include <algorithm>
@@ -61,8 +63,8 @@ struct DataplaneState {
 };
 
 /// One scheduled move. Route moves shift `volume` of demand
-/// `demand_index` onto/off `path`; reconfigs drive edge `edge` from rate
-/// `from` to `to` with a modulation-change downtime of
+/// `demand_index` onto/off the path `edges`; reconfigs drive edge `edge`
+/// from rate `from` to `to` with a modulation-change downtime of
 /// `duration_seconds`.
 struct Move {
   enum class Kind { kRouteRemove = 0, kReconfig = 1, kRouteAdd = 2 };
@@ -70,7 +72,7 @@ struct Move {
 
   // Route moves.
   std::size_t demand_index = 0;
-  graph::Path path;
+  std::vector<graph::EdgeId> edges;
   util::Gbps volume{0.0};
 
   // Reconfigs.
@@ -103,12 +105,6 @@ struct SchedulerConfig {
   /// charge the deterministic expected downtime.
   bool sampled_durations = true;
   std::uint64_t seed = 1;
-  /// Dataplane latency of one batched route-update round.
-  double route_step_seconds = 0.005;
-  /// Planner bail-out; the greedy wave construction needs at most a
-  /// handful of rounds (docs/UPDATE.md §3), so hitting this marks the
-  /// schedule infeasible instead of looping.
-  std::size_t max_rounds = 64;
 
   friend bool operator==(const SchedulerConfig&,
                          const SchedulerConfig&) = default;
@@ -137,9 +133,6 @@ struct UpdateSchedule {
   /// Kept paths force-churned (removed + re-added) to drain a link below
   /// its reconfiguration limit.
   std::size_t forced_churn = 0;
-  /// Edges of the implicit dependency DAG the wave construction
-  /// linearizes: reconfig-waits-for-drain plus add-waits-for-reconfig.
-  std::size_t dependency_edges = 0;
 };
 
 /// The load a link may keep while its BVT reconfigures from `from` to `to`
@@ -151,6 +144,14 @@ inline double drain_limit_for(bvt::Procedure procedure, double from,
   if (procedure == bvt::Procedure::kStandard) return 0.0;
   return std::min(from, to) * (1.0 + headroom);
 }
+
+/// Applies `move` to `state`, or undoes it when `inverse` is set. A route
+/// move adds its volume (a removal: subtracts it) on every edge of its
+/// path and on its (demand, path) route, which leaves the table once at
+/// or below 1e-6 Gbps. A reconfig sets its edge's capacity to `to`
+/// (inverse: `from`) and the limit to that rate * (1 + headroom).
+void apply_move(DataplaneState& state, const Move& move, double headroom,
+                bool inverse = false);
 
 /// Plans the transition from (`before_capacity`, `before`) to
 /// (`after_capacity`, `after`) on `topology` (which supplies edge

@@ -1,9 +1,10 @@
 // The closed loop (dataplane::ClosedLoop, docs/DATAPLANE.md §5): its chain
 // at pool sizes {1,2,8} and across a restore into a fresh loop before
 // every round, the pending counter set that restore must carry, the
-// refusal of a foreign state, and the hook between the executed schedule
-// and the dataplane. The chains themselves are pinned by
-// GoldenRoundChains (loop-1, loop-7).
+// refusal of a foreign state, the hook between the executed schedule and
+// the dataplane, and the controller's execution of exactly the schedules
+// it validated. The chains themselves are pinned by GoldenRoundChains
+// (loop-1, loop-7).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -11,9 +12,12 @@
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "dataplane/loop.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/registry.hpp"
+#include "obs/registry.hpp"
 #include "support/loop_fixture.hpp"
 #include "support/round_signature.hpp"
 #include "te/mcf_te.hpp"
@@ -108,8 +112,8 @@ TEST(ClosedLoop, HookEditsTheTimelineTheDataplaneRuns) {
                            0.0);
       });
   EXPECT_EQ(calls, 1u);
-  ASSERT_TRUE(round.execution.has_value());
-  EXPECT_TRUE(round.execution->completed);
+  ASSERT_TRUE(round.report.execution.has_value());
+  EXPECT_TRUE(round.report.execution->completed);
   EXPECT_EQ(round.timeline.capacity_gbps(0, round.timeline.ticks - 1), 0.0);
   EXPECT_EQ(loop.dataplane().rounds(), 1u);
 }
@@ -158,6 +162,69 @@ TEST(ClosedLoop, RestoreRejectsAForeignStateAndLeavesTheLoopUntouched) {
     EXPECT_EQ(got.result.signature, want.result.signature)
         << "foreign state " << s;
   }
+}
+
+// The controller's update stage executes exactly the schedules it
+// validated, and a fault-free execution commits every update round.
+TEST(ClosedLoop, ExecutesExactlyTheValidatedSchedules) {
+  const loop_fixture::Fixture fixture = loop_fixture::make_fixture();
+  const te::McfTe engine;
+  for (const std::uint64_t seed : kSeeds) {
+    ClosedLoop loop(fixture.topology, fixture.intent, engine,
+                    loop_fixture::loop_options(seed, nullptr));
+    loop_fixture::SnrWalk walk(fixture.topology.edge_count(), seed);
+    std::size_t executed = 0;
+    for (std::size_t r = 0; r < loop_fixture::kRounds; ++r) {
+      const core::DynamicCapacityController::RoundReport report =
+          loop.step(walk.next()).report;
+      ASSERT_EQ(report.execution.has_value(), report.update_valid)
+          << "seed " << seed << ", round " << r;
+      if (!report.execution.has_value()) continue;
+      EXPECT_TRUE(report.execution->completed)
+          << "seed " << seed << ", round " << r;
+      EXPECT_EQ(report.execution->rounds_committed,
+                report.update->rounds.size())
+          << "seed " << seed << ", round " << r;
+      ++executed;
+    }
+    EXPECT_GT(executed, 0u) << "seed " << seed;
+  }
+}
+
+// Execution is observational: with every commit failing, each non-empty
+// schedule aborts (update.exec.aborts counts them), and every round's
+// dataplane signature is still the fault-free run's.
+TEST(ClosedLoop, AbortedExecutionsLeaveEveryRoundUnchanged) {
+  const loop_fixture::Fixture fixture = loop_fixture::make_fixture();
+  const te::McfTe engine;
+  const core::ControllerOptions options =
+      loop_fixture::loop_options(1, nullptr);
+  constexpr std::size_t kRounds = 12;
+  const auto run = [&](std::vector<std::uint64_t>& signatures) {
+    ClosedLoop loop(fixture.topology, fixture.intent, engine, options);
+    loop_fixture::SnrWalk walk(fixture.topology.edge_count(), 1);
+    std::size_t aborted = 0;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      const ClosedLoop::Round round = loop.step(walk.next());
+      signatures.push_back(round.result.signature);
+      const auto& execution = round.report.execution;
+      if (execution.has_value() && execution->aborted) ++aborted;
+    }
+    return aborted;
+  };
+  std::vector<std::uint64_t> clean, faulted;
+  EXPECT_EQ(run(clean), 0u);
+  const obs::Counter& aborts =
+      obs::Registry::global().counter("update.exec.aborts");
+  const std::uint64_t before = aborts.value();
+  std::size_t aborted = 0;
+  {
+    fault::ScopedPlan armed(fault::FaultPlan::parse("update.commit%1@0:fail"));
+    aborted = run(faulted);
+  }
+  EXPECT_GT(aborted, 0u);
+  EXPECT_EQ(aborts.value() - before, aborted);
+  EXPECT_EQ(faulted, clean);
 }
 
 TEST(ClosedLoop, RequiresTheUpdateStage) {

@@ -11,6 +11,7 @@
 
 #include "exec/rcu.hpp"
 #include "fault/registry.hpp"
+#include "obs/registry.hpp"
 #include "serve/service.hpp"
 #include "sim/topology.hpp"
 #include "sim/workload.hpp"
@@ -283,6 +284,49 @@ TEST(ServeService, RestoreRejectsPathsThroughUnknownEdges) {
   EXPECT_EQ(service.round(), 0u);
   service.step();  // the untouched service still runs
   EXPECT_EQ(service.signature_chain(), source.signature_chain());
+}
+
+// The controller executes each validated schedule inside the round, before
+// the epoch publishes. With every commit failing, each non-empty schedule
+// aborts (update.exec.aborts counts them) and the chain is the fault-free
+// run's.
+TEST(ServeService, AbortedTransitionsLeaveTheChainUnchanged) {
+  const Fixture fixture;
+  ServeConfig config;
+  config.update = update::SchedulerConfig{};
+  const auto run = [&](std::size_t& aborted) {
+    ServeService service = fixture.make(config);
+    util::Rng rng = util::Rng::stream(11, 0);
+    for (int round = 0; round < 8; ++round) {
+      service.queue().offer(
+          {IngestType::kSnr,
+           static_cast<std::uint32_t>(rng.uniform_int(
+               0, static_cast<std::int64_t>(
+                      fixture.topology.edge_count()) - 1)),
+           rng.uniform(4.0, 20.0)});
+      const ServeService::RoundReport report = service.step();
+      EXPECT_EQ(report.execution.has_value(), report.update_valid)
+          << "round " << round;
+      if (report.execution.has_value() && report.execution->aborted)
+        ++aborted;
+    }
+    return service.signature_chain();
+  };
+  std::size_t clean_aborts = 0;
+  const std::uint64_t clean = run(clean_aborts);
+  const obs::Counter& aborts =
+      obs::Registry::global().counter("update.exec.aborts");
+  const std::uint64_t before = aborts.value();
+  std::size_t faulted_aborts = 0;
+  std::uint64_t faulted = 0;
+  {
+    fault::ScopedPlan armed(fault::FaultPlan::parse("update.commit%1@0:fail"));
+    faulted = run(faulted_aborts);
+  }
+  EXPECT_EQ(clean_aborts, 0u);
+  EXPECT_GT(faulted_aborts, 0u);
+  EXPECT_EQ(aborts.value() - before, faulted_aborts);
+  EXPECT_EQ(faulted, clean);
 }
 
 TEST(ServeService, FingerprintSeparatesConfigsButNotTuningKnobs) {

@@ -134,7 +134,7 @@ void expect_schedules_equal(const ArmResult& a, const ArmResult& b,
         EXPECT_EQ(lr.moves[m].kind, rr.moves[m].kind);
         EXPECT_EQ(lr.moves[m].demand_index, rr.moves[m].demand_index);
         EXPECT_EQ(lr.moves[m].volume.value, rr.moves[m].volume.value);
-        EXPECT_EQ(lr.moves[m].path.edges, rr.moves[m].path.edges);
+        EXPECT_EQ(lr.moves[m].edges, rr.moves[m].edges);
         EXPECT_EQ(lr.moves[m].edge.value, rr.moves[m].edge.value);
         EXPECT_EQ(lr.moves[m].duration_seconds, rr.moves[m].duration_seconds);
       }

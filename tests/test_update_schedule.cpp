@@ -91,7 +91,7 @@ std::string describe(const UpdateSchedule& schedule) {
          << move.volume.value << "," << move.edge.value << ","
          << move.from.value << "," << move.to.value << ","
          << move.duration_seconds << ",[";
-      for (EdgeId e : move.path.edges) os << e.value << " ";
+      for (EdgeId e : move.edges) os << e.value << " ";
       os << "]";
     }
   }
@@ -282,6 +282,68 @@ TEST(UpdateSchedule, InfeasibleTargetIsFlaggedNotLooped) {
   EXPECT_FALSE(violation.empty());
 }
 
+// core/translate.cpp may list one physical path twice for an OD (once per
+// real and fake edge it projects from). The route table keys (demand,
+// path), so the listing must plan, validate and execute exactly as the
+// same routing with the duplicate merged.
+TEST(UpdateSchedule, APathListedTwiceIsOneRoute) {
+  const graph::Graph g = diamond();
+  const auto before_caps = uniform_capacity(4, 100.0);
+  auto after_caps = before_caps;
+  after_caps[1] = Gbps{200.0};
+  const auto routing = [&](std::vector<std::pair<std::vector<int>, double>>
+                               paths) {
+    te::FlowAssignment assignment;
+    te::FlowAssignment::DemandRouting demand;
+    double total = 0.0;
+    for (const auto& [edges, volume] : paths) {
+      demand.paths.emplace_back(path_of(g, edges), Gbps{volume});
+      total += volume;
+    }
+    demand.demand = te::Demand{NodeId{0}, NodeId{3}, Gbps{total}, 0};
+    demand.routed = Gbps{total};
+    assignment.routings.push_back(std::move(demand));
+    te::finalize_assignment(g, assignment);
+    return assignment;
+  };
+  const auto before_listed = routing({{{0, 1}, 25.0}, {{0, 1}, 35.0}});
+  const auto before_merged = routing({{{0, 1}, 60.0}});
+  const auto after_listed =
+      routing({{{0, 1}, 20.0}, {{2, 3}, 30.0}, {{0, 1}, 10.0}});
+  const auto after_merged = routing({{{0, 1}, 30.0}, {{2, 3}, 30.0}});
+
+  SchedulerConfig config = efficient_config();
+  config.procedure = bvt::Procedure::kStandard;  // churns edge 1's traffic
+  const UpdateSchedule listed = plan_schedule(
+      g, before_caps, after_caps, before_listed, after_listed, config);
+  const UpdateSchedule merged = plan_schedule(
+      g, before_caps, after_caps, before_merged, after_merged, config);
+  ASSERT_TRUE(merged.feasible);
+  ASSERT_GT(merged.route_moves, 0u);
+  EXPECT_EQ(describe(listed), describe(merged));
+  EXPECT_TRUE(listed.initial == merged.initial);
+  EXPECT_EQ(listed.forced_churn, merged.forced_churn);
+  EXPECT_EQ(listed.initial.routes.size(), 1u);
+
+  // Either listing of the target is the same terminal state.
+  std::string violation;
+  for (const te::FlowAssignment* target : {&after_listed, &after_merged}) {
+    EXPECT_TRUE(validate_schedule(g, listed, after_caps, *target, &violation))
+        << violation;
+    EXPECT_TRUE(validate_schedule(g, merged, after_caps, *target, &violation))
+        << violation;
+  }
+  ScheduleExecutor listed_run(g, listed);
+  ScheduleExecutor merged_run(g, merged);
+  EXPECT_TRUE(listed_run.run().completed);
+  EXPECT_TRUE(merged_run.run().completed);
+  EXPECT_TRUE(listed_run.state() == merged_run.state());  // bitwise
+  const RouteKey top{0, {EdgeId{0}, EdgeId{1}}};
+  ASSERT_TRUE(listed_run.state().routes.contains(top));
+  EXPECT_EQ(listed_run.state().routes.at(top), 30.0);
+  EXPECT_EQ(listed_run.state().routes.size(), 2u);
+}
+
 TEST(UpdateSchedule, CheckDataplaneDetectsLoopsAndWrongDestinations) {
   // A triangle with a back-edge so a looping walk actually exists:
   // A->B (0), B->A (1), B->C (2); demand A->C.
@@ -361,8 +423,8 @@ struct MutationFixture : ::testing::Test {
   }
 
   static bool touches_edge_zero(const Move& move) {
-    return std::find(move.path.edges.begin(), move.path.edges.end(),
-                     EdgeId{0}) != move.path.edges.end();
+    return std::find(move.edges.begin(), move.edges.end(), EdgeId{0}) !=
+           move.edges.end();
   }
 };
 
@@ -502,22 +564,22 @@ TEST_F(ExecutorFixture, CommitFailRollsBackThenConvergesBitIdentically) {
 TEST_F(ExecutorFixture, PeriodicCommitFailAbortsAtTheRoundBoundary) {
   fault::FaultPlan plan = fault::FaultPlan::parse("update.commit%1@0:fail");
   fault::ScopedPlan armed(plan);
-  ExecutorOptions options;
-  options.max_attempts_per_round = 3;
-  ScheduleExecutor executor(g, schedule, options);
+  ScheduleExecutor executor(g, schedule);
   const ExecutionResult& result = executor.run();
   EXPECT_TRUE(result.aborted);
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.rounds_committed, 0u);
-  EXPECT_EQ(result.commit_attempts, 3u);
-  EXPECT_EQ(result.rollbacks, 3u);
+  // kMaxCommitAttempts attempts, every one rolled back.
+  EXPECT_EQ(kMaxCommitAttempts, 8u);
+  EXPECT_EQ(result.commit_attempts, 8u);
+  EXPECT_EQ(result.rollbacks, 8u);
   // Monotone progress: the dataplane is exactly the committed prefix —
   // here, the untouched initial state, bit for bit.
   EXPECT_TRUE(executor.state() == schedule.initial);
   // Aborted executors stay done; further runs are no-ops.
   EXPECT_TRUE(executor.done());
   executor.run();
-  EXPECT_EQ(executor.result().commit_attempts, 3u);
+  EXPECT_EQ(executor.result().commit_attempts, 8u);
 }
 
 TEST_F(ExecutorFixture, StallsAndDelaysAreTimingOnly) {
