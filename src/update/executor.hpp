@@ -5,8 +5,9 @@
 // (removals, then reconfigs — drain phase observable — then adds), an
 // `update.commit` fault-site evaluation decides the round's fate, and a
 // kFail injection rolls every move back (inverse moves in reverse order,
-// themselves observable and subject to `update.rollback` timing faults)
-// before retrying, up to kMaxCommitAttempts attempts per round. Moves
+// themselves observable; the rollback's time is subject to
+// `update.rollback` timing faults) before retrying, up to
+// kMaxCommitAttempts attempts per round. Moves
 // apply through update::apply_move, as in the planner and the validator.
 // Progress is monotone: the dataplane state between rounds is always the
 // prefix of committed rounds, never a torn round — the property
